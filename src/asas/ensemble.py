@@ -62,6 +62,9 @@ class EnsembleSpec:
 
     @classmethod
     def from_artifact(cls, art: Artifact) -> "EnsembleSpec":
+        art.require(
+            meta=("l2", "prompt", "k"), tables=("members",), arrays=("head_weights", "head_bias")
+        )
         head = LogRegModel(
             weights=art.arrays["head_weights"],
             bias=art.arrays["head_bias"][0],

@@ -30,6 +30,12 @@ MINUTIAE_LENGTHS = range(5, 20)  # 15 substring lengths
 NGRAM_ORDERS = (1, 2, 3)
 NGRAMS_PER_ORDER = 30
 TEXT_STATS_DIM = 10
+# Lowest near-match cutoff: CachedFeatureBuilder keeps every ratio that
+# reaches it, so any cutoff a trial picks is a thresholding pass.
+MIN_CUTOFF = 0.5
+# Bounds the fuzzy engine's work arrays: (window, n-gram, character) cells
+# per histogram pass, and candidate pairs per LCS pass.
+_PAIR_CHUNK = 1 << 16
 
 # Fixed 150-word English stopword list, versioned with the artifact.
 STOPWORDS = frozenset("""
@@ -54,22 +60,37 @@ def normalize_text(s: str) -> str:
     return "".join(ch for ch in s.lower() if ch.isalpha())
 
 
-def minutiae_overlap(response: str, prompt: str) -> np.ndarray:
+def minutiae_substrings(prompt: str) -> list[set[str]]:
+    """The distinct substrings of the normalized prompt, one set per length."""
+    p = normalize_text(prompt)
+    return [
+        {p[j:j + length] for j in range(len(p) - length + 1)} for length in MINUTIAE_LENGTHS
+    ]
+
+
+def minutiae_overlap(
+    response: str, prompt: str, prompt_subs: list[set[str]] | None = None
+) -> np.ndarray:
     """Distinct substring overlap counts between response and prompt.
 
     Component i counts the distinct substrings of length 5+i of the
     normalized response that also occur in the normalized prompt, for
-    lengths 5 through 19 (15 dimensions).
+    lengths 5 through 19 (15 dimensions). ``prompt_subs`` is
+    ``minutiae_substrings(prompt)``, passed in when scoring many responses
+    against one prompt.
     """
+    if prompt_subs is None:
+        prompt_subs = minutiae_substrings(prompt)
     r = normalize_text(response)
-    p = normalize_text(prompt)
     out = np.zeros(len(MINUTIAE_LENGTHS), dtype=float)
-    for i, length in enumerate(MINUTIAE_LENGTHS):
-        if len(r) < length or len(p) < length:
-            continue
-        response_subs = {r[j:j + length] for j in range(len(r) - length + 1)}
-        prompt_subs = {p[j:j + length] for j in range(len(p) - length + 1)}
-        out[i] = len(response_subs & prompt_subs)
+    for i, (length, subs) in enumerate(zip(MINUTIAE_LENGTHS, prompt_subs)):
+        # A common substring's prefixes are common too: once a length has
+        # no overlap, no longer length has any.
+        if len(r) < length or not subs:
+            break
+        out[i] = len({r[j:j + length] for j in range(len(r) - length + 1)} & subs)
+        if not out[i]:
+            break
     return out
 
 
@@ -148,7 +169,11 @@ def similarity_ratio(a: str, b: str) -> float:
 
 
 def window_ratios(text: str, ngram: str) -> np.ndarray:
-    """Similarity of every same-token-length window of ``text`` to ``ngram``."""
+    """Similarity of every same-token-length window of ``text`` to ``ngram``.
+
+    The brute-force reference for ``fuzzy_ratios``: one difflib ratio per
+    window, nothing pruned.
+    """
     toks = _tokens(text)
     order = len(ngram.split())
     if len(toks) < order:
@@ -161,6 +186,199 @@ def window_ratios(text: str, ngram: str) -> np.ndarray:
     return ratios
 
 
+@dataclass(frozen=True, eq=False)
+class FuzzyRatios:
+    """Window-to-n-gram similarity ratios that reach ``floor``, as flat arrays.
+
+    Entry k says that one token window of text ``rows[k]`` has ratio
+    ``ratios[k]`` with key n-gram ``cols[k]``; every window whose ratio
+    with a (non-padding) n-gram is at least ``floor`` has an entry, and no
+    other window does. ``shape`` is (texts, n-grams).
+    """
+
+    shape: tuple[int, int]
+    floor: float
+    rows: np.ndarray
+    cols: np.ndarray
+    ratios: np.ndarray
+
+    def counts(self, cutoff: float) -> np.ndarray:
+        """Per text and n-gram, the number of windows with ratio >= cutoff."""
+        if not self.floor <= cutoff <= 1.0:
+            raise ValueError(f"cutoff must be in [{self.floor}, 1.0], got {cutoff}")
+        hit = self.ratios >= cutoff
+        n_texts, n_grams = self.shape
+        flat = np.bincount(
+            self.rows[hit] * n_grams + self.cols[hit], minlength=n_texts * n_grams
+        )
+        return flat.reshape(self.shape).astype(float)
+
+
+def _may_reach(matches: np.ndarray, total: np.ndarray, floor: float) -> np.ndarray:
+    """Whether difflib's ``2.0*M/(la+lb)`` can reach ``floor`` given a bound on M.
+
+    Uses difflib's own float expression, so the test is exact. 0/0 (an
+    empty window against an empty n-gram) is NaN here and 1.0 in difflib,
+    hence "not below" rather than ">=".
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return ~(2.0 * matches / total < floor)
+
+
+def _lcs_lengths(
+    codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+    masks: np.ndarray, gram_len: np.ndarray, grams: np.ndarray,
+) -> np.ndarray:
+    """Longest-common-subsequence length of many (window, n-gram) pairs.
+
+    Window p is ``codes[starts[p]:starts[p] + lengths[p]]``; bit i of
+    ``masks[g, c]`` is set where character i of n-gram g has code c.
+    Bit-parallel recurrence (Hyyro 2004): U = V & mask, V = (V+U) | (V-U)
+    over the window's characters; the LCS is the number of zero bits left
+    in V's low |n-gram| bits. Carries only move upward, so uint64 overflow
+    never reaches those bits. Pairs are processed longest first so step k
+    touches only the windows longer than k.
+    """
+    by_len = np.argsort(-lengths, kind="stable")
+    starts, lengths, grams = starts[by_len], lengths[by_len], grams[by_len]
+    v = np.full(by_len.size, np.iinfo(np.uint64).max, dtype=np.uint64)
+    for k in range(int(lengths[0]) if lengths.size else 0):
+        n = int(np.searchsorted(-lengths, -k))  # pairs whose window is longer than k
+        u = v[:n] & masks[grams[:n], codes[starts[:n] + k]]
+        v[:n] = (v[:n] + u) | (v[:n] - u)
+    low = np.array([(1 << min(n, 64)) - 1 for n in gram_len.tolist()], dtype=np.uint64)
+    ones = np.unpackbits((v & low[grams]).view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
+    out = np.empty_like(lengths)
+    out[by_len] = gram_len[grams] - ones
+    return out
+
+
+def _gram_tables(
+    grams: list[str], alphabet: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Length, character histogram and LCS match masks of each n-gram.
+
+    Bit i of ``masks[g, c]`` is set where character i (< 64) of n-gram g
+    has code c.
+    """
+    width = len(alphabet) + 1
+    hist = [[0] * width for _ in grams]
+    masks = [[0] * width for _ in grams]
+    for g, gram in enumerate(grams):
+        for i, ch in enumerate(gram):
+            hist[g][alphabet[ch]] += 1
+            if i < 64:
+                masks[g][alphabet[ch]] |= 1 << i
+    return (
+        np.array([len(g) for g in grams], dtype=np.intp),
+        np.array(hist, dtype=np.int32).reshape(len(grams), width),
+        np.array(masks, dtype=np.uint64).reshape(len(grams), width),
+    )
+
+
+def fuzzy_ratios(
+    texts: list[str], key_ngrams: list[str | None], floor: float
+) -> FuzzyRatios:
+    """``window_ratios`` of every text and n-gram, kept where they reach ``floor``.
+
+    Exact pruning: difflib's ratio is 2M/(la+lb), where M, the length of
+    its matching blocks, is at most the longest common subsequence of the
+    two strings, which is at most the multiset intersection of their
+    characters (``quick_ratio``), which is at most min(la, lb). The
+    intersection is computed for blocks of (window, n-gram) pairs at once
+    from per-token character histograms over the n-grams' alphabet,
+    prefix-summed along the texts; the LCS, for the pairs that pass, by a
+    vectorised bit-parallel recurrence; and difflib runs only on pairs
+    whose bound, in difflib's own float expression, reaches ``floor``.
+    Windows are seq1 and n-grams seq2, as in ``window_ratios``, so every
+    kept ratio is bit-identical to it.
+    """
+    if not MIN_CUTOFF <= floor <= 1.0:
+        raise ValueError(f"cutoff must be in [{MIN_CUTOFF}, 1.0], got {floor}")
+    present = np.array([j for j, g in enumerate(key_ngrams) if g is not None], dtype=np.intp)
+    grams = [key_ngrams[j] for j in present]
+    alphabet = {ch: a for a, ch in enumerate(sorted(set("".join(grams))))}
+    other = len(alphabet)  # the code of every character no n-gram contains
+    space = alphabet.get(" ", other)
+    gram_len, gram_hist, masks = _gram_tables(grams, alphabet)
+    gram_order = np.array([len(g.split()) for g in grams], dtype=np.intp)
+
+    # Every token is followed by one space in ``joined``, so the window of
+    # ``order`` tokens from token i is joined[char_at[i]:char_at[i + order]]
+    # without its last character; windows never straddle two texts.
+    toks = [_tokens(t) for t in texts]
+    flat = [tok for ts in toks for tok in ts]
+    joined = "".join(tok + " " for tok in flat)
+    codes = np.fromiter((alphabet.get(ch, other) for ch in joined), dtype=np.intp, count=len(joined))
+    tok_span = np.array([len(tok) + 1 for tok in flat], dtype=np.intp)
+    char_at = np.concatenate([[0], np.cumsum(tok_span)])
+    # cum_hist[i, c]: occurrences of code c in the first i tokens and their spaces.
+    cum_hist = np.zeros((len(flat) + 1, other + 1), dtype=np.int32)
+    np.add.at(cum_hist, (np.repeat(np.arange(1, len(flat) + 1), tok_span), codes), 1)
+    np.cumsum(cum_hist, axis=0, out=cum_hist)
+    n_toks = np.array([len(ts) for ts in toks], dtype=np.intp)
+    first_tok = np.cumsum(n_toks) - n_toks
+
+    matchers: dict[int, difflib.SequenceMatcher] = {}
+    found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    pending: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    n_pending = 0
+
+    def match_pending() -> None:
+        """LCS-filter the pending candidate pairs, then run difflib on the rest."""
+        text, start, length, gram = (np.concatenate(col) for col in zip(*pending))
+        pending.clear()
+        lcs = _lcs_lengths(codes, start, length, masks, gram_len, gram)
+        # An n-gram longer than 64 characters does not fit the bit vector.
+        keep = (gram_len[gram] > 64) | _may_reach(lcs, length + gram_len[gram], floor)
+        text, start, length, gram = text[keep], start[keep], length[keep], gram[keep]
+        ratio = np.empty(gram.size, dtype=float)
+        for k, (s, n, g) in enumerate(zip(start.tolist(), length.tolist(), gram.tolist())):
+            matcher = matchers.get(g)
+            if matcher is None:
+                matcher = matchers[g] = difflib.SequenceMatcher(None, "", grams[g], autojunk=False)
+            matcher.set_seq1(joined[s:s + n])
+            ratio[k] = matcher.ratio()
+        hit = ratio >= floor
+        found.append((text[hit], present[gram[hit]], ratio[hit]))
+
+    for order in sorted(set(gram_order.tolist())):
+        sel = np.flatnonzero(gram_order == order)
+        used = np.flatnonzero(gram_hist[sel].any(axis=0))
+        sel_hist = gram_hist[np.ix_(sel, used)]
+        n_win = np.maximum(n_toks - order + 1, 0)
+        win_text = np.repeat(np.arange(len(texts)), n_win)
+        win_tok = first_tok[win_text] + np.arange(win_text.size) - np.repeat(
+            np.cumsum(n_win) - n_win, n_win
+        )
+        trailing = 1 if order else 0  # the space after a window's last token
+        chunk = max(1, _PAIR_CHUNK // (sel.size * max(1, used.size)))
+        for lo in range(0, win_text.size, chunk):
+            first = win_tok[lo:lo + chunk]
+            start = char_at[first]
+            length = char_at[first + order] - start - trailing
+            hist = cum_hist[first + order] - cum_hist[first]
+            hist[:, space] -= trailing
+            inter = np.minimum(hist[:, None, used], sel_hist[None]).sum(axis=2)
+            pw, pg = np.nonzero(_may_reach(inter, length[:, None] + gram_len[sel], floor))
+            pending.append((win_text[lo + pw], start[pw], length[pw], sel[pg]))
+            n_pending += pw.size
+            if n_pending >= _PAIR_CHUNK:
+                match_pending()
+                n_pending = 0
+    if pending:
+        match_pending()
+
+    rows, cols, ratios = (
+        (np.concatenate(col) for col in zip(*found))
+        if found
+        else (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
+    )
+    return FuzzyRatios(
+        shape=(len(texts), len(key_ngrams)), floor=floor, rows=rows, cols=cols, ratios=ratios
+    )
+
+
 def near_match_count(
     response: str, key_ngrams: list[str | None], cutoff: float
 ) -> np.ndarray:
@@ -170,16 +388,7 @@ def near_match_count(
     least ``cutoff``; with cutoff 1.0 this reduces to exact occurrence
     counting. Padding slots (None) always contribute zero.
     """
-    if not 0.5 <= cutoff <= 1.0:
-        raise ValueError(f"cutoff must be in [0.5, 1.0], got {cutoff}")
-    out = np.zeros(len(key_ngrams), dtype=float)
-    for i, gram in enumerate(key_ngrams):
-        if gram is None:
-            continue
-        ratios = window_ratios(response, gram)
-        if ratios.size:
-            out[i] = float(np.sum(ratios >= cutoff))
-    return out
+    return fuzzy_ratios([response], key_ngrams, cutoff).counts(cutoff)[0]
 
 
 def fit_tfidf_vocab(train_texts: list[str]) -> dict[str, tuple[int, float]]:
@@ -326,7 +535,7 @@ class FeatureModelSpec:
         return [g.text for g in self.key_ngrams]
 
     def validate(self) -> None:
-        if not 0.5 <= self.near_match_cutoff <= 1.0:
+        if not MIN_CUTOFF <= self.near_match_cutoff <= 1.0:
             raise ValueError(f"cutoff out of range: {self.near_match_cutoff}")
         if len(self.key_ngrams) != len(NGRAM_ORDERS) * NGRAMS_PER_ORDER:
             raise ValueError(f"expected 90 key n-grams, got {len(self.key_ngrams)}")
@@ -369,6 +578,11 @@ class FeatureModelSpec:
 
     @classmethod
     def from_artifact(cls, art: Artifact) -> "FeatureModelSpec":
+        art.require(
+            meta=("cutoff", "embedding_dim", "prompt_minutiae"),
+            tables=("vocab", "key_ngrams"),
+            arrays=("projection", "std_mean", "std_sd"),
+        )
         vocab = {
             term: (idx, float(idf)) for idx, (term, idf) in enumerate(art.tables["vocab"])
         }
@@ -424,8 +638,9 @@ def _raw_features(
     if embedding_dim is not None:
         blocks.append(_embedding_block(responses, embedding_dim, embeddings))
     blocks.append(tfidf_matrix(texts, vocab) @ projection)
-    blocks.append(np.array([minutiae_overlap(t, prompt_text) for t in texts]))
-    blocks.append(np.array([near_match_count(t, grams, cutoff) for t in texts]))
+    prompt_subs = minutiae_substrings(prompt_text)
+    blocks.append(np.array([minutiae_overlap(t, prompt_text, prompt_subs) for t in texts]))
+    blocks.append(fuzzy_ratios(texts, grams, cutoff).counts(cutoff))
     blocks.append(np.array([text_stats(t) for t in texts]))
     return np.concatenate(blocks, axis=1)
 
@@ -508,8 +723,8 @@ class CachedFeatureBuilder:
     The expensive pieces do not depend on the tuned parameters: the
     eigen-projection is fitted once at the maximum dimension and sliced
     (leading eigenvectors are nested), key n-grams depend only on the
-    train split, and fuzzy window ratios are cached so changing the
-    cutoff is a thresholding pass.
+    train split, and the fuzzy window ratios that reach the lowest cutoff
+    are kept so changing the cutoff is a thresholding pass.
     """
 
     def __init__(
@@ -532,25 +747,17 @@ class CachedFeatureBuilder:
         self.prompt_minutiae = normalize_text(corpus.prompt_text)
 
         self._tfidf_full = tfidf_matrix(texts, self.vocab) @ self._projection_full
-        self._minutiae = np.array([minutiae_overlap(t, self.prompt_minutiae) for t in texts])
+        prompt_subs = minutiae_substrings(self.prompt_minutiae)
+        self._minutiae = np.array(
+            [minutiae_overlap(t, self.prompt_minutiae, prompt_subs) for t in texts]
+        )
         self._stats = np.array([text_stats(t) for t in texts])
         self._emb = (
             _embedding_block(responses, self.embedding_dim, embeddings)
             if self.embedding_dim is not None
             else None
         )
-        grams = [g.text for g in self.key_ngrams]
-        self._ratios = [
-            [None if g is None else window_ratios(t, g) for g in grams] for t in texts
-        ]
-
-    def _near_counts(self, cutoff: float) -> np.ndarray:
-        out = np.zeros((len(self.ids), len(self.key_ngrams)), dtype=float)
-        for i, per_gram in enumerate(self._ratios):
-            for j, ratios in enumerate(per_gram):
-                if ratios is not None and ratios.size:
-                    out[i, j] = float(np.sum(ratios >= cutoff))
-        return out
+        self._fuzzy = fuzzy_ratios(texts, [g.text for g in self.key_ngrams], MIN_CUTOFF)
 
     def build(self, d_t: int, cutoff: float) -> tuple[FeatureModelSpec, FeatureMatrix]:
         d_eff = min(d_t, self._projection_full.shape[1])
@@ -559,7 +766,7 @@ class CachedFeatureBuilder:
             blocks.append(self._emb)
         blocks.append(self._tfidf_full[:, :d_eff])
         blocks.append(self._minutiae)
-        blocks.append(self._near_counts(cutoff))
+        blocks.append(self._fuzzy.counts(cutoff))
         blocks.append(self._stats)
         raw = np.concatenate(blocks, axis=1)
         mean, sd = fit_standardizer(raw[: self._n_train])

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AllTrialsFailed, EmptySpace
+from .features import MIN_CUTOFF
 from .mathutil import logsumexp
 
 N_STARTUP = 5
@@ -124,7 +125,7 @@ def feature_search_space() -> SearchSpace:
             "batch_size": IntUniform(6, 12),
             "learning_rate": LogUniform(5e-6, 1e-4),
             "tfidf_dim": IntUniform(100, 300),
-            "cutoff": Uniform(0.5, 1.0),
+            "cutoff": Uniform(MIN_CUTOFF, 1.0),
         }
     )
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import (
     DimMismatch,
+    HeaderMismatch,
     LabelOutOfRange,
     NonFiniteGradient,
     NonFiniteLoss,
@@ -66,6 +67,9 @@ class MlpModel:
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str = "mlp_") -> "MlpModel":
+        for name in ("w1", "b1", "w2", "b2"):
+            if prefix + name not in arrays:
+                raise HeaderMismatch(f"model has no matrix {prefix + name!r}")
         return cls(
             w1=arrays[prefix + "w1"],
             b1=arrays[prefix + "b1"][0],

@@ -77,6 +77,8 @@ class Artifact:
             start += 1
         if start == len(lines):
             raise HeaderMismatch(f"not a {FORMAT_VERSION} file")
+        if not text.endswith("\n"):
+            raise HeaderMismatch("file is truncated: its last line has no newline")
         art = cls(kind=lines[start].split("kind=", 1)[1])
         i = start + 1
         while i < len(lines):
@@ -85,21 +87,37 @@ class Artifact:
                 i += 1
             elif line.startswith("[strings "):
                 _, name, count = line[1:-1].split(" ")
-                art.tables[name] = [lines[i + 1 + j].split("\t") for j in range(int(count))]
-                i += 1 + int(count)
+                rows = _block_rows(lines, i, name, int(count))
+                art.tables[name] = [row.split("\t") for row in rows]
+                i += 1 + len(rows)
             elif line.startswith("[matrix "):
                 _, name, n_rows, n_cols = line[1:-1].split(" ")
-                n_rows, n_cols = int(n_rows), int(n_cols)
-                data = np.empty((n_rows, n_cols), dtype=float)
-                for j in range(n_rows):
-                    data[j] = [float(x) for x in lines[i + 1 + j].split("\t")]
+                rows = _block_rows(lines, i, name, int(n_rows))
+                data = np.empty((len(rows), int(n_cols)), dtype=float)
+                for j, row in enumerate(rows):
+                    cells = row.split("\t")
+                    if len(cells) != data.shape[1]:
+                        raise HeaderMismatch(
+                            f"matrix {name} row {j + 1} has {len(cells)} values, "
+                            f"expected {data.shape[1]}"
+                        )
+                    data[j] = [float(x) for x in cells]
                 art.arrays[name] = data
-                i += 1 + n_rows
+                i += 1 + len(rows)
             else:
                 key, _, value = line.partition("\t")
                 art.meta[key] = value
                 i += 1
         return art
+
+    def require(self, meta=(), tables=(), arrays=()) -> None:
+        """Raise HeaderMismatch naming the first listed key or block that is absent."""
+        for what, present, names in (
+            ("key", self.meta, meta), ("table", self.tables, tables), ("matrix", self.arrays, arrays)
+        ):
+            for name in names:
+                if name not in present:
+                    raise HeaderMismatch(f"{self.kind} artifact has no {what} {name!r}")
 
     @classmethod
     def load(cls, path: str | Path, expect_kind: str | None = None) -> "Artifact":
@@ -107,3 +125,11 @@ class Artifact:
         if expect_kind is not None and art.kind != expect_kind:
             raise HeaderMismatch(f"expected kind={expect_kind}, found {art.kind}")
         return art
+
+
+def _block_rows(lines: list[str], at: int, name: str, count: int) -> list[str]:
+    """The ``count`` rows after the block header at ``lines[at]``; fewer means truncation."""
+    rows = lines[at + 1:at + 1 + count]
+    if len(rows) != count:
+        raise HeaderMismatch(f"block {name} declares {count} rows, file has {len(rows)}")
+    return rows

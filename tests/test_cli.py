@@ -174,6 +174,28 @@ class TestTrainPredict:
         stacked = np.array(list(matrix.rows.values()))
         assert np.max(np.abs(logsumexp(stacked, axis=1))) <= 1e-6
 
+    def test_truncated_model_exits_2(self, workspace, capsys):
+        model_dir = workspace["dir"] / "feat3"
+        assert main([
+            "train-features", "--data", str(workspace["data"]), "--prompt", "1",
+            "--seed", "3", "--epochs", "1", "--tfidf-dim", "6", "--out", str(model_dir),
+        ]) == 0
+        text = (model_dir / "model.txt").read_text()
+        lines = text.splitlines(keepends=True)
+        cuts = {
+            f"after line {n}": "".join(lines[:n])
+            for n in (1, 2, 3, 5, 10, len(lines) // 2, len(lines) - 2, len(lines) - 1)
+        }
+        cuts["inside the last number"] = text[:-3]
+        cut_file = workspace["dir"] / "cut_model.txt"
+        for where, cut_text in cuts.items():
+            cut_file.write_text(cut_text)
+            assert main([
+                "predict", "--model", str(cut_file), "--data", str(workspace["data"]),
+                "--prompt", "1", "--out", str(workspace["dir"] / "cut.tsv"),
+            ]) == 2, f"model cut {where}"
+            assert "asas:" in capsys.readouterr().err
+
 
 class TestTune:
     def test_five_trials_emit_all_artifacts(self, workspace):

@@ -5,12 +5,15 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asas.corpus import EmbeddingTable, ScoredResponse, build_corpus
 from asas.errors import InsufficientClasses, MissingEmbedding, RankDeficient
 from asas.features import (
     CachedFeatureBuilder,
     FeatureModelSpec,
+    MIN_CUTOFF,
     MINUTIAE_LENGTHS,
     STOPWORDS,
     apply_standardizer,
@@ -20,6 +23,7 @@ from asas.features import (
     fit_standardizer,
     fit_tfidf_projection,
     fit_tfidf_vocab,
+    fuzzy_ratios,
     minutiae_overlap,
     near_match_count,
     normalize_text,
@@ -31,7 +35,7 @@ from asas.features import (
     window_ratios,
 )
 from asas.serialize import Artifact
-from conftest import make_toy_responses
+from conftest import make_toy_corpus, make_toy_responses
 from oracles import exact_window_counts, minutiae_brute, ratio_oracle
 
 
@@ -147,6 +151,69 @@ class TestNearMatch:
     def test_window_ratios_length(self):
         assert window_ratios("a b c d", "x y").shape == (3,)
         assert window_ratios("a", "x y").shape == (0,)
+
+
+# Key words, near-miss spellings of them, and tokens carrying punctuation
+# and digits that no key n-gram contains.
+_KEY_WORDS = ["osmosis", "membrane", "water", "cell", "the"]
+_NEAR_MISSES = ["osmsis", "osmoses", "membrame", "watter", "cells", "teh"]
+_NOISE = ["cell,", "h2o!", "42", "(water)", "x"]
+_texts = st.lists(
+    st.lists(st.sampled_from(_KEY_WORDS + _NEAR_MISSES + _NOISE), max_size=10).map(" ".join),
+    min_size=1, max_size=4,
+)
+_grams = st.lists(
+    st.one_of(
+        st.none(),
+        st.lists(st.sampled_from(_KEY_WORDS + _NEAR_MISSES), min_size=1, max_size=3).map(" ".join),
+    ),
+    min_size=1, max_size=6,
+)
+_cutoffs = st.one_of(st.just(MIN_CUTOFF), st.just(1.0), st.floats(MIN_CUTOFF, 1.0))
+
+
+class TestFuzzyRatios:
+    @given(_texts, _grams, _cutoffs)
+    @settings(max_examples=300, deadline=None)
+    def test_counts_match_brute_force_windows(self, texts, grams, cutoff):
+        want = [
+            [0 if g is None else int(np.sum(window_ratios(t, g) >= cutoff)) for g in grams]
+            for t in texts
+        ]
+        assert fuzzy_ratios(texts, grams, cutoff).counts(cutoff).tolist() == want
+        assert fuzzy_ratios(texts, grams, MIN_CUTOFF).counts(cutoff).tolist() == want
+        assert [near_match_count(t, grams, cutoff).tolist() for t in texts] == want
+
+    def test_kept_ratios_equal_reference_ratios(self):
+        texts = ["the osmsis of water", "", "membrame cell"]
+        grams = ["osmosis", "membrane cell", None, "the osmosis of water through"]
+        fr = fuzzy_ratios(texts, grams, MIN_CUTOFF)
+        assert fr.ratios.size > 0
+        for row, col, ratio in zip(fr.rows, fr.cols, fr.ratios):
+            assert ratio in window_ratios(texts[row], grams[col])
+
+    def test_cutoff_below_floor_is_rejected(self):
+        fr = fuzzy_ratios(["water"], ["water"], 0.8)
+        with pytest.raises(ValueError):
+            fr.counts(0.7)
+
+
+@pytest.fixture(scope="module")
+def toy_builder():
+    corpus = make_toy_corpus()
+    return corpus, CachedFeatureBuilder(corpus, d_t_max=4)
+
+
+@given(st.floats(MIN_CUTOFF, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_builder_near_counts_match_direct_path(toy_builder, cutoff):
+    corpus, builder = toy_builder
+    spec, matrix = builder.build(4, cutoff)
+    texts = [r.text for r in corpus.all_responses()]
+    direct = fuzzy_ratios(texts, spec.ngram_strings(), cutoff).counts(cutoff)
+    near = slice(spec.d_t + len(MINUTIAE_LENGTHS), spec.d_t + len(MINUTIAE_LENGTHS) + 90)
+    mean, sd = spec.standardizer
+    assert np.array_equal(matrix.data[:, near], apply_standardizer(direct, mean[near], sd[near]))
 
 
 class TestTfidfProjection:

@@ -46,6 +46,36 @@ class TestArtifact:
         with pytest.raises(HeaderMismatch):
             Artifact.parse("just a text file\n")
 
+    def test_truncation_is_header_mismatch_or_whole_blocks(self):
+        rng = np.random.default_rng(2)
+        art = Artifact(
+            kind="cut",
+            meta={"alpha": "1"},
+            arrays={"m": rng.normal(size=(3, 4)), "v": rng.normal(size=5)},
+            tables={"rows": [["a", "1.5"], ["b", "2.5"]]},
+        )
+        text = art.dump(header=artifact_header(1))
+        for cut in range(len(text)):
+            try:
+                back = Artifact.parse(text[:cut])
+            except HeaderMismatch:
+                continue
+            assert back.meta.items() <= art.meta.items()
+            assert back.tables.items() <= art.tables.items()
+            for name, data in back.arrays.items():
+                assert np.array_equal(data, np.atleast_2d(art.arrays[name]))
+
+    def test_short_matrix_row_is_header_mismatch(self):
+        text = "#asas-artifact v1 kind=w\n[matrix m 2 3]\n1.0\t2.0\t3.0\n1.0\t2.0\n"
+        with pytest.raises(HeaderMismatch, match="row 2"):
+            Artifact.parse(text)
+
+    def test_require_names_the_missing_block(self):
+        art = Artifact(kind="r", meta={"k": "v"}, arrays={"m": np.ones(2)})
+        art.require(meta=("k",), arrays=("m",))
+        with pytest.raises(HeaderMismatch, match="'t'"):
+            art.require(meta=("k",), tables=("t",))
+
     def test_kind_check_on_load(self, tmp_path):
         path = tmp_path / "art.txt"
         Artifact(kind="one").save(path)
