@@ -55,7 +55,7 @@ from .learners import (
 )
 from .mathutil import log_softmax
 from .metrics import EvalReport
-from .serialize import Artifact, artifact_header
+from .serialize import Artifact, artifact_header, write_atomic
 
 EXIT_VALIDATION = 2
 EXIT_ALL_TRIALS_FAILED = 3
@@ -204,7 +204,11 @@ def _out_dir(ctx: _Ctx, prompt_id: int | None = None) -> Path:
 
 
 def _write(path: Path, header: str, body: str) -> None:
-    path.write_text(header + "\n" + body, encoding="utf-8")
+    write_atomic(path, header + "\n" + body)
+
+
+def _report_tsv(*reports: EvalReport) -> str:
+    return EvalReport.TSV_HEADER + "\n" + "".join(r.to_tsv_row() + "\n" for r in reports)
 
 
 def cmd_ingest(args) -> int:
@@ -261,13 +265,6 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _save_feature_model(path: Path, spec: FeatureModelSpec, mlp: MlpModel, header: str) -> None:
-    art = spec.to_artifact()
-    art.kind = "feature-model"
-    art.arrays.update(mlp.to_arrays())
-    art.save(path, header)
-
-
 def load_feature_model(path: str | Path) -> tuple[FeatureModelSpec, MlpModel]:
     art = Artifact.load(path, "feature-model")
     return FeatureModelSpec.from_artifact(art), MlpModel.from_arrays(art.arrays)
@@ -288,10 +285,17 @@ def _train_once(corpus, matrix, lr, batch, epochs, seed, hidden):
     )
 
 
-def _dev_report(corpus, result, matrix) -> EvalReport:
+def _save_run(out: Path, header: str, corpus, spec: FeatureModelSpec, matrix, result) -> None:
+    """Write a trained feature model, its training history and its dev report."""
+    art = spec.to_artifact()
+    art.kind = "feature-model"
+    art.arrays.update(result.model.to_arrays())
+    art.save(out / "model.txt", header)
+    _write(out / "history.tsv", header, result.history_tsv())
     dev_ids = [r.id for r in corpus.dev]
     pred = np.argmax(mlp_forward(result.model, matrix.rows_for(dev_ids)), axis=1)
-    return evaluate_run(pred, corpus.labels(corpus.dev), corpus.num_classes, corpus.prompt_id)
+    report = evaluate_run(pred, corpus.labels(corpus.dev), corpus.num_classes, corpus.prompt_id)
+    _write(out / "report_dev.tsv", header, _report_tsv(report))
 
 
 def cmd_train_features(args) -> int:
@@ -302,13 +306,12 @@ def cmd_train_features(args) -> int:
     seed = ctx.get("seed", DEFAULT_SEED, int)
     for pid in _prompt_ids(ctx, responses):
         corpus = _corpus(ctx, responses, test, pid)
-        spec = fit_feature_model(
+        spec, matrix = fit_feature_model(
             corpus,
             d_t=ctx.get("tfidf_dim", DEFAULT_TFIDF_DIM, int),
             near_match_cutoff=ctx.get("cutoff", DEFAULT_CUTOFF, float),
             embeddings=embeddings,
         )
-        matrix = build_features(corpus, spec, embeddings)
         result = _train_once(
             corpus, matrix,
             lr=ctx.get("lr", DEFAULT_LR, float),
@@ -317,12 +320,7 @@ def cmd_train_features(args) -> int:
             seed=seed,
             hidden=ctx.get("hidden", DEFAULT_HIDDEN, int),
         )
-        out = _out_dir(ctx, pid)
-        header = ctx.header(seed)
-        _save_feature_model(out / "model.txt", spec, result.model, header)
-        _write(out / "history.tsv", header, result.history_tsv())
-        report = _dev_report(corpus, result, matrix)
-        _write(out / "report_dev.tsv", header, EvalReport.TSV_HEADER + "\n" + report.to_tsv_row() + "\n")
+        _save_run(_out_dir(ctx, pid), ctx.header(seed), corpus, spec, matrix, result)
         print(f"prompt {pid}: best dev QWK {result.best_dev_qwk:.4f} (epoch {result.best_epoch})")
     return 0
 
@@ -340,32 +338,29 @@ def cmd_tune(args) -> int:
     for pid in _prompt_ids(ctx, responses):
         corpus = _corpus(ctx, responses, test, pid)
         builder = CachedFeatureBuilder(corpus, embeddings)
+        kept = None
 
         def objective(params):
+            nonlocal kept
             _, matrix = builder.build(int(params["tfidf_dim"]), float(params["cutoff"]))
             result = _train_once(
                 corpus, matrix,
                 lr=float(params["learning_rate"]), batch=int(params["batch_size"]),
                 epochs=epochs, seed=seed, hidden=hidden,
             )
+            # Trials run in index order, so a strict > keeps the lowest-index
+            # trial of the highest objective: the one study.best picks.
+            if kept is None or result.best_dev_qwk > kept.best_dev_qwk:
+                kept = result
             return result.best_dev_qwk
 
         study = run_study(space, objective, n_trials=trials, seed=seed)
         out = _out_dir(ctx, pid)
         header = ctx.header(seed)
-        (out / "study.tsv").write_text(study_log(space, study, header), encoding="utf-8")
-
+        _write(out / "study.tsv", header, study_log(space, study))
         best = study.best.params
         spec, matrix = builder.build(int(best["tfidf_dim"]), float(best["cutoff"]))
-        result = _train_once(
-            corpus, matrix,
-            lr=float(best["learning_rate"]), batch=int(best["batch_size"]),
-            epochs=epochs, seed=seed, hidden=hidden,
-        )
-        _save_feature_model(out / "model.txt", spec, result.model, header)
-        _write(out / "history.tsv", header, result.history_tsv())
-        report = _dev_report(corpus, result, matrix)
-        _write(out / "report_dev.tsv", header, EvalReport.TSV_HEADER + "\n" + report.to_tsv_row() + "\n")
+        _save_run(out, header, corpus, spec, matrix, kept)
         print(
             f"prompt {pid}: best trial {study.best.trial_index} "
             f"dev QWK {study.best.objective:.4f} params {best}"
@@ -400,7 +395,7 @@ def cmd_predict(args) -> int:
             model_name=name, prompt_id=pid, k=corpus.num_classes, rows=rows
         )
         out_path.parent.mkdir(parents=True, exist_ok=True)
-        out_path.write_bytes(dump_logprobs(matrix_obj, extra_comment=ctx.header(seed)))
+        write_atomic(out_path, dump_logprobs(matrix_obj, extra_comment=ctx.header(seed)))
         print(f"prompt {pid}: wrote {len(rows)} rows -> {out_path}")
     return 0
 
@@ -443,10 +438,7 @@ def cmd_ensemble(args) -> int:
 
         dev_pred, _ = score_ensemble(spec, members, dev_ids)
         dev_report = evaluate_run(dev_pred, dev_gold, corpus.num_classes, pid)
-        _write(
-            out / "report_dev.tsv", header,
-            EvalReport.TSV_HEADER + "\n" + dev_report.to_tsv_row() + "\n",
-        )
+        _write(out / "report_dev.tsv", header, _report_tsv(dev_report))
 
         if corpus.test:
             test_ids = [r.id for r in corpus.test]
@@ -455,15 +447,12 @@ def cmd_ensemble(args) -> int:
             out_matrix = LogProbMatrix(
                 model_name="ensemble", prompt_id=pid, k=corpus.num_classes, rows=rows
             )
-            (out / "predictions.tsv").write_bytes(dump_logprobs(out_matrix, extra_comment=header))
+            write_atomic(out / "predictions.tsv", dump_logprobs(out_matrix, extra_comment=header))
             if all(r.score1 is not None for r in corpus.test):
                 test_report = evaluate_run(
                     test_pred, corpus.labels(corpus.test), corpus.num_classes, pid
                 )
-                _write(
-                    out / "report_test.tsv", header,
-                    EvalReport.TSV_HEADER + "\n" + test_report.to_tsv_row() + "\n",
-                )
+                _write(out / "report_test.tsv", header, _report_tsv(test_report))
         print(f"prompt {pid}: ensemble of {spec.members} dev QWK {dev_report.qwk:.4f}")
     return 0
 
@@ -482,8 +471,7 @@ def cmd_report(args) -> int:
     if not reports:
         raise AsasError("no report rows found")
     reports.sort(key=lambda r: r.prompt_id)
-    rows = [r.to_tsv_row() for r in reports] + [mean_report(reports).to_tsv_row()]
-    table = EvalReport.TSV_HEADER + "\n" + "\n".join(rows) + "\n"
+    table = _report_tsv(*reports, mean_report(reports))
     seed = ctx.get("seed", DEFAULT_SEED, int)
     print(ctx.header(seed))
     print(table, end="")

@@ -622,27 +622,33 @@ def _embedding_block(
     return block
 
 
-def _raw_features(
+def _raw_blocks(
     responses: list[ScoredResponse],
     vocab: dict[str, tuple[int, float]],
     projection: np.ndarray,
     key_ngrams: list[KeyNgram],
-    cutoff: float,
-    prompt_text: str,
+    prompt_minutiae: str,
+    floor: float,
     embedding_dim: int | None,
     embeddings: EmbeddingTable | None,
-) -> np.ndarray:
+) -> tuple:
+    """The five blocks' unstandardized rows; the fuzzy block as ratios that reach ``floor``."""
     texts = [r.text for r in responses]
-    grams = [g.text for g in key_ngrams]
-    blocks = []
-    if embedding_dim is not None:
-        blocks.append(_embedding_block(responses, embedding_dim, embeddings))
-    blocks.append(tfidf_matrix(texts, vocab) @ projection)
-    prompt_subs = minutiae_substrings(prompt_text)
-    blocks.append(np.array([minutiae_overlap(t, prompt_text, prompt_subs) for t in texts]))
-    blocks.append(fuzzy_ratios(texts, grams, cutoff).counts(cutoff))
-    blocks.append(np.array([text_stats(t) for t in texts]))
-    return np.concatenate(blocks, axis=1)
+    prompt_subs = minutiae_substrings(prompt_minutiae)
+    return (
+        None if embedding_dim is None else _embedding_block(responses, embedding_dim, embeddings),
+        tfidf_matrix(texts, vocab) @ projection,
+        np.array([minutiae_overlap(t, prompt_minutiae, prompt_subs) for t in texts]),
+        fuzzy_ratios(texts, [g.text for g in key_ngrams], floor),
+        np.array([text_stats(t) for t in texts]),
+    )
+
+
+def _assemble(blocks: tuple, d_t: int, cutoff: float) -> np.ndarray:
+    """Concatenate the blocks in feature order, keeping ``d_t`` TF-IDF columns."""
+    emb, tfidf, minutiae, fuzzy, stats = blocks
+    parts = (emb, tfidf[:, :d_t], minutiae, fuzzy.counts(cutoff), stats)
+    return np.concatenate([b for b in parts if b is not None], axis=1)
 
 
 @dataclass(frozen=True)
@@ -670,28 +676,10 @@ def fit_feature_model(
     d_t: int,
     near_match_cutoff: float,
     embeddings: EmbeddingTable | None = None,
-) -> FeatureModelSpec:
-    """Fit every extractor on the train split and freeze train statistics."""
-    train_texts = [r.text for r in corpus.train]
-    vocab, projection = fit_tfidf_projection(train_texts, d_t)
-    key_ngrams = select_key_ngrams([(r.text, r.score1) for r in corpus.train])
-    embedding_dim = embeddings.dim if embeddings is not None else None
-    prompt_minutiae = normalize_text(corpus.prompt_text)
-    raw_train = _raw_features(
-        corpus.train, vocab, projection, key_ngrams, near_match_cutoff,
-        prompt_minutiae, embedding_dim, embeddings,
-    )
-    spec = FeatureModelSpec(
-        tfidf_vocab=vocab,
-        tfidf_projection=projection,
-        key_ngrams=key_ngrams,
-        near_match_cutoff=near_match_cutoff,
-        standardizer=fit_standardizer(raw_train),
-        embedding_dim=embedding_dim,
-        prompt_minutiae=prompt_minutiae,
-    )
-    spec.validate()
-    return spec
+) -> tuple[FeatureModelSpec, FeatureMatrix]:
+    """Fit every extractor on the train split; the spec and the corpus's feature rows."""
+    builder = CachedFeatureBuilder(corpus, embeddings, d_t_max=d_t, floor=near_match_cutoff)
+    return builder.build(d_t, near_match_cutoff)
 
 
 def extract_features(
@@ -700,10 +688,12 @@ def extract_features(
     embeddings: EmbeddingTable | None = None,
 ) -> FeatureMatrix:
     """Apply a fitted spec to any responses, standardizing with train stats."""
-    raw = _raw_features(
+    cutoff = spec.near_match_cutoff
+    blocks = _raw_blocks(
         responses, spec.tfidf_vocab, spec.tfidf_projection, spec.key_ngrams,
-        spec.near_match_cutoff, spec.prompt_minutiae, spec.embedding_dim, embeddings,
+        spec.prompt_minutiae, cutoff, spec.embedding_dim, embeddings,
     )
+    raw = _assemble(blocks, spec.d_t, cutoff)
     mean, sd = spec.standardizer
     return FeatureMatrix(ids=[r.id for r in responses], data=apply_standardizer(raw, mean, sd))
 
@@ -718,13 +708,16 @@ def build_features(
 
 
 class CachedFeatureBuilder:
-    """Amortizes refits across hyperparameter trials.
+    """The one feature fitter: fit once at the widest settings, then narrow.
 
-    The expensive pieces do not depend on the tuned parameters: the
-    eigen-projection is fitted once at the maximum dimension and sliced
-    (leading eigenvectors are nested), key n-grams depend only on the
-    train split, and the fuzzy window ratios that reach the lowest cutoff
-    are kept so changing the cutoff is a thresholding pass.
+    ``__init__`` fits on the train split and computes every block's rows
+    once, at the widest settings ``build`` will be asked for: the
+    eigen-projection at ``d_t_max`` columns and the fuzzy window ratios
+    that reach ``floor``. ``build(d_t, cutoff)`` narrows from there: it
+    slices the leading ``d_t`` eigenvectors (they are nested), thresholds
+    the ratios at ``cutoff`` and refits the standardizer on the train
+    rows. Tuning fits once at ``floor=MIN_CUTOFF`` for all its trials;
+    ``fit_feature_model`` fits at its own d_t and cutoff.
     """
 
     def __init__(
@@ -732,43 +725,25 @@ class CachedFeatureBuilder:
         corpus: PromptCorpus,
         embeddings: EmbeddingTable | None = None,
         d_t_max: int = 300,
+        floor: float = MIN_CUTOFF,
     ):
-        self.corpus = corpus
-        self.embeddings = embeddings
         self.embedding_dim = embeddings.dim if embeddings is not None else None
         responses = corpus.all_responses()
         self.ids = [r.id for r in responses]
         self._n_train = len(corpus.train)
-        texts = [r.text for r in responses]
-        train_texts = [r.text for r in corpus.train]
-
-        self.vocab, self._projection_full = fit_tfidf_projection(train_texts, d_t_max)
+        self.vocab, self._projection_full = fit_tfidf_projection(
+            [r.text for r in corpus.train], d_t_max
+        )
         self.key_ngrams = select_key_ngrams([(r.text, r.score1) for r in corpus.train])
         self.prompt_minutiae = normalize_text(corpus.prompt_text)
-
-        self._tfidf_full = tfidf_matrix(texts, self.vocab) @ self._projection_full
-        prompt_subs = minutiae_substrings(self.prompt_minutiae)
-        self._minutiae = np.array(
-            [minutiae_overlap(t, self.prompt_minutiae, prompt_subs) for t in texts]
+        self._blocks = _raw_blocks(
+            responses, self.vocab, self._projection_full, self.key_ngrams,
+            self.prompt_minutiae, floor, self.embedding_dim, embeddings,
         )
-        self._stats = np.array([text_stats(t) for t in texts])
-        self._emb = (
-            _embedding_block(responses, self.embedding_dim, embeddings)
-            if self.embedding_dim is not None
-            else None
-        )
-        self._fuzzy = fuzzy_ratios(texts, [g.text for g in self.key_ngrams], MIN_CUTOFF)
 
     def build(self, d_t: int, cutoff: float) -> tuple[FeatureModelSpec, FeatureMatrix]:
         d_eff = min(d_t, self._projection_full.shape[1])
-        blocks = []
-        if self._emb is not None:
-            blocks.append(self._emb)
-        blocks.append(self._tfidf_full[:, :d_eff])
-        blocks.append(self._minutiae)
-        blocks.append(self._fuzzy.counts(cutoff))
-        blocks.append(self._stats)
-        raw = np.concatenate(blocks, axis=1)
+        raw = _assemble(self._blocks, d_eff, cutoff)
         mean, sd = fit_standardizer(raw[: self._n_train])
         spec = FeatureModelSpec(
             tfidf_vocab=self.vocab,

@@ -10,6 +10,7 @@ version, the seed, and digests of the inputs it was derived from.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -36,6 +37,22 @@ def artifact_header(seed: int | None, inputs: dict[str, bytes] | None = None) ->
         digests = ",".join(f"{name}:{digest(data)}" for name, data in sorted(inputs.items()))
         parts.append(f"inputs={digests}")
     return "\t".join(parts)
+
+
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """Write ``data`` (str as UTF-8) to ``<name>.tmp`` beside ``path``, then rename it.
+
+    The rename replaces ``path`` in one step, so ``path`` holds either its
+    previous content or all of ``data``, never part of it.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 @dataclass
@@ -65,7 +82,7 @@ class Artifact:
         return "\n".join(lines) + "\n"
 
     def save(self, path: str | Path, header: str | None = None) -> None:
-        Path(path).write_text(self.dump(header), encoding="utf-8")
+        write_atomic(path, self.dump(header))
 
     @classmethod
     def parse(cls, text: str) -> "Artifact":

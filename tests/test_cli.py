@@ -1,10 +1,14 @@
 """End-to-end command wiring: exit codes, artifacts, determinism."""
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
-from asas.cli import main, load_feature_model
+import asas.cli
+import asas.features
+from asas.cli import DEFAULT_HIDDEN, main, load_feature_model
 from asas.corpus import (
     build_corpus,
     dump_logprobs,
@@ -196,6 +200,39 @@ class TestTrainPredict:
             ]) == 2, f"model cut {where}"
             assert "asas:" in capsys.readouterr().err
 
+    def test_fuzzy_ratios_run_once_per_prompt(self, workspace, monkeypatch):
+        calls = []
+        real = asas.features.fuzzy_ratios
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(asas.features, "fuzzy_ratios", counted)
+        assert main([
+            "train-features", "--data", str(workspace["data"]), "--all-prompts",
+            "--seed", "3", "--epochs", "1", "--tfidf-dim", "6",
+            "--out", str(workspace["dir"] / "once"),
+        ]) == 0
+        assert calls == [60, 50]  # each prompt's train and dev rows, in one pass
+
+    def test_failed_rename_keeps_previous_model(self, workspace, monkeypatch):
+        out_dir = workspace["dir"] / "atomic"
+        base = [
+            "train-features", "--data", str(workspace["data"]), "--prompt", "1",
+            "--epochs", "2", "--tfidf-dim", "6", "--out", str(out_dir),
+        ]
+        assert main(base + ["--seed", "3"]) == 0
+        before = (out_dir / "model.txt").read_bytes()
+
+        def refuse(src, dst):
+            raise OSError(f"rename refused: {dst}")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        assert main(base + ["--seed", "4"]) == 2
+        assert (out_dir / "model.txt").read_bytes() == before
+        assert not list(out_dir.glob("*.tmp"))
+
 
 class TestTune:
     def test_five_trials_emit_all_artifacts(self, workspace):
@@ -224,6 +261,45 @@ class TestTune:
         assert main(args + ["--out", str(out_b)]) == 0
         assert (out_a / "study.tsv").read_bytes() == (out_b / "study.tsv").read_bytes()
         assert (out_a / "model.txt").read_bytes() == (out_b / "model.txt").read_bytes()
+
+    def test_best_trial_is_saved_without_retraining(self, workspace, monkeypatch):
+        calls = []
+        real_train, real_study = asas.cli.train_early_stop, asas.cli.run_study
+
+        def counted_train(*args, **kwargs):
+            calls.append(1)
+            return real_train(*args, **kwargs)
+
+        studies = []
+
+        def kept_study(*args, **kwargs):
+            studies.append(real_study(*args, **kwargs))
+            return studies[-1]
+
+        monkeypatch.setattr(asas.cli, "train_early_stop", counted_train)
+        monkeypatch.setattr(asas.cli, "run_study", kept_study)
+        out_dir = workspace["dir"] / "tune_once"
+        assert main([
+            "tune", "--data", str(workspace["data"]), "--prompt", "1",
+            "--trials", "5", "--seed", "11", "--epochs", "3", "--out", str(out_dir),
+        ]) == 0
+        assert len(calls) == 5
+
+        best = studies[0].best.params
+        pool = [r for r in workspace["pool"] if r.prompt_id == 1]
+        corpus = build_corpus(pool, prompt_id=1, dev_fraction=0.2, seed=prompt_seed(11, 1))
+        _, matrix = asas.features.CachedFeatureBuilder(corpus).build(
+            int(best["tfidf_dim"]), float(best["cutoff"])
+        )
+        retrained = asas.cli._train_once(
+            corpus, matrix, lr=float(best["learning_rate"]), batch=int(best["batch_size"]),
+            epochs=3, seed=11, hidden=DEFAULT_HIDDEN,
+        )
+        _, saved = load_feature_model(out_dir / "model.txt")
+        want = retrained.model.to_arrays()
+        got = saved.to_arrays()
+        assert sorted(got) == sorted(want)
+        assert all(np.array_equal(got[name], want[name]) for name in want)
 
 
 class TestEnsembleCommand:

@@ -335,18 +335,18 @@ class TestBuildFeatures:
             dim=364,
             rows={r.id: rng.normal(size=364) for r in corpus.all_responses()},
         )
-        spec = fit_feature_model(corpus, d_t=100, near_match_cutoff=0.8, embeddings=table)
+        spec, _ = fit_feature_model(corpus, d_t=100, near_match_cutoff=0.8, embeddings=table)
         matrix = build_features(corpus, spec, table)
         assert matrix.dim == 579  # 364 + 100 + 15 + 90 + 10
 
     def test_dimension_without_embeddings(self):
         corpus = _corpus_with_rank(340)
-        spec = fit_feature_model(corpus, d_t=300, near_match_cutoff=0.8)
+        spec, _ = fit_feature_model(corpus, d_t=300, near_match_cutoff=0.8)
         matrix = build_features(corpus, spec)
         assert matrix.dim == 415  # 300 + 15 + 90 + 10
 
     def test_train_block_standardized_and_finite(self, toy_corpus):
-        spec = fit_feature_model(toy_corpus, d_t=8, near_match_cutoff=0.8)
+        spec, _ = fit_feature_model(toy_corpus, d_t=8, near_match_cutoff=0.8)
         matrix = build_features(toy_corpus, spec)
         n_train = len(toy_corpus.train)
         train_block = matrix.data[:n_train]
@@ -356,8 +356,8 @@ class TestBuildFeatures:
         assert np.all((np.abs(sds - 1.0) <= 1e-6) | (sds == 0.0))
 
     def test_deterministic_extraction(self, toy_corpus):
-        spec_a = fit_feature_model(toy_corpus, d_t=8, near_match_cutoff=0.75)
-        spec_b = fit_feature_model(toy_corpus, d_t=8, near_match_cutoff=0.75)
+        spec_a, _ = fit_feature_model(toy_corpus, d_t=8, near_match_cutoff=0.75)
+        spec_b, _ = fit_feature_model(toy_corpus, d_t=8, near_match_cutoff=0.75)
         a = build_features(toy_corpus, spec_a)
         b = build_features(toy_corpus, spec_b)
         assert a.ids == b.ids
@@ -368,7 +368,7 @@ class TestBuildFeatures:
         table = EmbeddingTable(
             dim=16, rows={r.id: rng.normal(size=16) for r in toy_corpus.all_responses()}
         )
-        spec = fit_feature_model(toy_corpus, d_t=8, near_match_cutoff=0.8, embeddings=table)
+        spec, _ = fit_feature_model(toy_corpus, d_t=8, near_match_cutoff=0.8, embeddings=table)
         with pytest.raises(MissingEmbedding):
             build_features(toy_corpus, spec, embeddings=None)
         partial = EmbeddingTable(dim=16, rows={"0": np.zeros(16)})
@@ -376,7 +376,7 @@ class TestBuildFeatures:
             build_features(toy_corpus, spec, embeddings=partial)
 
     def test_rows_for_selects_by_id(self, toy_corpus):
-        spec = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
+        spec, _ = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
         matrix = build_features(toy_corpus, spec)
         dev_ids = [r.id for r in toy_corpus.dev]
         rows = matrix.rows_for(dev_ids)
@@ -384,9 +384,18 @@ class TestBuildFeatures:
         assert np.array_equal(rows[0], matrix.data[matrix.ids.index(dev_ids[0])])
 
 
+    @pytest.mark.filterwarnings("ignore:requested 300 eigenvectors")
+    @pytest.mark.parametrize("d_t, cutoff", [(8, 0.8), (300, MIN_CUTOFF), (5, 1.0)])
+    def test_fit_rows_equal_extraction_with_the_fitted_spec(self, toy_corpus, d_t, cutoff):
+        spec, matrix = fit_feature_model(toy_corpus, d_t=d_t, near_match_cutoff=cutoff)
+        again = extract_features(toy_corpus.all_responses(), spec)
+        assert matrix.ids == again.ids
+        assert np.array_equal(matrix.data, again.data)
+
+
 class TestSpecSerialization:
     def test_round_trip_preserves_features_bit_exactly(self, toy_corpus):
-        spec = fit_feature_model(toy_corpus, d_t=6, near_match_cutoff=0.77)
+        spec, _ = fit_feature_model(toy_corpus, d_t=6, near_match_cutoff=0.77)
         art = Artifact.parse(spec.to_artifact().dump())
         again = FeatureModelSpec.from_artifact(art)
         a = extract_features(toy_corpus.dev, spec)
@@ -394,13 +403,13 @@ class TestSpecSerialization:
         assert np.array_equal(a.data, b.data)
 
     def test_validate_rejects_bad_cutoff(self, toy_corpus):
-        spec = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
+        spec, _ = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
         spec.near_match_cutoff = 0.3
         with pytest.raises(ValueError):
             spec.validate()
 
     def test_validate_rejects_wrong_ngram_count(self, toy_corpus):
-        spec = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
+        spec, _ = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
         spec.key_ngrams = spec.key_ngrams[:-1]
         with pytest.raises(ValueError):
             spec.validate()
@@ -411,7 +420,7 @@ class TestCachedFeatureBuilder:
         builder = CachedFeatureBuilder(toy_corpus, d_t_max=10)
         for d_t, cutoff in [(4, 0.8), (10, 0.6), (7, 1.0)]:
             cached_spec, cached_matrix = builder.build(d_t, cutoff)
-            direct_spec = fit_feature_model(toy_corpus, d_t=d_t, near_match_cutoff=cutoff)
+            direct_spec, _ = fit_feature_model(toy_corpus, d_t=d_t, near_match_cutoff=cutoff)
             direct_matrix = build_features(toy_corpus, direct_spec)
             assert np.allclose(
                 cached_spec.tfidf_projection, direct_spec.tfidf_projection, atol=1e-10
