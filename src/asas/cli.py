@@ -453,7 +453,12 @@ def cmd_ensemble(args) -> int:
                     test_pred, corpus.labels(corpus.test), corpus.num_classes, pid
                 )
                 _write(out / "report_test.tsv", header, _report_tsv(test_report))
-        print(f"prompt {pid}: ensemble of {spec.members} dev QWK {dev_report.qwk:.4f}")
+        head = spec.head
+        print(
+            f"prompt {pid}: ensemble of {spec.members} dev QWK {dev_report.qwk:.4f};"
+            f" stacker {head.iterations} iterations, gradient inf-norm {head.grad_norm:.2e}"
+            + ("" if head.converged else ", not converged")
+        )
     return 0
 
 

@@ -10,7 +10,7 @@ comparable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,13 +85,11 @@ def parse_dataset(data: bytes | str, columns: ColumnMap = DEFAULT_COLUMNS) -> li
         raise MalformedRow("no header row found")
     header = body[0].rstrip("\r").split("\t")
     try:
-        idx = {
-            "id": header.index(columns.id),
-            "prompt": header.index(columns.prompt),
-            "score1": header.index(columns.score1) if columns.score1 else None,
-            "score2": header.index(columns.score2) if columns.score2 else None,
-            "text": header.index(columns.text),
-        }
+        i_id = header.index(columns.id)
+        i_prompt = header.index(columns.prompt)
+        i_score1 = header.index(columns.score1) if columns.score1 else None
+        i_score2 = header.index(columns.score2) if columns.score2 else None
+        i_text = header.index(columns.text)
     except ValueError as exc:
         raise HeaderMismatch(f"missing column in header: {exc}") from None
 
@@ -103,26 +101,22 @@ def parse_dataset(data: bytes | str, columns: ColumnMap = DEFAULT_COLUMNS) -> li
             raise MalformedRow(
                 f"row {row_num}: expected {len(header)} fields, got {len(fields)}"
             )
-        rid = fields[idx["id"]].strip()
+        rid = fields[i_id].strip()
         try:
-            prompt_id = int(fields[idx["prompt"]])
+            prompt_id = int(fields[i_prompt])
         except ValueError:
             raise NonIntegerScore(f"row {row_num}: prompt id is not an integer") from None
         key = (prompt_id, rid)
         if key in seen:
             raise DuplicateId(f"row {row_num}: duplicate id {rid!r} in prompt {prompt_id}")
         seen.add(key)
-
-        def score_at(col: int | None) -> int | None:
-            return None if col is None else _parse_score(fields[col], row_num)
-
         responses.append(
             ScoredResponse(
                 id=rid,
                 prompt_id=prompt_id,
-                text=fields[idx["text"]],
-                score1=score_at(idx["score1"]),
-                score2=score_at(idx["score2"]),
+                text=fields[i_text],
+                score1=None if i_score1 is None else _parse_score(fields[i_score1], row_num),
+                score2=None if i_score2 is None else _parse_score(fields[i_score2], row_num),
             )
         )
     return responses
@@ -332,7 +326,8 @@ def load_logprobs(data: bytes | str, corpus: PromptCorpus | None = None) -> LogP
             )
         known = {r.id for r in corpus.all_responses()}
 
-    rows: dict[str, np.ndarray] = {}
+    ids: dict[str, None] = {}
+    values: list[list[float]] = []
     for row_num, line in enumerate(lines[1:], start=2):
         if line.startswith("#"):
             continue
@@ -342,15 +337,20 @@ def load_logprobs(data: bytes | str, corpus: PromptCorpus | None = None) -> LogP
                 f"row {row_num}: expected {k} values, got {len(fields) - 1}"
             )
         rid = fields[0]
-        if rid in rows:
+        if rid in ids:
             raise DuplicateId(f"row {row_num}: duplicate response id {rid!r}")
         if known is not None and rid not in known:
             raise UnknownResponseId(f"row {row_num}: id {rid!r} not in corpus")
         try:
-            vec = np.array([float(v) for v in fields[1:]], dtype=float)
+            values.append([float(v) for v in fields[1:]])
         except ValueError:
             raise RowLengthMismatch(f"row {row_num}: non-numeric value") from None
-        rows[rid] = vec - logsumexp(vec)
+        ids[rid] = None
+    # One renormalisation for the whole file; each row gets exactly the
+    # bits a per-row logsumexp would give it.
+    mat = np.array(values, dtype=float).reshape(len(values), k)
+    mat -= logsumexp(mat, axis=1)[:, None]
+    rows = dict(zip(ids, mat))
     return LogProbMatrix(model_name=model_name, prompt_id=prompt_id, k=k, rows=rows)
 
 
@@ -436,5 +436,9 @@ def attach_scores(responses: list[ScoredResponse], scores: dict[str, int]) -> li
     for r in responses:
         if r.id not in scores:
             raise UnknownResponseId(f"no score for response {r.id!r}")
-        out.append(replace(r, score1=scores[r.id]))
+        out.append(
+            ScoredResponse(
+                id=r.id, prompt_id=r.prompt_id, text=r.text, score1=scores[r.id], score2=r.score2
+            )
+        )
     return out

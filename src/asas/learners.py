@@ -19,7 +19,7 @@ from .errors import (
     NonFiniteLoss,
     SingleClass,
 )
-from .mathutil import log_softmax, logsumexp, sigmoid
+from .mathutil import log_softmax, sigmoid
 from .metrics import qwk
 
 ADAM_BETA1 = 0.9
@@ -98,6 +98,11 @@ def _one_hot(labels, k: int) -> np.ndarray:
     return out
 
 
+def _bce_mean(logits: np.ndarray, targets: np.ndarray) -> float:
+    per_logit = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
+    return float(per_logit.mean())
+
+
 def bce_loss(logits: np.ndarray, labels, k: int | None = None) -> float:
     """Mean per-class sigmoid binary cross-entropy against one-hot targets.
 
@@ -106,27 +111,31 @@ def bce_loss(logits: np.ndarray, labels, k: int | None = None) -> float:
     """
     logits = np.atleast_2d(np.asarray(logits, dtype=float))
     k = logits.shape[1] if k is None else k
-    targets = _one_hot(labels, k)
-    per_logit = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
-    return float(per_logit.mean())
+    return _bce_mean(logits, _one_hot(labels, k))
 
 
 def bce_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Loss and its gradient with respect to the logits."""
     logits = np.atleast_2d(np.asarray(logits, dtype=float))
     targets = _one_hot(labels, logits.shape[1])
-    loss = bce_loss(logits, labels)
+    loss = _bce_mean(logits, targets)
     grad = (sigmoid(logits) - targets) / logits.size
     return loss, grad
 
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators and the step counter."""
+    """First/second-moment accumulators, the step counter and scratch space.
+
+    ``adamw_step`` updates ``m`` and ``v`` in place and computes in the
+    two scratch buffers per parameter, so a step allocates only the new
+    parameter arrays.
+    """
 
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
+    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     @classmethod
     def for_params(cls, params: list[np.ndarray]) -> "AdamState":
@@ -134,6 +143,7 @@ class AdamState:
             step=0,
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
+            scratch=[(np.empty_like(p), np.empty_like(p)) for p in params],
         )
 
 
@@ -148,21 +158,40 @@ def adamw_step(
 
     theta <- theta - lr_t * (m_hat / (sqrt(v_hat) + eps) + wd * theta),
     with bias-corrected moment estimates (beta1=0.9, beta2=0.999).
+    Returns new parameter arrays (``params`` is not written) and
+    ``state``, advanced in place. Every element goes through the same
+    IEEE operations in the same order as the textbook expression, so
+    the result is bit-for-bit that of evaluating it with temporaries.
     """
     for g in grads:
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             raise NonFiniteGradient("gradient contains NaN or inf")
     t = state.step + 1
-    new_params, new_m, new_v = [], [], []
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
-        m_hat = m / (1 - ADAM_BETA1 ** t)
-        v_hat = v / (1 - ADAM_BETA2 ** t)
-        new_params.append(p - lr_t * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p))
-        new_m.append(m)
-        new_v.append(v)
-    return new_params, AdamState(step=t, m=new_m, v=new_v)
+    m_corr = 1 - ADAM_BETA1 ** t
+    v_corr = 1 - ADAM_BETA2 ** t
+    new_params = []
+    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
+        # m = beta1 * m + (1 - beta1) * g
+        np.multiply(m, ADAM_BETA1, out=m)
+        np.multiply(g, 1 - ADAM_BETA1, out=a)
+        np.add(m, a, out=m)
+        # v = beta2 * v + ((1 - beta2) * g) * g
+        np.multiply(v, ADAM_BETA2, out=v)
+        np.multiply(g, 1 - ADAM_BETA2, out=a)
+        np.multiply(a, g, out=a)
+        np.add(v, a, out=v)
+        # lr_t * (m_hat / (sqrt(v_hat) + eps) + wd * p)
+        np.divide(m, m_corr, out=a)
+        np.divide(v, v_corr, out=b)
+        np.sqrt(b, out=b)
+        np.add(b, ADAM_EPS, out=b)
+        np.divide(a, b, out=a)
+        np.multiply(p, weight_decay, out=b)
+        np.add(a, b, out=a)
+        np.multiply(a, lr_t, out=a)
+        new_params.append(np.subtract(p, a))
+    state.step = t
+    return new_params, state
 
 
 def linear_lr(step: int, total_steps: int, base_lr: float) -> float:
@@ -205,17 +234,21 @@ class TrainResult:
         return "\n".join(lines) + "\n"
 
 
-def _mlp_grads(model: MlpModel, X: np.ndarray, labels) -> tuple[float, list[np.ndarray]]:
+def _mlp_grads(
+    params: list[np.ndarray], X: np.ndarray, labels
+) -> tuple[float, list[np.ndarray]]:
+    """Loss and gradients for parameters ``[w1, b1, w2, b2]``."""
+    w1, b1, w2, b2 = params
     # Divergence shows up as a non-finite loss, which the train loop turns
     # into NonFiniteLoss; the intermediate overflow itself is not an error.
     with np.errstate(over="ignore", invalid="ignore"):
-        z1 = X @ model.w1 + model.b1
+        z1 = X @ w1 + b1
         hidden = np.maximum(z1, 0.0)
-        logits = hidden @ model.w2 + model.b2
+        logits = hidden @ w2 + b2
         loss, d_logits = bce_loss_grad(logits, labels)
         d_w2 = hidden.T @ d_logits
         d_b2 = d_logits.sum(axis=0)
-        d_hidden = d_logits @ model.w2.T
+        d_hidden = d_logits @ w2.T
         d_z1 = d_hidden * (z1 > 0.0)
         d_w1 = X.T @ d_z1
         d_b1 = d_z1.sum(axis=0)
@@ -255,8 +288,7 @@ def train_early_stop(
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            model = model_init.with_params(params)
-            loss, grads = _mlp_grads(model, train_x[batch], train_y[batch])
+            loss, grads = _mlp_grads(params, train_x[batch], train_y[batch])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"non-finite loss at epoch {epoch}")
             loss_sum += loss * batch.size
@@ -278,43 +310,100 @@ def train_early_stop(
     )
 
 
+LOGREG_MAX_ITER = 5000
+LOGREG_TOL = 1e-6
+
+
 @dataclass
 class LogRegModel:
-    """Multinomial softmax regression head."""
+    """Multinomial softmax regression head.
+
+    ``iterations`` and ``grad_norm`` describe the fit that produced the
+    model (accepted descent steps, final gradient infinity-norm); they
+    are not serialised, so a loaded model has None for both.
+    """
 
     weights: np.ndarray  # F x k
     bias: np.ndarray  # k
     l2: float
+    iterations: int | None = None
+    grad_norm: float | None = None
 
     @property
     def n_classes(self) -> int:
         return self.weights.shape[1]
+
+    @property
+    def converged(self) -> bool:
+        return self.grad_norm is not None and self.grad_norm <= LOGREG_TOL
+
+
+def _label_index(labels: np.ndarray, k: int) -> np.ndarray:
+    """Flat positions of each row's label in a C-ordered N x k matrix."""
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise LabelOutOfRange(f"labels must lie in [0, {k})")
+    return np.arange(labels.size) * k + labels
+
+
+def _logreg_value(
+    weights: np.ndarray, bias: np.ndarray, X: np.ndarray, label_idx: np.ndarray, l2: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Objective value, plus the logits and N x 1 log-partition it used.
+
+    The log-partition is mathutil.logsumexp along axis 1, guard included,
+    spelled with direct ufunc calls to skip the wrappers' overhead. The
+    row maximum folds over the k columns, which is exact and several
+    times cheaper than a reduction along the short axis.
+    """
+    logits = X @ weights + bias
+    m = logits[:, :1]
+    for j in range(1, logits.shape[1]):
+        m = np.maximum(m, logits[:, j:j + 1])
+    m = np.where(np.isfinite(m), m, 0.0)
+    log_z = np.log(np.add.reduce(np.exp(logits - m), axis=1, keepdims=True)) + m
+    nll = float(np.add.reduce(log_z[:, 0] - logits.ravel()[label_idx]) / X.shape[0])
+    return nll + 0.5 * l2 * float(np.add.reduce(weights * weights, axis=None)), logits, log_z
+
+
+def _logreg_grad(
+    weights: np.ndarray,
+    X: np.ndarray,
+    logits: np.ndarray,
+    log_z: np.ndarray,
+    label_idx: np.ndarray,
+    l2: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Gradients at the point whose logits and log-partition are given."""
+    delta = np.exp(logits - log_z)
+    delta.ravel()[label_idx] -= 1.0
+    delta /= X.shape[0]
+    return X.T @ delta + l2 * weights, np.add.reduce(delta, axis=0)
 
 
 def logreg_objective(
     weights: np.ndarray, bias: np.ndarray, X: np.ndarray, labels: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross-entropy plus (l2/2)*||W||^2, with analytic gradients."""
-    n = X.shape[0]
-    logits = X @ weights + bias
-    log_z = logsumexp(logits, axis=1)
-    nll = float(np.mean(log_z - logits[np.arange(n), labels]))
-    value = nll + 0.5 * l2 * float(np.sum(weights * weights))
-    probs = np.exp(logits - log_z[:, None])
-    delta = probs
-    delta[np.arange(n), labels] -= 1.0
-    delta /= n
-    grad_w = X.T @ delta + l2 * weights
-    grad_b = delta.sum(axis=0)
-    return value, grad_w, grad_b
+    label_idx = _label_index(np.asarray(labels), weights.shape[1])
+    value, logits, log_z = _logreg_value(weights, bias, X, label_idx, l2)
+    return (value, *_logreg_grad(weights, X, logits, log_z, label_idx, l2))
+
+
+def _inf_norm(grad_w: np.ndarray, grad_b: np.ndarray) -> float:
+    w_norm = np.maximum.reduce(np.abs(grad_w), axis=None) if grad_w.size else 0.0
+    return float(max(w_norm, np.maximum.reduce(np.abs(grad_b))))
 
 
 def logreg_fit(design: np.ndarray, labels, l2: float, k: int | None = None) -> LogRegModel:
     """Fit by full-batch gradient descent with backtracking line search.
 
-    Stops when the gradient infinity-norm reaches 1e-6 or after 5000
-    iterations; deterministic (zero init, fixed step policy). ``k`` may
-    widen the output beyond the classes observed in ``labels``.
+    Stops when the gradient infinity-norm reaches 1e-6, after 5000
+    accepted steps, or when the step size underflows; the model records
+    which via ``iterations`` and ``grad_norm``. Deterministic (zero
+    init, fixed step policy). ``k`` may widen the output beyond the
+    classes observed in ``labels``. A rejected trial step costs only
+    the objective value; the gradient is computed once per accepted
+    step, from that trial's logits.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(labels)
@@ -324,21 +413,24 @@ def logreg_fit(design: np.ndarray, labels, l2: float, k: int | None = None) -> L
     k = int(y.max()) + 1 if k is None else k
     if X.shape[0] < k:
         raise ValueError(f"need at least {k} rows, got {X.shape[0]}")
+    label_idx = _label_index(y, k)
     weights = np.zeros((X.shape[1], k))
     bias = np.zeros(k)
     step = 1.0
-    value, grad_w, grad_b = logreg_objective(weights, bias, X, y, l2)
-    for _ in range(5000):
-        grad_norm = max(
-            np.max(np.abs(grad_w)) if grad_w.size else 0.0, np.max(np.abs(grad_b))
-        )
-        if grad_norm <= 1e-6:
+    value, logits, log_z = _logreg_value(weights, bias, X, label_idx, l2)
+    grad_w, grad_b = _logreg_grad(weights, X, logits, log_z, label_idx, l2)
+    iterations = 0
+    while True:
+        grad_norm = _inf_norm(grad_w, grad_b)
+        if grad_norm <= LOGREG_TOL or iterations == LOGREG_MAX_ITER:
             break
-        grad_sq = float(np.sum(grad_w * grad_w) + np.sum(grad_b * grad_b))
+        grad_sq = float(
+            np.add.reduce(grad_w * grad_w, axis=None) + np.add.reduce(grad_b * grad_b)
+        )
         while True:
             trial_w = weights - step * grad_w
             trial_b = bias - step * grad_b
-            trial_value, trial_gw, trial_gb = logreg_objective(trial_w, trial_b, X, y, l2)
+            trial_value, logits, log_z = _logreg_value(trial_w, trial_b, X, label_idx, l2)
             if trial_value <= value - 1e-4 * step * grad_sq:
                 break
             step *= 0.5
@@ -346,10 +438,13 @@ def logreg_fit(design: np.ndarray, labels, l2: float, k: int | None = None) -> L
                 break
         if step < 1e-20:
             break
-        weights, bias = trial_w, trial_b
-        value, grad_w, grad_b = trial_value, trial_gw, trial_gb
+        weights, bias, value = trial_w, trial_b, trial_value
+        grad_w, grad_b = _logreg_grad(weights, X, logits, log_z, label_idx, l2)
+        iterations += 1
         step = min(step * 2.0, 1e8)
-    return LogRegModel(weights=weights, bias=bias, l2=l2)
+    return LogRegModel(
+        weights=weights, bias=bias, l2=l2, iterations=iterations, grad_norm=grad_norm
+    )
 
 
 def logreg_logprobs(model: LogRegModel, design: np.ndarray) -> np.ndarray:

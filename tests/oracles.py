@@ -4,7 +4,9 @@ Each oracle is written straight from the defining formula, avoiding the
 code paths of the package under test: exact rational arithmetic for the
 kappa statistic, an explicit recursive matcher for similarity ratios,
 Decimal arithmetic for the cross-entropy, and brute-force enumeration
-for substring overlap and window counting.
+for substring overlap and window counting. The bitwise references at
+the end are the exception: they are earlier versions of package code,
+kept to pin optimised rewrites to the same bytes.
 """
 from __future__ import annotations
 
@@ -13,6 +15,9 @@ from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import numpy as np
+
+from asas.errors import DuplicateId, RowLengthMismatch, UnknownResponseId
+from asas.mathutil import logsumexp
 
 
 def qwk_exact(a: list[int], b: list[int], k: int) -> Fraction | float:
@@ -161,3 +166,121 @@ def mlp_forward_loops(w1, b1, w2, b2, X) -> np.ndarray:
                 acc += hidden[j] * w2[j, c]
             out[r, c] = acc
     return out
+
+
+# ---------------------------------------------------------------------------
+# Bitwise references: verbatim copies of earlier, allocation-heavy versions of
+# the stacker fit, the AdamW step and the log-probability loader. The
+# package's versions were restructured for speed without changing any
+# floating-point operation or its order, so they must agree with these to
+# the last bit (compared with ``tobytes()``), not merely to a tolerance.
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def logreg_objective_reference(
+    weights: np.ndarray, bias: np.ndarray, X: np.ndarray, labels: np.ndarray, l2: float
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """Mean cross-entropy plus (l2/2)*||W||^2, with analytic gradients."""
+    n = X.shape[0]
+    logits = X @ weights + bias
+    log_z = logsumexp(logits, axis=1)
+    nll = float(np.mean(log_z - logits[np.arange(n), labels]))
+    value = nll + 0.5 * l2 * float(np.sum(weights * weights))
+    probs = np.exp(logits - log_z[:, None])
+    delta = probs
+    delta[np.arange(n), labels] -= 1.0
+    delta /= n
+    grad_w = X.T @ delta + l2 * weights
+    grad_b = delta.sum(axis=0)
+    return value, grad_w, grad_b
+
+
+def logreg_fit_reference(
+    design: np.ndarray, labels, l2: float, k: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Full-batch gradient descent with backtracking; returns (weights, bias)."""
+    X = np.asarray(design, dtype=float)
+    y = np.asarray(labels)
+    k = int(y.max()) + 1 if k is None else k
+    weights = np.zeros((X.shape[1], k))
+    bias = np.zeros(k)
+    step = 1.0
+    value, grad_w, grad_b = logreg_objective_reference(weights, bias, X, y, l2)
+    for _ in range(5000):
+        grad_norm = max(
+            np.max(np.abs(grad_w)) if grad_w.size else 0.0, np.max(np.abs(grad_b))
+        )
+        if grad_norm <= 1e-6:
+            break
+        grad_sq = float(np.sum(grad_w * grad_w) + np.sum(grad_b * grad_b))
+        while True:
+            trial_w = weights - step * grad_w
+            trial_b = bias - step * grad_b
+            trial_value, trial_gw, trial_gb = logreg_objective_reference(
+                trial_w, trial_b, X, y, l2
+            )
+            if trial_value <= value - 1e-4 * step * grad_sq:
+                break
+            step *= 0.5
+            if step < 1e-20:
+                break
+        if step < 1e-20:
+            break
+        weights, bias = trial_w, trial_b
+        value, grad_w, grad_b = trial_value, trial_gw, trial_gb
+        step = min(step * 2.0, 1e8)
+    return weights, bias
+
+
+def adamw_step_reference(
+    params: list[np.ndarray],
+    grads: list[np.ndarray],
+    moments: tuple[int, list[np.ndarray], list[np.ndarray]],
+    lr_t: float,
+    weight_decay: float,
+) -> tuple[list[np.ndarray], tuple[int, list[np.ndarray], list[np.ndarray]]]:
+    """One AdamW update building fresh arrays; ``moments`` is (step, m, v)."""
+    step, state_m, state_v = moments
+    t = step + 1
+    new_params, new_m, new_v = [], [], []
+    for p, g, m, v in zip(params, grads, state_m, state_v):
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1 ** t)
+        v_hat = v / (1 - ADAM_BETA2 ** t)
+        new_params.append(p - lr_t * (m_hat / (np.sqrt(v_hat) + ADAM_EPS) + weight_decay * p))
+        new_m.append(m)
+        new_v.append(v)
+    return new_params, (t, new_m, new_v)
+
+
+def load_logprobs_per_row(data: str, known: set[str] | None, k: int):
+    """Data rows of a log-probability file, each renormalised on its own.
+
+    Returns ``{id: row}`` or raises the same error class at the same row
+    number as the loader; header parsing is left to the loader's tests.
+    """
+    lines = [line for line in data.split("\n") if line != ""]
+    rows: dict[str, np.ndarray] = {}
+    for row_num, line in enumerate(lines[1:], start=2):
+        if line.startswith("#"):
+            continue
+        fields = line.rstrip("\r").split("\t")
+        if len(fields) != k + 1:
+            raise RowLengthMismatch(
+                f"row {row_num}: expected {k} values, got {len(fields) - 1}"
+            )
+        rid = fields[0]
+        if rid in rows:
+            raise DuplicateId(f"row {row_num}: duplicate response id {rid!r}")
+        if known is not None and rid not in known:
+            raise UnknownResponseId(f"row {row_num}: id {rid!r} not in corpus")
+        try:
+            vec = np.array([float(v) for v in fields[1:]], dtype=float)
+        except ValueError:
+            raise RowLengthMismatch(f"row {row_num}: non-numeric value") from None
+        rows[rid] = vec - logsumexp(vec)
+    return rows

@@ -325,6 +325,54 @@ class TestEnsembleCommand:
         assert exported.model_name == "ensemble"
         assert set(exported.rows) == {r.id for r in workspace["test_rows"]}
 
+    def test_rerun_is_byte_identical(self, workspace, capsys):
+        members = _member_files(workspace)
+        outs = [workspace["dir"] / "ens_a", workspace["dir"] / "ens_b"]
+        for out_dir in outs:
+            assert main([
+                "ensemble", "--data", str(workspace["data"]),
+                "--test", str(workspace["test"]), "--prompt", "1",
+                "--seed", "7", "--m", "2", "--members", *members,
+                "--out", str(out_dir),
+            ]) == 0
+        for name in ("ensemble.txt", "predictions.tsv", "report_dev.tsv", "report_test.tsv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_stdout_says_when_the_stacker_hits_the_iteration_cap(self, workspace, capsys):
+        # 12 dev rows, three members leaning on gold: separable and
+        # ill-conditioned, so descent runs the full 5000 steps
+        members = _member_files(workspace)
+        assert main([
+            "ensemble", "--data", str(workspace["data"]),
+            "--test", str(workspace["test"]), "--prompt", "1",
+            "--members", *members, "--out", str(workspace["dir"] / "cap"),
+        ]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith("prompt 1: ensemble of ['m0', 'm1', 'm2'] dev QWK ")
+        assert "stacker 5000 iterations, gradient inf-norm " in line
+        assert line.endswith(", not converged")
+
+    def test_stdout_reports_a_converged_stacker(self, tmp_path, capsys):
+        # 60 dev rows and one weak member: not separable, converges early
+        pool = make_toy_responses(prompt_id=1, n=300, k=3, seed=5)
+        data = tmp_path / "train.tsv"
+        data.write_bytes(serialize_dataset(pool))
+        member = noisy_member(
+            "weak", [r.id for r in pool], np.array([r.score1 for r in pool]), 3, seed=3,
+            strength=0.3,
+        )
+        member_path = tmp_path / "weak.tsv"
+        member_path.write_bytes(dump_logprobs(member))
+        assert main([
+            "ensemble", "--data", str(data), "--prompt", "1",
+            "--members", str(member_path), "--out", str(tmp_path / "ens"),
+        ]) == 0
+        line = capsys.readouterr().out.strip()
+        iterations = int(line.split(" stacker ")[1].split(" iterations")[0])
+        grad_norm = float(line.rsplit("gradient inf-norm ", 1)[1])
+        assert 0 < iterations < 5000
+        assert grad_norm <= 1e-6
+
     def test_m_larger_than_member_count_is_usage_error(self, workspace, capsys):
         members = _member_files(workspace)
         code = main([

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from asas.corpus import (
     split_dev,
 )
 from asas.errors import (
+    AsasError,
     DimMismatch,
     DuplicateId,
     EmptyInput,
@@ -36,7 +38,7 @@ from asas.errors import (
     UnknownResponseId,
 )
 from conftest import make_toy_responses, requires_dataset
-from oracles import qwk_exact
+from oracles import load_logprobs_per_row, qwk_exact
 
 HEADER = "Id\tEssaySet\tScore1\tScore2\tEssayText"
 
@@ -246,6 +248,40 @@ class TestCorpusStats:
         assert stats.avg_length == pytest.approx(2.0)
 
 
+@st.composite
+def _logprob_files(draw):
+    """A log-probability file with comments, -inf cells and large row
+    offsets, sometimes with one faulty row; returns (text, k, n, with_corpus)."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(0, 20))
+    cell = st.one_of(st.floats(-60, 60), st.just(-math.inf))
+    rows = []
+    for i in range(n):
+        offset = draw(st.sampled_from([0.0, 700.0, -1e6, 1e9, 3e300]))
+        values = draw(st.lists(cell, min_size=k, max_size=k))
+        rows.append([f"r{i}", *(repr(v + offset) for v in values)])
+    fault = draw(st.sampled_from([None] * 5 + ["short", "long", "duplicate", "unknown", "text"]))
+    with_corpus = fault == "unknown" or draw(st.booleans())
+    if fault and rows:
+        at = draw(st.integers(0, n - 1))
+        if fault == "short":
+            rows[at].pop()
+        elif fault == "long":
+            rows[at].append("0.5")
+        elif fault == "duplicate":
+            rows.append(list(rows[at]))
+        elif fault == "unknown":
+            rows[at][0] = "stranger"
+        else:
+            rows[at][draw(st.integers(1, k))] = draw(st.sampled_from(["abc", "", "1.0.0"]))
+    lines = [f"#model=m\tprompt=1\tk={k}"]
+    for row in rows:
+        if draw(st.integers(0, 3)) == 0:
+            lines.append("# comment\tline")
+        lines.append("\t".join(row))
+    return "\n".join(lines) + "\n", k, n, with_corpus
+
+
 class TestLoadLogprobs:
     def test_rows_renormalized(self):
         data = "#model=m\tprompt=1\tk=2\nr1\t-0.105\t-2.303\n"
@@ -302,6 +338,30 @@ class TestLoadLogprobs:
         base = load_logprobs(render(row)).rows["r"]
         shifted = load_logprobs(render([v + shift for v in row])).rows["r"]
         assert shifted == pytest.approx(base, abs=1e-9)
+
+    @given(files=_logprob_files())
+    @settings(max_examples=200, deadline=None)
+    def test_bitwise_equal_to_per_row_reference(self, files):
+        data, k, n, with_corpus = files
+        corpus = None
+        known = None
+        if with_corpus:
+            members = [ScoredResponse(f"r{i}", 1, "text", score1=0) for i in range(n)]
+            corpus = PromptCorpus(1, members, [], [], num_classes=k, min_score=0)
+            known = {r.id for r in members}
+        with warnings.catch_warnings():
+            # all -inf rows renormalise to NaN, with numpy's warnings
+            warnings.simplefilter("ignore", RuntimeWarning)
+            try:
+                want = load_logprobs_per_row(data, known, k)
+            except AsasError as exc:
+                with pytest.raises(type(exc)) as caught:
+                    load_logprobs(data, corpus)
+                assert str(caught.value) == str(exc)
+                return
+            got = load_logprobs(data, corpus).rows
+        assert list(got) == list(want)
+        assert all(got[rid].tobytes() == want[rid].tobytes() for rid in want)
 
     def test_dump_round_trip(self):
         data = "#model=m\tprompt=2\tk=3\nr1\t-0.1\t-3\t-4\nr2\t0\t0\t0\n"

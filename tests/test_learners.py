@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import Phase, assume, given, settings
+from hypothesis import strategies as st
 
 from asas.errors import (
     DimMismatch,
@@ -14,6 +16,7 @@ from asas.errors import (
     SingleClass,
 )
 from asas.learners import (
+    LOGREG_MAX_ITER,
     AdamState,
     MlpModel,
     TrainConfig,
@@ -27,8 +30,14 @@ from asas.learners import (
     mlp_forward,
     train_early_stop,
 )
-from asas.mathutil import logsumexp
-from oracles import bce_decimal, central_difference, mlp_forward_loops
+from asas.mathutil import log_softmax, logsumexp
+from oracles import (
+    adamw_step_reference,
+    bce_decimal,
+    central_difference,
+    logreg_fit_reference,
+    mlp_forward_loops,
+)
 
 
 class TestMlpForward:
@@ -144,6 +153,44 @@ class TestAdamW:
         with pytest.raises(NonFiniteGradient):
             adamw_step(params, [np.array([np.nan, 0.0])], state, 0.1, 0.0)
 
+    @given(
+        shapes=st.lists(
+            st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
+            min_size=1, max_size=4,
+        ),
+        steps=st.integers(100, 140),
+        base_lr=st.floats(1e-5, 0.5),
+        weight_decay=st.sampled_from([0.0, 1e-4, 0.01, 0.3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_bitwise_equal_to_reference_over_a_schedule(
+        self, shapes, steps, base_lr, weight_decay, seed
+    ):
+        rng = np.random.default_rng(seed)
+        params = [rng.normal(size=shape) for shape in shapes]
+        caller_copy = [p.copy() for p in params]
+        state = AdamState.for_params(params)
+        ref_params = params
+        ref_state = (0, [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
+        current = params
+        for step in range(steps):
+            # gradients spanning many magnitudes exercise the sqrt/eps rounding
+            grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-9, 4) for shape in shapes]
+            lr_t = linear_lr(step, steps, base_lr)
+            new, state = adamw_step(current, grads, state, lr_t, weight_decay)
+            ref_params, ref_state = adamw_step_reference(
+                ref_params, grads, ref_state, lr_t, weight_decay
+            )
+            assert [p.tobytes() for p in new] == [p.tobytes() for p in ref_params]
+            assert all(p is not q for p, q in zip(new, current))
+            current = new
+        assert [m.tobytes() for m in state.m] == [m.tobytes() for m in ref_state[1]]
+        assert [v.tobytes() for v in state.v] == [v.tobytes() for v in ref_state[2]]
+        assert state.step == steps
+        # the caller's arrays are never written
+        assert [p.tobytes() for p in params] == [p.tobytes() for p in caller_copy]
+
 
 class TestLinearLr:
     def test_endpoints_and_midpoint(self):
@@ -165,6 +212,25 @@ def _toy_problem(seed=0, n=48, d=6, k=3, separation=3.0):
     centers = rng.normal(0, 1, size=(k, d)) * separation
     X = centers[y] + rng.normal(0, 0.3, size=(n, d))
     return X, y
+
+
+# A fit runs up to 5000 steps twice (package and reference), so shrinking a
+# failing example would take many minutes; report the first one found.
+_NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+def _stacker_design(n, k, strengths, seed):
+    """Stacker-like design: members' log-probabilities leaning toward the
+    labels. Collinear and ill-conditioned, so descent often runs into the
+    iteration cap."""
+    rng = np.random.default_rng(seed)
+    y = np.arange(n) % k
+    blocks = []
+    for strength in strengths:
+        logits = rng.normal(size=(n, k))
+        logits[np.arange(n), y] += strength
+        blocks.append(log_softmax(logits, axis=1))
+    return np.hstack(blocks), y
 
 
 class TestTrainEarlyStop:
@@ -237,7 +303,7 @@ class TestTrainEarlyStop:
         model = MlpModel.init(4, 3, 2, seed=9)
         X = rng.normal(size=(6, 4))
         y = rng.integers(0, 2, size=6)
-        _, grads = _mlp_grads(model, X, y)
+        _, grads = _mlp_grads(model.params(), X, y)
         for index, name in enumerate(["w1", "b1", "w2", "b2"]):
             base = getattr(model, name)
 
@@ -272,6 +338,9 @@ class TestLogReg:
         model = logreg_fit(X, y, l2=1e-2)
         _, grad_w, grad_b = logreg_objective(model.weights, model.bias, X, y, 1e-2)
         assert max(np.max(np.abs(grad_w)), np.max(np.abs(grad_b))) <= 1e-6
+        # the fit records how it stopped
+        assert model.grad_norm == max(np.max(np.abs(grad_w)), np.max(np.abs(grad_b)))
+        assert model.converged and 0 < model.iterations < LOGREG_MAX_ITER
 
     def test_logprob_rows_normalize(self):
         X, y = _toy_problem(seed=12, n=30)
@@ -287,6 +356,80 @@ class TestLogReg:
         X = np.array([[-1.0], [1.0], [-2.0], [2.0]])
         model = logreg_fit(X, [0, 1, 0, 1], l2=1e-3, k=3)
         assert logreg_logprobs(model, X).shape == (4, 3)
+
+    def test_fit_records_hitting_the_iteration_cap(self):
+        X, y = _stacker_design(n=12, k=3, strengths=(0.9, 1.2, 1.5), seed=0)
+        model = logreg_fit(X, y, l2=1e-4)
+        _, grad_w, grad_b = logreg_objective(model.weights, model.bias, X, y, 1e-4)
+        assert model.iterations == LOGREG_MAX_ITER
+        assert not model.converged
+        assert model.grad_norm == max(np.max(np.abs(grad_w)), np.max(np.abs(grad_b))) > 1e-6
+
+    def test_label_outside_k_raises(self):
+        X = np.array([[-1.0], [1.0], [-2.0], [2.0]])
+        with pytest.raises(LabelOutOfRange):
+            logreg_fit(X, [0, 1, 0, 2], l2=1e-3, k=2)
+        with pytest.raises(LabelOutOfRange):
+            logreg_objective(np.zeros((1, 2)), np.zeros(2), X, np.array([0, 1, -1, 1]), 1e-3)
+
+    @given(
+        n=st.integers(5, 40),
+        d=st.integers(0, 5),
+        k=st.integers(2, 5),
+        l2=st.floats(0.5, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
+    def test_bitwise_equal_to_reference_when_converging_early(self, n, d, k, l2, seed):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 5.0])
+        # every class observed: an absent one's bias would descend forever
+        y = rng.permutation(np.arange(n) % k)
+        model = logreg_fit(X, y, l2)
+        weights, bias = logreg_fit_reference(X, y, l2)
+        assert model.converged and model.iterations < LOGREG_MAX_ITER
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
+
+    @given(
+        n=st.integers(10, 16),
+        k=st.integers(3, 4),
+        strengths=st.lists(st.floats(0.9, 1.5), min_size=3, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=4, deadline=None, phases=_NO_SHRINK)
+    def test_bitwise_equal_to_reference_at_the_iteration_cap(self, n, k, strengths, seed):
+        X, y = _stacker_design(n, k, strengths, seed)
+        model = logreg_fit(X, y, 1e-4)
+        assume(model.iterations == LOGREG_MAX_ITER)
+        weights, bias = logreg_fit_reference(X, y, 1e-4)
+        assert not model.converged
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
+
+    @given(
+        n=st.integers(6, 40),
+        d=st.integers(1, 4),
+        observed=st.integers(2, 3),
+        extra=st.integers(1, 3),
+        l2=st.sampled_from([1e-4, 1e-2, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=5, deadline=None, phases=_NO_SHRINK)
+    def test_bitwise_equal_to_reference_with_unobserved_classes(
+        self, n, d, observed, extra, l2, seed
+    ):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, d))
+        y = rng.integers(0, observed, size=n)
+        assume(np.unique(y).size >= 2)
+        k = observed + extra
+        assume(n >= k)
+        model = logreg_fit(X, y, l2, k=k)
+        weights, bias = logreg_fit_reference(X, y, l2, k=k)
+        assert model.weights.shape == (d, k)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(13)
