@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllTrialsFailed, EmptySpace
+from .errors import AllTrialsFailed, AsasError, EmptySpace
 from .features import MIN_CUTOFF
 from .mathutil import logsumexp
 
@@ -233,9 +233,11 @@ def run_study(
 ) -> StudyResult:
     """Sequential suggest/evaluate loop, deterministic for a fixed seed.
 
-    Objective evaluations that raise are recorded as failed trials and
-    excluded from later density fits. ``history`` resumes a study from
-    previously logged trials.
+    Objective evaluations that raise a pipeline error (``AsasError``) or a
+    numeric one (``ValueError``, which covers numpy's ``LinAlgError``, or
+    ``ArithmeticError``) are recorded as failed trials and excluded from
+    later density fits; any other exception is a bug and propagates.
+    ``history`` resumes a study from previously logged trials.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -249,7 +251,7 @@ def run_study(
             trials.append(
                 TrialRecord(trial_index=i, params=params, objective=objective, status="completed")
             )
-        except Exception:
+        except (AsasError, ValueError, ArithmeticError):
             trials.append(
                 TrialRecord(trial_index=i, params=params, objective=math.nan, status="failed")
             )
@@ -260,13 +262,10 @@ def run_study(
     return StudyResult(trials=trials, best=best)
 
 
-def study_log(space: SearchSpace, result: StudyResult, header: str | None = None) -> str:
+def study_log(space: SearchSpace, result: StudyResult) -> str:
     """Render a study as a resumable TSV log."""
     names = list(space.params)
-    lines = []
-    if header:
-        lines.append(header)
-    lines.append("trial\t" + "\t".join(names) + "\tobjective\tstatus")
+    lines = ["trial\t" + "\t".join(names) + "\tobjective\tstatus"]
     for t in result.trials:
         cells = [str(t.trial_index)]
         cells += [repr(t.params[n]) for n in names]

@@ -395,6 +395,20 @@ class TestEnsembleCommand:
         err = capsys.readouterr().err
         assert "m0" in err and missing in err
 
+    def test_member_missing_a_dev_id_exits_4_when_picking_the_best_m(self, workspace, capsys):
+        pool = [r for r in workspace["pool"] if r.prompt_id == 1]
+        corpus = build_corpus(pool, prompt_id=1, dev_fraction=0.2, seed=prompt_seed(7, 1))
+        missing = corpus.dev[0].id
+        members = _member_files(workspace, drop_id=missing)
+        code = main([
+            "ensemble", "--data", str(workspace["data"]),
+            "--test", str(workspace["test"]), "--prompt", "1", "--m", "2",
+            "--members", *members, "--out", str(workspace["dir"] / "dev_gap"),
+        ])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "m0" in err and repr(missing) in err
+
 
 class TestUnlabeledTestJoin:
     def test_solution_file_supplies_test_scores(self, workspace, capsys):
@@ -513,10 +527,85 @@ class TestConfigFile:
         conf.write_text("just words\n")
         assert main(["stats", "--config", str(conf), "--data", str(workspace["data"])]) == 2
 
+    def test_false_switch_in_config_stays_off(self, workspace):
+        conf = workspace["dir"] / "off.conf"
+        conf.write_text(f"data = {workspace['data']}\nall_prompts = false\n")
+        out_dir = workspace["dir"] / "one_split"
+        assert main([
+            "split", "--config", str(conf), "--prompt", "1", "--out", str(out_dir),
+        ]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == ["dev.tsv", "train.tsv"]
+        train = parse_dataset((out_dir / "train.tsv").read_bytes())
+        assert {r.prompt_id for r in train} == {1}
+
+    def test_members_list_in_config_stacks_every_file(self, workspace, capsys):
+        members = _member_files(workspace, n_members=2)
+        conf = workspace["dir"] / "members.conf"
+        conf.write_text(
+            f"data = {workspace['data']}\ntest = {workspace['test']}\n"
+            f"members = {members[0]}  {members[1]}\n"
+        )
+        out_dir = workspace["dir"] / "conf_ens"
+        assert main([
+            "ensemble", "--config", str(conf), "--prompt", "1", "--out", str(out_dir),
+        ]) == 0
+        assert "ensemble of ['m0', 'm1']" in capsys.readouterr().out
+        assert (out_dir / "ensemble.txt").is_file()
+
+    @pytest.mark.parametrize("line, key", [
+        ("all_prompts = yes", "all_prompts"),
+        ("all_prompts =", "all_prompts"),
+        ("seed = many", "seed"),
+    ])
+    def test_value_of_the_wrong_type_is_validation_error(self, workspace, capsys, line, key):
+        conf = workspace["dir"] / "typed.conf"
+        conf.write_text(f"data = {workspace['data']}\n{line}\n")
+        assert main(["stats", "--config", str(conf)]) == 2
+        err = capsys.readouterr().err
+        assert f"typed.conf:2: bad value for {key}" in err
+
+    def test_unknown_key_is_validation_error(self, workspace, capsys):
+        conf = workspace["dir"] / "typo.conf"
+        conf.write_text(f"data = {workspace['data']}\n# a comment\nsed = 3\n")
+        assert main(["stats", "--config", str(conf)]) == 2
+        assert "typo.conf:3: unknown key 'sed'" in capsys.readouterr().err
+
+    def test_config_only_solution_columns_are_read(self, workspace, capsys):
+        unlabeled = workspace["dir"] / "unlabeled.tsv"
+        unlabeled.write_text("\n".join(["Id\tEssaySet\tEssayText"] + [
+            f"{r.id}\t{r.prompt_id}\t{r.text}" for r in workspace["test_rows"]
+        ]) + "\n")
+        solution = workspace["dir"] / "graded.csv"
+        solution.write_text("\n".join(["ref,grade"] + [
+            f"{r.id},{r.score1}" for r in workspace["test_rows"]
+        ]) + "\n")
+        conf = workspace["dir"] / "cols.conf"
+        conf.write_text(
+            f"data = {workspace['data']}\ntest = {unlabeled}\nsolution = {solution}\n"
+            "solution_id_col = ref\nsolution_score_col = grade\n"
+        )
+        assert main(["stats", "--config", str(conf), "--prompt", "1"]) == 0
+        capsys.readouterr()
+        conf.write_text(f"data = {workspace['data']}\ntest = {unlabeled}\nsolution = {solution}\n")
+        assert main(["stats", "--config", str(conf), "--prompt", "1"]) == 2
+        assert "solution file lacks columns 'id'/'essay_score'" in capsys.readouterr().err
+
 
 class TestUsage:
     def test_unknown_command_exits_2(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    @pytest.mark.parametrize("command", sorted(asas.cli.COMMANDS))
+    def test_help_shows_every_default(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for name in ["config", *asas.cli.COMMANDS[command][2].split()]:
+            flag = "--" + name.replace("_", "-")
+            assert flag in text
+            default = asas.cli.OPTIONS[name].default
+            if default is not None:
+                shown = str(default).lower() if isinstance(default, bool) else default
+                assert f"(default: {shown})" in text, flag
 
     def test_missing_required_prompt_exits_2(self, workspace, capsys):
         assert main([

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from asas.errors import AllTrialsFailed, EmptySpace
+from asas.errors import AllTrialsFailed, EmptySpace, NonFiniteLoss
 from asas.hyperopt import (
     BANDWIDTH_FLOOR_FRACTION,
     IntUniform,
@@ -156,7 +156,7 @@ class TestRunStudy:
 
         def flaky(params):
             if params["x"] > 0.5:
-                raise RuntimeError("simulated failure")
+                raise NonFiniteLoss("simulated failure")
             return params["x"]
 
         result = run_study(space, flaky, 30, seed=11)
@@ -169,10 +169,31 @@ class TestRunStudy:
 
     def test_all_trials_failed(self):
         def broken(params):
-            raise RuntimeError("always down")
+            raise NonFiniteLoss("always down")
 
         with pytest.raises(AllTrialsFailed):
             run_study(_space_1d(), broken, 5, seed=0)
+
+    def test_a_bug_in_the_objective_propagates(self):
+        calls = []
+
+        def buggy(params):
+            calls.append(params)
+            return {"qwk": params["x"]}["kappa"]
+
+        with pytest.raises(KeyError, match="kappa"):
+            run_study(_space_1d(), buggy, 5, seed=0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("error", [np.linalg.LinAlgError, ZeroDivisionError])
+    def test_numeric_errors_are_failed_trials(self, error):
+        def failing(params):
+            if params["x"] > 0.5:
+                raise error("expected failure")
+            return params["x"]
+
+        result = run_study(_space_1d(), failing, 12, seed=11)
+        assert {t.status for t in result.trials} == {"completed", "failed"}
 
     def test_resume_matches_uninterrupted_run(self):
         space = _space_1d()
@@ -221,11 +242,11 @@ class TestStudyLog:
 
         def f(params):
             if params["batch_size"] == 7:
-                raise RuntimeError("unlucky batch")
+                raise NonFiniteLoss("unlucky batch")
             return params["cutoff"]
 
         result = run_study(space, f, 15, seed=4)
-        text = study_log(space, result, header="#asas\tversion=test\tseed=4")
+        text = "#asas\tversion=test\tseed=4\n" + study_log(space, result)
         again = read_study_log(text, space)
         assert len(again) == len(result.trials)
         for orig, back in zip(result.trials, again):
