@@ -41,7 +41,7 @@ from .ensemble import (
     score_ensemble,
     select_best_subset,
 )
-from .errors import AllTrialsFailed, AsasError, CoverageGap
+from .errors import AllTrialsFailed, AsasError, CoverageGap, MissingPromptPlaceholder
 from .features import (
     CachedFeatureBuilder,
     FeatureModelSpec,
@@ -107,7 +107,9 @@ OPTIONS = {
     "trials": Option(int, 20, "hyperparameter trials"),
     "model": Option(str, None, "feature model file"),
     "name": Option(str, "features", "model name for exported predictions"),
-    "members": Option(list, None, "member log-probability files"),
+    "members": Option(
+        list, None, "member log-probability files; {prompt} in a path stands for the prompt id"
+    ),
     "m": Option(int, None, "ensemble the best m members by dev QWK"),
 }
 DEFAULT_HIDDEN = OPTIONS["hidden"].default
@@ -260,9 +262,12 @@ def cmd_split(ctx: _Ctx) -> None:
         print(f"prompt {pid}: train {len(corpus.train)}, dev {len(corpus.dev)} -> {out}")
 
 
-def load_feature_model(path: str | Path) -> tuple[FeatureModelSpec, MlpModel]:
-    art = Artifact.load(path, "feature-model")
+def _feature_model(art: Artifact) -> tuple[FeatureModelSpec, MlpModel]:
     return FeatureModelSpec.from_artifact(art), MlpModel.from_arrays(art.arrays)
+
+
+def load_feature_model(path: str | Path) -> tuple[FeatureModelSpec, MlpModel]:
+    return _feature_model(Artifact.load(path, "feature-model"))
 
 
 def _train_once(corpus, matrix, lr, batch, epochs, seed, hidden):
@@ -339,8 +344,9 @@ def cmd_tune(ctx: _Ctx) -> None:
 def cmd_predict(ctx: _Ctx) -> None:
     if ctx.model is None:
         raise AsasError("--model is required")
-    ctx.read_input(ctx.model)
-    spec, mlp = load_feature_model(ctx.model)
+    # Parse the bytes the header's digest is taken of: the file is read once.
+    model = ctx.read_input(ctx.model).decode("utf-8")
+    spec, mlp = _feature_model(Artifact.parse(model, "feature-model"))
     embeddings = _embeddings(ctx)
     for pid, corpus in _corpora(ctx):
         matrix = build_features(corpus, spec, embeddings)
@@ -357,9 +363,22 @@ def cmd_ensemble(ctx: _Ctx) -> None:
         raise AsasError("--members is required")
     if ctx.m is not None and not 1 <= ctx.m <= len(ctx.members):
         raise AsasError(f"--m must be between 1 and {len(ctx.members)}")
-    for pid, corpus in _corpora(ctx):
+    corpora = list(_corpora(ctx))
+    # A member file holds one prompt's rows, so each prompt needs its own files.
+    fixed = [p for p in ctx.members if "{prompt}" not in p]
+    if len(corpora) > 1 and fixed:
+        raise MissingPromptPlaceholder(
+            f"--members path {fixed[0]} has no {{prompt}} placeholder, but --all-prompts"
+            f" covers {len(corpora)} prompts; name each prompt's file, e.g. run_{{prompt}}.tsv"
+        )
+    shared_inputs = dict(ctx.inputs)
+    for pid, corpus in corpora:
+        ctx.inputs = dict(shared_inputs)  # each prompt's header names its own members
         k = corpus.num_classes
-        members = [load_logprobs(ctx.read_input(p), corpus) for p in ctx.members]
+        members = [
+            load_logprobs(ctx.read_input(p.replace("{prompt}", str(pid))), corpus)
+            for p in ctx.members
+        ]
         names = [mem.model_name for mem in members]
         if len(set(names)) != len(names):
             raise AsasError(f"duplicate member names: {names}")

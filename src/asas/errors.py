@@ -105,3 +105,7 @@ class KMismatch(AsasError):
 
 class TooFewCandidates(AsasError):
     """Subset selection asked for more members than exist."""
+
+
+class MissingPromptPlaceholder(AsasError):
+    """Several prompts share a member path that has no {prompt} placeholder."""

@@ -18,7 +18,7 @@ import re
 import string
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,19 +68,15 @@ def minutiae_substrings(prompt: str) -> list[set[str]]:
     ]
 
 
-def minutiae_overlap(
-    response: str, prompt: str, prompt_subs: list[set[str]] | None = None
-) -> np.ndarray:
+def minutiae_overlap(response: str, prompt_subs: list[set[str]]) -> np.ndarray:
     """Distinct substring overlap counts between response and prompt.
 
     Component i counts the distinct substrings of length 5+i of the
     normalized response that also occur in the normalized prompt, for
-    lengths 5 through 19 (15 dimensions). ``prompt_subs`` is
-    ``minutiae_substrings(prompt)``, passed in when scoring many responses
-    against one prompt.
+    lengths 5 through 19 (15 dimensions). ``prompt_subs`` is the prompt's
+    prepared state, ``minutiae_substrings(prompt)``: a fitted spec builds
+    it once (``ScoringState.prompt_subs``) and every answer reuses it.
     """
-    if prompt_subs is None:
-        prompt_subs = minutiae_substrings(prompt)
     r = normalize_text(response)
     out = np.zeros(len(MINUTIAE_LENGTHS), dtype=float)
     for i, (length, subs) in enumerate(zip(MINUTIAE_LENGTHS, prompt_subs)):
@@ -227,29 +223,28 @@ def _may_reach(matches: np.ndarray, total: np.ndarray, floor: float) -> np.ndarr
 
 def _lcs_lengths(
     codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-    masks: np.ndarray, gram_len: np.ndarray, grams: np.ndarray,
+    grams: np.ndarray, tables: NgramTables,
 ) -> np.ndarray:
     """Longest-common-subsequence length of many (window, n-gram) pairs.
 
-    Window p is ``codes[starts[p]:starts[p] + lengths[p]]``; bit i of
-    ``masks[g, c]`` is set where character i of n-gram g has code c.
-    Bit-parallel recurrence (Hyyro 2004): U = V & mask, V = (V+U) | (V-U)
-    over the window's characters; the LCS is the number of zero bits left
-    in V's low |n-gram| bits. Carries only move upward, so uint64 overflow
-    never reaches those bits. Pairs are processed longest first so step k
-    touches only the windows longer than k.
+    Window p is ``codes[starts[p]:starts[p] + lengths[p]]`` and n-gram
+    ``grams[p]`` indexes ``tables``. Bit-parallel recurrence (Hyyro 2004):
+    U = V & mask, V = (V+U) | (V-U) over the window's characters; the LCS
+    is the number of zero bits left in V's low |n-gram| bits. Carries only
+    move upward, so uint64 overflow never reaches those bits. Pairs are
+    processed longest first so step k touches only the windows longer
+    than k.
     """
     by_len = np.argsort(-lengths, kind="stable")
     starts, lengths, grams = starts[by_len], lengths[by_len], grams[by_len]
     v = np.full(by_len.size, np.iinfo(np.uint64).max, dtype=np.uint64)
     for k in range(int(lengths[0]) if lengths.size else 0):
         n = int(np.searchsorted(-lengths, -k))  # pairs whose window is longer than k
-        u = v[:n] & masks[grams[:n], codes[starts[:n] + k]]
+        u = v[:n] & tables.masks[grams[:n], codes[starts[:n] + k]]
         v[:n] = (v[:n] + u) | (v[:n] - u)
-    low = np.array([(1 << min(n, 64)) - 1 for n in gram_len.tolist()], dtype=np.uint64)
-    ones = np.unpackbits((v & low[grams]).view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
+    ones = np.unpackbits((v & tables.low[grams]).view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
     out = np.empty_like(lengths)
-    out[by_len] = gram_len[grams] - ones
+    out[by_len] = tables.lengths[grams] - ones
     return out
 
 
@@ -276,10 +271,62 @@ def _gram_tables(
     )
 
 
-def fuzzy_ratios(
-    texts: list[str], key_ngrams: list[str | None], floor: float
-) -> FuzzyRatios:
-    """``window_ratios`` of every text and n-gram, kept where they reach ``floor``.
+@dataclass(frozen=True, eq=False)
+class NgramTables:
+    """Key n-gram slots as the fuzzy engine reads them, built once per slot list.
+
+    ``present`` holds the slot of each real (non-None) n-gram; the other
+    fields index those n-grams in slot order. Characters are coded by
+    ``alphabet``, the n-grams' characters in sorted order; every other
+    character gets the one code ``len(alphabet)``. ``lengths`` and
+    ``masks`` come from ``_gram_tables``; ``low[g]`` selects the low
+    |n-gram g| bits (at most 64) of an LCS bit vector. ``by_order`` holds, for each token order,
+    the n-grams of that order, the character codes they use and their
+    histograms over those codes. ``matchers[g]`` is a difflib matcher
+    with n-gram g as seq2, so matching a window only sets seq1; the
+    matchers are reused from call to call, so one table serves one
+    ``fuzzy_ratios`` call at a time.
+    """
+
+    slots: tuple[str | None, ...]
+    present: np.ndarray
+    alphabet: dict[str, int]
+    lengths: np.ndarray
+    masks: np.ndarray
+    low: np.ndarray
+    by_order: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
+    matchers: list[difflib.SequenceMatcher]
+
+    @classmethod
+    def of(cls, key_ngrams: list[str | None]) -> "NgramTables":
+        present = np.array([j for j, g in enumerate(key_ngrams) if g is not None], dtype=np.intp)
+        grams = [key_ngrams[j] for j in present]
+        alphabet = {ch: a for a, ch in enumerate(sorted(set("".join(grams))))}
+        lengths, hist, masks = _gram_tables(grams, alphabet)
+        orders = np.array([len(g.split()) for g in grams], dtype=np.intp)
+        by_order = []
+        for order in sorted(set(orders.tolist())):
+            sel = np.flatnonzero(orders == order)
+            used = np.flatnonzero(hist[sel].any(axis=0))
+            by_order.append((order, sel, used, hist[np.ix_(sel, used)]))
+        return cls(
+            slots=tuple(key_ngrams),
+            present=present,
+            alphabet=alphabet,
+            lengths=lengths,
+            masks=masks,
+            low=np.array([(1 << min(n, 64)) - 1 for n in lengths.tolist()], dtype=np.uint64),
+            by_order=by_order,
+            matchers=[difflib.SequenceMatcher(None, "", g, autojunk=False) for g in grams],
+        )
+
+
+def fuzzy_ratios(texts: list[str], tables: NgramTables, floor: float) -> FuzzyRatios:
+    """``window_ratios`` of every text and key n-gram, kept where they reach ``floor``.
+
+    ``tables`` is the n-grams' prepared state, ``NgramTables.of(key_ngrams)``:
+    a fitted spec builds it once (``ScoringState.ngrams``) and every call
+    reuses it, so a call does only the per-text work.
 
     Exact pruning: difflib's ratio is 2M/(la+lb), where M, the length of
     its matching blocks, is at most the longest common subsequence of the
@@ -295,13 +342,10 @@ def fuzzy_ratios(
     """
     if not MIN_CUTOFF <= floor <= 1.0:
         raise ValueError(f"cutoff must be in [{MIN_CUTOFF}, 1.0], got {floor}")
-    present = np.array([j for j, g in enumerate(key_ngrams) if g is not None], dtype=np.intp)
-    grams = [key_ngrams[j] for j in present]
-    alphabet = {ch: a for a, ch in enumerate(sorted(set("".join(grams))))}
+    alphabet = tables.alphabet
     other = len(alphabet)  # the code of every character no n-gram contains
     space = alphabet.get(" ", other)
-    gram_len, gram_hist, masks = _gram_tables(grams, alphabet)
-    gram_order = np.array([len(g.split()) for g in grams], dtype=np.intp)
+    gram_len = tables.lengths
 
     # Every token is followed by one space in ``joined``, so the window of
     # ``order`` tokens from token i is joined[char_at[i]:char_at[i + order]]
@@ -319,7 +363,6 @@ def fuzzy_ratios(
     n_toks = np.array([len(ts) for ts in toks], dtype=np.intp)
     first_tok = np.cumsum(n_toks) - n_toks
 
-    matchers: dict[int, difflib.SequenceMatcher] = {}
     found: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     pending: list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
     n_pending = 0
@@ -328,24 +371,19 @@ def fuzzy_ratios(
         """LCS-filter the pending candidate pairs, then run difflib on the rest."""
         text, start, length, gram = (np.concatenate(col) for col in zip(*pending))
         pending.clear()
-        lcs = _lcs_lengths(codes, start, length, masks, gram_len, gram)
+        lcs = _lcs_lengths(codes, start, length, gram, tables)
         # An n-gram longer than 64 characters does not fit the bit vector.
         keep = (gram_len[gram] > 64) | _may_reach(lcs, length + gram_len[gram], floor)
         text, start, length, gram = text[keep], start[keep], length[keep], gram[keep]
         ratio = np.empty(gram.size, dtype=float)
         for k, (s, n, g) in enumerate(zip(start.tolist(), length.tolist(), gram.tolist())):
-            matcher = matchers.get(g)
-            if matcher is None:
-                matcher = matchers[g] = difflib.SequenceMatcher(None, "", grams[g], autojunk=False)
+            matcher = tables.matchers[g]
             matcher.set_seq1(joined[s:s + n])
             ratio[k] = matcher.ratio()
         hit = ratio >= floor
-        found.append((text[hit], present[gram[hit]], ratio[hit]))
+        found.append((text[hit], tables.present[gram[hit]], ratio[hit]))
 
-    for order in sorted(set(gram_order.tolist())):
-        sel = np.flatnonzero(gram_order == order)
-        used = np.flatnonzero(gram_hist[sel].any(axis=0))
-        sel_hist = gram_hist[np.ix_(sel, used)]
+    for order, sel, used, sel_hist in tables.by_order:
         n_win = np.maximum(n_toks - order + 1, 0)
         win_text = np.repeat(np.arange(len(texts)), n_win)
         win_tok = first_tok[win_text] + np.arange(win_text.size) - np.repeat(
@@ -375,7 +413,7 @@ def fuzzy_ratios(
         else (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
     )
     return FuzzyRatios(
-        shape=(len(texts), len(key_ngrams)), floor=floor, rows=rows, cols=cols, ratios=ratios
+        shape=(len(texts), len(tables.slots)), floor=floor, rows=rows, cols=cols, ratios=ratios
     )
 
 
@@ -388,7 +426,7 @@ def near_match_count(
     least ``cutoff``; with cutoff 1.0 this reduces to exact occurrence
     counting. Padding slots (None) always contribute zero.
     """
-    return fuzzy_ratios([response], key_ngrams, cutoff).counts(cutoff)[0]
+    return fuzzy_ratios([response], NgramTables.of(key_ngrams), cutoff).counts(cutoff)[0]
 
 
 def fit_tfidf_vocab(train_texts: list[str]) -> dict[str, tuple[int, float]]:
@@ -505,9 +543,36 @@ def apply_standardizer(X: np.ndarray, mean: np.ndarray, sd: np.ndarray) -> np.nd
     return np.where(sd > 0.0, (X - mean) / safe, 0.0)
 
 
+@dataclass(frozen=True, eq=False)
+class ScoringState:
+    """What scoring an answer needs that depends only on the fitted spec.
+
+    The key n-grams' ``NgramTables`` and the prompt's
+    ``minutiae_substrings``, built once from a spec's key n-grams and
+    prompt and reused by every ``extract_features`` call on that spec.
+    It is derived from the saved fields, never saved itself.
+    """
+
+    ngrams: NgramTables
+    prompt_minutiae: str
+    prompt_subs: list[set[str]]
+
+    @classmethod
+    def of(cls, key_ngrams: list[KeyNgram], prompt_minutiae: str) -> "ScoringState":
+        return cls(
+            ngrams=NgramTables.of([g.text for g in key_ngrams]),
+            prompt_minutiae=prompt_minutiae,
+            prompt_subs=minutiae_substrings(prompt_minutiae),
+        )
+
+
 @dataclass
 class FeatureModelSpec:
-    """A fitted feature extractor: everything needed to score new text."""
+    """A fitted feature extractor: everything needed to score new text.
+
+    ``scoring`` is ``ScoringState.of(key_ngrams, prompt_minutiae)``, built
+    with the spec and shared by every answer it scores.
+    """
 
     tfidf_vocab: dict[str, tuple[int, float]]
     tfidf_projection: np.ndarray
@@ -516,6 +581,7 @@ class FeatureModelSpec:
     standardizer: tuple[np.ndarray, np.ndarray]
     embedding_dim: int | None
     prompt_minutiae: str
+    scoring: ScoringState = field(repr=False)
 
     @property
     def d_t(self) -> int:
@@ -551,6 +617,11 @@ class FeatureModelSpec:
         mean, sd = self.standardizer
         if mean.shape != (self.feature_dim,) or sd.shape != (self.feature_dim,):
             raise ValueError("standardizer length disagrees with feature dimension")
+        if (
+            list(self.scoring.ngrams.slots) != self.ngram_strings()
+            or self.scoring.prompt_minutiae != self.prompt_minutiae
+        ):
+            raise ValueError("scoring state was built for other key n-grams or another prompt")
 
     def to_artifact(self) -> Artifact:
         vocab_rows = [None] * len(self.tfidf_vocab)
@@ -591,6 +662,7 @@ class FeatureModelSpec:
             for order, text, score in art.tables["key_ngrams"]
         ]
         emb = art.meta["embedding_dim"]
+        prompt_minutiae = art.meta["prompt_minutiae"]
         spec = cls(
             tfidf_vocab=vocab,
             tfidf_projection=art.arrays["projection"],
@@ -598,7 +670,8 @@ class FeatureModelSpec:
             near_match_cutoff=float(art.meta["cutoff"]),
             standardizer=(art.arrays["std_mean"][0], art.arrays["std_sd"][0]),
             embedding_dim=None if emb == "none" else int(emb),
-            prompt_minutiae=art.meta["prompt_minutiae"],
+            prompt_minutiae=prompt_minutiae,
+            scoring=ScoringState.of(key_ngrams, prompt_minutiae),
         )
         spec.validate()
         return spec
@@ -626,20 +699,18 @@ def _raw_blocks(
     responses: list[ScoredResponse],
     vocab: dict[str, tuple[int, float]],
     projection: np.ndarray,
-    key_ngrams: list[KeyNgram],
-    prompt_minutiae: str,
+    scoring: ScoringState,
     floor: float,
     embedding_dim: int | None,
     embeddings: EmbeddingTable | None,
 ) -> tuple:
     """The five blocks' unstandardized rows; the fuzzy block as ratios that reach ``floor``."""
     texts = [r.text for r in responses]
-    prompt_subs = minutiae_substrings(prompt_minutiae)
     return (
         None if embedding_dim is None else _embedding_block(responses, embedding_dim, embeddings),
         tfidf_matrix(texts, vocab) @ projection,
-        np.array([minutiae_overlap(t, prompt_minutiae, prompt_subs) for t in texts]),
-        fuzzy_ratios(texts, [g.text for g in key_ngrams], floor),
+        np.array([minutiae_overlap(t, scoring.prompt_subs) for t in texts]),
+        fuzzy_ratios(texts, scoring.ngrams, floor),
         np.array([text_stats(t) for t in texts]),
     )
 
@@ -690,8 +761,8 @@ def extract_features(
     """Apply a fitted spec to any responses, standardizing with train stats."""
     cutoff = spec.near_match_cutoff
     blocks = _raw_blocks(
-        responses, spec.tfidf_vocab, spec.tfidf_projection, spec.key_ngrams,
-        spec.prompt_minutiae, cutoff, spec.embedding_dim, embeddings,
+        responses, spec.tfidf_vocab, spec.tfidf_projection, spec.scoring,
+        cutoff, spec.embedding_dim, embeddings,
     )
     raw = _assemble(blocks, spec.d_t, cutoff)
     mean, sd = spec.standardizer
@@ -717,7 +788,9 @@ class CachedFeatureBuilder:
     slices the leading ``d_t`` eigenvectors (they are nested), thresholds
     the ratios at ``cutoff`` and refits the standardizer on the train
     rows. Tuning fits once at ``floor=MIN_CUTOFF`` for all its trials;
-    ``fit_feature_model`` fits at its own d_t and cutoff.
+    ``fit_feature_model`` fits at its own d_t and cutoff. The key n-grams
+    and the prompt are the same for every ``build``, so all the specs it
+    returns share the one ``ScoringState`` that ``__init__`` scored with.
     """
 
     def __init__(
@@ -736,9 +809,10 @@ class CachedFeatureBuilder:
         )
         self.key_ngrams = select_key_ngrams([(r.text, r.score1) for r in corpus.train])
         self.prompt_minutiae = normalize_text(corpus.prompt_text)
+        self.scoring = ScoringState.of(self.key_ngrams, self.prompt_minutiae)
         self._blocks = _raw_blocks(
-            responses, self.vocab, self._projection_full, self.key_ngrams,
-            self.prompt_minutiae, floor, self.embedding_dim, embeddings,
+            responses, self.vocab, self._projection_full, self.scoring,
+            floor, self.embedding_dim, embeddings,
         )
 
     def build(self, d_t: int, cutoff: float) -> tuple[FeatureModelSpec, FeatureMatrix]:
@@ -753,6 +827,7 @@ class CachedFeatureBuilder:
             standardizer=(mean, sd),
             embedding_dim=self.embedding_dim,
             prompt_minutiae=self.prompt_minutiae,
+            scoring=self.scoring,
         )
         spec.validate()
         return spec, FeatureMatrix(ids=list(self.ids), data=apply_standardizer(raw, mean, sd))

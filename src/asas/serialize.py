@@ -76,16 +76,19 @@ class Artifact:
             lines.append(f"[strings {name} {len(rows)}]")
             lines.extend("\t".join(row) for row in rows)
         for name in sorted(self.arrays):
-            arr = np.atleast_2d(self.arrays[name])
+            arr = np.atleast_2d(np.asarray(self.arrays[name], dtype=float))
             lines.append(f"[matrix {name} {arr.shape[0]} {arr.shape[1]}]")
-            lines.extend("\t".join(fmt_float(x) for x in row) for row in arr)
+            # tolist() gives Python floats, whose repr is fmt_float's.
+            lines.extend("\t".join(map(repr, row.tolist())) for row in arr)
         return "\n".join(lines) + "\n"
 
     def save(self, path: str | Path, header: str | None = None) -> None:
         write_atomic(path, self.dump(header))
 
     @classmethod
-    def parse(cls, text: str) -> "Artifact":
+    def parse(cls, text: str, expect_kind: str | None = None) -> "Artifact":
+        """The artifact in ``text``; HeaderMismatch if it is not one, is
+        truncated, or is not of kind ``expect_kind`` (when given)."""
         lines = text.splitlines()
         start = 0
         while start < len(lines) and not lines[start].startswith(f"#{FORMAT_VERSION} kind="):
@@ -97,6 +100,8 @@ class Artifact:
         if not text.endswith("\n"):
             raise HeaderMismatch("file is truncated: its last line has no newline")
         art = cls(kind=lines[start].split("kind=", 1)[1])
+        if expect_kind is not None and art.kind != expect_kind:
+            raise HeaderMismatch(f"expected kind={expect_kind}, found {art.kind}")
         i = start + 1
         while i < len(lines):
             line = lines[i]
@@ -118,7 +123,7 @@ class Artifact:
                             f"matrix {name} row {j + 1} has {len(cells)} values, "
                             f"expected {data.shape[1]}"
                         )
-                    data[j] = [float(x) for x in cells]
+                    data[j] = list(map(float, cells))
                 art.arrays[name] = data
                 i += 1 + len(rows)
             else:
@@ -138,10 +143,7 @@ class Artifact:
 
     @classmethod
     def load(cls, path: str | Path, expect_kind: str | None = None) -> "Artifact":
-        art = cls.parse(Path(path).read_text(encoding="utf-8"))
-        if expect_kind is not None and art.kind != expect_kind:
-            raise HeaderMismatch(f"expected kind={expect_kind}, found {art.kind}")
-        return art
+        return cls.parse(Path(path).read_text(encoding="utf-8"), expect_kind)
 
 
 def _block_rows(lines: list[str], at: int, name: str, count: int) -> list[str]:

@@ -18,6 +18,7 @@ import numpy as np
 
 from asas.errors import DuplicateId, RowLengthMismatch, UnknownResponseId
 from asas.mathutil import logsumexp
+from asas.serialize import FORMAT_VERSION
 
 
 def qwk_exact(a: list[int], b: list[int], k: int) -> Fraction | float:
@@ -170,10 +171,11 @@ def mlp_forward_loops(w1, b1, w2, b2, X) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Bitwise references: verbatim copies of earlier, allocation-heavy versions of
-# the stacker fit, the AdamW step and the log-probability loader. The
-# package's versions were restructured for speed without changing any
-# floating-point operation or its order, so they must agree with these to
-# the last bit (compared with ``tobytes()``), not merely to a tolerance.
+# the stacker fit, the AdamW step, the log-probability loader and the
+# artifact writer. The package's versions were restructured for speed
+# without changing any floating-point operation or its order, so they must
+# agree with these to the last bit (compared with ``tobytes()``, or byte
+# for byte as text), not merely to a tolerance.
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -284,3 +286,26 @@ def load_logprobs_per_row(data: str, known: set[str] | None, k: int):
             raise RowLengthMismatch(f"row {row_num}: non-numeric value") from None
         rows[rid] = vec - logsumexp(vec)
     return rows
+
+
+def _fmt_float_reference(x: float) -> str:
+    return repr(float(x))
+
+
+def artifact_dump_reference(self, header: str | None = None) -> str:
+    """``Artifact.dump`` as first written: one ``fmt_float`` per NumPy element."""
+    lines = []
+    if header:
+        lines.append(header)
+    lines.append(f"#{FORMAT_VERSION} kind={self.kind}")
+    for key in sorted(self.meta):
+        lines.append(f"{key}\t{self.meta[key]}")
+    for name in sorted(self.tables):
+        rows = self.tables[name]
+        lines.append(f"[strings {name} {len(rows)}]")
+        lines.extend("\t".join(row) for row in rows)
+    for name in sorted(self.arrays):
+        arr = np.atleast_2d(self.arrays[name])
+        lines.append(f"[matrix {name} {arr.shape[0]} {arr.shape[1]}]")
+        lines.extend("\t".join(_fmt_float_reference(x) for x in row) for row in arr)
+    return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """End-to-end command wiring: exit codes, artifacts, determinism."""
 from __future__ import annotations
 
+import io
 import os
 
 import numpy as np
@@ -19,6 +20,7 @@ from asas.corpus import (
 )
 from asas.mathutil import logsumexp
 from asas.metrics import EvalReport
+from asas.serialize import digest
 from conftest import make_toy_responses, noisy_member, PROMPT_TEXT
 
 
@@ -216,6 +218,89 @@ class TestTrainPredict:
         ]) == 0
         assert calls == [60, 50]  # each prompt's train and dev rows, in one pass
 
+    def test_spec_state_is_built_once_per_spec(self, workspace, monkeypatch):
+        assert main([
+            "train-features", "--data", str(workspace["data"]), "--prompt", "1",
+            "--seed", "3", "--epochs", "1", "--tfidf-dim", "6",
+            "--prompt-text", str(workspace["prompt_text"]), "--out", str(workspace["dir"] / "st"),
+        ]) == 0
+        calls = {"_gram_tables": 0, "minutiae_substrings": 0}
+        for name in calls:
+            real = getattr(asas.features, name)
+
+            def counted(*args, _name=name, _real=real, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(asas.features, name, counted)
+        spec, _ = load_feature_model(workspace["dir"] / "st" / "model.txt")
+        assert calls == {"_gram_tables": 1, "minutiae_substrings": 1}
+        answers = [r for r in workspace["pool"] if r.prompt_id == 1][:50]
+        for r in answers:
+            asas.features.extract_features([r], spec)
+        assert calls == {"_gram_tables": 1, "minutiae_substrings": 1}
+        # tune: one builder per prompt, shared by every trial's spec
+        assert main([
+            "tune", "--data", str(workspace["data"]), "--all-prompts", "--seed", "3",
+            "--trials", "3", "--epochs", "1", "--out", str(workspace["dir"] / "st_tune"),
+        ]) == 0
+        assert calls == {"_gram_tables": 3, "minutiae_substrings": 3}
+
+    def _two_models(self, workspace):
+        paths = []
+        for name, cutoff in (("a", "0.8"), ("b", "0.5")):
+            out = workspace["dir"] / f"model_{name}"
+            assert main([
+                "train-features", "--data", str(workspace["data"]), "--prompt", "1",
+                "--seed", "3", "--epochs", "2", "--tfidf-dim", "6", "--cutoff", cutoff,
+                "--lr", "0.05", "--out", str(out),
+            ]) == 0
+            paths.append(out / "model.txt")
+        return paths
+
+    def _predict(self, workspace, model, out):
+        return main([
+            "predict", "--model", str(model), "--data", str(workspace["data"]),
+            "--prompt", "1", "--seed", "3", "--out", str(out),
+        ])
+
+    def test_predict_reads_the_model_once(self, workspace, monkeypatch):
+        model, _ = self._two_models(workspace)
+        opened = []
+        real_open = io.open
+
+        def counted_open(file, *args, **kwargs):
+            if isinstance(file, (str, os.PathLike)) and os.path.abspath(file) == str(model):
+                opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(io, "open", counted_open)
+        monkeypatch.setattr("builtins.open", counted_open)
+        out = workspace["dir"] / "once.tsv"
+        assert self._predict(workspace, model, out) == 0
+        assert len(opened) == 1
+        header = out.read_text().splitlines()[1]
+        assert f"{model}:{digest(model.read_bytes())}" in header
+
+    def test_predict_uses_the_bytes_its_header_names(self, workspace, monkeypatch):
+        model, other = self._two_models(workspace)
+        want = workspace["dir"] / "want.tsv"
+        assert self._predict(workspace, model, want) == 0
+        original = model.read_bytes()
+        real_read = asas.cli._Ctx.read_input
+
+        def read_then_replace(ctx, path):
+            data = real_read(ctx, path)
+            if str(path) == str(model):
+                model.write_bytes(other.read_bytes())  # replaced right after the read
+            return data
+
+        monkeypatch.setattr(asas.cli._Ctx, "read_input", read_then_replace)
+        got = workspace["dir"] / "got.tsv"
+        assert self._predict(workspace, model, got) == 0
+        assert model.read_bytes() != original
+        assert got.read_bytes() == want.read_bytes()
+
     def test_failed_rename_keeps_previous_model(self, workspace, monkeypatch):
         out_dir = workspace["dir"] / "atomic"
         base = [
@@ -372,6 +457,58 @@ class TestEnsembleCommand:
         grad_norm = float(line.rsplit("gradient inf-norm ", 1)[1])
         assert 0 < iterations < 5000
         assert grad_norm <= 1e-6
+
+    def test_all_prompts_expands_the_prompt_placeholder(self, workspace, capsys):
+        for pid in (1, 2):
+            rows = [r for r in workspace["pool"] if r.prompt_id == pid]
+            rows += [r for r in workspace["test_rows"] if r.prompt_id == pid]
+            gold = np.array([r.score1 for r in rows])
+            for i in range(2):
+                member = noisy_member(
+                    f"m{i}", [r.id for r in rows], gold, 3, seed=10 * pid + i, prompt_id=pid
+                )
+                (workspace["dir"] / f"m{i}_p{pid}.tsv").write_bytes(dump_logprobs(member))
+        pattern = [str(workspace["dir"] / f"m{i}_p{{prompt}}.tsv") for i in range(2)]
+        common = ["--data", str(workspace["data"]), "--test", str(workspace["test"]), "--seed", "7"]
+        out_all = workspace["dir"] / "ens_all"
+        assert main(["ensemble", *common, "--all-prompts", "--members", *pattern,
+                     "--out", str(out_all)]) == 0
+        for pid in (1, 2):
+            # the same files as a single-prompt run on the expanded paths, headers included
+            single = workspace["dir"] / f"ens_{pid}"
+            members = [p.replace("{prompt}", str(pid)) for p in pattern]
+            assert main(["ensemble", *common, "--prompt", str(pid), "--members", *members,
+                         "--out", str(single)]) == 0
+            names = sorted(p.name for p in single.iterdir())
+            assert names == sorted(p.name for p in (out_all / f"prompt_{pid}").iterdir())
+            assert "report_dev.tsv" in names and "ensemble.txt" in names
+            for name in names:
+                assert (out_all / f"prompt_{pid}" / name).read_bytes() == (
+                    single / name).read_bytes(), (pid, name)
+            header = (single / "report_dev.tsv").read_text().splitlines()[0]
+            assert f"m0_p{pid}.tsv:" in header and f"m0_p{3 - pid}.tsv:" not in header
+
+    def test_all_prompts_without_placeholder_exits_2_before_writing(self, workspace, capsys):
+        members = _member_files(workspace)
+        out_dir = workspace["dir"] / "ens_fixed"
+        assert main([
+            "ensemble", "--data", str(workspace["data"]), "--all-prompts",
+            "--members", *members, "--out", str(out_dir),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "{prompt}" in err and members[0] in err
+        assert not out_dir.exists()
+
+    def test_single_prompt_header_names_the_literal_member_paths(self, workspace):
+        members = _member_files(workspace)
+        out_dir = workspace["dir"] / "ens_literal"
+        assert main([
+            "ensemble", "--data", str(workspace["data"]), "--test", str(workspace["test"]),
+            "--prompt", "1", "--members", *members, "--out", str(out_dir),
+        ]) == 0
+        header = (out_dir / "report_dev.tsv").read_text().splitlines()[0]
+        keys = [item.rsplit(":", 1)[0] for item in header.split("inputs=")[1].split(",")]
+        assert keys == sorted([str(workspace["data"]), str(workspace["test"]), *members])
 
     def test_m_larger_than_member_count_is_usage_error(self, workspace, capsys):
         members = _member_files(workspace)

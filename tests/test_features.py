@@ -15,6 +15,7 @@ from asas.features import (
     FeatureModelSpec,
     MIN_CUTOFF,
     MINUTIAE_LENGTHS,
+    NgramTables,
     STOPWORDS,
     apply_standardizer,
     build_features,
@@ -25,6 +26,7 @@ from asas.features import (
     fit_tfidf_vocab,
     fuzzy_ratios,
     minutiae_overlap,
+    minutiae_substrings,
     near_match_count,
     normalize_text,
     select_key_ngrams,
@@ -52,25 +54,25 @@ class TestNormalizeText:
 
 class TestMinutiaeOverlap:
     def test_self_overlap_counts_distinct_substrings(self):
-        got = minutiae_overlap("abcdefgh", "abcdefgh")
+        got = minutiae_overlap("abcdefgh", minutiae_substrings("abcdefgh"))
         assert got.tolist() == [4, 3, 2, 1] + [0] * 11
 
     def test_short_response_is_zero(self):
-        assert minutiae_overlap("abcd", "abcdefgh").tolist() == [0] * 15
+        assert minutiae_overlap("abcd", minutiae_substrings("abcdefgh")).tolist() == [0] * 15
 
     def test_disjoint_alphabets_is_zero(self):
-        assert minutiae_overlap("aaaaaaaaaa", "bbbbbbbbbb").tolist() == [0] * 15
+        assert minutiae_overlap("aaaaaaaaaa", minutiae_substrings("bbbbbbbbbb")).tolist() == [0] * 15
 
     def test_fifteen_dimensions_for_lengths_5_to_19(self):
         assert list(MINUTIAE_LENGTHS) == list(range(5, 20))
-        assert minutiae_overlap("x", "y").shape == (15,)
+        assert minutiae_overlap("x", minutiae_substrings("y")).shape == (15,)
 
     def test_matches_brute_force_on_random_strings(self):
         rng = random.Random(5)
         for _ in range(300):
             r = "".join(rng.choice("abc") for _ in range(rng.randint(0, 12)))
             p = "".join(rng.choice("abc") for _ in range(rng.randint(0, 12)))
-            assert minutiae_overlap(r, p).tolist() == minutiae_brute(r, p)
+            assert minutiae_overlap(r, minutiae_substrings(p)).tolist() == minutiae_brute(r, p)
 
 
 class TestSelectKeyNgrams:
@@ -180,20 +182,20 @@ class TestFuzzyRatios:
             [0 if g is None else int(np.sum(window_ratios(t, g) >= cutoff)) for g in grams]
             for t in texts
         ]
-        assert fuzzy_ratios(texts, grams, cutoff).counts(cutoff).tolist() == want
-        assert fuzzy_ratios(texts, grams, MIN_CUTOFF).counts(cutoff).tolist() == want
+        assert fuzzy_ratios(texts, NgramTables.of(grams), cutoff).counts(cutoff).tolist() == want
+        assert fuzzy_ratios(texts, NgramTables.of(grams), MIN_CUTOFF).counts(cutoff).tolist() == want
         assert [near_match_count(t, grams, cutoff).tolist() for t in texts] == want
 
     def test_kept_ratios_equal_reference_ratios(self):
         texts = ["the osmsis of water", "", "membrame cell"]
         grams = ["osmosis", "membrane cell", None, "the osmosis of water through"]
-        fr = fuzzy_ratios(texts, grams, MIN_CUTOFF)
+        fr = fuzzy_ratios(texts, NgramTables.of(grams), MIN_CUTOFF)
         assert fr.ratios.size > 0
         for row, col, ratio in zip(fr.rows, fr.cols, fr.ratios):
             assert ratio in window_ratios(texts[row], grams[col])
 
     def test_cutoff_below_floor_is_rejected(self):
-        fr = fuzzy_ratios(["water"], ["water"], 0.8)
+        fr = fuzzy_ratios(["water"], NgramTables.of(["water"]), 0.8)
         with pytest.raises(ValueError):
             fr.counts(0.7)
 
@@ -210,7 +212,7 @@ def test_builder_near_counts_match_direct_path(toy_builder, cutoff):
     corpus, builder = toy_builder
     spec, matrix = builder.build(4, cutoff)
     texts = [r.text for r in corpus.all_responses()]
-    direct = fuzzy_ratios(texts, spec.ngram_strings(), cutoff).counts(cutoff)
+    direct = fuzzy_ratios(texts, NgramTables.of(spec.ngram_strings()), cutoff).counts(cutoff)
     near = slice(spec.d_t + len(MINUTIAE_LENGTHS), spec.d_t + len(MINUTIAE_LENGTHS) + 90)
     mean, sd = spec.standardizer
     assert np.array_equal(matrix.data[:, near], apply_standardizer(direct, mean[near], sd[near]))
@@ -433,3 +435,108 @@ class TestCachedFeatureBuilder:
             builder = CachedFeatureBuilder(toy_corpus, d_t_max=300)
         spec, _ = builder.build(300, 0.8)
         assert spec.d_t <= len(toy_corpus.train)
+
+
+# --- the scoring state a spec builds once and every answer reuses ------------
+
+_OTHER_PROMPT = "Explain how photosynthesis turns light and carbon dioxide into sugar."
+_SWAPS = {"osmosis": "photosynthesis", "membrane": "chlorophyll", "water": "light"}
+
+
+def _other_corpus():
+    """A toy corpus whose key terms and prompt differ from ``make_toy_corpus``'s."""
+    def swap(r):
+        text = " ".join(_SWAPS.get(w, w) for w in r.text.split())
+        return ScoredResponse(r.id, r.prompt_id, text, r.score1, r.score2)
+
+    pool = [swap(r) for r in make_toy_responses(prompt_id=2, n=80, seed=7)]
+    return build_corpus(pool, prompt_id=2, dev_fraction=0.25, seed=7, prompt_text=_OTHER_PROMPT)
+
+
+def _reloaded(spec: FeatureModelSpec) -> FeatureModelSpec:
+    return FeatureModelSpec.from_artifact(Artifact.parse(spec.to_artifact().dump()))
+
+
+def _one_at_a_time(responses, spec) -> np.ndarray:
+    return np.array([extract_features([r], spec).data[0] for r in responses])
+
+
+@pytest.fixture(scope="module")
+def two_specs():
+    spec_a, _ = fit_feature_model(make_toy_corpus(), d_t=8, near_match_cutoff=0.75)
+    spec_b, _ = fit_feature_model(_other_corpus(), d_t=6, near_match_cutoff=0.9)
+    return spec_a, spec_b
+
+
+_answers = st.lists(
+    st.lists(
+        st.sampled_from(_KEY_WORDS + _NEAR_MISSES + _NOISE + list(_SWAPS.values())), max_size=14
+    ).map(" ".join),
+    min_size=1, max_size=8,
+)
+
+
+class TestScoringState:
+    @given(_answers, st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_reused_spec_scores_like_a_fresh_spec_and_the_batch(self, two_specs, texts, rnd):
+        spec = two_specs[0]
+        answers = [ScoredResponse(str(i), 1, t) for i, t in enumerate(texts)]
+        order = list(answers)
+        rnd.shuffle(order)
+        reused = _one_at_a_time(order, spec)
+        fresh = np.array([extract_features([r], _reloaded(spec)).data[0] for r in order])
+        assert reused.tobytes() == fresh.tobytes()
+
+        batch = extract_features(order, spec).data
+        # Every column but the TF-IDF projection is bit-identical to the batch;
+        # the projection is one BLAS product, whose rounding depends on how
+        # many rows it multiplies.
+        d_t = spec.d_t
+        assert reused[:, d_t:].tobytes() == batch[:, d_t:].tobytes()
+        assert np.allclose(reused[:, :d_t], batch[:, :d_t], rtol=0, atol=1e-12)
+
+    def test_alternating_specs_do_not_share_state(self, two_specs):
+        spec_a, spec_b = two_specs
+        assert spec_a.ngram_strings() != spec_b.ngram_strings()
+        assert spec_a.prompt_minutiae != spec_b.prompt_minutiae
+        answers = make_toy_corpus().all_responses()[:12] + _other_corpus().all_responses()[:12]
+        for r in answers:
+            for spec in (spec_a, spec_b):
+                row = extract_features([r], spec).data[0]
+                # The two state-built blocks, recomputed without any state.
+                cutoff = spec.near_match_cutoff
+                raw = np.array(minutiae_brute(r.text, spec.prompt_minutiae) + [
+                    0 if g is None else int(np.sum(window_ratios(r.text, g) >= cutoff))
+                    for g in spec.ngram_strings()
+                ], dtype=float)
+                cols = slice(spec.d_t, spec.d_t + len(raw))
+                mean, sd = spec.standardizer
+                want = apply_standardizer(raw, mean[cols], sd[cols])
+                assert row[cols].tobytes() == want.tobytes()
+
+    def test_builder_spec_and_loaded_spec_score_alike(self, toy_corpus):
+        builder = CachedFeatureBuilder(toy_corpus, d_t_max=10)
+        for d_t, cutoff in [(10, 0.8), (6, MIN_CUTOFF), (3, 1.0)]:
+            built, _ = builder.build(d_t, cutoff)
+            assert built.scoring is builder.scoring
+            loaded = _reloaded(built)
+            assert loaded.scoring is not built.scoring
+            for r in toy_corpus.test:
+                a = extract_features([r], built).data
+                b = extract_features([r], loaded).data
+                assert a.tobytes() == b.tobytes()
+
+    def test_scoring_leaves_the_artifact_unchanged(self, two_specs, toy_corpus):
+        spec = two_specs[0]
+        before = spec.to_artifact().dump()
+        _one_at_a_time(toy_corpus.all_responses(), spec)
+        extract_features(toy_corpus.all_responses(), spec)
+        assert spec.to_artifact().dump() == before
+
+    def test_state_built_for_other_ngrams_is_rejected(self, two_specs):
+        spec_a, spec_b = two_specs
+        spec = _reloaded(spec_a)
+        spec.scoring = spec_b.scoring
+        with pytest.raises(ValueError, match="scoring state"):
+            spec.validate()

@@ -5,10 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asas.errors import HeaderMismatch
 from asas.mathutil import log_softmax, logsumexp, sigmoid
 from asas.serialize import Artifact, artifact_header, fmt_float
+from oracles import artifact_dump_reference
+
+# Values whose text form is easy to get wrong: NaN, both infinities, both
+# zeros, subnormals down to the smallest, the float extremes, and values
+# that need all 17 significant digits to round-trip.
+_AWKWARD = [
+    math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324,
+    2.2250738585072009e-308, 1.7976931348623157e308, -2.2250738585072014e-308,
+    0.1 + 0.2, 1 / 3, -2 / 3, 9007199254740993.0, 1.0000000000000002, 123456789.01234567,
+]
 
 
 class TestArtifact:
@@ -75,6 +87,35 @@ class TestArtifact:
         art.require(meta=("k",), arrays=("m",))
         with pytest.raises(HeaderMismatch, match="'t'"):
             art.require(meta=("k",), tables=("t",))
+
+    def test_dump_equals_the_per_element_formatter(self):
+        rng = np.random.default_rng(4)
+        art = Artifact(
+            kind="awkward",
+            meta={"k": "v"},
+            tables={"t": [["a", "b"]]},
+            arrays={
+                "special": np.array(_AWKWARD),
+                "square": np.array(_AWKWARD[:16]).reshape(4, 4),
+                "random": rng.normal(0, 1e3, size=(5, 7)) * 10.0 ** rng.integers(-300, 300, (5, 7)),
+                "single": np.float32(rng.normal(size=(2, 3))),
+                "ints": np.arange(6).reshape(2, 3),
+                "empty_row": np.zeros(0),
+                "no_rows": np.zeros((0, 3)),
+            },
+        )
+        for header in (None, artifact_header(5, {"in": b"x"})):
+            assert art.dump(header) == artifact_dump_reference(art, header)
+
+    @given(st.lists(st.floats(width=64), min_size=1, max_size=24), st.integers(1, 4))
+    @settings(max_examples=200, deadline=None)
+    def test_any_floats_dump_and_parse_like_the_reference(self, values, n_rows):
+        art = Artifact(kind="any", arrays={"m": np.array(values * n_rows).reshape(n_rows, -1)})
+        text = art.dump()
+        assert text == artifact_dump_reference(art)
+        back = Artifact.parse(text).arrays["m"]
+        want = np.array([[float(x) for x in row.split("\t")] for row in text.splitlines()[2:]])
+        assert back.tobytes() == want.tobytes()
 
     def test_kind_check_on_load(self, tmp_path):
         path = tmp_path / "art.txt"
