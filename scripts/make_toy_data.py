@@ -96,11 +96,8 @@ def main() -> int:
     print(f"  asas stats --config {out / 'asas.conf'}")
     print(f"  asas tune --config {out / 'asas.conf'} --prompt 1 --trials 5 "
           f"--epochs 5 --prompt-text {out / 'prompt_1.txt'} --out {out / 'run'}")
-    print(f"  asas predict --config {out / 'asas.conf'} --prompt 1 "
-          f"--model {out / 'run' / 'model.txt'} --prompt-text {out / 'prompt_1.txt'} "
-          f"--out {out / 'run' / 'features.tsv'}")
     print(f"  asas ensemble --config {out / 'asas.conf'} --prompt 1 --m 2 "
-          f"--members {out}/member_*.tsv {out / 'run' / 'features.tsv'} "
+          f"--members {out}/member_*.tsv {out / 'run' / 'predictions.tsv'} "
           f"--out {out / 'ens'}")
     print(f"  asas report --out {out / 'table.tsv'} {out / 'ens' / 'report_test.tsv'}")
     return 0

@@ -9,12 +9,14 @@ Expects a data directory (default ./data, or $ASAS_DATA_DIR) holding:
     embeddings_<prompt>.tsv       precomputed sentence vectors (optional)
     prompt_<prompt>.txt           prompt/passage text (optional)
 
-For each prompt: print corpus statistics, run the 20-trial search over
-learning rate / batch size / TF-IDF dimension / fuzzy cutoff, train the
-final feature model, export its log-probabilities in the member format,
-and score the test split when labels are available. Writes everything
-under the output directory and finishes with a per-prompt report table
-plus the mean row.
+Prints corpus statistics (`asas stats`). Then, for each prompt, runs the
+20-trial search over learning rate / batch size / TF-IDF dimension /
+fuzzy cutoff and saves the best trial's feature model with its
+log-probabilities in the member format, `predictions.tsv` (`asas tune`);
+with a test file it stacks that member and scores the test split
+(`asas ensemble`, which writes `report_test.tsv` when the test labels are
+known). Writes everything under the output directory and finishes with a
+per-prompt report table plus the mean row (`asas report`).
 """
 from __future__ import annotations
 
@@ -25,16 +27,6 @@ import time
 from pathlib import Path
 
 from asas.cli import main as cli_main
-from asas.corpus import (
-    ColumnMap,
-    attach_scores,
-    build_corpus,
-    corpus_stats,
-    parse_dataset,
-    parse_score_table,
-    prompt_seed,
-    StatsRow,
-)
 
 
 def find_one(root: Path, patterns: list[str]) -> Path | None:
@@ -62,40 +54,23 @@ def main() -> int:
     out_root = Path(args.out)
     out_root.mkdir(parents=True, exist_ok=True)
 
-    pool = parse_dataset(train_path.read_bytes())
+    common = ["--data", str(train_path), "--seed", str(args.seed)]
     test_path = find_one(root, ["public_leaderboard*.tsv"])
-    solution_path = find_one(root, ["*solution*.csv", "*solution*.tsv"])
-    test = []
     if test_path is not None:
-        test = parse_dataset(test_path.read_bytes(), ColumnMap(score1="", score2=""))
+        common += ["--test", str(test_path)]
+        solution_path = find_one(root, ["*solution*.csv", "*solution*.tsv"])
         if solution_path is not None:
-            scores = parse_score_table(solution_path.read_bytes(), "id", "essay_score")
-            test = attach_scores(test, scores)
-
-    print(StatsRow.TSV_HEADER)
-    for pid in args.prompts:
-        corpus = build_corpus(
-            pool, prompt_id=pid, dev_fraction=0.2,
-            seed=prompt_seed(args.seed, pid), test=test,
-        )
-        print(corpus_stats(corpus).to_tsv_row())
+            common += ["--solution", str(solution_path)]
+    code = cli_main(["stats", *common])
+    if code != 0:
+        return code
 
     report_files = []
     for pid in args.prompts:
         started = time.monotonic()
         run_dir = out_root / f"prompt_{pid}"
-        cmd = [
-            "tune",
-            "--data", str(train_path),
-            "--prompt", str(pid),
-            "--seed", str(args.seed),
-            "--trials", str(args.trials),
-            "--out", str(run_dir),
-        ]
-        if test_path is not None:
-            cmd += ["--test", str(test_path)]
-            if solution_path is not None:
-                cmd += ["--solution", str(solution_path)]
+        cmd = ["tune", *common, "--prompt", str(pid), "--trials", str(args.trials),
+               "--out", str(run_dir)]
         emb = root / f"embeddings_{pid}.tsv"
         if emb.is_file():
             cmd += ["--embeddings", str(emb)]
@@ -107,40 +82,16 @@ def main() -> int:
             print(f"prompt {pid}: tune failed with exit {code}", file=sys.stderr)
             return code
 
-        predict_cmd = [
-            "predict",
-            "--model", str(run_dir / "model.txt"),
-            "--data", str(train_path),
-            "--prompt", str(pid),
-            "--seed", str(args.seed),
-            "--out", str(run_dir / "features.tsv"),
-        ]
         if test_path is not None:
-            predict_cmd += ["--test", str(test_path)]
-        if emb.is_file():
-            predict_cmd += ["--embeddings", str(emb)]
-        if prompt_text.is_file():
-            predict_cmd += ["--prompt-text", str(prompt_text)]
-        code = cli_main(predict_cmd)
-        if code != 0:
-            return code
-
-        if test and all(r.score1 is not None for r in test if r.prompt_id == pid):
-            ensemble_cmd = [
-                "ensemble",
-                "--data", str(train_path),
-                "--test", str(test_path),
-                "--prompt", str(pid),
-                "--seed", str(args.seed),
-                "--members", str(run_dir / "features.tsv"),
-                "--out", str(run_dir),
-            ]
-            if solution_path is not None:
-                ensemble_cmd += ["--solution", str(solution_path)]
-            code = cli_main(ensemble_cmd)
+            ens_dir = run_dir / "ensemble"
+            report_test = ens_dir / "report_test.tsv"
+            report_test.unlink(missing_ok=True)  # a previous run's report is not this one's
+            code = cli_main(["ensemble", *common, "--prompt", str(pid),
+                             "--members", str(run_dir / "predictions.tsv"), "--out", str(ens_dir)])
             if code != 0:
                 return code
-            report_files.append(str(run_dir / "report_test.tsv"))
+            if report_test.is_file():
+                report_files.append(str(report_test))
         print(f"prompt {pid} done in {time.monotonic() - started:.0f}s")
 
     if report_files:

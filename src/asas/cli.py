@@ -105,7 +105,7 @@ OPTIONS = {
     "tfidf_dim": Option(int, 200, "TF-IDF projection dimension"),
     "cutoff": Option(float, 0.8, "near-match cutoff in [0.5, 1.0]"),
     "trials": Option(int, 20, "hyperparameter trials"),
-    "model": Option(str, None, "feature model file"),
+    "model": Option(str, None, "feature model file; {prompt} in it stands for the prompt id"),
     "name": Option(str, "features", "model name for exported predictions"),
     "members": Option(
         list, None, "member log-probability files; {prompt} in a path stands for the prompt id"
@@ -204,6 +204,26 @@ def _corpora(ctx: _Ctx, test: bool = True):
         )
 
 
+def _per_prompt_files(ctx: _Ctx, flag: str, paths: list[str]):
+    """(id, corpus, ``paths`` with {prompt} expanded to the id) for each prompt.
+
+    A model or member file holds one prompt, so over more than one prompt
+    every path must name its prompt; that is checked before anything is
+    written. Each prompt's header names the shared inputs and its own files.
+    """
+    corpora = list(_corpora(ctx))
+    fixed = [p for p in paths if "{prompt}" not in p]
+    if len(corpora) > 1 and fixed:
+        raise MissingPromptPlaceholder(
+            f"--{flag} path {fixed[0]} has no {{prompt}} placeholder, but --all-prompts"
+            f" covers {len(corpora)} prompts; name each prompt's file, e.g. run_{{prompt}}.tsv"
+        )
+    shared_inputs = dict(ctx.inputs)
+    for pid, corpus in corpora:
+        ctx.inputs = dict(shared_inputs)
+        yield pid, corpus, [p.replace("{prompt}", str(pid)) for p in paths]
+
+
 def _embeddings(ctx: _Ctx):
     return None if ctx.embeddings is None else load_embeddings(ctx.read_input(ctx.embeddings))
 
@@ -283,8 +303,10 @@ def _train_once(corpus, matrix, lr, batch, epochs, seed, hidden):
     )
 
 
-def _save_run(out: Path, header: str, corpus, spec: FeatureModelSpec, matrix, result) -> None:
-    """Write a trained feature model, its training history and its dev report."""
+def _save_run(ctx: _Ctx, out: Path, corpus, spec: FeatureModelSpec, matrix, result) -> None:
+    """Write a trained feature model, its training history, its dev report and,
+    as ``predictions.tsv``, its log-probabilities on every row it was fitted on."""
+    header = ctx.header()
     art = spec.to_artifact()
     art.kind = "feature-model"
     art.arrays.update(result.model.to_arrays())
@@ -294,6 +316,8 @@ def _save_run(out: Path, header: str, corpus, spec: FeatureModelSpec, matrix, re
     pred = np.argmax(mlp_forward(result.model, matrix.rows_for(dev_ids)), axis=1)
     report = evaluate_run(pred, corpus.labels(corpus.dev), corpus.num_classes, corpus.prompt_id)
     _write(out / "report_dev.tsv", header, _report_tsv(report))
+    logprobs = log_softmax(mlp_forward(result.model, matrix.data), axis=1)
+    _write_logprobs(ctx, out / "predictions.tsv", ctx.name, corpus, matrix.ids, logprobs)
 
 
 def cmd_train_features(ctx: _Ctx) -> None:
@@ -306,7 +330,7 @@ def cmd_train_features(ctx: _Ctx) -> None:
             corpus, matrix, lr=ctx.lr, batch=ctx.batch, epochs=ctx.epochs,
             seed=ctx.seed, hidden=ctx.hidden,
         )
-        _save_run(_out_dir(ctx, pid), ctx.header(), corpus, spec, matrix, result)
+        _save_run(ctx, _out_dir(ctx, pid), corpus, spec, matrix, result)
         print(f"prompt {pid}: best dev QWK {result.best_dev_qwk:.4f} (epoch {result.best_epoch})")
 
 
@@ -332,9 +356,9 @@ def cmd_tune(ctx: _Ctx) -> None:
             return result.best_dev_qwk
 
         study = run_study(space, objective, n_trials=ctx.trials, seed=ctx.seed)
-        out, header = _out_dir(ctx, pid), ctx.header()
-        _write(out / "study.tsv", header, study_log(space, study))
-        _save_run(out, header, corpus, *kept)
+        out = _out_dir(ctx, pid)
+        _write(out / "study.tsv", ctx.header(), study_log(space, study))
+        _save_run(ctx, out, corpus, *kept)
         print(
             f"prompt {pid}: best trial {study.best.trial_index} "
             f"dev QWK {study.best.objective:.4f} params {study.best.params}"
@@ -344,11 +368,11 @@ def cmd_tune(ctx: _Ctx) -> None:
 def cmd_predict(ctx: _Ctx) -> None:
     if ctx.model is None:
         raise AsasError("--model is required")
-    # Parse the bytes the header's digest is taken of: the file is read once.
-    model = ctx.read_input(ctx.model).decode("utf-8")
-    spec, mlp = _feature_model(Artifact.parse(model, "feature-model"))
     embeddings = _embeddings(ctx)
-    for pid, corpus in _corpora(ctx):
+    for pid, corpus, (model_path,) in _per_prompt_files(ctx, "model", [ctx.model]):
+        # Parse the bytes the header's digest is taken of: the file is read once.
+        model = ctx.read_input(model_path).decode("utf-8")
+        spec, mlp = _feature_model(Artifact.parse(model, "feature-model"))
         matrix = build_features(corpus, spec, embeddings)
         logprobs = log_softmax(mlp_forward(mlp, matrix.data), axis=1)
         single = Path(ctx.out or "predictions.tsv")
@@ -363,22 +387,9 @@ def cmd_ensemble(ctx: _Ctx) -> None:
         raise AsasError("--members is required")
     if ctx.m is not None and not 1 <= ctx.m <= len(ctx.members):
         raise AsasError(f"--m must be between 1 and {len(ctx.members)}")
-    corpora = list(_corpora(ctx))
-    # A member file holds one prompt's rows, so each prompt needs its own files.
-    fixed = [p for p in ctx.members if "{prompt}" not in p]
-    if len(corpora) > 1 and fixed:
-        raise MissingPromptPlaceholder(
-            f"--members path {fixed[0]} has no {{prompt}} placeholder, but --all-prompts"
-            f" covers {len(corpora)} prompts; name each prompt's file, e.g. run_{{prompt}}.tsv"
-        )
-    shared_inputs = dict(ctx.inputs)
-    for pid, corpus in corpora:
-        ctx.inputs = dict(shared_inputs)  # each prompt's header names its own members
+    for pid, corpus, paths in _per_prompt_files(ctx, "members", ctx.members):
         k = corpus.num_classes
-        members = [
-            load_logprobs(ctx.read_input(p.replace("{prompt}", str(pid))), corpus)
-            for p in ctx.members
-        ]
+        members = [load_logprobs(ctx.read_input(p), corpus) for p in paths]
         names = [mem.model_name for mem in members]
         if len(set(names)) != len(names):
             raise AsasError(f"duplicate member names: {names}")

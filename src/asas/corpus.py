@@ -355,11 +355,13 @@ def load_logprobs(data: bytes | str, corpus: PromptCorpus | None = None) -> LogP
 
 
 def dump_logprobs(matrix: LogProbMatrix, extra_comment: str | None = None) -> bytes:
-    """Serialize a LogProbMatrix in the interchange format."""
+    """Serialize a LogProbMatrix in the interchange format; every row must hold k values."""
     out = [f"#model={matrix.model_name}\tprompt={matrix.prompt_id}\tk={matrix.k}"]
     if extra_comment:
         out.append(extra_comment)
     for rid, vec in matrix.rows.items():
+        if len(vec) != matrix.k:
+            raise RowLengthMismatch(f"row {rid!r}: expected {matrix.k} values, got {len(vec)}")
         out.append(rid + "\t" + "\t".join(repr(float(v)) for v in vec))
     return ("\n".join(out) + "\n").encode("utf-8")
 

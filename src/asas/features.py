@@ -698,27 +698,31 @@ def _embedding_block(
 def _raw_blocks(
     responses: list[ScoredResponse],
     vocab: dict[str, tuple[int, float]],
-    projection: np.ndarray,
     scoring: ScoringState,
     floor: float,
     embedding_dim: int | None,
     embeddings: EmbeddingTable | None,
 ) -> tuple:
-    """The five blocks' unstandardized rows; the fuzzy block as ratios that reach ``floor``."""
+    """The five blocks' unstandardized rows: TF-IDF as unprojected term rows,
+    the fuzzy block as ratios that reach ``floor``."""
     texts = [r.text for r in responses]
     return (
         None if embedding_dim is None else _embedding_block(responses, embedding_dim, embeddings),
-        tfidf_matrix(texts, vocab) @ projection,
+        tfidf_matrix(texts, vocab),
         np.array([minutiae_overlap(t, scoring.prompt_subs) for t in texts]),
         fuzzy_ratios(texts, scoring.ngrams, floor),
         np.array([text_stats(t) for t in texts]),
     )
 
 
-def _assemble(blocks: tuple, d_t: int, cutoff: float) -> np.ndarray:
-    """Concatenate the blocks in feature order, keeping ``d_t`` TF-IDF columns."""
-    emb, tfidf, minutiae, fuzzy, stats = blocks
-    parts = (emb, tfidf[:, :d_t], minutiae, fuzzy.counts(cutoff), stats)
+def _assemble(blocks: tuple, projection: np.ndarray, cutoff: float) -> np.ndarray:
+    """Concatenate the blocks in feature order, projecting the term rows with ``projection``.
+
+    Fit and score both project here, with the spec's own projection, so a
+    spec reproduces the rows it was fitted on bit for bit.
+    """
+    emb, terms, minutiae, fuzzy, stats = blocks
+    parts = (emb, terms @ projection, minutiae, fuzzy.counts(cutoff), stats)
     return np.concatenate([b for b in parts if b is not None], axis=1)
 
 
@@ -761,10 +765,9 @@ def extract_features(
     """Apply a fitted spec to any responses, standardizing with train stats."""
     cutoff = spec.near_match_cutoff
     blocks = _raw_blocks(
-        responses, spec.tfidf_vocab, spec.tfidf_projection, spec.scoring,
-        cutoff, spec.embedding_dim, embeddings,
+        responses, spec.tfidf_vocab, spec.scoring, cutoff, spec.embedding_dim, embeddings
     )
-    raw = _assemble(blocks, spec.d_t, cutoff)
+    raw = _assemble(blocks, spec.tfidf_projection, cutoff)
     mean, sd = spec.standardizer
     return FeatureMatrix(ids=[r.id for r in responses], data=apply_standardizer(raw, mean, sd))
 
@@ -784,13 +787,16 @@ class CachedFeatureBuilder:
     ``__init__`` fits on the train split and computes every block's rows
     once, at the widest settings ``build`` will be asked for: the
     eigen-projection at ``d_t_max`` columns and the fuzzy window ratios
-    that reach ``floor``. ``build(d_t, cutoff)`` narrows from there: it
-    slices the leading ``d_t`` eigenvectors (they are nested), thresholds
-    the ratios at ``cutoff`` and refits the standardizer on the train
-    rows. Tuning fits once at ``floor=MIN_CUTOFF`` for all its trials;
-    ``fit_feature_model`` fits at its own d_t and cutoff. The key n-grams
-    and the prompt are the same for every ``build``, so all the specs it
-    returns share the one ``ScoringState`` that ``__init__`` scored with.
+    that reach ``floor``; the TF-IDF rows are kept unprojected.
+    ``build(d_t, cutoff)`` narrows from there: it slices the leading
+    ``d_t`` eigenvectors (they are nested) into the spec's projection and
+    projects the term rows with it, thresholds the ratios at ``cutoff``
+    and refits the standardizer on the train rows, so its rows are the
+    ones ``extract_features`` gives on the spec, bit for bit. Tuning fits
+    once at ``floor=MIN_CUTOFF`` for all its trials; ``fit_feature_model``
+    fits at its own d_t and cutoff. The key n-grams and the prompt are the
+    same for every ``build``, so all the specs it returns share the one
+    ``ScoringState`` that ``__init__`` scored with.
     """
 
     def __init__(
@@ -811,17 +817,16 @@ class CachedFeatureBuilder:
         self.prompt_minutiae = normalize_text(corpus.prompt_text)
         self.scoring = ScoringState.of(self.key_ngrams, self.prompt_minutiae)
         self._blocks = _raw_blocks(
-            responses, self.vocab, self._projection_full, self.scoring,
-            floor, self.embedding_dim, embeddings,
+            responses, self.vocab, self.scoring, floor, self.embedding_dim, embeddings
         )
 
     def build(self, d_t: int, cutoff: float) -> tuple[FeatureModelSpec, FeatureMatrix]:
-        d_eff = min(d_t, self._projection_full.shape[1])
-        raw = _assemble(self._blocks, d_eff, cutoff)
+        projection = self._projection_full[:, :d_t].copy()
+        raw = _assemble(self._blocks, projection, cutoff)
         mean, sd = fit_standardizer(raw[: self._n_train])
         spec = FeatureModelSpec(
             tfidf_vocab=self.vocab,
-            tfidf_projection=self._projection_full[:, :d_eff].copy(),
+            tfidf_projection=projection,
             key_ngrams=self.key_ngrams,
             near_match_cutoff=cutoff,
             standardizer=(mean, sd),

@@ -18,6 +18,7 @@ from asas.corpus import (
     prompt_seed,
     serialize_dataset,
 )
+from asas.hyperopt import IntUniform, SearchSpace
 from asas.mathutil import logsumexp
 from asas.metrics import EvalReport
 from asas.serialize import digest
@@ -385,6 +386,112 @@ class TestTune:
         got = saved.to_arrays()
         assert sorted(got) == sorted(want)
         assert all(np.array_equal(got[name], want[name]) for name in want)
+
+
+def _data_lines(path) -> list[str]:
+    """A log-probability file without its '#asas' header, which names the command's inputs."""
+    return [ln for ln in path.read_text().splitlines() if not ln.startswith("#asas")]
+
+
+class TestMemberFile:
+    """train-features and tune write the member file that predict writes on their model."""
+
+    def _predict(self, workspace, run_dir, *extra):
+        out = run_dir / "predict.tsv"
+        assert main([
+            "predict", "--model", str(run_dir / "model.txt"), "--data", str(workspace["data"]),
+            "--test", str(workspace["test"]), "--prompt", "1", "--seed", "3",
+            "--prompt-text", str(workspace["prompt_text"]), *extra, "--out", str(out),
+        ]) == 0
+        return out
+
+    def test_train_features_writes_what_predict_writes(self, workspace):
+        conf = workspace["dir"] / "named.conf"
+        conf.write_text("name = fm\n")
+        run = workspace["dir"] / "tf_member"
+        assert main([
+            "train-features", "--config", str(conf), "--data", str(workspace["data"]),
+            "--test", str(workspace["test"]), "--prompt", "1", "--seed", "3", "--epochs", "3",
+            "--tfidf-dim", "6", "--prompt-text", str(workspace["prompt_text"]),
+            "--out", str(run),
+        ]) == 0
+        saved = run / "predictions.tsv"
+        assert saved.read_text().startswith("#model=fm\tprompt=1\tk=3\n#asas\t")
+        assert _data_lines(saved) == _data_lines(self._predict(workspace, run, "--name", "fm"))
+        ids = {r.id for r in workspace["pool"] if r.prompt_id == 1}
+        ids |= {r.id for r in workspace["test_rows"]}
+        assert set(load_logprobs(saved.read_bytes()).rows) == ids
+
+    def test_tune_writes_what_predict_writes_below_the_rank(self, workspace, monkeypatch):
+        # The toy corpus's TF-IDF rank (48) is under the search's 100..300,
+        # so narrow the dimension until every trial projects below the rank,
+        # to widths where slicing a wider product rounds differently.
+        space = asas.cli.feature_search_space()
+        narrow = SearchSpace({**space.params, "tfidf_dim": IntUniform(2, 4)})
+        monkeypatch.setattr(asas.cli, "feature_search_space", lambda: narrow)
+        run = workspace["dir"] / "tune_member"
+        assert main([
+            "tune", "--data", str(workspace["data"]), "--test", str(workspace["test"]),
+            "--prompt", "1", "--seed", "3", "--trials", "3", "--epochs", "3",
+            "--prompt-text", str(workspace["prompt_text"]), "--out", str(run),
+        ]) == 0
+        spec, _ = load_feature_model(run / "model.txt")
+        assert spec.d_t <= 4
+        saved = run / "predictions.tsv"
+        assert load_logprobs(saved.read_bytes()).model_name == "features"
+        assert _data_lines(saved) == _data_lines(self._predict(workspace, run))
+
+
+@pytest.fixture
+def mixed_k(tmp_path):
+    """Two prompts scored 0..2 and 0..3, and a model trained on each."""
+    pool = make_toy_responses(prompt_id=1, n=60, k=3, seed=0)
+    pool += make_toy_responses(prompt_id=2, n=60, k=4, seed=1, start_id=5_000)
+    data = tmp_path / "train.tsv"
+    data.write_bytes(serialize_dataset(pool))
+    models = tmp_path / "models"
+    assert main([
+        "train-features", "--data", str(data), "--all-prompts", "--seed", "3",
+        "--epochs", "2", "--tfidf-dim", "6", "--out", str(models),
+    ]) == 0
+    return tmp_path, data, models
+
+
+class TestPredictPerPrompt:
+    def _predict(self, data, model, out, *prompts):
+        return main([
+            "predict", "--data", str(data), "--seed", "3", *prompts,
+            "--model", str(model), "--out", str(out),
+        ])
+
+    def test_all_prompts_expands_the_model_placeholder(self, mixed_k):
+        root, data, models = mixed_k
+        out_all = root / "pred_all"
+        pattern = models / "prompt_{prompt}" / "model.txt"
+        assert self._predict(data, pattern, out_all, "--all-prompts") == 0
+        for pid, k in ((1, 3), (2, 4)):
+            got = out_all / f"prompt_{pid}" / "predictions.tsv"
+            assert load_logprobs(got.read_bytes()).k == k
+            # the same bytes as a single-prompt run on the expanded path, header included
+            single = root / f"pred_{pid}.tsv"
+            model = models / f"prompt_{pid}" / "model.txt"
+            assert self._predict(data, model, single, "--prompt", str(pid)) == 0
+            assert got.read_bytes() == single.read_bytes()
+
+    def test_all_prompts_without_placeholder_exits_2_before_writing(self, mixed_k, capsys):
+        root, data, models = mixed_k
+        model, out = models / "prompt_1" / "model.txt", root / "pred_fixed"
+        assert self._predict(data, model, out, "--all-prompts") == 2
+        err = capsys.readouterr().err
+        assert "{prompt}" in err and str(model) in err
+        assert not out.exists()
+
+    def test_another_prompts_model_exits_2_without_writing(self, mixed_k, capsys):
+        root, data, models = mixed_k
+        out = root / "pred_2.tsv"
+        assert self._predict(data, models / "prompt_1" / "model.txt", out, "--prompt", "2") == 2
+        assert "expected 4 values, got 3" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestEnsembleCommand:

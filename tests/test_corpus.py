@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from asas.corpus import (
     ColumnMap,
+    LogProbMatrix,
     PromptCorpus,
     ScoredResponse,
     build_corpus,
@@ -370,6 +371,12 @@ class TestLoadLogprobs:
         assert again.model_name == "m" and again.prompt_id == 2 and again.k == 3
         for rid in matrix.rows:
             assert again.rows[rid] == pytest.approx(matrix.rows[rid], abs=0)
+
+    @pytest.mark.parametrize("width", [2, 4])
+    def test_dump_refuses_a_row_of_another_width(self, width):
+        rows = {"r1": np.zeros(3), "r2": np.zeros(width)}
+        with pytest.raises(RowLengthMismatch, match=f"'r2': expected 3 values, got {width}"):
+            dump_logprobs(LogProbMatrix("m", 1, 3, rows))
 
 
 class TestLoadEmbeddings:

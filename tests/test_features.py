@@ -424,11 +424,23 @@ class TestCachedFeatureBuilder:
             cached_spec, cached_matrix = builder.build(d_t, cutoff)
             direct_spec, _ = fit_feature_model(toy_corpus, d_t=d_t, near_match_cutoff=cutoff)
             direct_matrix = build_features(toy_corpus, direct_spec)
-            assert np.allclose(
-                cached_spec.tfidf_projection, direct_spec.tfidf_projection, atol=1e-10
-            )
+            assert np.array_equal(cached_spec.tfidf_projection, direct_spec.tfidf_projection)
             assert cached_spec.ngram_strings() == direct_spec.ngram_strings()
-            assert np.allclose(cached_matrix.data, direct_matrix.data, atol=1e-10)
+            assert np.array_equal(cached_matrix.data, direct_matrix.data)
+
+    def test_rows_equal_the_spec_rows_below_the_rank(self, toy_corpus):
+        # tune fits at d_t_max=300 and builds narrower: every trial's rows
+        # must be the rows its saved spec gives, not equal only to 1e-15
+        with pytest.warns(UserWarning, match="shrinking"):
+            builder = CachedFeatureBuilder(toy_corpus, d_t_max=300)
+        rank = builder.build(300, 0.8)[0].d_t
+        assert rank > 20
+        for d_t in range(1, rank):
+            spec, matrix = builder.build(d_t, 0.8)
+            assert spec.d_t == d_t
+            again = extract_features(toy_corpus.all_responses(), spec)
+            assert again.ids == matrix.ids
+            assert np.array_equal(again.data, matrix.data), d_t
 
     def test_requested_dim_above_rank_is_clamped(self, toy_corpus):
         with pytest.warns(UserWarning, match="shrinking"):
