@@ -9,32 +9,27 @@ Expects a data directory (default ./data, or $ASAS_DATA_DIR) holding:
     embeddings_<prompt>.tsv       precomputed sentence vectors (optional)
     prompt_<prompt>.txt           prompt/passage text (optional)
 
-Prints corpus statistics (`asas stats`). Then, for each prompt, runs the
-20-trial search over learning rate / batch size / TF-IDF dimension /
-fuzzy cutoff and saves the best trial's feature model with its
-log-probabilities in the member format, `predictions.tsv` (`asas tune`);
-with a test file it stacks that member and scores the test split
-(`asas ensemble`, which writes `report_test.tsv` when the test labels are
-known). Writes everything under the output directory and finishes with a
-per-prompt report table plus the mean row (`asas report`).
+Makes one `asas` call per stage over every prompt in train.tsv: `stats`;
+`tune --all-prompts`, the 20-trial search, which saves each prompt's best
+feature model and its member file under `<out>/prompt_<id>/`; with a test
+file, `ensemble --all-prompts` on those members (`<out>/ensemble/prompt_<id>/`);
+and `report` over every `report_test.tsv` written (the test labels are
+needed). When any embeddings or prompt-text file exists, each prompt needs
+its own: a missing one exits 2 naming it.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
-import time
 from pathlib import Path
 
 from asas.cli import main as cli_main
 
 
 def find_one(root: Path, patterns: list[str]) -> Path | None:
-    for pattern in patterns:
-        hits = sorted(root.glob(pattern))
-        if hits:
-            return hits[0]
-    return None
+    """The first file, in name order, that the first matching pattern finds."""
+    return next((hit for pattern in patterns for hit in sorted(root.glob(pattern))), None)
 
 
 def main() -> int:
@@ -43,7 +38,6 @@ def main() -> int:
     parser.add_argument("--out", default="runs")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--trials", type=int, default=20)
-    parser.add_argument("--prompts", type=int, nargs="*", default=list(range(1, 11)))
     args = parser.parse_args()
 
     root = Path(args.data_dir)
@@ -52,7 +46,6 @@ def main() -> int:
         print(f"no dataset at {train_path}; nothing to do", file=sys.stderr)
         return 2
     out_root = Path(args.out)
-    out_root.mkdir(parents=True, exist_ok=True)
 
     common = ["--data", str(train_path), "--seed", str(args.seed)]
     test_path = find_one(root, ["public_leaderboard*.tsv"])
@@ -65,38 +58,24 @@ def main() -> int:
     if code != 0:
         return code
 
-    report_files = []
-    for pid in args.prompts:
-        started = time.monotonic()
-        run_dir = out_root / f"prompt_{pid}"
-        cmd = ["tune", *common, "--prompt", str(pid), "--trials", str(args.trials),
-               "--out", str(run_dir)]
-        emb = root / f"embeddings_{pid}.tsv"
-        if emb.is_file():
-            cmd += ["--embeddings", str(emb)]
-        prompt_text = root / f"prompt_{pid}.txt"
-        if prompt_text.is_file():
-            cmd += ["--prompt-text", str(prompt_text)]
-        code = cli_main(cmd)
-        if code != 0:
-            print(f"prompt {pid}: tune failed with exit {code}", file=sys.stderr)
-            return code
+    tune = ["tune", *common, "--all-prompts", "--trials", str(args.trials), "--out", str(out_root)]
+    for flag, name in (("--embeddings", "embeddings_{prompt}.tsv"),
+                       ("--prompt-text", "prompt_{prompt}.txt")):
+        if any(root.glob(name.replace("{prompt}", "*"))):
+            tune += [flag, str(root / name)]
+    code = cli_main(tune)
+    if code != 0 or test_path is None:
+        return code
 
-        if test_path is not None:
-            ens_dir = run_dir / "ensemble"
-            report_test = ens_dir / "report_test.tsv"
-            report_test.unlink(missing_ok=True)  # a previous run's report is not this one's
-            code = cli_main(["ensemble", *common, "--prompt", str(pid),
-                             "--members", str(run_dir / "predictions.tsv"), "--out", str(ens_dir)])
-            if code != 0:
-                return code
-            if report_test.is_file():
-                report_files.append(str(report_test))
-        print(f"prompt {pid} done in {time.monotonic() - started:.0f}s")
-
-    if report_files:
-        return cli_main(["report", "--out", str(out_root / "report.tsv"), *report_files])
-    return 0
+    ens_root = out_root / "ensemble"
+    for stale in ens_root.glob("prompt_*/report_test.tsv"):
+        stale.unlink()  # a previous run's report is not this one's
+    code = cli_main(["ensemble", *common, "--all-prompts", "--members",
+                     str(out_root / "prompt_{prompt}" / "predictions.tsv"), "--out", str(ens_root)])
+    reports = sorted(map(str, ens_root.glob("prompt_*/report_test.tsv")))
+    if code != 0 or not reports:
+        return code
+    return cli_main(["report", "--out", str(out_root / "report.tsv"), *reports])
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from .ensemble import (
     score_ensemble,
     select_best_subset,
 )
-from .errors import AllTrialsFailed, AsasError, CoverageGap, MissingPromptPlaceholder
+from .errors import AllTrialsFailed, AsasError, CoverageGap, MalformedRow, MissingPromptPlaceholder
 from .features import (
     CachedFeatureBuilder,
     FeatureModelSpec,
@@ -186,46 +186,59 @@ def _load_test(ctx: _Ctx):
     )
 
 
-def _corpora(ctx: _Ctx, test: bool = True):
-    """(id, corpus) of --prompt, or of every prompt with --all-prompts."""
+def _expand(value, pid: int):
+    """An option's path, or list of paths, with {prompt} standing for ``pid``."""
+    if isinstance(value, list):
+        return [_expand(p, pid) for p in value]
+    return None if value is None else value.replace("{prompt}", str(pid))
+
+
+def _corpora(ctx: _Ctx, *files: str, test: bool = True):
+    """(id, corpus, paths) of --prompt, or of every prompt with --all-prompts.
+
+    ``files`` names the options that hold one prompt's file(s); ``paths[name]``
+    is that option's value with {prompt} expanded to the id. Over several
+    prompts each such path must contain {prompt}; that is checked before any
+    per-prompt file is read or anything is written. Each header names the
+    shared inputs and its own prompt's files."""
     responses = _load_dataset(ctx)
     test_rows = _load_test(ctx) if test else []
     if not ctx.all_prompts and ctx.prompt is None:
         raise AsasError("--prompt is required (or pass --all-prompts)")
-    text = "" if ctx.prompt_text is None else ctx.read_input(ctx.prompt_text).decode("utf-8")
-    for pid in sorted({r.prompt_id for r in responses}) if ctx.all_prompts else [ctx.prompt]:
+    pids = sorted({r.prompt_id for r in responses}) if ctx.all_prompts else [ctx.prompt]
+    for name in files:
+        value = getattr(ctx, name)
+        for path in [value] if isinstance(value, str) else value or []:
+            if len(pids) > 1 and "{prompt}" not in path:
+                raise MissingPromptPlaceholder(
+                    f"--{name.replace('_', '-')} path {path} has no {{prompt}} placeholder, but"
+                    f" --all-prompts covers {len(pids)} prompts; name each prompt's file,"
+                    " e.g. run_{prompt}.tsv"
+                )
+    shared_inputs = dict(ctx.inputs)
+    for pid in pids:
+        ctx.inputs = dict(shared_inputs)
+        paths = {name: _expand(getattr(ctx, name), pid) for name in files}
+        text = paths.get("prompt_text")
         yield pid, build_corpus(
             responses,
             prompt_id=pid,
             dev_fraction=ctx.dev_frac,
             seed=prompt_seed(ctx.seed, pid),
             test=test_rows,
-            prompt_text=text,
-        )
+            prompt_text="" if text is None else ctx.read_input(text).decode("utf-8"),
+        ), paths
 
 
-def _per_prompt_files(ctx: _Ctx, flag: str, paths: list[str]):
-    """(id, corpus, ``paths`` with {prompt} expanded to the id) for each prompt.
-
-    A model or member file holds one prompt, so over more than one prompt
-    every path must name its prompt; that is checked before anything is
-    written. Each prompt's header names the shared inputs and its own files.
-    """
-    corpora = list(_corpora(ctx))
-    fixed = [p for p in paths if "{prompt}" not in p]
-    if len(corpora) > 1 and fixed:
-        raise MissingPromptPlaceholder(
-            f"--{flag} path {fixed[0]} has no {{prompt}} placeholder, but --all-prompts"
-            f" covers {len(corpora)} prompts; name each prompt's file, e.g. run_{{prompt}}.tsv"
-        )
-    shared_inputs = dict(ctx.inputs)
-    for pid, corpus in corpora:
-        ctx.inputs = dict(shared_inputs)
-        yield pid, corpus, [p.replace("{prompt}", str(pid)) for p in paths]
+def _embeddings(ctx: _Ctx, path: str | None):
+    return None if path is None else load_embeddings(ctx.read_input(path))
 
 
-def _embeddings(ctx: _Ctx):
-    return None if ctx.embeddings is None else load_embeddings(ctx.read_input(ctx.embeddings))
+def _check_positive(ctx: _Ctx, *names: str) -> None:
+    """Exit 2 before any featurising when a fixed training value is not positive."""
+    for name in names:
+        if not getattr(ctx, name) > 0:
+            raise AsasError(f"--{name} must be positive, got {getattr(ctx, name)}")
 
 
 def _out_dir(ctx: _Ctx, prompt_id: int) -> Path:
@@ -270,12 +283,12 @@ def cmd_ingest(ctx: _Ctx) -> None:
 
 def cmd_stats(ctx: _Ctx) -> None:
     ctx.all_prompts = ctx.prompt is None  # stats covers every prompt unless --prompt names one
-    rows = "".join(corpus_stats(c).to_tsv_row() + "\n" for _, c in _corpora(ctx))
+    rows = "".join(corpus_stats(c).to_tsv_row() + "\n" for _, c, _ in _corpora(ctx))
     _emit(ctx, StatsRow.TSV_HEADER + "\n" + rows)
 
 
 def cmd_split(ctx: _Ctx) -> None:
-    for pid, corpus in _corpora(ctx, test=False):
+    for pid, corpus, _ in _corpora(ctx, test=False):
         out = _out_dir(ctx, pid)
         for name, rows in (("train.tsv", corpus.train), ("dev.tsv", corpus.dev)):
             _write(out / name, ctx.header(), serialize_dataset(rows, ctx.columns).decode())
@@ -321,11 +334,10 @@ def _save_run(ctx: _Ctx, out: Path, corpus, spec: FeatureModelSpec, matrix, resu
 
 
 def cmd_train_features(ctx: _Ctx) -> None:
-    embeddings = _embeddings(ctx)
-    for pid, corpus in _corpora(ctx):
-        spec, matrix = fit_feature_model(
-            corpus, d_t=ctx.tfidf_dim, near_match_cutoff=ctx.cutoff, embeddings=embeddings
-        )
+    _check_positive(ctx, "lr", "batch", "epochs", "hidden")
+    for pid, corpus, paths in _corpora(ctx, "prompt_text", "embeddings"):
+        embeddings = _embeddings(ctx, paths["embeddings"])
+        spec, matrix = fit_feature_model(corpus, ctx.tfidf_dim, ctx.cutoff, embeddings)
         result = _train_once(
             corpus, matrix, lr=ctx.lr, batch=ctx.batch, epochs=ctx.epochs,
             seed=ctx.seed, hidden=ctx.hidden,
@@ -335,10 +347,10 @@ def cmd_train_features(ctx: _Ctx) -> None:
 
 
 def cmd_tune(ctx: _Ctx) -> None:
-    embeddings = _embeddings(ctx)
+    _check_positive(ctx, "epochs", "hidden", "trials")
     space = feature_search_space()
-    for pid, corpus in _corpora(ctx):
-        builder = CachedFeatureBuilder(corpus, embeddings)
+    for pid, corpus, paths in _corpora(ctx, "prompt_text", "embeddings"):
+        builder = CachedFeatureBuilder(corpus, _embeddings(ctx, paths["embeddings"]))
         kept = None
 
         def objective(params):
@@ -368,12 +380,11 @@ def cmd_tune(ctx: _Ctx) -> None:
 def cmd_predict(ctx: _Ctx) -> None:
     if ctx.model is None:
         raise AsasError("--model is required")
-    embeddings = _embeddings(ctx)
-    for pid, corpus, (model_path,) in _per_prompt_files(ctx, "model", [ctx.model]):
+    for pid, corpus, paths in _corpora(ctx, "prompt_text", "embeddings", "model"):
         # Parse the bytes the header's digest is taken of: the file is read once.
-        model = ctx.read_input(model_path).decode("utf-8")
+        model = ctx.read_input(paths["model"]).decode("utf-8")
         spec, mlp = _feature_model(Artifact.parse(model, "feature-model"))
-        matrix = build_features(corpus, spec, embeddings)
+        matrix = build_features(corpus, spec, _embeddings(ctx, paths["embeddings"]))
         logprobs = log_softmax(mlp_forward(mlp, matrix.data), axis=1)
         single = Path(ctx.out or "predictions.tsv")
         path = _out_dir(ctx, pid) / "predictions.tsv" if ctx.all_prompts else single
@@ -387,9 +398,9 @@ def cmd_ensemble(ctx: _Ctx) -> None:
         raise AsasError("--members is required")
     if ctx.m is not None and not 1 <= ctx.m <= len(ctx.members):
         raise AsasError(f"--m must be between 1 and {len(ctx.members)}")
-    for pid, corpus, paths in _per_prompt_files(ctx, "members", ctx.members):
+    for pid, corpus, paths in _corpora(ctx, "members"):
         k = corpus.num_classes
-        members = [load_logprobs(ctx.read_input(p), corpus) for p in paths]
+        members = [load_logprobs(ctx.read_input(p), corpus) for p in paths["members"]]
         names = [mem.model_name for mem in members]
         if len(set(names)) != len(names):
             raise AsasError(f"duplicate member names: {names}")
@@ -429,9 +440,12 @@ def cmd_ensemble(ctx: _Ctx) -> None:
 def cmd_report(ctx: _Ctx) -> None:
     reports = []
     for path in ctx.args.reports:
-        for line in ctx.read_input(path).decode("utf-8").splitlines():
+        for line_no, line in enumerate(ctx.read_input(path).decode("utf-8").splitlines(), 1):
             if line and not line.startswith(("#", "prompt\t")):
-                report = EvalReport.from_tsv_row(line)
+                try:
+                    report = EvalReport.from_tsv_row(line)
+                except ValueError as exc:
+                    raise MalformedRow(f"{path}:{line_no}: not a report row ({exc})") from None
                 if report.prompt_id >= 0:
                     reports.append(report)
     if not reports:

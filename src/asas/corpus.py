@@ -395,7 +395,10 @@ def load_embeddings(data: bytes | str) -> EmbeddingTable:
         rid = fields[0]
         if rid in rows:
             raise DuplicateId(f"row {row_num}: duplicate response id {rid!r}")
-        rows[rid] = np.array([float(v) for v in fields[1:]], dtype=float)
+        try:
+            rows[rid] = np.array([float(v) for v in fields[1:]], dtype=float)
+        except ValueError:
+            raise MalformedRow(f"row {row_num}: non-numeric value for id {rid!r}") from None
     return EmbeddingTable(dim=dim, rows=rows)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllTrialsFailed, AsasError, EmptySpace
+from .errors import AllTrialsFailed, AsasError, EmptySpace, MalformedRow
 from .features import MIN_CUTOFF
 from .mathutil import logsumexp
 
@@ -276,26 +276,27 @@ def study_log(space: SearchSpace, result: StudyResult) -> str:
 
 
 def read_study_log(text: str, space: SearchSpace) -> list[TrialRecord]:
-    """Parse a study log back into trial records."""
-    rows = [ln for ln in text.splitlines() if ln and not ln.startswith("#")]
+    """Parse a study log back into trial records; a malformed row, such as a
+    killed run's truncated last line, raises ``MalformedRow`` naming its line."""
+    rows = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln and not ln.startswith("#")]
     if not rows:
         return []
-    names = rows[0].split("\t")[1:-2]
+    names = rows[0][1].split("\t")[1:-2]
     if names != list(space.params):
         raise ValueError(f"log columns {names} do not match space {list(space.params)}")
     trials = []
-    for row in rows[1:]:
+    for line_no, row in rows[1:]:
         cells = row.split("\t")
-        params: dict[str, float | int] = {}
-        for name, cell in zip(names, cells[1:-2]):
-            dist = space.params[name]
-            params[name] = int(cell) if isinstance(dist, IntUniform) else float(cell)
-        trials.append(
-            TrialRecord(
-                trial_index=int(cells[0]),
-                params=params,
-                objective=float(cells[-2]),
-                status=cells[-1],
-            )
-        )
+        if len(cells) != len(names) + 3:
+            raise MalformedRow(f"line {line_no}: expected {len(names) + 3} cells, got {len(cells)}")
+        if cells[-1] not in ("completed", "failed"):
+            raise MalformedRow(f"line {line_no}: unknown trial status {cells[-1]!r}")
+        try:
+            params = {
+                name: int(cell) if isinstance(space.params[name], IntUniform) else float(cell)
+                for name, cell in zip(names, cells[1:-2])
+            }
+            trials.append(TrialRecord(int(cells[0]), params, float(cells[-2]), cells[-1]))
+        except ValueError:
+            raise MalformedRow(f"line {line_no}: a cell of {row!r} is not a number") from None
     return trials

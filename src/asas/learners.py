@@ -38,6 +38,8 @@ class MlpModel:
 
     @classmethod
     def init(cls, n_inputs: int, n_hidden: int, n_classes: int, seed: int) -> "MlpModel":
+        if n_hidden < 1:
+            raise ValueError(f"n_hidden must be at least 1, got {n_hidden}")
         rng = np.random.default_rng(seed)
         return cls(
             w1=rng.standard_normal((n_inputs, n_hidden)) / np.sqrt(n_inputs),

@@ -320,6 +320,36 @@ class TestTrainPredict:
         assert not list(out_dir.glob("*.tmp"))
 
 
+class TestTrainingOptions:
+    @pytest.mark.parametrize("command, flag", [
+        ("train-features", "--lr"),
+        ("train-features", "--batch"),
+        ("train-features", "--epochs"),
+        ("train-features", "--hidden"),
+        ("tune", "--epochs"),
+        ("tune", "--hidden"),
+        ("tune", "--trials"),
+    ])
+    def test_a_value_below_one_exits_2_before_featurising(
+        self, workspace, monkeypatch, capsys, command, flag
+    ):
+        built = []
+        real_init = asas.features.CachedFeatureBuilder.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(asas.features.CachedFeatureBuilder, "__init__", counted_init)
+        out = workspace["dir"] / "bad"
+        assert main([
+            command, "--data", str(workspace["data"]), "--prompt", "1", "--epochs", "2",
+            *(["--trials", "2"] if command == "tune" else []), flag, "0", "--out", str(out),
+        ]) == 2
+        assert f"{flag} must be positive, got 0" in capsys.readouterr().err
+        assert not built and not out.exists()
+
+
 class TestTune:
     def test_five_trials_emit_all_artifacts(self, workspace):
         out_dir = workspace["dir"] / "tuned"
@@ -492,6 +522,86 @@ class TestPredictPerPrompt:
         assert self._predict(data, models / "prompt_1" / "model.txt", out, "--prompt", "2") == 2
         assert "expected 4 values, got 3" in capsys.readouterr().err
         assert not out.exists()
+
+
+def _embedding_table(rows, seed: int) -> str:
+    rng = np.random.default_rng(seed)
+    return "#dim=4\n" + "".join(
+        r.id + "\t" + "\t".join(repr(float(v)) for v in rng.normal(size=4)) + "\n" for r in rows
+    )
+
+
+class TestPerPromptTextAndEmbeddings:
+    """--prompt-text and --embeddings follow the {prompt} rule of --model and --members."""
+
+    TEXTS = {1: PROMPT_TEXT, 2: "Explain why the leaves of a tree change colour in autumn."}
+
+    @pytest.fixture
+    def files(self, workspace):
+        d = workspace["dir"]
+        rows = workspace["pool"] + workspace["test_rows"]
+        for pid, text in self.TEXTS.items():
+            (d / f"prompt_{pid}.txt").write_text(text)
+            (d / f"emb_{pid}.tsv").write_text(
+                _embedding_table([r for r in rows if r.prompt_id == pid], seed=pid)
+            )
+        (d / "emb_both.tsv").write_text(_embedding_table(rows, seed=3))
+        return ["--prompt-text", str(d / "prompt_{prompt}.txt"),
+                "--embeddings", str(d / "emb_{prompt}.tsv")]
+
+    def _tune(self, workspace, out, *extra):
+        return main([
+            "tune", "--data", str(workspace["data"]), "--test", str(workspace["test"]),
+            "--seed", "5", "--trials", "2", "--epochs", "2", "--out", str(out), *extra,
+        ])
+
+    def test_tune_all_prompts_equals_each_single_prompt_run(self, workspace, files):
+        out_all = workspace["dir"] / "tune_all"
+        assert self._tune(workspace, out_all, "--all-prompts", *files) == 0
+        for pid, text in self.TEXTS.items():
+            single = workspace["dir"] / f"tune_{pid}"
+            expanded = [f.replace("{prompt}", str(pid)) for f in files]
+            assert self._tune(workspace, single, "--prompt", str(pid), *expanded) == 0
+            names = sorted(p.name for p in single.iterdir())
+            assert names == sorted(p.name for p in (out_all / f"prompt_{pid}").iterdir())
+            assert {"model.txt", "predictions.tsv", "study.tsv"} <= set(names)
+            for name in names:
+                assert (out_all / f"prompt_{pid}" / name).read_bytes() == (
+                    single / name).read_bytes(), (pid, name)
+            spec, _ = load_feature_model(single / "model.txt")
+            assert spec.prompt_minutiae == asas.features.normalize_text(text)
+            assert spec.embedding_dim == 4
+
+    @pytest.mark.parametrize("flag, name", [
+        ("--prompt-text", "prompt_1.txt"),
+        ("--embeddings", "emb_both.tsv"),  # covers both prompts' ids, yet one table per prompt
+    ])
+    def test_all_prompts_with_a_fixed_path_exits_2_before_writing(
+        self, workspace, files, capsys, flag, name
+    ):
+        path, out = workspace["dir"] / name, workspace["dir"] / "fixed"
+        assert self._tune(workspace, out, "--all-prompts", flag, str(path)) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} path {path} has no {{prompt}} placeholder" in err
+        assert not out.exists()
+
+    def test_stats_split_and_ensemble_do_not_read_the_prompt_text(self, workspace, capsys):
+        conf = workspace["dir"] / "text.conf"
+        conf.write_text(
+            f"data = {workspace['data']}\ntest = {workspace['test']}\nprompt_text = nope.txt\n"
+        )
+        out = workspace["dir"] / "no_text"
+        out.mkdir()
+        members = _member_files(workspace, n_members=1)
+        for argv in (
+            ["stats", "--out", str(out / "stats.tsv")],
+            ["split", "--prompt", "1", "--out", str(out / "split")],
+            ["ensemble", "--prompt", "1", "--members", *members, "--out", str(out / "ens")],
+        ):
+            assert main([argv[0], "--config", str(conf), *argv[1:]]) == 0, argv[0]
+        for path in (out / "stats.tsv", out / "split" / "train.tsv", out / "ens" / "report_dev.tsv"):
+            header = path.read_text().splitlines()[0]
+            assert "inputs=" in header and "nope.txt" not in header
 
 
 class TestEnsembleCommand:
@@ -751,6 +861,13 @@ class TestReport:
         mean = EvalReport.from_tsv_row(lines[-1])
         assert mean.qwk == pytest.approx(0.7)
         assert [ln.split("\t")[0] for ln in lines[1:]] == ["1", "2", "mean"]
+
+    @pytest.mark.parametrize("row", ["1\t0.8", "1\tx\t0.01\t0.7\t50\t-"])
+    def test_malformed_row_exits_2_naming_file_and_line(self, tmp_path, capsys, row):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"#asas\tversion=test\n{EvalReport.TSV_HEADER}\n{row}\n")
+        assert main(["report", str(path)]) == 2
+        assert f"{path}:3: not a report row" in capsys.readouterr().err
 
 
 class TestConfigFile:

@@ -407,6 +407,10 @@ class TestLoadEmbeddings:
         with pytest.raises(HeaderMismatch):
             load_embeddings("dim 4\n")
 
+    def test_non_numeric_value_names_the_row(self):
+        with pytest.raises(MalformedRow, match="row 3: non-numeric value for id 'r2'"):
+            load_embeddings("#dim=2\nr1\t0\t1\nr2\t0\tx\n")
+
 
 class TestScoreTable:
     def test_comma_and_tab(self):

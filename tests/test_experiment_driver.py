@@ -5,7 +5,9 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from asas.cli import load_feature_model
 from asas.corpus import StatsRow, load_logprobs, serialize_dataset
+from asas.features import normalize_text
 from conftest import make_toy_responses
 
 DRIVER = Path(__file__).resolve().parents[1] / "scripts" / "run_asap_experiment.py"
@@ -31,11 +33,14 @@ def test_stats_tune_ensemble_report_on_two_prompts(tmp_path, monkeypatch, capsys
     (data / "public_leaderboard.tsv").write_text("\n".join(rows) + "\n")
     solution = ["id,essay_set,essay_score"] + [f"{r.id},{r.prompt_id},{r.score1}" for r in test]
     (data / "solution.csv").write_text("\n".join(solution) + "\n")
+    texts = {1: "Describe how osmosis moves water.", 2: "Explain why the leaves change colour."}
+    for pid, text in texts.items():
+        (data / f"prompt_{pid}.txt").write_text(text)
 
     out = tmp_path / "runs"
     monkeypatch.setattr(sys, "argv", [
         "run_asap_experiment.py", "--data-dir", str(data), "--out", str(out),
-        "--trials", "2", "--prompts", "1", "2",
+        "--trials", "2",
     ])
     assert _driver().main() == 0
 
@@ -47,4 +52,7 @@ def test_stats_tune_ensemble_report_on_two_prompts(tmp_path, monkeypatch, capsys
         assert member.model_name == "features" and member.prompt_id == pid
         ids = {r.id for r in pool + test if r.prompt_id == pid}
         assert set(member.rows) == ids
+        spec, _ = load_feature_model(out / f"prompt_{pid}" / "model.txt")
+        assert spec.prompt_minutiae == normalize_text(texts[pid])
+        assert (out / "ensemble" / f"prompt_{pid}" / "report_test.tsv").is_file()
     assert not list(out.rglob("features.tsv"))  # tune's member file is stacked as it is

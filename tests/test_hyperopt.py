@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from asas.errors import AllTrialsFailed, EmptySpace, NonFiniteLoss
+from asas.errors import AllTrialsFailed, EmptySpace, MalformedRow, NonFiniteLoss
 from asas.hyperopt import (
     BANDWIDTH_FLOOR_FRACTION,
     IntUniform,
@@ -264,6 +264,19 @@ class TestStudyLog:
         text = study_log(space, result)
         with pytest.raises(ValueError):
             read_study_log(text, _mixed_space())
+
+    @pytest.mark.parametrize("row, fault", [
+        ("0\t6", "expected 7 cells, got 2"),  # a killed run's truncated last line
+        ("0\t8\t1e-05\t150\t0.8\t0.5\tbogus", "unknown trial status 'bogus'"),
+        ("0\t8\t1e-05\tx\t0.8\t0.5\tcompleted", "is not a number"),
+        ("0\t8\t1e-05\t150\t0.8\tnope\tfailed", "is not a number"),
+    ])
+    def test_read_names_a_malformed_row(self, row, fault):
+        space = feature_search_space()
+        columns = "\t".join(["trial", *space.params, "objective", "status"])
+        text = f"#asas\tversion=test\tseed=4\n{columns}\n{row}\n"
+        with pytest.raises(MalformedRow, match=f"line 3: .*{fault}"):
+            read_study_log(text, space)
 
     def test_log_resumes_study(self):
         space = _space_1d()

@@ -61,6 +61,10 @@ class TestMlpForward:
         expected = mlp_forward_loops(model.w1, model.b1, model.w2, model.b2, X)
         assert np.allclose(mlp_forward(model, X), expected, atol=1e-10)
 
+    def test_init_rejects_an_empty_hidden_layer(self):
+        with pytest.raises(ValueError, match="n_hidden must be at least 1, got 0"):
+            MlpModel.init(4, 0, 2, seed=0)
+
     def test_dim_mismatch(self):
         model = MlpModel.init(4, 3, 2, seed=0)
         with pytest.raises(DimMismatch):
