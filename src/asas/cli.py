@@ -10,7 +10,6 @@ flags win.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from collections import Counter
 from pathlib import Path
@@ -23,6 +22,7 @@ from .corpus import (
     attach_scores,
     build_corpus,
     corpus_stats,
+    data_lines,
     dump_logprobs,
     load_embeddings,
     load_logprobs,
@@ -150,40 +150,45 @@ class _Ctx:
         self.inputs: dict[str, bytes] = {}
 
     def read_input(self, path: str | Path) -> bytes:
-        p = Path(path)
-        if not p.is_file():
-            raise AsasError(f"missing file: {p}")
-        data = p.read_bytes()
+        data = _existing(path).read_bytes()
         self.inputs[str(path)] = data
         return data
+
+    def parse_input(self, path: str | Path, parse, *args):
+        """``parse(bytes of path, *args)``; an error it raises names ``path``."""
+        data = self.read_input(path)
+        try:
+            return parse(data, *args)
+        except (AsasError, ValueError) as exc:
+            # the same class keeps the exit code; a decode error's class needs more arguments
+            kind = type(exc) if isinstance(exc, AsasError) else ValueError
+            raise kind(f"{path}: {exc}") from None
 
     def header(self) -> str:
         return artifact_header(self.seed, self.inputs)
 
 
+def _existing(path: str | Path) -> Path:
+    p = Path(path)
+    if not p.is_file():
+        raise AsasError(f"missing file: {p}")
+    return p
+
+
 def _load_dataset(ctx: _Ctx):
     if ctx.data is None:
         raise AsasError("--data is required")
-    return parse_dataset(ctx.read_input(ctx.data), ctx.columns)
+    return ctx.parse_input(ctx.data, parse_dataset, ctx.columns)
 
 
 def _load_test(ctx: _Ctx):
     if ctx.test is None:
         return []
-    data = ctx.read_input(ctx.test)
-    header = next(
-        (ln for ln in data.decode("utf-8").split("\n") if ln and not ln.startswith("#")), ""
-    ).rstrip("\r").split("\t")
-    # test files are often unlabeled; missing score columns load as absent
-    cols = ctx.columns
-    score1, score2 = (col if col in header else "" for col in (cols.score1, cols.score2))
-    test = parse_dataset(data, dataclasses.replace(cols, score1=score1, score2=score2))
+    test = ctx.parse_input(ctx.test, parse_dataset, ctx.columns)
     if ctx.solution is None:
         return test
-    solution = ctx.read_input(ctx.solution)
-    return attach_scores(
-        test, parse_score_table(solution, ctx.solution_id_col, ctx.solution_score_col)
-    )
+    cols = ctx.solution_id_col, ctx.solution_score_col
+    return attach_scores(test, ctx.parse_input(ctx.solution, parse_score_table, *cols))
 
 
 def _expand(value, pid: int):
@@ -199,8 +204,8 @@ def _corpora(ctx: _Ctx, *files: str, test: bool = True):
     ``files`` names the options that hold one prompt's file(s); ``paths[name]``
     is that option's value with {prompt} expanded to the id. Over several
     prompts each such path must contain {prompt}; that is checked before any
-    per-prompt file is read or anything is written. Each header names the
-    shared inputs and its own prompt's files."""
+    per-prompt file is read or anything is written, as is that every expanded
+    path is a file. Each header names the shared inputs and its own prompt's files."""
     responses = _load_dataset(ctx)
     test_rows = _load_test(ctx) if test else []
     if not ctx.all_prompts and ctx.prompt is None:
@@ -215,6 +220,8 @@ def _corpora(ctx: _Ctx, *files: str, test: bool = True):
                     f" --all-prompts covers {len(pids)} prompts; name each prompt's file,"
                     " e.g. run_{prompt}.tsv"
                 )
+            for pid in pids:
+                _existing(_expand(path, pid))
     shared_inputs = dict(ctx.inputs)
     for pid in pids:
         ctx.inputs = dict(shared_inputs)
@@ -231,7 +238,7 @@ def _corpora(ctx: _Ctx, *files: str, test: bool = True):
 
 
 def _embeddings(ctx: _Ctx, path: str | None):
-    return None if path is None else load_embeddings(ctx.read_input(path))
+    return None if path is None else ctx.parse_input(path, load_embeddings)
 
 
 def _check_positive(ctx: _Ctx, *names: str) -> None:
@@ -259,7 +266,9 @@ def _emit(ctx: _Ctx, table: str, body: str | None = None) -> None:
     print(ctx.header())
     print(table, end="")
     if ctx.out is not None:
-        _write(Path(ctx.out), ctx.header(), table if body is None else body)
+        out = Path(ctx.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
+        _write(out, ctx.header(), table if body is None else body)
 
 
 def _write_logprobs(ctx: _Ctx, path: Path, name: str, corpus, ids, logprobs) -> None:
@@ -301,6 +310,10 @@ def _feature_model(art: Artifact) -> tuple[FeatureModelSpec, MlpModel]:
 
 def load_feature_model(path: str | Path) -> tuple[FeatureModelSpec, MlpModel]:
     return _feature_model(Artifact.load(path, "feature-model"))
+
+
+def _parse_feature_model(data: bytes) -> tuple[FeatureModelSpec, MlpModel]:
+    return _feature_model(Artifact.parse(data.decode("utf-8"), "feature-model"))
 
 
 def _train_once(corpus, matrix, lr, batch, epochs, seed, hidden):
@@ -382,8 +395,7 @@ def cmd_predict(ctx: _Ctx) -> None:
         raise AsasError("--model is required")
     for pid, corpus, paths in _corpora(ctx, "prompt_text", "embeddings", "model"):
         # Parse the bytes the header's digest is taken of: the file is read once.
-        model = ctx.read_input(paths["model"]).decode("utf-8")
-        spec, mlp = _feature_model(Artifact.parse(model, "feature-model"))
+        spec, mlp = ctx.parse_input(paths["model"], _parse_feature_model)
         matrix = build_features(corpus, spec, _embeddings(ctx, paths["embeddings"]))
         logprobs = log_softmax(mlp_forward(mlp, matrix.data), axis=1)
         single = Path(ctx.out or "predictions.tsv")
@@ -400,7 +412,7 @@ def cmd_ensemble(ctx: _Ctx) -> None:
         raise AsasError(f"--m must be between 1 and {len(ctx.members)}")
     for pid, corpus, paths in _corpora(ctx, "members"):
         k = corpus.num_classes
-        members = [load_logprobs(ctx.read_input(p), corpus) for p in paths["members"]]
+        members = [ctx.parse_input(p, load_logprobs, corpus) for p in paths["members"]]
         names = [mem.model_name for mem in members]
         if len(set(names)) != len(names):
             raise AsasError(f"duplicate member names: {names}")
@@ -440,8 +452,8 @@ def cmd_ensemble(ctx: _Ctx) -> None:
 def cmd_report(ctx: _Ctx) -> None:
     reports = []
     for path in ctx.args.reports:
-        for line_no, line in enumerate(ctx.read_input(path).decode("utf-8").splitlines(), 1):
-            if line and not line.startswith(("#", "prompt\t")):
+        for line_no, line in data_lines(ctx.read_input(path)):
+            if not line.startswith("prompt\t"):
                 try:
                     report = EvalReport.from_tsv_row(line)
                 except ValueError as exc:

@@ -10,6 +10,7 @@ comparable.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,8 @@ class ScoredResponse:
 class ColumnMap:
     """Names of the dataset columns holding each field.
 
-    An empty score column name marks the column as absent (unlabeled
-    test files); those scores load as None.
+    A score column missing from the header (unlabeled test files) loads
+    as None.
     """
 
     id: str = "Id"
@@ -58,9 +59,22 @@ class ColumnMap:
 DEFAULT_COLUMNS = ColumnMap()
 
 
-def _decode_lines(data: bytes | str) -> list[str]:
+def data_lines(data: bytes | str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line that is neither blank nor a '#' comment.
+
+    Bytes are decoded as UTF-8 and one trailing '\\r' is dropped from each line;
+    numbers count every line from 1, comments and blank lines included."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    return [line for line in text.split("\n") if line != ""]
+    for number, line in enumerate(text.split("\n"), 1):
+        line = line.removesuffix("\r")
+        if line and not line.startswith("#"):
+            yield number, line
+
+
+def _header_and_lines(data: bytes | str) -> tuple[str, Iterator[tuple[int, str]]]:
+    """Line 1 of a file whose line 1 is a '#key=value' header, and its data lines."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    return text.partition("\n")[0].removesuffix("\r"), data_lines(text)
 
 
 def _parse_score(cell: str, row_num: int) -> int | None:
@@ -76,27 +90,27 @@ def _parse_score(cell: str, row_num: int) -> int | None:
 def parse_dataset(data: bytes | str, columns: ColumnMap = DEFAULT_COLUMNS) -> list[ScoredResponse]:
     """Parse a tab-separated dataset with a header row.
 
-    Lines starting with '#' before the header are treated as comments.
-    Missing score cells map to None. Ids must be unique within a prompt.
+    Missing score cells, and score columns missing from the header, map
+    to None. Ids must be unique within a prompt.
     """
-    lines = _decode_lines(data)
-    body = [ln for ln in lines if not ln.startswith("#")]
-    if not body:
+    lines = data_lines(data)
+    _, head = next(lines, (0, None))
+    if head is None:
         raise MalformedRow("no header row found")
-    header = body[0].rstrip("\r").split("\t")
+    header = head.split("\t")
     try:
         i_id = header.index(columns.id)
         i_prompt = header.index(columns.prompt)
-        i_score1 = header.index(columns.score1) if columns.score1 else None
-        i_score2 = header.index(columns.score2) if columns.score2 else None
         i_text = header.index(columns.text)
     except ValueError as exc:
         raise HeaderMismatch(f"missing column in header: {exc}") from None
+    scores = columns.score1, columns.score2
+    i_score1, i_score2 = (header.index(col) if col in header else None for col in scores)
 
     responses: list[ScoredResponse] = []
     seen: set[tuple[int, str]] = set()
-    for row_num, line in enumerate(body[1:], start=2):
-        fields = line.rstrip("\r").split("\t")
+    for row_num, line in lines:
+        fields = line.split("\t")
         if len(fields) != len(header):
             raise MalformedRow(
                 f"row {row_num}: expected {len(header)} fields, got {len(fields)}"
@@ -299,10 +313,10 @@ def load_logprobs(data: bytes | str, corpus: PromptCorpus | None = None) -> LogP
     are ``<response_id>\\t<v1>...<vk>``. Later '#' lines are comments.
     When a corpus is given, every row id must belong to it.
     """
-    lines = _decode_lines(data)
-    if not lines or not lines[0].startswith("#model="):
+    first, lines = _header_and_lines(data)
+    if not first.startswith("#model="):
         raise HeaderMismatch("expected '#model=<name>\\tprompt=<int>\\tk=<int>' on line 1")
-    parts = lines[0][1:].rstrip("\r").split("\t")
+    parts = first[1:].split("\t")
     header: dict[str, str] = {}
     for part in parts:
         if "=" not in part:
@@ -314,7 +328,7 @@ def load_logprobs(data: bytes | str, corpus: PromptCorpus | None = None) -> LogP
         prompt_id = int(header["prompt"])
         k = int(header["k"])
     except (KeyError, ValueError):
-        raise HeaderMismatch(f"bad header line {lines[0]!r}") from None
+        raise HeaderMismatch(f"bad header line {first!r}") from None
     if k < 2:
         raise HeaderMismatch(f"k must be >= 2, got {k}")
 
@@ -328,10 +342,8 @@ def load_logprobs(data: bytes | str, corpus: PromptCorpus | None = None) -> LogP
 
     ids: dict[str, None] = {}
     values: list[list[float]] = []
-    for row_num, line in enumerate(lines[1:], start=2):
-        if line.startswith("#"):
-            continue
-        fields = line.rstrip("\r").split("\t")
+    for row_num, line in lines:
+        fields = line.split("\t")
         if len(fields) != k + 1:
             raise RowLengthMismatch(
                 f"row {row_num}: expected {k} values, got {len(fields) - 1}"
@@ -376,20 +388,18 @@ class EmbeddingTable:
 
 def load_embeddings(data: bytes | str) -> EmbeddingTable:
     """Load an embedding file: line 1 ``#dim=<int>``, rows id + floats."""
-    lines = _decode_lines(data)
-    if not lines or not lines[0].startswith("#dim="):
+    first, lines = _header_and_lines(data)
+    if not first.startswith("#dim="):
         raise HeaderMismatch("expected '#dim=<int>' on line 1")
     try:
-        dim = int(lines[0][len("#dim="):].rstrip("\r").split("\t")[0])
+        dim = int(first[len("#dim="):].split("\t")[0])
     except ValueError:
-        raise HeaderMismatch(f"bad header line {lines[0]!r}") from None
+        raise HeaderMismatch(f"bad header line {first!r}") from None
     if dim <= 0:
         raise HeaderMismatch(f"dim must be positive, got {dim}")
     rows: dict[str, np.ndarray] = {}
-    for row_num, line in enumerate(lines[1:], start=2):
-        if line.startswith("#"):
-            continue
-        fields = line.rstrip("\r").split("\t")
+    for row_num, line in lines:
+        fields = line.split("\t")
         if len(fields) != dim + 1:
             raise DimMismatch(f"row {row_num}: expected {dim} values, got {len(fields) - 1}")
         rid = fields[0]
@@ -408,12 +418,12 @@ def parse_score_table(data: bytes | str, id_col: str, score_col: str) -> dict[st
     Used to join withheld test labels (released as a separate solution
     file) onto the unlabeled test responses.
     """
-    lines = _decode_lines(data)
-    body = [ln for ln in lines if not ln.startswith("#")]
-    if not body:
+    lines = data_lines(data)
+    _, head = next(lines, (0, None))
+    if head is None:
         raise MalformedRow("no header row found")
-    delim = "\t" if "\t" in body[0] else ","
-    header = [h.strip() for h in body[0].rstrip("\r").split(delim)]
+    delim = "\t" if "\t" in head else ","
+    header = [h.strip() for h in head.split(delim)]
     lowered = [h.lower() for h in header]
     try:
         i_id = lowered.index(id_col.lower())
@@ -421,8 +431,8 @@ def parse_score_table(data: bytes | str, id_col: str, score_col: str) -> dict[st
     except ValueError:
         raise HeaderMismatch(f"solution file lacks columns {id_col!r}/{score_col!r}") from None
     scores: dict[str, int] = {}
-    for row_num, line in enumerate(body[1:], start=2):
-        fields = line.rstrip("\r").split(delim)
+    for row_num, line in lines:
+        fields = line.split(delim)
         if len(fields) != len(header):
             raise MalformedRow(f"row {row_num}: expected {len(header)} fields")
         rid = fields[i_id].strip()

@@ -26,7 +26,7 @@ from .metrics import (
     qwk,
     smd,
 )
-from .serialize import Artifact
+from .serialize import Artifact, row_vector
 
 STACKER_L2 = 1e-4
 
@@ -67,7 +67,7 @@ class EnsembleSpec:
         )
         head = LogRegModel(
             weights=art.arrays["head_weights"],
-            bias=art.arrays["head_bias"][0],
+            bias=row_vector(art.arrays, "head_bias"),
             l2=float(art.meta["l2"]),
         )
         return cls(

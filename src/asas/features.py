@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import EmbeddingTable, PromptCorpus, ScoredResponse
 from .errors import InsufficientClasses, MissingEmbedding, RankDeficient
-from .serialize import Artifact, fmt_float
+from .serialize import Artifact, fmt_float, row_vector
 
 MINUTIAE_LENGTHS = range(5, 20)  # 15 substring lengths
 NGRAM_ORDERS = (1, 2, 3)
@@ -668,7 +668,7 @@ class FeatureModelSpec:
             tfidf_projection=art.arrays["projection"],
             key_ngrams=key_ngrams,
             near_match_cutoff=float(art.meta["cutoff"]),
-            standardizer=(art.arrays["std_mean"][0], art.arrays["std_sd"][0]),
+            standardizer=(row_vector(art.arrays, "std_mean"), row_vector(art.arrays, "std_sd")),
             embedding_dim=None if emb == "none" else int(emb),
             prompt_minutiae=prompt_minutiae,
             scoring=ScoringState.of(key_ngrams, prompt_minutiae),

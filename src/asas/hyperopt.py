@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import data_lines
 from .errors import AllTrialsFailed, AsasError, EmptySpace, MalformedRow
 from .features import MIN_CUTOFF
 from .mathutil import logsumexp
@@ -278,14 +279,15 @@ def study_log(space: SearchSpace, result: StudyResult) -> str:
 def read_study_log(text: str, space: SearchSpace) -> list[TrialRecord]:
     """Parse a study log back into trial records; a malformed row, such as a
     killed run's truncated last line, raises ``MalformedRow`` naming its line."""
-    rows = [(n, ln) for n, ln in enumerate(text.splitlines(), 1) if ln and not ln.startswith("#")]
-    if not rows:
+    rows = data_lines(text)
+    _, head = next(rows, (0, None))
+    if head is None:
         return []
-    names = rows[0][1].split("\t")[1:-2]
+    names = head.split("\t")[1:-2]
     if names != list(space.params):
         raise ValueError(f"log columns {names} do not match space {list(space.params)}")
     trials = []
-    for line_no, row in rows[1:]:
+    for line_no, row in rows:
         cells = row.split("\t")
         if len(cells) != len(names) + 3:
             raise MalformedRow(f"line {line_no}: expected {len(names) + 3} cells, got {len(cells)}")

@@ -21,6 +21,7 @@ from .errors import (
 )
 from .mathutil import log_softmax, sigmoid
 from .metrics import qwk
+from .serialize import row_vector
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -69,15 +70,24 @@ class MlpModel:
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str = "mlp_") -> "MlpModel":
+        """The model in matrices ``w1``, ``b1``, ``w2``, ``b2`` (one-row biases);
+        HeaderMismatch if one is missing or their shapes disagree."""
         for name in ("w1", "b1", "w2", "b2"):
             if prefix + name not in arrays:
                 raise HeaderMismatch(f"model has no matrix {prefix + name!r}")
-        return cls(
-            w1=arrays[prefix + "w1"],
-            b1=arrays[prefix + "b1"][0],
-            w2=arrays[prefix + "w2"],
-            b2=arrays[prefix + "b2"][0],
-        )
+        w1, w2 = arrays[prefix + "w1"], arrays[prefix + "w2"]
+        b1, b2 = row_vector(arrays, prefix + "b1"), row_vector(arrays, prefix + "b2")
+        for name, size, unit, before, width in (
+            ("b1", b1.size, "values", "w1", w1.shape[1]),
+            ("w2", w2.shape[0], "rows", "w1", w1.shape[1]),
+            ("b2", b2.size, "values", "w2", w2.shape[1]),
+        ):
+            if size != width:
+                raise HeaderMismatch(
+                    f"matrix {prefix + name} has {size} {unit}, but {prefix + before} has"
+                    f" {width} columns"
+                )
+        return cls(w1=w1, b1=b1, w2=w2, b2=b2)
 
 
 def mlp_forward(model: MlpModel, features: np.ndarray) -> np.ndarray:

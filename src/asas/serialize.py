@@ -108,23 +108,14 @@ class Artifact:
             if line.startswith("#") or line == "":
                 i += 1
             elif line.startswith("[strings "):
-                _, name, count = line[1:-1].split(" ")
-                rows = _block_rows(lines, i, name, int(count))
+                name, count = _block_header(line, 1)
+                rows = _block_rows(lines, i, name, count)
                 art.tables[name] = [row.split("\t") for row in rows]
                 i += 1 + len(rows)
             elif line.startswith("[matrix "):
-                _, name, n_rows, n_cols = line[1:-1].split(" ")
-                rows = _block_rows(lines, i, name, int(n_rows))
-                data = np.empty((len(rows), int(n_cols)), dtype=float)
-                for j, row in enumerate(rows):
-                    cells = row.split("\t")
-                    if len(cells) != data.shape[1]:
-                        raise HeaderMismatch(
-                            f"matrix {name} row {j + 1} has {len(cells)} values, "
-                            f"expected {data.shape[1]}"
-                        )
-                    data[j] = list(map(float, cells))
-                art.arrays[name] = data
+                name, n_rows, n_cols = _block_header(line, 2)
+                rows = _block_rows(lines, i, name, n_rows)
+                art.arrays[name] = _matrix(name, rows, n_cols)
                 i += 1 + len(rows)
             else:
                 key, _, value = line.partition("\t")
@@ -144,6 +135,42 @@ class Artifact:
     @classmethod
     def load(cls, path: str | Path, expect_kind: str | None = None) -> "Artifact":
         return cls.parse(Path(path).read_text(encoding="utf-8"), expect_kind)
+
+
+def _block_header(line: str, n_sizes: int) -> tuple:
+    """(name, *sizes) of block header ``[kind name size...]``; HeaderMismatch
+    unless it holds a name and ``n_sizes`` non-negative integers."""
+    _, name, *sizes = line[1:].removesuffix("]").split(" ")  # the kind ends in a space
+    digits = all(size.isascii() and size.isdigit() for size in sizes)
+    if not (line.endswith("]") and name and len(sizes) == n_sizes and digits):
+        raise HeaderMismatch(
+            f"bad block header {line!r}: expected a name and {n_sizes} non-negative integer sizes"
+        )
+    return name, *map(int, sizes)
+
+
+def _matrix(name: str, rows: list[str], n_cols: int) -> np.ndarray:
+    """The float matrix of a block's rows; each row's width is checked before
+    the declared width is allocated."""
+    for j, row in enumerate(rows):
+        width = row.count("\t") + 1
+        if width != n_cols:
+            raise HeaderMismatch(f"matrix {name} row {j + 1} has {width} values, expected {n_cols}")
+    data = np.empty((len(rows), n_cols), dtype=float)
+    for j, row in enumerate(rows):
+        try:
+            data[j] = list(map(float, row.split("\t")))
+        except ValueError:
+            raise HeaderMismatch(f"matrix {name} row {j + 1} holds a non-number") from None
+    return data
+
+
+def row_vector(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:
+    """The one row of matrix ``name``; HeaderMismatch unless it has exactly one."""
+    rows = len(arrays[name])
+    if rows != 1:
+        raise HeaderMismatch(f"matrix {name} has {rows} rows, expected 1")
+    return arrays[name][0]
 
 
 def _block_rows(lines: list[str], at: int, name: str, count: int) -> list[str]:

@@ -84,6 +84,11 @@ class TestIngestAndStats:
         assert lines[1].split("\t")[0] == "1"
         assert lines[2].split("\t")[0] == "2"
 
+    def test_stats_out_creates_its_directory(self, workspace):
+        out_file = workspace["dir"] / "nodir" / "stats.tsv"
+        assert main(["stats", "--data", str(workspace["data"]), "--out", str(out_file)]) == 0
+        assert out_file.read_text().splitlines()[1].startswith("prompt\t")
+
     def test_missing_file_exits_2_naming_path(self, workspace, capsys):
         code = main(["stats", "--data", str(workspace["dir"] / "absent.tsv")])
         assert code == 2
@@ -136,6 +141,20 @@ class TestSplit:
         dev = parse_dataset((out_dir / "dev.tsv").read_bytes())
         assert len(train) + len(dev) == 60
         assert not {r.id for r in train} & {r.id for r in dev}
+
+
+    def test_bad_row_of_a_split_file_names_the_file_and_its_line(self, workspace, capsys):
+        out_dir = workspace["dir"] / "split_bad"
+        assert main([
+            "split", "--data", str(workspace["data"]), "--prompt", "1", "--out", str(out_dir),
+        ]) == 0
+        train = out_dir / "train.tsv"
+        lines = train.read_text().splitlines(keepends=True)
+        assert lines[0].startswith("#asas\t")  # line 1 is the artifact header comment
+        lines[4] = lines[4].rstrip("\n") + "\textra\n"
+        train.write_text("".join(lines))
+        assert main(["ingest", "--data", str(train)]) == 2
+        assert f"asas: {train}: row 5: expected 5 fields, got 6" in capsys.readouterr().err
 
 
 class TestTrainPredict:
@@ -366,6 +385,19 @@ class TestTune:
         assert (out_dir / "model.txt").is_file()
         assert (out_dir / "report_dev.tsv").is_file()
 
+    def test_train_file_without_a_score2_column(self, workspace):
+        data = workspace["dir"] / "one_read.tsv"
+        rows = ["Id\tEssaySet\tScore1\tEssayText"] + [
+            f"{r.id}\t{r.prompt_id}\t{r.score1}\t{r.text}" for r in workspace["pool"]
+        ]
+        data.write_text("\n".join(rows) + "\n")
+        out_dir = workspace["dir"] / "tune_one_read"
+        assert main([
+            "tune", "--data", str(data), "--prompt", "1",
+            "--trials", "2", "--seed", "11", "--epochs", "2", "--out", str(out_dir),
+        ]) == 0
+        assert (out_dir / "model.txt").is_file()
+
     def test_rerun_is_byte_identical(self, workspace):
         args = [
             "tune", "--data", str(workspace["data"]), "--prompt", "1",
@@ -585,6 +617,13 @@ class TestPerPromptTextAndEmbeddings:
         assert f"{flag} path {path} has no {{prompt}} placeholder" in err
         assert not out.exists()
 
+    def test_a_missing_per_prompt_file_exits_2_before_writing(self, workspace, files, capsys):
+        (workspace["dir"] / "prompt_2.txt").unlink()
+        out = workspace["dir"] / "one_text_missing"
+        assert self._tune(workspace, out, "--all-prompts", *files) == 2
+        assert f"missing file: {workspace['dir'] / 'prompt_2.txt'}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stats_split_and_ensemble_do_not_read_the_prompt_text(self, workspace, capsys):
         conf = workspace["dir"] / "text.conf"
         conf.write_text(
@@ -727,6 +766,18 @@ class TestEnsembleCommand:
         keys = [item.rsplit(":", 1)[0] for item in header.split("inputs=")[1].split(",")]
         assert keys == sorted([str(workspace["data"]), str(workspace["test"]), *members])
 
+    def test_bad_member_row_names_the_members_file(self, workspace, capsys):
+        members = _member_files(workspace)
+        with open(members[1], "a") as bad:
+            bad.write("zz\t0\t0\t0\n")
+        n_lines = len(open(members[1]).read().splitlines())
+        assert main([
+            "ensemble", "--data", str(workspace["data"]), "--test", str(workspace["test"]),
+            "--prompt", "1", "--members", *members, "--out", str(workspace["dir"] / "bad"),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"asas: {members[1]}: row {n_lines}: id 'zz' not in corpus" in err
+
     def test_m_larger_than_member_count_is_usage_error(self, workspace, capsys):
         members = _member_files(workspace)
         code = main([
@@ -794,6 +845,20 @@ class TestUnlabeledTestJoin:
         )
         assert report.n == len(workspace["test_rows"])
 
+    def test_test_file_without_score_columns_loads_unscored(self, workspace):
+        unlabeled = workspace["dir"] / "leaderboard0.tsv"
+        rows = ["Id\tEssaySet\tEssayText"] + [
+            f"{r.id}\t{r.prompt_id}\t{r.text}" for r in workspace["test_rows"]
+        ]
+        unlabeled.write_text("\n".join(rows) + "\n")
+        args = asas.cli.build_parser().parse_args(
+            ["stats", "--data", str(workspace["data"]), "--test", str(unlabeled)]
+        )
+        loaded = asas.cli._load_test(asas.cli._Ctx(args))
+        assert [(r.id, r.text, r.score1, r.score2) for r in loaded] == [
+            (r.id, r.text, None, None) for r in workspace["test_rows"]
+        ]
+
     def test_solution_missing_an_id_is_validation_error(self, workspace, capsys):
         unlabeled = workspace["dir"] / "leaderboard2.tsv"
         rows = ["Id\tEssaySet\tEssayText"] + [
@@ -811,6 +876,60 @@ class TestUnlabeledTestJoin:
         ])
         assert code == 2
         assert workspace["test_rows"][0].id in capsys.readouterr().err
+
+
+@pytest.fixture(scope="class")
+def toy_model(tmp_path_factory):
+    """A dataset and the text of a feature model trained on it."""
+    root = tmp_path_factory.mktemp("toy_model")
+    data = root / "train.tsv"
+    data.write_bytes(serialize_dataset(make_toy_responses(prompt_id=1, n=60, k=3, seed=0)))
+    assert main([
+        "train-features", "--data", str(data), "--prompt", "1", "--seed", "3",
+        "--epochs", "1", "--tfidf-dim", "6", "--out", str(root / "model"),
+    ]) == 0
+    return root, data, (root / "model" / "model.txt").read_text()
+
+
+def _replace_block(text: str, name: str, block: str) -> str:
+    """``text`` with matrix ``name``'s header line and rows replaced by ``block``."""
+    lines = text.splitlines(keepends=True)
+    at = next(i for i, ln in enumerate(lines) if ln.startswith(f"[matrix {name} "))
+    n_rows = int(lines[at].split(" ")[2])
+    return "".join(lines[:at]) + block + "".join(lines[at + 1 + n_rows:])
+
+
+class TestModelFileChecks:
+    """A malformed model.txt exits 2 with an error naming the block, never a traceback."""
+
+    @pytest.mark.parametrize("block, names", [
+        ("[matrix x 2 1000000000000]\n1.0\n2.0\n", "matrix x row 1 has 1 values"),
+        ("[matrix x 2 -3]\n1.0\n2.0\n", "bad block header '[matrix x 2 -3]'"),
+        ("[matrix x 2]\n1.0\n2.0\n", "bad block header '[matrix x 2]'"),
+    ], ids=["huge-width", "negative-width", "no-width"])
+    def test_bad_block_header_or_width(self, toy_model, capsys, block, names):
+        self._assert_rejected(toy_model, capsys, toy_model[2] + block, names)
+
+    def test_bias_block_without_rows(self, toy_model, capsys):
+        text = _replace_block(toy_model[2], "mlp_b1", f"[matrix mlp_b1 0 {DEFAULT_HIDDEN}]\n")
+        self._assert_rejected(toy_model, capsys, text, "matrix mlp_b1 has 0 rows, expected 1")
+
+    def test_bias_block_of_the_wrong_width(self, toy_model, capsys):
+        text = _replace_block(toy_model[2], "mlp_b1", "[matrix mlp_b1 1 1]\n0.5\n")
+        self._assert_rejected(
+            toy_model, capsys, text, f"matrix mlp_b1 has 1 values, but mlp_w1 has {DEFAULT_HIDDEN}"
+        )
+
+    def _assert_rejected(self, toy_model, capsys, text, names):
+        root, data, _ = toy_model
+        bad, out = root / "bad_model.txt", root / "bad_predictions.tsv"
+        bad.write_text(text)
+        assert main([
+            "predict", "--model", str(bad), "--data", str(data), "--prompt", "1",
+            "--out", str(out),
+        ]) == 2
+        assert f"asas: {bad}: {names}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestModelFileFidelity:

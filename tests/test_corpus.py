@@ -118,7 +118,19 @@ class TestParseDataset:
             ScoredResponse(id=str(i), prompt_id=p, text=t, score1=s1, score2=s2)
             for i, p, s1, s2, t in rows
         ]
-        assert parse_dataset(serialize_dataset(responses)) == responses
+        data = serialize_dataset(responses)
+        assert parse_dataset(data) == responses
+        # CRLF endings and a trailing blank line read like the LF form
+        assert parse_dataset(data.replace(b"\n", b"\r\n") + b"\r\n") == responses
+
+    def test_score_columns_missing_from_the_header_load_as_none(self):
+        rows = parse_dataset("Id\tEssaySet\tScore1\tEssayText\n5\t1\t2\tan answer\n")
+        assert (rows[0].score1, rows[0].score2) == (2, None)
+
+    def test_errors_name_the_files_own_line(self):
+        data = f"#asas\tversion=0\n{HEADER}\n1\t1\t1\t1\ta\n\n2\t1\t1\tb\n"
+        with pytest.raises(MalformedRow, match="^row 5: expected 5 fields, got 4$"):
+            parse_dataset(data)
 
 
 class TestSplitDev:
@@ -371,6 +383,13 @@ class TestLoadLogprobs:
         assert again.model_name == "m" and again.prompt_id == 2 and again.k == 3
         for rid in matrix.rows:
             assert again.rows[rid] == pytest.approx(matrix.rows[rid], abs=0)
+        crlf = load_logprobs(dump_logprobs(matrix).replace(b"\n", b"\r\n") + b"\r\n")
+        assert list(crlf.rows) == list(again.rows)
+        assert all(crlf.rows[rid].tobytes() == again.rows[rid].tobytes() for rid in again.rows)
+
+    def test_error_after_a_blank_line_names_the_files_own_line(self):
+        with pytest.raises(RowLengthMismatch, match="^row 4: expected 2 values, got 1$"):
+            load_logprobs("#model=m\tprompt=1\tk=2\nr1\t0\t0\n\nr2\t0\n")
 
     @pytest.mark.parametrize("width", [2, 4])
     def test_dump_refuses_a_row_of_another_width(self, width):
@@ -394,6 +413,13 @@ class TestLoadEmbeddings:
         table = load_embeddings(f"#dim=364\n{rows}\n")
         assert table.dim == 364
         assert all(vec.shape == (364,) for vec in table.rows.values())
+        crlf = load_embeddings(f"#dim=364\n{rows}\n\n".replace("\n", "\r\n"))
+        assert list(crlf.rows) == list(table.rows)
+        assert all(np.array_equal(crlf.rows[r], table.rows[r]) for r in table.rows)
+
+    def test_error_after_a_blank_line_names_the_files_own_line(self):
+        with pytest.raises(DimMismatch, match="^row 4: expected 2 values, got 1$"):
+            load_embeddings("#dim=2\nr1\t0\t1\n\nr2\t0\n")
 
     def test_dim_mismatch(self):
         with pytest.raises(DimMismatch):
@@ -416,6 +442,8 @@ class TestScoreTable:
     def test_comma_and_tab(self):
         assert parse_score_table("id,essay_score\na,2\n", "id", "essay_score") == {"a": 2}
         assert parse_score_table("id\tessay_score\na\t2\n", "id", "essay_score") == {"a": 2}
+        crlf = "id,essay_score\r\na,2\r\n\r\n"
+        assert parse_score_table(crlf, "id", "essay_score") == {"a": 2}
 
     def test_case_insensitive_columns(self):
         assert parse_score_table("Id,Essay_Score\na,1\n", "id", "essay_score") == {"a": 1}
