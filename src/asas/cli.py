@@ -118,7 +118,11 @@ DEFAULT_HIDDEN = OPTIONS["hidden"].default
 def load_config_file(path: str | Path) -> dict[str, object]:
     """Parse ``key = value`` lines; '#' comments and blanks are ignored."""
     cfg: dict[str, object] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise AsasError(f"{path}: {exc}") from None
+    for line_no, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -205,7 +209,9 @@ def _corpora(ctx: _Ctx, *files: str, test: bool = True):
     is that option's value with {prompt} expanded to the id. Over several
     prompts each such path must contain {prompt}; that is checked before any
     per-prompt file is read or anything is written, as is that every expanded
-    path is a file. Each header names the shared inputs and its own prompt's files."""
+    path is a file. Every prompt's corpus is split and its prompt text read
+    before the first is yielded. Each header names the shared inputs and its
+    own prompt's files."""
     responses = _load_dataset(ctx)
     test_rows = _load_test(ctx) if test else []
     if not ctx.all_prompts and ctx.prompt is None:
@@ -222,19 +228,23 @@ def _corpora(ctx: _Ctx, *files: str, test: bool = True):
                 )
             for pid in pids:
                 _existing(_expand(path, pid))
-    shared_inputs = dict(ctx.inputs)
+    shared_inputs, runs = dict(ctx.inputs), []
     for pid in pids:
         ctx.inputs = dict(shared_inputs)
         paths = {name: _expand(getattr(ctx, name), pid) for name in files}
         text = paths.get("prompt_text")
-        yield pid, build_corpus(
+        corpus = build_corpus(
             responses,
             prompt_id=pid,
             dev_fraction=ctx.dev_frac,
             seed=prompt_seed(ctx.seed, pid),
             test=test_rows,
-            prompt_text="" if text is None else ctx.read_input(text).decode("utf-8"),
-        ), paths
+            prompt_text="" if text is None else ctx.parse_input(text, bytes.decode, "utf-8"),
+        )
+        runs.append((pid, corpus, paths, ctx.inputs))
+    for pid, corpus, paths, inputs in runs:
+        ctx.inputs = inputs
+        yield pid, corpus, paths
 
 
 def _embeddings(ctx: _Ctx, path: str | None):

@@ -3,9 +3,9 @@
 A corpus is one prompt's responses partitioned into train/dev/test. The
 dev split is an unstratified seeded shuffle of the training data. Model
 predictions and sentence embeddings enter the pipeline as external
-tab-separated files loaded here; log-probability rows are renormalized
-with log-softmax on load so files from different producers are
-comparable.
+tab-separated files loaded here by one reader; log-probability rows are
+renormalized with log-softmax on load so files from different producers
+are comparable.
 """
 from __future__ import annotations
 
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DimMismatch,
     DuplicateId,
     EmptyInput,
     HeaderMismatch,
@@ -69,12 +68,6 @@ def data_lines(data: bytes | str) -> Iterator[tuple[int, str]]:
         line = line.removesuffix("\r")
         if line and not line.startswith("#"):
             yield number, line
-
-
-def _header_and_lines(data: bytes | str) -> tuple[str, Iterator[tuple[int, str]]]:
-    """Line 1 of a file whose line 1 is a '#key=value' header, and its data lines."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    return text.partition("\n")[0].removesuffix("\r"), data_lines(text)
 
 
 def _parse_score(cell: str, row_num: int) -> int | None:
@@ -156,7 +149,8 @@ def split_dev(
     """Partition one prompt's responses into (train, dev).
 
     The dev set holds round(dev_fraction * N) items chosen by a seeded
-    Fisher-Yates shuffle; both halves keep the input order. The shuffle
+    Fisher-Yates shuffle; both halves keep the input order, and neither
+    may be empty. The shuffle
     is written out explicitly so the partition is stable across Python
     versions for a given seed.
     """
@@ -169,6 +163,12 @@ def split_dev(
         raise ValueError(f"split_dev expects a single prompt, got {sorted(prompts)}")
     n = len(responses)
     n_dev = round(dev_fraction * n)
+    if not 0 < n_dev < n:
+        half = "dev" if n_dev == 0 else "train"
+        raise EmptyInput(
+            f"prompt {responses[0].prompt_id}: a dev fraction of {dev_fraction} of"
+            f" {n} responses leaves the {half} split empty"
+        )
     rng = random.Random(seed)
     order = list(range(n))
     for i in range(n - 1, 0, -1):
@@ -292,6 +292,54 @@ def corpus_stats(corpus: PromptCorpus) -> StatsRow:
     )
 
 
+def _table_header(data: bytes | str, *keys: str) -> tuple[str, dict[str, str], int]:
+    """The text of a member or embedding file, its line-1 fields and its row width.
+
+    Line 1 is '#' and tab-separated ``key=value`` fields holding every one of
+    ``keys``; the last of them is the width, a positive integer."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    first = text.partition("\n")[0].removesuffix("\r")
+    fields = first[1:].split("\t") if first.startswith("#") else []
+    header = dict(field.split("=", 1) for field in fields if "=" in field)
+    if len(header) != len(fields) or not header.keys() >= set(keys):
+        wanted = "\t".join(f"{key}=<...>" for key in keys)
+        raise HeaderMismatch(f"expected '#{wanted}' on line 1, got {first!r}")
+    width = header[keys[-1]]
+    if not (width.isdecimal() and int(width) > 0):
+        raise HeaderMismatch(f"{keys[-1]} must be a positive integer, got {width!r}")
+    return text, header, int(width)
+
+
+def _table_rows(text: str, width: int, known: set[str] | None) -> tuple[list[str], np.ndarray]:
+    """The ids of the data lines and their values as one matrix. Each line is an
+    id and ``width`` finite numbers; an id appears once and, when ``known`` is
+    given, is one of ``known``."""
+    rows: dict[str, int] = {}  # id -> its line number
+    values: list[float] = []
+    for row_num, line in data_lines(text):
+        fields = line.split("\t")
+        if len(fields) != width + 1:
+            raise RowLengthMismatch(
+                f"row {row_num}: expected {width} values, got {len(fields) - 1}"
+            )
+        rid = fields[0]
+        if rid in rows:
+            raise DuplicateId(f"row {row_num}: duplicate response id {rid!r}")
+        if known is not None and rid not in known:
+            raise UnknownResponseId(f"row {row_num}: id {rid!r} not in corpus")
+        try:
+            values += map(float, fields[1:])
+        except ValueError:
+            raise MalformedRow(f"row {row_num}: non-numeric value for id {rid!r}") from None
+        rows[rid] = row_num
+    mat = np.array(values, dtype=float).reshape(len(rows), width)
+    finite = np.isfinite(mat)
+    if not finite.all():
+        rid, row_num = list(rows.items())[np.argmin(finite.all(axis=1))]
+        raise MalformedRow(f"row {row_num}: non-finite value for id {rid!r}")
+    return list(rows), mat
+
+
 @dataclass(frozen=True)
 class LogProbMatrix:
     """Per-response class log-probabilities from one model.
@@ -309,61 +357,33 @@ class LogProbMatrix:
 def load_logprobs(data: bytes | str, corpus: PromptCorpus | None = None) -> LogProbMatrix:
     """Load a log-probability file.
 
-    Line 1 must be ``#model=<name>\\tprompt=<int>\\tk=<int>``; data lines
-    are ``<response_id>\\t<v1>...<vk>``. Later '#' lines are comments.
-    When a corpus is given, every row id must belong to it.
+    Line 1 holds ``#model=<name>\\tprompt=<int>\\tk=<int>``; data lines are
+    ``<response_id>\\t<v1>...<vk>``. When a corpus is given, the file must
+    be for its prompt and class count, and every row id must belong to it.
     """
-    first, lines = _header_and_lines(data)
-    if not first.startswith("#model="):
-        raise HeaderMismatch("expected '#model=<name>\\tprompt=<int>\\tk=<int>' on line 1")
-    parts = first[1:].split("\t")
-    header: dict[str, str] = {}
-    for part in parts:
-        if "=" not in part:
-            raise HeaderMismatch(f"bad header field {part!r}")
-        key, value = part.split("=", 1)
-        header[key] = value
+    text, header, k = _table_header(data, "model", "prompt", "k")
     try:
-        model_name = header["model"]
         prompt_id = int(header["prompt"])
-        k = int(header["k"])
-    except (KeyError, ValueError):
-        raise HeaderMismatch(f"bad header line {first!r}") from None
+    except ValueError:
+        raise HeaderMismatch(f"prompt must be an integer, got {header['prompt']!r}") from None
     if k < 2:
         raise HeaderMismatch(f"k must be >= 2, got {k}")
-
     known = None
     if corpus is not None:
         if corpus.num_classes != k:
             raise HeaderMismatch(
                 f"file declares k={k} but corpus has {corpus.num_classes} classes"
             )
-        known = {r.id for r in corpus.all_responses()}
-
-    ids: dict[str, None] = {}
-    values: list[list[float]] = []
-    for row_num, line in lines:
-        fields = line.split("\t")
-        if len(fields) != k + 1:
-            raise RowLengthMismatch(
-                f"row {row_num}: expected {k} values, got {len(fields) - 1}"
+        if corpus.prompt_id != prompt_id:
+            raise HeaderMismatch(
+                f"file declares prompt={prompt_id} but corpus is prompt {corpus.prompt_id}"
             )
-        rid = fields[0]
-        if rid in ids:
-            raise DuplicateId(f"row {row_num}: duplicate response id {rid!r}")
-        if known is not None and rid not in known:
-            raise UnknownResponseId(f"row {row_num}: id {rid!r} not in corpus")
-        try:
-            values.append([float(v) for v in fields[1:]])
-        except ValueError:
-            raise RowLengthMismatch(f"row {row_num}: non-numeric value") from None
-        ids[rid] = None
+        known = {r.id for r in corpus.all_responses()}
+    ids, mat = _table_rows(text, k, known)
     # One renormalisation for the whole file; each row gets exactly the
     # bits a per-row logsumexp would give it.
-    mat = np.array(values, dtype=float).reshape(len(values), k)
     mat -= logsumexp(mat, axis=1)[:, None]
-    rows = dict(zip(ids, mat))
-    return LogProbMatrix(model_name=model_name, prompt_id=prompt_id, k=k, rows=rows)
+    return LogProbMatrix(header["model"], prompt_id, k, dict(zip(ids, mat)))
 
 
 def dump_logprobs(matrix: LogProbMatrix, extra_comment: str | None = None) -> bytes:
@@ -387,29 +407,10 @@ class EmbeddingTable:
 
 
 def load_embeddings(data: bytes | str) -> EmbeddingTable:
-    """Load an embedding file: line 1 ``#dim=<int>``, rows id + floats."""
-    first, lines = _header_and_lines(data)
-    if not first.startswith("#dim="):
-        raise HeaderMismatch("expected '#dim=<int>' on line 1")
-    try:
-        dim = int(first[len("#dim="):].split("\t")[0])
-    except ValueError:
-        raise HeaderMismatch(f"bad header line {first!r}") from None
-    if dim <= 0:
-        raise HeaderMismatch(f"dim must be positive, got {dim}")
-    rows: dict[str, np.ndarray] = {}
-    for row_num, line in lines:
-        fields = line.split("\t")
-        if len(fields) != dim + 1:
-            raise DimMismatch(f"row {row_num}: expected {dim} values, got {len(fields) - 1}")
-        rid = fields[0]
-        if rid in rows:
-            raise DuplicateId(f"row {row_num}: duplicate response id {rid!r}")
-        try:
-            rows[rid] = np.array([float(v) for v in fields[1:]], dtype=float)
-        except ValueError:
-            raise MalformedRow(f"row {row_num}: non-numeric value for id {rid!r}") from None
-    return EmbeddingTable(dim=dim, rows=rows)
+    """Load an embedding file: line 1 holds ``#dim=<int>``, data lines an id and dim values."""
+    text, _, dim = _table_header(data, "dim")
+    ids, mat = _table_rows(text, dim, None)
+    return EmbeddingTable(dim, dict(zip(ids, mat)))
 
 
 def parse_score_table(data: bytes | str, id_col: str, score_col: str) -> dict[str, int]:

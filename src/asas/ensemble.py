@@ -8,24 +8,14 @@ chosen by mean dev QWK.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import LogProbMatrix, PromptCorpus
 from .errors import CoverageGap, KMismatch, SingleClass, TooFewCandidates
 from .learners import LogRegModel, logreg_fit, logreg_logprobs
-from .metrics import (
-    QWK_DEGRADATION,
-    QWK_GAP_LIMIT,
-    SMD_LIMIT,
-    SMD_VIOLATION,
-    EvalReport,
-    accuracy,
-    production_check,
-    qwk,
-    smd,
-)
+from .metrics import EvalReport, accuracy, criteria_flags, production_check, qwk, smd
 from .serialize import Artifact, row_vector
 
 STACKER_L2 = 1e-4
@@ -158,18 +148,16 @@ def evaluate_run(
     """Score one run: QWK, SMD, accuracy, and production flags."""
     pred = np.asarray(pred_labels)
     gold = np.asarray(gold_labels)
+    smd_value = smd(gold, pred)
     report = EvalReport(
         prompt_id=prompt_id,
         qwk=qwk(gold, pred, k),
-        smd=smd(gold, pred),
+        smd=smd_value,
         accuracy=accuracy(gold, pred),
         n=int(gold.size),
+        flags=criteria_flags(smd_value),
     )
-    if human_qwk is not None:
-        return production_check(report, human_qwk)
-    if abs(report.smd) > SMD_LIMIT:
-        report = replace(report, flags=frozenset({SMD_VIOLATION}))
-    return report
+    return report if human_qwk is None else production_check(report, human_qwk)
 
 
 def mean_report(reports: list[EvalReport]) -> EvalReport:
@@ -179,11 +167,6 @@ def mean_report(reports: list[EvalReport]) -> EvalReport:
     gaps = [r.qwk_gap_vs_human for r in reports]
     mean_gap = float(np.mean(gaps)) if all(g is not None for g in gaps) else None
     mean_smd = float(np.mean([r.smd for r in reports]))
-    flags = set()
-    if abs(mean_smd) > SMD_LIMIT:
-        flags.add(SMD_VIOLATION)
-    if mean_gap is not None and mean_gap > QWK_GAP_LIMIT:
-        flags.add(QWK_DEGRADATION)
     return EvalReport(
         prompt_id=-1,
         qwk=float(np.mean([r.qwk for r in reports])),
@@ -191,5 +174,5 @@ def mean_report(reports: list[EvalReport]) -> EvalReport:
         accuracy=float(np.mean([r.accuracy for r in reports])),
         n=int(sum(r.n for r in reports)),
         qwk_gap_vs_human=mean_gap,
-        flags=frozenset(flags),
+        flags=criteria_flags(mean_smd, mean_gap),
     )

@@ -11,7 +11,7 @@ class AsasError(Exception):
 
 # dataset ingestion and external artifact files
 class MalformedRow(AsasError):
-    """A data row has the wrong number of fields."""
+    """A data row has the wrong number of fields, or a value that is not a finite number."""
 
 
 class NonIntegerScore(AsasError):
@@ -35,7 +35,7 @@ class HeaderMismatch(AsasError):
 
 
 class RowLengthMismatch(AsasError):
-    """A log-probability row has a different length than the declared k."""
+    """A member or embedding row holds another number of values than line 1 declares."""
 
 
 class UnknownResponseId(AsasError):

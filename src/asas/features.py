@@ -24,7 +24,7 @@ import numpy as np
 
 from .corpus import EmbeddingTable, PromptCorpus, ScoredResponse
 from .errors import InsufficientClasses, MissingEmbedding, RankDeficient
-from .serialize import Artifact, fmt_float, row_vector
+from .serialize import Artifact, fmt_float, require_finite, row_vector
 
 MINUTIAE_LENGTHS = range(5, 20)  # 15 substring lengths
 NGRAM_ORDERS = (1, 2, 3)
@@ -611,10 +611,14 @@ class FeatureModelSpec:
                 raise ValueError(f"expected 30 n-grams of order {order}, got {n}")
         if self.tfidf_projection.shape[0] != len(self.tfidf_vocab):
             raise ValueError("projection rows disagree with vocabulary size")
+        mean, sd = self.standardizer
+        idf = [idf for _, idf in self.tfidf_vocab.values()]
+        blocks = ("projection", self.tfidf_projection), ("std_mean", mean), ("std_sd", sd)
+        for name, values in (*blocks, ("vocab", idf)):
+            require_finite(name, values)
         gram = self.tfidf_projection.T @ self.tfidf_projection
         if not np.allclose(gram, np.eye(self.d_t), atol=1e-8):
             raise ValueError("projection columns are not orthonormal")
-        mean, sd = self.standardizer
         if mean.shape != (self.feature_dim,) or sd.shape != (self.feature_dim,):
             raise ValueError("standardizer length disagrees with feature dimension")
         if (

@@ -21,7 +21,7 @@ from .errors import (
 )
 from .mathutil import log_softmax, sigmoid
 from .metrics import qwk
-from .serialize import row_vector
+from .serialize import require_finite, row_vector
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -71,7 +71,8 @@ class MlpModel:
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str = "mlp_") -> "MlpModel":
         """The model in matrices ``w1``, ``b1``, ``w2``, ``b2`` (one-row biases);
-        HeaderMismatch if one is missing or their shapes disagree."""
+        HeaderMismatch if one is missing or their shapes disagree, MalformedRow
+        if one holds a NaN or an infinity."""
         for name in ("w1", "b1", "w2", "b2"):
             if prefix + name not in arrays:
                 raise HeaderMismatch(f"model has no matrix {prefix + name!r}")
@@ -87,6 +88,8 @@ class MlpModel:
                     f"matrix {prefix + name} has {size} {unit}, but {prefix + before} has"
                     f" {width} columns"
                 )
+        for name, values in (("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)):
+            require_finite(prefix + name, values)
         return cls(w1=w1, b1=b1, w2=w2, b2=b2)
 
 

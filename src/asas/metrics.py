@@ -144,16 +144,20 @@ class EvalReport:
         )
 
 
-def production_check(report: EvalReport, human_qwk: float) -> EvalReport:
-    """Apply the deployment criteria to a report.
-
-    QwkDegradation is set when the machine QWK trails the human-human QWK
-    by more than 0.1; SmdViolation when |SMD| exceeds 0.15.
-    """
-    gap = human_qwk - report.qwk
-    flags = set(report.flags) - {SMD_VIOLATION, QWK_DEGRADATION}
-    if abs(report.smd) > SMD_LIMIT:
+def criteria_flags(smd_value: float, qwk_gap: float | None = None) -> frozenset[str]:
+    """The deployment flags a report earns: SmdViolation when |SMD| exceeds
+    0.15, QwkDegradation when the machine QWK trails the human-human QWK by
+    more than 0.1 (checked only when the gap is known)."""
+    flags = set()
+    if abs(smd_value) > SMD_LIMIT:
         flags.add(SMD_VIOLATION)
-    if gap > QWK_GAP_LIMIT:
+    if qwk_gap is not None and qwk_gap > QWK_GAP_LIMIT:
         flags.add(QWK_DEGRADATION)
-    return replace(report, qwk_gap_vs_human=gap, flags=frozenset(flags))
+    return frozenset(flags)
+
+
+def production_check(report: EvalReport, human_qwk: float) -> EvalReport:
+    """Apply the deployment criteria to a report, given the human-human QWK."""
+    gap = human_qwk - report.qwk
+    flags = report.flags - {SMD_VIOLATION, QWK_DEGRADATION} | criteria_flags(report.smd, gap)
+    return replace(report, qwk_gap_vs_human=gap, flags=flags)

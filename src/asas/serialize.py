@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import HeaderMismatch
+from .errors import HeaderMismatch, MalformedRow
 
 FORMAT_VERSION = "asas-artifact v1"
 TOOL_VERSION = "0.1.0"
@@ -171,6 +171,12 @@ def row_vector(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:
     if rows != 1:
         raise HeaderMismatch(f"matrix {name} has {rows} rows, expected 1")
     return arrays[name][0]
+
+
+def require_finite(name: str, values) -> None:
+    """MalformedRow unless every value of block ``name`` is a finite number."""
+    if not np.isfinite(values).all():
+        raise MalformedRow(f"block {name} holds a value that is not a finite number")
 
 
 def _block_rows(lines: list[str], at: int, name: str, count: int) -> list[str]:

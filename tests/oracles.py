@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from asas.errors import DuplicateId, RowLengthMismatch, UnknownResponseId
+from asas.errors import DuplicateId, MalformedRow, RowLengthMismatch, UnknownResponseId
 from asas.mathutil import logsumexp
 from asas.serialize import FORMAT_VERSION
 
@@ -283,7 +283,9 @@ def load_logprobs_per_row(data: str, known: set[str] | None, k: int):
         try:
             vec = np.array([float(v) for v in fields[1:]], dtype=float)
         except ValueError:
-            raise RowLengthMismatch(f"row {row_num}: non-numeric value") from None
+            raise MalformedRow(f"row {row_num}: non-numeric value for id {rid!r}") from None
+        if not all(np.isfinite(vec)):
+            raise MalformedRow(f"row {row_num}: non-finite value for id {rid!r}")
         rows[rid] = vec - logsumexp(vec)
     return rows
 

@@ -643,6 +643,73 @@ class TestPerPromptTextAndEmbeddings:
             assert "inputs=" in header and "nope.txt" not in header
 
 
+class TestInputFaults:
+    """A bad input exits 2 naming its file before any work, and writes nothing."""
+
+    @pytest.mark.parametrize("frac, half", [("0.001", "dev"), ("0.999", "train")])
+    @pytest.mark.parametrize("command", ["tune", "train-features", "stats", "ensemble"])
+    def test_an_empty_split(self, workspace, capsys, command, frac, half):
+        out = workspace["dir"] / "empty_split"
+        extra = {
+            "tune": ["--trials", "2", "--epochs", "1"],
+            "train-features": ["--epochs", "1"],
+            "stats": [],
+            "ensemble": ["--members", *_member_files(workspace, n_members=1)],
+        }[command]
+        assert main([
+            command, "--data", str(workspace["data"]), "--prompt", "1", "--dev-frac", frac,
+            "--out", str(out), *extra,
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"prompt 1: a dev fraction of {frac} of 60 responses leaves the {half} split" in err
+        assert not out.exists()
+
+    def test_a_prompt_text_that_is_not_utf8(self, workspace, capsys):
+        text, out = workspace["dir"] / "latin1.txt", workspace["dir"] / "latin1"
+        text.write_bytes("Expliquez l'osmose d'une cellule \xe9".encode("latin-1"))
+        assert main([
+            "train-features", "--data", str(workspace["data"]), "--prompt", "1",
+            "--prompt-text", str(text), "--epochs", "1", "--out", str(out),
+        ]) == 2
+        assert f"asas: {text}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_config_file_that_is_not_utf8(self, workspace, capsys):
+        conf = workspace["dir"] / "latin1.conf"
+        conf.write_bytes("# r\xe9glages\nseed = 3\n".encode("latin-1"))
+        assert main(["stats", "--config", str(conf), "--data", str(workspace["data"])]) == 2
+        assert f"asas: {conf}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+
+    def test_a_member_value_that_is_not_finite(self, workspace, capsys):
+        members = _member_files(workspace)
+        lines = open(members[1]).read().splitlines()
+        rid, *values = lines[1].split("\t")
+        lines[1] = "\t".join([rid, "-inf", *values[1:]])
+        open(members[1], "w").write("\n".join(lines) + "\n")
+        out = workspace["dir"] / "ens_inf"
+        assert main([
+            "ensemble", "--data", str(workspace["data"]), "--test", str(workspace["test"]),
+            "--prompt", "1", "--members", *members, "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"asas: {members[1]}: row 2: non-finite value for id {rid!r}" in err
+        assert not out.exists()
+
+    def test_an_embedding_value_that_is_not_finite(self, workspace, capsys):
+        rows = [r for r in workspace["pool"] if r.prompt_id == 1]
+        lines = _embedding_table(rows, seed=1).splitlines()
+        lines[5] = lines[5].rsplit("\t", 1)[0] + "\tnan"
+        emb, out = workspace["dir"] / "emb_nan.tsv", workspace["dir"] / "emb_nan"
+        emb.write_text("\n".join(lines) + "\n")
+        assert main([
+            "train-features", "--data", str(workspace["data"]), "--prompt", "1",
+            "--embeddings", str(emb), "--epochs", "1", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert f"asas: {emb}: row 6: non-finite value for id {rows[4].id!r}" in err
+        assert not out.exists()
+
+
 class TestEnsembleCommand:
     def test_best_two_of_three_members(self, workspace, capsys):
         members = _member_files(workspace)
@@ -919,6 +986,23 @@ class TestModelFileChecks:
         self._assert_rejected(
             toy_model, capsys, text, f"matrix mlp_b1 has 1 values, but mlp_w1 has {DEFAULT_HIDDEN}"
         )
+
+    @pytest.mark.parametrize("name, value", [
+        ("mlp_w2", "nan"),
+        ("mlp_b1", "inf"),
+        ("projection", "-inf"),
+        ("std_mean", "1e309"),
+        ("std_sd", "nan"),
+        ("vocab", "nan"),  # the first term's idf
+    ])
+    def test_a_block_holding_nan_or_infinity(self, toy_model, capsys, name, value):
+        lines = toy_model[2].splitlines(keepends=True)
+        at = next(i for i, ln in enumerate(lines) if ln.split(" ")[1:2] == [name]) + 1
+        cells = lines[at].rstrip("\n").split("\t")
+        cells[1 if name == "vocab" else 0] = value
+        lines[at] = "\t".join(cells) + "\n"
+        names = f"block {name} holds a value that is not a finite number"
+        self._assert_rejected(toy_model, capsys, "".join(lines), names)
 
     def _assert_rejected(self, toy_model, capsys, text, names):
         root, data, _ = toy_model

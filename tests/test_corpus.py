@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import math
 import random
-import warnings
 
 import numpy as np
 import pytest
@@ -28,7 +27,6 @@ from asas.corpus import (
 )
 from asas.errors import (
     AsasError,
-    DimMismatch,
     DuplicateId,
     EmptyInput,
     HeaderMismatch,
@@ -181,6 +179,10 @@ class TestSplitDev:
     @settings(max_examples=150)
     def test_partition_property(self, n, fraction, seed):
         responses = make_toy_responses(n=n, seed=1)
+        if round(fraction * n) in (0, n):
+            with pytest.raises(EmptyInput, match=f"^prompt 1: a dev fraction of {fraction} of {n}"):
+                split_dev(responses, fraction, seed)
+            return
         train, dev = split_dev(responses, fraction, seed)
         assert len(dev) == round(fraction * n)
         assert sorted(r.id for r in train + dev) == sorted(r.id for r in responses)
@@ -263,17 +265,17 @@ class TestCorpusStats:
 
 @st.composite
 def _logprob_files(draw):
-    """A log-probability file with comments, -inf cells and large row
-    offsets, sometimes with one faulty row; returns (text, k, n, with_corpus)."""
+    """A log-probability file with comments and large row offsets, sometimes
+    with one faulty row; returns (text, k, n, with_corpus)."""
     k = draw(st.integers(2, 6))
     n = draw(st.integers(0, 20))
-    cell = st.one_of(st.floats(-60, 60), st.just(-math.inf))
     rows = []
     for i in range(n):
         offset = draw(st.sampled_from([0.0, 700.0, -1e6, 1e9, 3e300]))
-        values = draw(st.lists(cell, min_size=k, max_size=k))
+        values = draw(st.lists(st.floats(-60, 60), min_size=k, max_size=k))
         rows.append([f"r{i}", *(repr(v + offset) for v in values)])
-    fault = draw(st.sampled_from([None] * 5 + ["short", "long", "duplicate", "unknown", "text"]))
+    faults = ["short", "long", "duplicate", "unknown", "text", "non-finite"]
+    fault = draw(st.sampled_from([None] * 5 + faults))
     with_corpus = fault == "unknown" or draw(st.booleans())
     if fault and rows:
         at = draw(st.integers(0, n - 1))
@@ -285,6 +287,8 @@ def _logprob_files(draw):
             rows.append(list(rows[at]))
         elif fault == "unknown":
             rows[at][0] = "stranger"
+        elif fault == "non-finite":
+            rows[at][draw(st.integers(1, k))] = draw(st.sampled_from(["-inf", "inf", "nan"]))
         else:
             rows[at][draw(st.integers(1, k))] = draw(st.sampled_from(["abc", "", "1.0.0"]))
     lines = [f"#model=m\tprompt=1\tk={k}"]
@@ -332,6 +336,13 @@ class TestLoadLogprobs:
         with pytest.raises(UnknownResponseId):
             load_logprobs(bad, corpus)
 
+    def test_prompt_mismatch_against_corpus(self):
+        pool = make_toy_responses(n=10, k=2)
+        corpus = build_corpus(pool, prompt_id=1, dev_fraction=0.2, seed=0)
+        # the ids exist in this prompt too: only line 1 tells the files apart
+        with pytest.raises(HeaderMismatch, match="^file declares prompt=2 but corpus is prompt 1$"):
+            load_logprobs("#model=m\tprompt=2\tk=2\n0\t0\t-1\n", corpus)
+
     def test_k_mismatch_against_corpus(self):
         pool = make_toy_responses(n=10, k=2)
         corpus = build_corpus(pool, prompt_id=1, dev_fraction=0.2, seed=0)
@@ -362,17 +373,14 @@ class TestLoadLogprobs:
             members = [ScoredResponse(f"r{i}", 1, "text", score1=0) for i in range(n)]
             corpus = PromptCorpus(1, members, [], [], num_classes=k, min_score=0)
             known = {r.id for r in members}
-        with warnings.catch_warnings():
-            # all -inf rows renormalise to NaN, with numpy's warnings
-            warnings.simplefilter("ignore", RuntimeWarning)
-            try:
-                want = load_logprobs_per_row(data, known, k)
-            except AsasError as exc:
-                with pytest.raises(type(exc)) as caught:
-                    load_logprobs(data, corpus)
-                assert str(caught.value) == str(exc)
-                return
-            got = load_logprobs(data, corpus).rows
+        try:
+            want = load_logprobs_per_row(data, known, k)
+        except AsasError as exc:
+            with pytest.raises(type(exc)) as caught:
+                load_logprobs(data, corpus)
+            assert str(caught.value) == str(exc)
+            return
+        got = load_logprobs(data, corpus).rows
         assert list(got) == list(want)
         assert all(got[rid].tobytes() == want[rid].tobytes() for rid in want)
 
@@ -418,11 +426,11 @@ class TestLoadEmbeddings:
         assert all(np.array_equal(crlf.rows[r], table.rows[r]) for r in table.rows)
 
     def test_error_after_a_blank_line_names_the_files_own_line(self):
-        with pytest.raises(DimMismatch, match="^row 4: expected 2 values, got 1$"):
+        with pytest.raises(RowLengthMismatch, match="^row 4: expected 2 values, got 1$"):
             load_embeddings("#dim=2\nr1\t0\t1\n\nr2\t0\n")
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(RowLengthMismatch):
             load_embeddings("#dim=4\nr1\t0\t0\t0\t0\t0\n")
 
     def test_duplicate_id(self):
@@ -436,6 +444,50 @@ class TestLoadEmbeddings:
     def test_non_numeric_value_names_the_row(self):
         with pytest.raises(MalformedRow, match="row 3: non-numeric value for id 'r2'"):
             load_embeddings("#dim=2\nr1\t0\t1\nr2\t0\tx\n")
+
+
+# Line 1 of each kind of id-keyed file, declaring rows of two values.
+_FIRST_LINES = {"member": "#model=m\tprompt=1\tk={}", "embedding": "#dim={}"}
+_LOADERS = {"member": load_logprobs, "embedding": load_embeddings}
+
+
+@pytest.mark.parametrize("kind", ["member", "embedding"])
+class TestMemberAndEmbeddingFiles:
+    """Member and embedding files share one line-1 rule and one row rule."""
+
+    def _load(self, kind, rows, width="2"):
+        return _LOADERS[kind](_FIRST_LINES[kind].format(width) + "\n" + rows)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309", "-Infinity", "NaN"])
+    def test_a_value_that_is_not_finite_names_row_and_id(self, kind, value):
+        with pytest.raises(MalformedRow, match="^row 4: non-finite value for id 'r2'$"):
+            self._load(kind, f"r1\t0\t1\n# comment\nr2\t0.5\t{value}\nr3\t0\t1\n")
+
+    @pytest.mark.parametrize("value", ["x", "", "1.0.0"])
+    def test_a_value_that_is_not_a_number_names_row_and_id(self, kind, value):
+        with pytest.raises(MalformedRow, match="^row 3: non-numeric value for id 'r2'$"):
+            self._load(kind, f"r1\t0\t1\nr2\t{value}\t0\n")
+
+    @pytest.mark.parametrize(
+        "row, got", [("r2\t0", 1), ("r2\t0\t1\t2", 3), ("r2", 0)], ids=["short", "long", "bare-id"]
+    )
+    def test_a_row_of_another_width(self, kind, row, got):
+        with pytest.raises(RowLengthMismatch, match=f"^row 3: expected 2 values, got {got}$"):
+            self._load(kind, f"r1\t0\t1\n{row}\n")
+
+    @pytest.mark.parametrize("width", ["0", "-1", "x", "2.0", "", " 2"])
+    def test_the_width_is_a_positive_integer(self, kind, width):
+        with pytest.raises(HeaderMismatch, match="must be a positive integer"):
+            self._load(kind, "r1\t0\t1\n", width)
+
+    @pytest.mark.parametrize("spoil", [
+        lambda first: first + "\tnote",  # a field without '='
+        lambda first: "\n" + first,  # line 1 is blank
+    ], ids=["bare-field", "blank-line-1"])
+    def test_line_1_is_key_value_fields(self, kind, spoil):
+        first = _FIRST_LINES[kind].format(2)
+        with pytest.raises(HeaderMismatch, match="^expected '#.*' on line 1"):
+            _LOADERS[kind](spoil(first) + "\nr1\t0\t1\n")
 
 
 class TestScoreTable:

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from asas.errors import (
@@ -384,6 +384,7 @@ class TestLogReg:
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
+    @example(n=5, d=5, k=5, l2=7.990003426568374, seed=5)  # stops at the cap, unconverged
     def test_bitwise_equal_to_reference_when_converging_early(self, n, d, k, l2, seed):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 5.0])
@@ -391,7 +392,8 @@ class TestLogReg:
         y = rng.permutation(np.arange(n) % k)
         model = logreg_fit(X, y, l2)
         weights, bias = logreg_fit_reference(X, y, l2)
-        assert model.converged and model.iterations < LOGREG_MAX_ITER
+        if model.iterations < LOGREG_MAX_ITER:
+            assert model.converged
         assert model.weights.tobytes() == weights.tobytes()
         assert model.bias.tobytes() == bias.tobytes()
 

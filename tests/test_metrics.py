@@ -13,6 +13,7 @@ from asas.metrics import (
     ConfusionTable,
     EvalReport,
     accuracy,
+    criteria_flags,
     production_check,
     qwk,
     smd,
@@ -142,6 +143,18 @@ class TestAccuracy:
     def test_errors(self):
         with pytest.raises(LengthMismatch):
             accuracy([0], [0, 1])
+
+
+class TestCriteriaFlags:
+    @pytest.mark.parametrize("smd_value, gap, flags", [
+        (0.15, None, set()),
+        (-0.151, None, {SMD_VIOLATION}),
+        (0.0, 0.1, set()),
+        (0.0, 0.1001, {QWK_DEGRADATION}),
+        (0.2, 0.2, {SMD_VIOLATION, QWK_DEGRADATION}),
+    ])
+    def test_limits_are_exclusive_and_an_unknown_gap_sets_nothing(self, smd_value, gap, flags):
+        assert criteria_flags(smd_value, gap) == frozenset(flags)
 
 
 class TestProductionCheck:
