@@ -43,6 +43,7 @@ from .ensemble import (
 )
 from .errors import AllTrialsFailed, AsasError, CoverageGap, MalformedRow, MissingPromptPlaceholder
 from .features import (
+    MIN_CUTOFF,
     CachedFeatureBuilder,
     FeatureModelSpec,
     build_features,
@@ -255,7 +256,8 @@ def _check_positive(ctx: _Ctx, *names: str) -> None:
     """Exit 2 before any featurising when a fixed training value is not positive."""
     for name in names:
         if not getattr(ctx, name) > 0:
-            raise AsasError(f"--{name} must be positive, got {getattr(ctx, name)}")
+            flag = "--" + name.replace("_", "-")
+            raise AsasError(f"{flag} must be positive, got {getattr(ctx, name)}")
 
 
 def _out_dir(ctx: _Ctx, prompt_id: int) -> Path:
@@ -357,7 +359,9 @@ def _save_run(ctx: _Ctx, out: Path, corpus, spec: FeatureModelSpec, matrix, resu
 
 
 def cmd_train_features(ctx: _Ctx) -> None:
-    _check_positive(ctx, "lr", "batch", "epochs", "hidden")
+    _check_positive(ctx, "lr", "batch", "epochs", "hidden", "tfidf_dim")
+    if not MIN_CUTOFF <= ctx.cutoff <= 1.0:
+        raise AsasError(f"--cutoff must be in [{MIN_CUTOFF}, 1.0], got {ctx.cutoff}")
     for pid, corpus, paths in _corpora(ctx, "prompt_text", "embeddings"):
         embeddings = _embeddings(ctx, paths["embeddings"])
         spec, matrix = fit_feature_model(corpus, ctx.tfidf_dim, ctx.cutoff, embeddings)
@@ -432,7 +436,7 @@ def cmd_ensemble(ctx: _Ctx) -> None:
         if ctx.m is not None:
             candidates = []
             for mem in members:
-                pred = np.argmax(assemble([mem], dev_ids).data, axis=1)
+                pred = np.argmax(assemble([mem], dev_ids), axis=1)
                 candidates.append((mem.model_name, [evaluate_run(pred, dev_gold, k, pid)]))
             chosen = select_best_subset(candidates, ctx.m)
             members = [mem for mem in members if mem.model_name in chosen]

@@ -13,30 +13,40 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import LogProbMatrix, PromptCorpus
-from .errors import CoverageGap, KMismatch, SingleClass, TooFewCandidates
+from .errors import CoverageGap, HeaderMismatch, KMismatch, SingleClass, TooFewCandidates
 from .learners import LogRegModel, logreg_fit, logreg_logprobs
 from .metrics import EvalReport, accuracy, criteria_flags, production_check, qwk, smd
-from .serialize import Artifact, row_vector
+from .serialize import Artifact, require_finite, row_vector
 
 STACKER_L2 = 1e-4
 
 
 @dataclass(frozen=True)
-class DesignMatrix:
-    """Rows of member log-probabilities, member blocks in a fixed order."""
-
-    ids: list[str]
-    data: np.ndarray
-
-
-@dataclass(frozen=True)
 class EnsembleSpec:
-    """Fitted stacker: member order plus the logistic-regression head."""
+    """Fitted stacker: member order plus the logistic-regression head.
+
+    Checked when made: the head holds ``k`` weight columns for each member
+    and ``k`` biases, all finite, where ``k`` is its number of classes.
+    """
 
     members: list[str]
     head: LogRegModel
     prompt_id: int
-    k: int
+
+    def __post_init__(self) -> None:
+        weights, bias, k = self.head.weights, self.head.bias, self.k
+        if weights.shape[0] != len(self.members) * k or bias.shape != (k,):
+            raise HeaderMismatch(
+                f"stacker head of {k} classes has {weights.shape[0]} weight rows and"
+                f" {bias.size} biases; {len(self.members)} members need"
+                f" {len(self.members) * k} rows and {k} biases"
+            )
+        require_finite("head_weights", weights)
+        require_finite("head_bias", bias)
+
+    @property
+    def k(self) -> int:
+        return self.head.n_classes
 
     def to_artifact(self) -> Artifact:
         return Artifact(
@@ -60,16 +70,18 @@ class EnsembleSpec:
             bias=row_vector(art.arrays, "head_bias"),
             l2=float(art.meta["l2"]),
         )
-        return cls(
+        spec = cls(
             members=[row[0] for row in art.tables["members"]],
             head=head,
             prompt_id=int(art.meta["prompt"]),
-            k=int(art.meta["k"]),
         )
+        if int(art.meta["k"]) != spec.k:
+            raise HeaderMismatch(f"meta k is {art.meta['k']}, but the head has {spec.k} classes")
+        return spec
 
 
-def assemble(members: list[LogProbMatrix], ids: list[str]) -> DesignMatrix:
-    """Concatenate member rows for the given ids, in member order."""
+def assemble(members: list[LogProbMatrix], ids: list[str]) -> np.ndarray:
+    """Member rows for the given ids, one row per id, member blocks in member order."""
     if not members:
         raise TooFewCandidates("need at least one member")
     k = members[0].k
@@ -87,24 +99,19 @@ def assemble(members: list[LogProbMatrix], ids: list[str]) -> DesignMatrix:
             if row is None:
                 raise CoverageGap(f"member {m.model_name!r} has no row for id {rid!r}")
             data[i, j * k:(j + 1) * k] = row
-    return DesignMatrix(ids=list(ids), data=data)
+    return data
 
 
-def fit_ensemble(
-    members: list[LogProbMatrix], dev_corpus: PromptCorpus, l2: float = STACKER_L2
-) -> EnsembleSpec:
+def fit_ensemble(members: list[LogProbMatrix], dev_corpus: PromptCorpus) -> EnsembleSpec:
     """Fit the stacking head on dev labels; reads only dev rows."""
     ids = [r.id for r in dev_corpus.dev]
     design = assemble(members, ids)
     labels = dev_corpus.labels(dev_corpus.dev)
     if np.unique(labels).size < 2:
         raise SingleClass("dev split shows a single class; cannot fit the stacker")
-    head = logreg_fit(design.data, labels, l2, k=dev_corpus.num_classes)
+    head = logreg_fit(design, labels, STACKER_L2, k=dev_corpus.num_classes)
     return EnsembleSpec(
-        members=[m.model_name for m in members],
-        head=head,
-        prompt_id=dev_corpus.prompt_id,
-        k=dev_corpus.num_classes,
+        members=[m.model_name for m in members], head=head, prompt_id=dev_corpus.prompt_id
     )
 
 
@@ -119,7 +126,7 @@ def score_ensemble(
             raise CoverageGap(f"member {name!r} required by the ensemble was not provided")
         ordered.append(by_name[name])
     design = assemble(ordered, ids)
-    logprobs = logreg_logprobs(spec.head, design.data)
+    logprobs = logreg_logprobs(spec.head, design)
     return np.argmax(logprobs, axis=1), logprobs
 
 

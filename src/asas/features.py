@@ -18,7 +18,8 @@ import re
 import string
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -74,8 +75,8 @@ def minutiae_overlap(response: str, prompt_subs: list[set[str]]) -> np.ndarray:
     Component i counts the distinct substrings of length 5+i of the
     normalized response that also occur in the normalized prompt, for
     lengths 5 through 19 (15 dimensions). ``prompt_subs`` is the prompt's
-    prepared state, ``minutiae_substrings(prompt)``: a fitted spec builds
-    it once (``ScoringState.prompt_subs``) and every answer reuses it.
+    prepared state, ``minutiae_substrings(prompt)``: a fitted spec derives
+    it once (``FeatureModelSpec.prompt_subs``) and every answer reuses it.
     """
     r = normalize_text(response)
     out = np.zeros(len(MINUTIAE_LENGTHS), dtype=float)
@@ -119,14 +120,12 @@ def _chi_squared(present_by_class: Counter, class_totals: Counter, n_docs: int) 
     return chi
 
 
-def select_key_ngrams(
-    train: list[tuple[str, int]], n_per_order: int = NGRAMS_PER_ORDER
-) -> list[KeyNgram]:
+def select_key_ngrams(train: list[tuple[str, int]]) -> list[KeyNgram]:
     """Pick the n-grams most associated with the score class.
 
     Word n-grams (orders 1..3) over lowercased whitespace tokens are
     ranked by the chi-squared statistic of (document presence x score
-    class); the top n_per_order of each order are kept, ties broken
+    class); the top NGRAMS_PER_ORDER of each order are kept, ties broken
     lexicographically. Orders with too few distinct n-grams are padded
     with always-zero slots so the feature block width is fixed.
     """
@@ -147,14 +146,13 @@ def select_key_ngrams(
             present_by_class,
             key=lambda g: (-_chi_squared(present_by_class[g], class_totals, n_docs), g),
         )
-        top = ranked[:n_per_order]
+        top = ranked[:NGRAMS_PER_ORDER]
         selected.extend(
             KeyNgram(text=g, order=order, score=_chi_squared(present_by_class[g], class_totals, n_docs))
             for g in top
         )
-        selected.extend(
-            KeyNgram(text=None, order=order, score=0.0) for _ in range(n_per_order - len(top))
-        )
+        padding = NGRAMS_PER_ORDER - len(top)
+        selected.extend(KeyNgram(text=None, order=order, score=0.0) for _ in range(padding))
     return selected
 
 
@@ -275,20 +273,22 @@ def _gram_tables(
 class NgramTables:
     """Key n-gram slots as the fuzzy engine reads them, built once per slot list.
 
-    ``present`` holds the slot of each real (non-None) n-gram; the other
-    fields index those n-grams in slot order. Characters are coded by
-    ``alphabet``, the n-grams' characters in sorted order; every other
-    character gets the one code ``len(alphabet)``. ``lengths`` and
-    ``masks`` come from ``_gram_tables``; ``low[g]`` selects the low
-    |n-gram g| bits (at most 64) of an LCS bit vector. ``by_order`` holds, for each token order,
+    ``n_slots`` counts the slots, padding included, and ``present`` holds
+    the slot of each real (non-None) n-gram; the other fields index those
+    n-grams in slot order. Characters are coded by ``alphabet``, the
+    n-grams' characters in sorted order; every other character gets the
+    one code ``len(alphabet)``. ``lengths`` and ``masks`` come from
+    ``_gram_tables``; ``low[g]`` selects the low |n-gram g| bits (at most
+    64) of an LCS bit vector. ``by_order`` holds, for each token order,
     the n-grams of that order, the character codes they use and their
     histograms over those codes. ``matchers[g]`` is a difflib matcher
     with n-gram g as seq2, so matching a window only sets seq1; the
     matchers are reused from call to call, so one table serves one
-    ``fuzzy_ratios`` call at a time.
+    ``fuzzy_ratios`` call at a time. Every spec derives its own table and
+    every builder builds one for its scoring pass: none is shared.
     """
 
-    slots: tuple[str | None, ...]
+    n_slots: int
     present: np.ndarray
     alphabet: dict[str, int]
     lengths: np.ndarray
@@ -310,7 +310,7 @@ class NgramTables:
             used = np.flatnonzero(hist[sel].any(axis=0))
             by_order.append((order, sel, used, hist[np.ix_(sel, used)]))
         return cls(
-            slots=tuple(key_ngrams),
+            n_slots=len(key_ngrams),
             present=present,
             alphabet=alphabet,
             lengths=lengths,
@@ -325,8 +325,8 @@ def fuzzy_ratios(texts: list[str], tables: NgramTables, floor: float) -> FuzzyRa
     """``window_ratios`` of every text and key n-gram, kept where they reach ``floor``.
 
     ``tables`` is the n-grams' prepared state, ``NgramTables.of(key_ngrams)``:
-    a fitted spec builds it once (``ScoringState.ngrams``) and every call
-    reuses it, so a call does only the per-text work.
+    a fitted spec derives it once (``FeatureModelSpec.ngram_tables``) and
+    every call reuses it, so a call does only the per-text work.
 
     Exact pruning: difflib's ratio is 2M/(la+lb), where M, the length of
     its matching blocks, is at most the longest common subsequence of the
@@ -413,7 +413,7 @@ def fuzzy_ratios(texts: list[str], tables: NgramTables, floor: float) -> FuzzyRa
         else (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp), np.empty(0))
     )
     return FuzzyRatios(
-        shape=(len(texts), len(tables.slots)), floor=floor, rows=rows, cols=cols, ratios=ratios
+        shape=(len(texts), tables.n_slots), floor=floor, rows=rows, cols=cols, ratios=ratios
     )
 
 
@@ -544,34 +544,14 @@ def apply_standardizer(X: np.ndarray, mean: np.ndarray, sd: np.ndarray) -> np.nd
 
 
 @dataclass(frozen=True, eq=False)
-class ScoringState:
-    """What scoring an answer needs that depends only on the fitted spec.
-
-    The key n-grams' ``NgramTables`` and the prompt's
-    ``minutiae_substrings``, built once from a spec's key n-grams and
-    prompt and reused by every ``extract_features`` call on that spec.
-    It is derived from the saved fields, never saved itself.
-    """
-
-    ngrams: NgramTables
-    prompt_minutiae: str
-    prompt_subs: list[set[str]]
-
-    @classmethod
-    def of(cls, key_ngrams: list[KeyNgram], prompt_minutiae: str) -> "ScoringState":
-        return cls(
-            ngrams=NgramTables.of([g.text for g in key_ngrams]),
-            prompt_minutiae=prompt_minutiae,
-            prompt_subs=minutiae_substrings(prompt_minutiae),
-        )
-
-
-@dataclass
 class FeatureModelSpec:
     """A fitted feature extractor: everything needed to score new text.
 
-    ``scoring`` is ``ScoringState.of(key_ngrams, prompt_minutiae)``, built
-    with the spec and shared by every answer it scores.
+    A spec is checked when it is made, so every spec that exists is whole.
+    What scoring needs that depends only on the spec, the key n-grams'
+    ``NgramTables`` and the prompt's ``minutiae_substrings``, is derived
+    from the saved fields the first time the spec scores, reused by every
+    later ``extract_features`` call on it, and never saved.
     """
 
     tfidf_vocab: dict[str, tuple[int, float]]
@@ -581,7 +561,6 @@ class FeatureModelSpec:
     standardizer: tuple[np.ndarray, np.ndarray]
     embedding_dim: int | None
     prompt_minutiae: str
-    scoring: ScoringState = field(repr=False)
 
     @property
     def d_t(self) -> int:
@@ -600,7 +579,15 @@ class FeatureModelSpec:
     def ngram_strings(self) -> list[str | None]:
         return [g.text for g in self.key_ngrams]
 
-    def validate(self) -> None:
+    @cached_property
+    def ngram_tables(self) -> NgramTables:
+        return NgramTables.of(self.ngram_strings())
+
+    @cached_property
+    def prompt_subs(self) -> list[set[str]]:
+        return minutiae_substrings(self.prompt_minutiae)
+
+    def __post_init__(self) -> None:
         if not MIN_CUTOFF <= self.near_match_cutoff <= 1.0:
             raise ValueError(f"cutoff out of range: {self.near_match_cutoff}")
         if len(self.key_ngrams) != len(NGRAM_ORDERS) * NGRAMS_PER_ORDER:
@@ -621,11 +608,6 @@ class FeatureModelSpec:
             raise ValueError("projection columns are not orthonormal")
         if mean.shape != (self.feature_dim,) or sd.shape != (self.feature_dim,):
             raise ValueError("standardizer length disagrees with feature dimension")
-        if (
-            list(self.scoring.ngrams.slots) != self.ngram_strings()
-            or self.scoring.prompt_minutiae != self.prompt_minutiae
-        ):
-            raise ValueError("scoring state was built for other key n-grams or another prompt")
 
     def to_artifact(self) -> Artifact:
         vocab_rows = [None] * len(self.tfidf_vocab)
@@ -666,19 +648,15 @@ class FeatureModelSpec:
             for order, text, score in art.tables["key_ngrams"]
         ]
         emb = art.meta["embedding_dim"]
-        prompt_minutiae = art.meta["prompt_minutiae"]
-        spec = cls(
+        return cls(
             tfidf_vocab=vocab,
             tfidf_projection=art.arrays["projection"],
             key_ngrams=key_ngrams,
             near_match_cutoff=float(art.meta["cutoff"]),
             standardizer=(row_vector(art.arrays, "std_mean"), row_vector(art.arrays, "std_sd")),
             embedding_dim=None if emb == "none" else int(emb),
-            prompt_minutiae=prompt_minutiae,
-            scoring=ScoringState.of(key_ngrams, prompt_minutiae),
+            prompt_minutiae=art.meta["prompt_minutiae"],
         )
-        spec.validate()
-        return spec
 
 
 def _embedding_block(
@@ -702,7 +680,8 @@ def _embedding_block(
 def _raw_blocks(
     responses: list[ScoredResponse],
     vocab: dict[str, tuple[int, float]],
-    scoring: ScoringState,
+    ngrams: NgramTables,
+    prompt_subs: list[set[str]],
     floor: float,
     embedding_dim: int | None,
     embeddings: EmbeddingTable | None,
@@ -713,8 +692,8 @@ def _raw_blocks(
     return (
         None if embedding_dim is None else _embedding_block(responses, embedding_dim, embeddings),
         tfidf_matrix(texts, vocab),
-        np.array([minutiae_overlap(t, scoring.prompt_subs) for t in texts]),
-        fuzzy_ratios(texts, scoring.ngrams, floor),
+        np.array([minutiae_overlap(t, prompt_subs) for t in texts]),
+        fuzzy_ratios(texts, ngrams, floor),
         np.array([text_stats(t) for t in texts]),
     )
 
@@ -769,7 +748,8 @@ def extract_features(
     """Apply a fitted spec to any responses, standardizing with train stats."""
     cutoff = spec.near_match_cutoff
     blocks = _raw_blocks(
-        responses, spec.tfidf_vocab, spec.scoring, cutoff, spec.embedding_dim, embeddings
+        responses, spec.tfidf_vocab, spec.ngram_tables, spec.prompt_subs, cutoff,
+        spec.embedding_dim, embeddings,
     )
     raw = _assemble(blocks, spec.tfidf_projection, cutoff)
     mean, sd = spec.standardizer
@@ -798,9 +778,10 @@ class CachedFeatureBuilder:
     and refits the standardizer on the train rows, so its rows are the
     ones ``extract_features`` gives on the spec, bit for bit. Tuning fits
     once at ``floor=MIN_CUTOFF`` for all its trials; ``fit_feature_model``
-    fits at its own d_t and cutoff. The key n-grams and the prompt are the
-    same for every ``build``, so all the specs it returns share the one
-    ``ScoringState`` that ``__init__`` scored with.
+    fits at its own d_t and cutoff. ``__init__`` builds the key n-grams'
+    tables and the prompt's substring sets for its one scoring pass and
+    keeps neither: the specs ``build`` returns share nothing, and each
+    derives its own the first time it scores.
     """
 
     def __init__(
@@ -819,9 +800,10 @@ class CachedFeatureBuilder:
         )
         self.key_ngrams = select_key_ngrams([(r.text, r.score1) for r in corpus.train])
         self.prompt_minutiae = normalize_text(corpus.prompt_text)
-        self.scoring = ScoringState.of(self.key_ngrams, self.prompt_minutiae)
+        ngrams = NgramTables.of([g.text for g in self.key_ngrams])
+        prompt_subs = minutiae_substrings(self.prompt_minutiae)
         self._blocks = _raw_blocks(
-            responses, self.vocab, self.scoring, floor, self.embedding_dim, embeddings
+            responses, self.vocab, ngrams, prompt_subs, floor, self.embedding_dim, embeddings
         )
 
     def build(self, d_t: int, cutoff: float) -> tuple[FeatureModelSpec, FeatureMatrix]:
@@ -836,7 +818,5 @@ class CachedFeatureBuilder:
             standardizer=(mean, sd),
             embedding_dim=self.embedding_dim,
             prompt_minutiae=self.prompt_minutiae,
-            scoring=self.scoring,
         )
-        spec.validate()
         return spec, FeatureMatrix(ids=list(self.ids), data=apply_standardizer(raw, mean, sd))

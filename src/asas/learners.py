@@ -26,6 +26,8 @@ from .serialize import require_finite, row_vector
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+WEIGHT_DECAY = 0.01
+MLP_ARRAYS = ("mlp_w1", "mlp_b1", "mlp_w2", "mlp_b2")  # a saved model's matrices, params() order
 
 
 @dataclass
@@ -60,36 +62,30 @@ class MlpModel:
         w1, b1, w2, b2 = params
         return MlpModel(w1=w1, b1=b1, w2=w2, b2=b2)
 
-    def to_arrays(self, prefix: str = "mlp_") -> dict[str, np.ndarray]:
-        return {
-            prefix + "w1": self.w1,
-            prefix + "b1": self.b1,
-            prefix + "w2": self.w2,
-            prefix + "b2": self.b2,
-        }
+    def to_arrays(self) -> dict[str, np.ndarray]:
+        return dict(zip(MLP_ARRAYS, self.params()))
 
     @classmethod
-    def from_arrays(cls, arrays: dict[str, np.ndarray], prefix: str = "mlp_") -> "MlpModel":
-        """The model in matrices ``w1``, ``b1``, ``w2``, ``b2`` (one-row biases);
-        HeaderMismatch if one is missing or their shapes disagree, MalformedRow
-        if one holds a NaN or an infinity."""
-        for name in ("w1", "b1", "w2", "b2"):
-            if prefix + name not in arrays:
-                raise HeaderMismatch(f"model has no matrix {prefix + name!r}")
-        w1, w2 = arrays[prefix + "w1"], arrays[prefix + "w2"]
-        b1, b2 = row_vector(arrays, prefix + "b1"), row_vector(arrays, prefix + "b2")
+    def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "MlpModel":
+        """The model in matrices ``MLP_ARRAYS`` (one-row biases); HeaderMismatch
+        if one is missing or their shapes disagree, MalformedRow if one holds
+        a NaN or an infinity."""
+        for name in MLP_ARRAYS:
+            if name not in arrays:
+                raise HeaderMismatch(f"model has no matrix {name!r}")
+        w1, w2 = arrays["mlp_w1"], arrays["mlp_w2"]
+        b1, b2 = row_vector(arrays, "mlp_b1"), row_vector(arrays, "mlp_b2")
         for name, size, unit, before, width in (
-            ("b1", b1.size, "values", "w1", w1.shape[1]),
-            ("w2", w2.shape[0], "rows", "w1", w1.shape[1]),
-            ("b2", b2.size, "values", "w2", w2.shape[1]),
+            ("mlp_b1", b1.size, "values", "mlp_w1", w1.shape[1]),
+            ("mlp_w2", w2.shape[0], "rows", "mlp_w1", w1.shape[1]),
+            ("mlp_b2", b2.size, "values", "mlp_w2", w2.shape[1]),
         ):
             if size != width:
                 raise HeaderMismatch(
-                    f"matrix {prefix + name} has {size} {unit}, but {prefix + before} has"
-                    f" {width} columns"
+                    f"matrix {name} has {size} {unit}, but {before} has {width} columns"
                 )
-        for name, values in (("w1", w1), ("b1", b1), ("w2", w2), ("b2", b2)):
-            require_finite(prefix + name, values)
+        for name, values in zip(MLP_ARRAYS, (w1, b1, w2, b2)):
+            require_finite(name, values)
         return cls(w1=w1, b1=b1, w2=w2, b2=b2)
 
 
@@ -222,7 +218,6 @@ class TrainConfig:
     batch_size: int
     epochs: int = 20
     seed: int = 0
-    weight_decay: float = 0.01
 
     def __post_init__(self):
         if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
@@ -308,7 +303,7 @@ def train_early_stop(
                 raise NonFiniteLoss(f"non-finite loss at epoch {epoch}")
             loss_sum += loss * batch.size
             lr_t = linear_lr(step, total_steps, config.learning_rate)
-            params, state = adamw_step(params, grads, state, lr_t, config.weight_decay)
+            params, state = adamw_step(params, grads, state, lr_t, WEIGHT_DECAY)
             step += 1
         model = model_init.with_params(params)
         dev_pred = np.argmax(mlp_forward(model, dev_x), axis=1)

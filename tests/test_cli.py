@@ -254,12 +254,13 @@ class TestTrainPredict:
 
             monkeypatch.setattr(asas.features, name, counted)
         spec, _ = load_feature_model(workspace["dir"] / "st" / "model.txt")
-        assert calls == {"_gram_tables": 1, "minutiae_substrings": 1}
+        assert calls == {"_gram_tables": 0, "minutiae_substrings": 0}  # derived when it scores
         answers = [r for r in workspace["pool"] if r.prompt_id == 1][:50]
         for r in answers:
             asas.features.extract_features([r], spec)
         assert calls == {"_gram_tables": 1, "minutiae_substrings": 1}
-        # tune: one builder per prompt, shared by every trial's spec
+        # tune: each prompt's builder builds one for its scoring pass; the
+        # trials' specs never score, so they build none
         assert main([
             "tune", "--data", str(workspace["data"]), "--all-prompts", "--seed", "3",
             "--trials", "3", "--epochs", "1", "--out", str(workspace["dir"] / "st_tune"),
@@ -340,18 +341,9 @@ class TestTrainPredict:
 
 
 class TestTrainingOptions:
-    @pytest.mark.parametrize("command, flag", [
-        ("train-features", "--lr"),
-        ("train-features", "--batch"),
-        ("train-features", "--epochs"),
-        ("train-features", "--hidden"),
-        ("tune", "--epochs"),
-        ("tune", "--hidden"),
-        ("tune", "--trials"),
-    ])
-    def test_a_value_below_one_exits_2_before_featurising(
-        self, workspace, monkeypatch, capsys, command, flag
-    ):
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """One entry per CachedFeatureBuilder made."""
         built = []
         real_init = asas.features.CachedFeatureBuilder.__init__
 
@@ -360,12 +352,39 @@ class TestTrainingOptions:
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(asas.features.CachedFeatureBuilder, "__init__", counted_init)
+        return built
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train-features", "--lr"),
+        ("train-features", "--batch"),
+        ("train-features", "--epochs"),
+        ("train-features", "--hidden"),
+        ("train-features", "--tfidf-dim"),
+        ("tune", "--epochs"),
+        ("tune", "--hidden"),
+        ("tune", "--trials"),
+    ])
+    def test_a_value_below_one_exits_2_before_featurising(
+        self, workspace, built, capsys, command, flag
+    ):
         out = workspace["dir"] / "bad"
         assert main([
             command, "--data", str(workspace["data"]), "--prompt", "1", "--epochs", "2",
             *(["--trials", "2"] if command == "tune" else []), flag, "0", "--out", str(out),
         ]) == 2
         assert f"{flag} must be positive, got 0" in capsys.readouterr().err
+        assert not built and not out.exists()
+
+    @pytest.mark.parametrize("cutoff", ["0.3", "1.5", "nan"])
+    def test_a_cutoff_outside_its_range_exits_2_before_featurising(
+        self, workspace, built, capsys, cutoff
+    ):
+        out = workspace["dir"] / "bad_cutoff"
+        assert main([
+            "train-features", "--data", str(workspace["data"]), "--prompt", "1",
+            "--cutoff", cutoff, "--out", str(out),
+        ]) == 2
+        assert f"--cutoff must be in [0.5, 1.0], got {float(cutoff)}" in capsys.readouterr().err
         assert not built and not out.exists()
 
 

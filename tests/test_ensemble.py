@@ -14,7 +14,14 @@ from asas.ensemble import (
     score_ensemble,
     select_best_subset,
 )
-from asas.errors import CoverageGap, KMismatch, SingleClass, TooFewCandidates
+from asas.errors import (
+    CoverageGap,
+    HeaderMismatch,
+    KMismatch,
+    MalformedRow,
+    SingleClass,
+    TooFewCandidates,
+)
 from asas.mathutil import log_softmax
 from asas.metrics import EvalReport, qwk, smd, accuracy
 from asas.serialize import Artifact
@@ -42,9 +49,9 @@ class TestAssemble:
             noisy_member(f"m{i}", _ids(corpus), _gold(corpus), 3, seed=i) for i in range(2)
         ]
         design = assemble(members, ids)
-        assert design.data.shape == (4, 6)
-        assert np.array_equal(design.data[:, :3], [members[0].rows[r] for r in ids])
-        assert np.array_equal(design.data[:, 3:], [members[1].rows[r] for r in ids])
+        assert design.shape == (4, 6)
+        assert np.array_equal(design[:, :3], [members[0].rows[r] for r in ids])
+        assert np.array_equal(design[:, 3:], [members[1].rows[r] for r in ids])
 
     def test_coverage_gap_names_id_and_member(self, corpus):
         member = noisy_member("holey", _ids(corpus), _gold(corpus), 3, seed=0)
@@ -75,7 +82,7 @@ class TestAssemble:
         member = noisy_member("m", _ids(corpus), _gold(corpus), 3, seed=5)
         ids = _ids(corpus)[:7]
         design = assemble([member], ids)
-        assert np.array_equal(design.data, np.array([member.rows[r] for r in ids]))
+        assert np.array_equal(design, np.array([member.rows[r] for r in ids]))
 
 
 class TestFitEnsemble:
@@ -290,6 +297,27 @@ class TestEnsembleSpecSerialization:
         pred_b, lp_b = score_ensemble(again, members, ids)
         assert np.array_equal(pred_a, pred_b)
         assert np.array_equal(lp_a, lp_b)
+
+    @pytest.mark.parametrize("fault, error", [
+        ("nan weight", MalformedRow),
+        ("meta k 7", HeaderMismatch),
+        ("head one column short", HeaderMismatch),
+    ])
+    def test_malformed_head_is_rejected_when_loaded(self, corpus, fault, error):
+        members = [
+            noisy_member(f"m{i}", _ids(corpus), _gold(corpus), 3, seed=i) for i in range(2)
+        ]
+        art = fit_ensemble(members, corpus).to_artifact()
+        weights = art.arrays["head_weights"].copy()
+        if fault == "nan weight":
+            weights[0, 0] = np.nan
+        elif fault == "meta k 7":
+            art.meta["k"] = "7"
+        else:
+            weights = weights[:, :-1]
+        art.arrays["head_weights"] = weights
+        with pytest.raises(error):
+            EnsembleSpec.from_artifact(Artifact.parse(art.dump()))
 
 
 class TestSelectBestSubset:

@@ -1,6 +1,7 @@
 """Feature extractors against brute-force oracles and fitted-spec contracts."""
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import numpy as np
@@ -406,15 +407,18 @@ class TestSpecSerialization:
 
     def test_validate_rejects_bad_cutoff(self, toy_corpus):
         spec, _ = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
-        spec.near_match_cutoff = 0.3
         with pytest.raises(ValueError):
-            spec.validate()
+            dataclasses.replace(spec, near_match_cutoff=0.3)
 
     def test_validate_rejects_wrong_ngram_count(self, toy_corpus):
         spec, _ = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
-        spec.key_ngrams = spec.key_ngrams[:-1]
         with pytest.raises(ValueError):
-            spec.validate()
+            dataclasses.replace(spec, key_ngrams=spec.key_ngrams[:-1])
+
+    def test_fields_cannot_be_assigned(self, toy_corpus):
+        spec, _ = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.near_match_cutoff = 0.3
 
 
 class TestCachedFeatureBuilder:
@@ -449,7 +453,7 @@ class TestCachedFeatureBuilder:
         assert spec.d_t <= len(toy_corpus.train)
 
 
-# --- the scoring state a spec builds once and every answer reuses ------------
+# --- the scoring state a spec derives once and every answer reuses -----------
 
 _OTHER_PROMPT = "Explain how photosynthesis turns light and carbon dioxide into sugar."
 _SWAPS = {"osmosis": "photosynthesis", "membrane": "chlorophyll", "water": "light"}
@@ -471,6 +475,21 @@ def _reloaded(spec: FeatureModelSpec) -> FeatureModelSpec:
 
 def _one_at_a_time(responses, spec) -> np.ndarray:
     return np.array([extract_features([r], spec).data[0] for r in responses])
+
+
+def _assert_state_columns_recomputed(spec: FeatureModelSpec, r: ScoredResponse) -> None:
+    """The minutiae and fuzzy columns of ``r``'s row, bit for bit as recomputed
+    without any state from ``spec``'s prompt and key n-grams."""
+    row = extract_features([r], spec).data[0]
+    cutoff = spec.near_match_cutoff
+    raw = np.array(minutiae_brute(r.text, spec.prompt_minutiae) + [
+        0 if g is None else int(np.sum(window_ratios(r.text, g) >= cutoff))
+        for g in spec.ngram_strings()
+    ], dtype=float)
+    cols = slice(spec.d_t, spec.d_t + len(raw))
+    mean, sd = spec.standardizer
+    want = apply_standardizer(raw, mean[cols], sd[cols])
+    assert row[cols].tobytes() == want.tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -515,25 +534,23 @@ class TestScoringState:
         answers = make_toy_corpus().all_responses()[:12] + _other_corpus().all_responses()[:12]
         for r in answers:
             for spec in (spec_a, spec_b):
-                row = extract_features([r], spec).data[0]
-                # The two state-built blocks, recomputed without any state.
-                cutoff = spec.near_match_cutoff
-                raw = np.array(minutiae_brute(r.text, spec.prompt_minutiae) + [
-                    0 if g is None else int(np.sum(window_ratios(r.text, g) >= cutoff))
-                    for g in spec.ngram_strings()
-                ], dtype=float)
-                cols = slice(spec.d_t, spec.d_t + len(raw))
-                mean, sd = spec.standardizer
-                want = apply_standardizer(raw, mean[cols], sd[cols])
-                assert row[cols].tobytes() == want.tobytes()
+                _assert_state_columns_recomputed(spec, r)
+
+    def test_replaced_ngrams_and_prompt_score_as_their_own(self, two_specs):
+        spec_a, spec_b = two_specs
+        _one_at_a_time(make_toy_corpus().dev, spec_a)  # spec_a has derived its state
+        spec = dataclasses.replace(
+            spec_a, key_ngrams=spec_b.key_ngrams, prompt_minutiae=spec_b.prompt_minutiae
+        )
+        answers = make_toy_corpus().all_responses()[:12] + _other_corpus().all_responses()[:12]
+        for r in answers:
+            _assert_state_columns_recomputed(spec, r)
 
     def test_builder_spec_and_loaded_spec_score_alike(self, toy_corpus):
         builder = CachedFeatureBuilder(toy_corpus, d_t_max=10)
         for d_t, cutoff in [(10, 0.8), (6, MIN_CUTOFF), (3, 1.0)]:
             built, _ = builder.build(d_t, cutoff)
-            assert built.scoring is builder.scoring
             loaded = _reloaded(built)
-            assert loaded.scoring is not built.scoring
             for r in toy_corpus.test:
                 a = extract_features([r], built).data
                 b = extract_features([r], loaded).data
@@ -545,10 +562,3 @@ class TestScoringState:
         _one_at_a_time(toy_corpus.all_responses(), spec)
         extract_features(toy_corpus.all_responses(), spec)
         assert spec.to_artifact().dump() == before
-
-    def test_state_built_for_other_ngrams_is_rejected(self, two_specs):
-        spec_a, spec_b = two_specs
-        spec = _reloaded(spec_a)
-        spec.scoring = spec_b.scoring
-        with pytest.raises(ValueError, match="scoring state"):
-            spec.validate()
