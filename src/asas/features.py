@@ -18,8 +18,10 @@ import re
 import string
 import warnings
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
@@ -445,7 +447,7 @@ def fit_tfidf_vocab(train_texts: list[str]) -> dict[str, tuple[int, float]]:
     return vocab
 
 
-def tfidf_matrix(texts: list[str], vocab: dict[str, tuple[int, float]]) -> np.ndarray:
+def tfidf_matrix(texts: list[str], vocab: Mapping[str, tuple[int, float]]) -> np.ndarray:
     """Term-count * idf rows, L2-normalized (zero rows stay zero)."""
     X = np.zeros((len(texts), len(vocab)), dtype=float)
     for row, text in enumerate(texts):
@@ -547,16 +549,18 @@ def apply_standardizer(X: np.ndarray, mean: np.ndarray, sd: np.ndarray) -> np.nd
 class FeatureModelSpec:
     """A fitted feature extractor: everything needed to score new text.
 
-    A spec is checked when it is made, so every spec that exists is whole.
-    What scoring needs that depends only on the spec, the key n-grams'
+    A spec is checked when it is made, so every spec that exists is whole,
+    and it is frozen all the way down: the key n-grams are a tuple and the
+    vocabulary a read-only mapping, so specs that share them cannot edit
+    them. What scoring needs that depends only on the spec, the key n-grams'
     ``NgramTables`` and the prompt's ``minutiae_substrings``, is derived
     from the saved fields the first time the spec scores, reused by every
     later ``extract_features`` call on it, and never saved.
     """
 
-    tfidf_vocab: dict[str, tuple[int, float]]
+    tfidf_vocab: Mapping[str, tuple[int, float]]
     tfidf_projection: np.ndarray
-    key_ngrams: list[KeyNgram]
+    key_ngrams: tuple[KeyNgram, ...]
     near_match_cutoff: float
     standardizer: tuple[np.ndarray, np.ndarray]
     embedding_dim: int | None
@@ -588,6 +592,9 @@ class FeatureModelSpec:
         return minutiae_substrings(self.prompt_minutiae)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "key_ngrams", tuple(self.key_ngrams))
+        if not isinstance(self.tfidf_vocab, MappingProxyType):
+            object.__setattr__(self, "tfidf_vocab", MappingProxyType(dict(self.tfidf_vocab)))
         if not MIN_CUTOFF <= self.near_match_cutoff <= 1.0:
             raise ValueError(f"cutoff out of range: {self.near_match_cutoff}")
         if len(self.key_ngrams) != len(NGRAM_ORDERS) * NGRAMS_PER_ORDER:
@@ -679,7 +686,7 @@ def _embedding_block(
 
 def _raw_blocks(
     responses: list[ScoredResponse],
-    vocab: dict[str, tuple[int, float]],
+    vocab: Mapping[str, tuple[int, float]],
     ngrams: NgramTables,
     prompt_subs: list[set[str]],
     floor: float,
@@ -780,8 +787,9 @@ class CachedFeatureBuilder:
     once at ``floor=MIN_CUTOFF`` for all its trials; ``fit_feature_model``
     fits at its own d_t and cutoff. ``__init__`` builds the key n-grams'
     tables and the prompt's substring sets for its one scoring pass and
-    keeps neither: the specs ``build`` returns share nothing, and each
-    derives its own the first time it scores.
+    keeps neither: the specs ``build`` returns share only the read-only
+    vocabulary and key n-grams, and each derives its own tables the first
+    time it scores.
     """
 
     def __init__(
@@ -795,10 +803,11 @@ class CachedFeatureBuilder:
         responses = corpus.all_responses()
         self.ids = [r.id for r in responses]
         self._n_train = len(corpus.train)
-        self.vocab, self._projection_full = fit_tfidf_projection(
+        vocab, self._projection_full = fit_tfidf_projection(
             [r.text for r in corpus.train], d_t_max
         )
-        self.key_ngrams = select_key_ngrams([(r.text, r.score1) for r in corpus.train])
+        self.vocab = MappingProxyType(vocab)
+        self.key_ngrams = tuple(select_key_ngrams([(r.text, r.score1) for r in corpus.train]))
         self.prompt_minutiae = normalize_text(corpus.prompt_text)
         ngrams = NgramTables.of([g.text for g in self.key_ngrams])
         prompt_subs = minutiae_substrings(self.prompt_minutiae)

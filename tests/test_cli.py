@@ -9,6 +9,7 @@ import pytest
 
 import asas.cli
 import asas.features
+import asas.learners
 from asas.cli import DEFAULT_HIDDEN, main, load_feature_model
 from asas.corpus import (
     build_corpus,
@@ -765,9 +766,11 @@ class TestEnsembleCommand:
         for name in ("ensemble.txt", "predictions.tsv", "report_dev.tsv", "report_test.tsv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
-    def test_stdout_says_when_the_stacker_hits_the_iteration_cap(self, workspace, capsys):
-        # 12 dev rows, three members leaning on gold: separable and
-        # ill-conditioned, so descent runs the full 5000 steps
+    def test_stdout_says_when_the_stacker_hits_the_iteration_cap(
+        self, workspace, capsys, monkeypatch
+    ):
+        # a one-step cap stops a fit that needs several
+        monkeypatch.setattr(asas.learners, "LOGREG_MAX_ITER", 1)
         members = _member_files(workspace)
         assert main([
             "ensemble", "--data", str(workspace["data"]),
@@ -776,7 +779,7 @@ class TestEnsembleCommand:
         ]) == 0
         line = capsys.readouterr().out.strip()
         assert line.startswith("prompt 1: ensemble of ['m0', 'm1', 'm2'] dev QWK ")
-        assert "stacker 5000 iterations, gradient inf-norm " in line
+        assert "stacker 1 iterations, gradient inf-norm " in line
         assert line.endswith(", not converged")
 
     def test_stdout_reports_a_converged_stacker(self, tmp_path, capsys):

@@ -142,6 +142,29 @@ class TestFitEnsemble:
         assert logprobs.shape[1] == 3
         assert set(pred.tolist()) <= {0, 1, 2}
 
+    @pytest.mark.parametrize("missing", [0, 2])
+    def test_dev_missing_a_class_ends_in_a_finite_head(self, corpus, missing):
+        import dataclasses
+
+        # the absent class's bias has no minimiser, so the fit must stop on
+        # its gradient with every number finite
+        narrowed = dataclasses.replace(
+            corpus,
+            dev=[
+                dataclasses.replace(r, score1=1 if r.score1 == missing else r.score1)
+                for r in corpus.dev
+            ],
+        )
+        members = [
+            perfect_member("p", _ids(corpus), _gold(corpus), 3),
+            noisy_member("m", _ids(corpus), _gold(corpus), 3, seed=2),
+        ]
+        spec = fit_ensemble(members, narrowed)
+        assert np.isfinite(spec.head.weights).all() and np.isfinite(spec.head.bias).all()
+        assert spec.head.converged
+        _, logprobs = score_ensemble(spec, members, [r.id for r in corpus.test])
+        assert np.isfinite(logprobs).all()
+
     def test_stacked_dev_qwk_within_tolerance_of_best_single(self, corpus):
         members = [
             noisy_member(f"m{i}", _ids(corpus), _gold(corpus), 3, seed=100 + i,

@@ -420,6 +420,15 @@ class TestSpecSerialization:
         with pytest.raises(dataclasses.FrozenInstanceError):
             spec.near_match_cutoff = 0.3
 
+    def test_builder_specs_share_no_mutable_field(self, toy_corpus):
+        spec, _ = CachedFeatureBuilder(toy_corpus, d_t_max=6).build(4, 0.8)
+        for s in (spec, _reloaded(spec)):
+            term = next(iter(s.tfidf_vocab))
+            with pytest.raises(TypeError):
+                s.tfidf_vocab[term] = (0, 1.0)
+            with pytest.raises(TypeError):
+                s.key_ngrams[0] = s.key_ngrams[1]
+
 
 class TestCachedFeatureBuilder:
     def test_matches_direct_fit(self, toy_corpus):

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, example, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from asas.errors import (
@@ -15,8 +15,10 @@ from asas.errors import (
     NonFiniteLoss,
     SingleClass,
 )
+from asas import learners
 from asas.learners import (
     LOGREG_MAX_ITER,
+    LOGREG_TOL,
     AdamState,
     MlpModel,
     TrainConfig,
@@ -218,15 +220,15 @@ def _toy_problem(seed=0, n=48, d=6, k=3, separation=3.0):
     return X, y
 
 
-# A fit runs up to 5000 steps twice (package and reference), so shrinking a
+# The reference descent runs up to 5000 steps per example, so shrinking a
 # failing example would take many minutes; report the first one found.
 _NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
 
 def _stacker_design(n, k, strengths, seed):
     """Stacker-like design: members' log-probabilities leaning toward the
-    labels. Collinear and ill-conditioned, so descent often runs into the
-    iteration cap."""
+    labels. Collinear and ill-conditioned: plain descent often runs into
+    its iteration cap here."""
     rng = np.random.default_rng(seed)
     y = np.arange(n) % k
     blocks = []
@@ -321,6 +323,24 @@ class TestTrainEarlyStop:
             assert np.max(np.abs(grads[index] - numeric) / denom) <= 1e-5
 
 
+def _assert_fit_is_the_optimum(X, y, l2, k=None):
+    """The fit's stopping contract, checked from outside: converged, no worse
+    than the reference descent, biases summing to zero, and reproducible."""
+    model = logreg_fit(X, y, l2, k=k)
+    value, grad_w, grad_b = logreg_objective(model.weights, model.bias, X, y, l2)
+    grad_norm = max(np.max(np.abs(grad_w), initial=0.0), np.max(np.abs(grad_b)))
+    assert model.converged and model.grad_norm == grad_norm <= LOGREG_TOL
+    # where the reference converges too, both stop with a gradient under
+    # 1e-6, which leaves either up to about 1e-12 above the optimum
+    weights, bias = logreg_fit_reference(X, y, l2, k=k)
+    assert value <= logreg_objective(weights, bias, X, y, l2)[0] + 1e-10
+    assert abs(np.sum(model.bias)) <= 1e-12
+    again = logreg_fit(X, y, l2, k=k)
+    assert again.weights.tobytes() == model.weights.tobytes()
+    assert again.bias.tobytes() == model.bias.tobytes()
+    return model
+
+
 class TestLogReg:
     def test_separable_1d_reaches_perfect_accuracy(self):
         X = np.array([[-3.0], [-2.0], [-1.0], [1.0], [2.0], [3.0]])
@@ -361,11 +381,12 @@ class TestLogReg:
         model = logreg_fit(X, [0, 1, 0, 1], l2=1e-3, k=3)
         assert logreg_logprobs(model, X).shape == (4, 3)
 
-    def test_fit_records_hitting_the_iteration_cap(self):
+    def test_fit_records_hitting_the_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(learners, "LOGREG_MAX_ITER", 1)
         X, y = _stacker_design(n=12, k=3, strengths=(0.9, 1.2, 1.5), seed=0)
         model = logreg_fit(X, y, l2=1e-4)
         _, grad_w, grad_b = logreg_objective(model.weights, model.bias, X, y, 1e-4)
-        assert model.iterations == LOGREG_MAX_ITER
+        assert model.iterations == 1
         assert not model.converged
         assert model.grad_norm == max(np.max(np.abs(grad_w)), np.max(np.abs(grad_b))) > 1e-6
 
@@ -376,42 +397,39 @@ class TestLogReg:
         with pytest.raises(LabelOutOfRange):
             logreg_objective(np.zeros((1, 2)), np.zeros(2), X, np.array([0, 1, -1, 1]), 1e-3)
 
+    @pytest.mark.parametrize("l2", [0.0, -1e-3, math.nan, math.inf])
+    def test_l2_must_be_finite_and_positive(self, l2):
+        # Newton steps need a strictly convex objective
+        X, y = _toy_problem(seed=14, n=12, k=3)
+        with pytest.raises(ValueError, match="l2 must be finite and > 0"):
+            logreg_fit(X, y, l2)
+
     @given(
         n=st.integers(5, 40),
         d=st.integers(0, 5),
         k=st.integers(2, 5),
-        l2=st.floats(0.5, 10.0),
+        l2=st.floats(1e-3, 10.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=30, deadline=None, phases=_NO_SHRINK)
-    @example(n=5, d=5, k=5, l2=7.990003426568374, seed=5)  # stops at the cap, unconverged
-    def test_bitwise_equal_to_reference_when_converging_early(self, n, d, k, l2, seed):
+    @settings(max_examples=30, deadline=None, phases=_NO_SHRINK, derandomize=True)
+    def test_fit_meets_the_stopping_contract(self, n, d, k, l2, seed):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, d)) * rng.choice([0.1, 1.0, 5.0])
-        # every class observed: an absent one's bias would descend forever
         y = rng.permutation(np.arange(n) % k)
-        model = logreg_fit(X, y, l2)
-        weights, bias = logreg_fit_reference(X, y, l2)
-        if model.iterations < LOGREG_MAX_ITER:
-            assert model.converged
-        assert model.weights.tobytes() == weights.tobytes()
-        assert model.bias.tobytes() == bias.tobytes()
+        _assert_fit_is_the_optimum(X, y, l2)
 
     @given(
         n=st.integers(10, 16),
         k=st.integers(3, 4),
         strengths=st.lists(st.floats(0.9, 1.5), min_size=3, max_size=3),
+        l2=st.sampled_from([1e-4, 1e-3]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=4, deadline=None, phases=_NO_SHRINK)
-    def test_bitwise_equal_to_reference_at_the_iteration_cap(self, n, k, strengths, seed):
+    @settings(max_examples=6, deadline=None, phases=_NO_SHRINK, derandomize=True)
+    def test_fit_converges_on_stacker_designs(self, n, k, strengths, l2, seed):
+        # where plain descent stops at its cap, unconverged
         X, y = _stacker_design(n, k, strengths, seed)
-        model = logreg_fit(X, y, 1e-4)
-        assume(model.iterations == LOGREG_MAX_ITER)
-        weights, bias = logreg_fit_reference(X, y, 1e-4)
-        assert not model.converged
-        assert model.weights.tobytes() == weights.tobytes()
-        assert model.bias.tobytes() == bias.tobytes()
+        _assert_fit_is_the_optimum(X, y, l2)
 
     @given(
         n=st.integers(6, 40),
@@ -421,21 +439,16 @@ class TestLogReg:
         l2=st.sampled_from([1e-4, 1e-2, 1.0]),
         seed=st.integers(0, 2**32 - 1),
     )
-    @settings(max_examples=5, deadline=None, phases=_NO_SHRINK)
-    def test_bitwise_equal_to_reference_with_unobserved_classes(
-        self, n, d, observed, extra, l2, seed
-    ):
+    @settings(max_examples=5, deadline=None, phases=_NO_SHRINK, derandomize=True)
+    def test_fit_converges_with_unobserved_classes(self, n, d, observed, extra, l2, seed):
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(n, d))
         y = rng.integers(0, observed, size=n)
         assume(np.unique(y).size >= 2)
         k = observed + extra
         assume(n >= k)
-        model = logreg_fit(X, y, l2, k=k)
-        weights, bias = logreg_fit_reference(X, y, l2, k=k)
+        model = _assert_fit_is_the_optimum(X, y, l2, k=k)
         assert model.weights.shape == (d, k)
-        assert model.weights.tobytes() == weights.tobytes()
-        assert model.bias.tobytes() == bias.tobytes()
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(13)
