@@ -196,23 +196,42 @@ def _load_test(ctx: _Ctx):
     return attach_scores(test, ctx.parse_input(ctx.solution, parse_score_table, *cols))
 
 
+def _each(value, fn):
+    """``fn`` of an option's path, or a list of ``fn`` of each of its paths; None stays None."""
+    if isinstance(value, list):
+        return [fn(p) for p in value]
+    return None if value is None else fn(value)
+
+
 def _expand(value, pid: int):
     """An option's path, or list of paths, with {prompt} standing for ``pid``."""
-    if isinstance(value, list):
-        return [_expand(p, pid) for p in value]
-    return None if value is None else value.replace("{prompt}", str(pid))
+    return _each(value, lambda p: p.replace("{prompt}", str(pid)))
+
+
+# How _corpora parses a file of each per-prompt option for the prompt's corpus.
+# Each entry looks its loader up when called, so replacing this module's
+# load_embeddings or load_logprobs (as a tracer does) replaces it here too.
+_PARSERS = {
+    "embeddings": lambda data, corpus: load_embeddings(data),
+    "model": lambda data, corpus: _parse_feature_model(data),
+    "members": lambda data, corpus: load_logprobs(data, corpus),
+}
 
 
 def _corpora(ctx: _Ctx, *files: str, test: bool = True):
-    """(id, corpus, paths) of --prompt, or of every prompt with --all-prompts.
+    """(id, corpus, parsed) of --prompt, or of every prompt with --all-prompts.
 
-    ``files`` names the options that hold one prompt's file(s); ``paths[name]``
-    is that option's value with {prompt} expanded to the id. Over several
-    prompts each such path must contain {prompt}; that is checked before any
-    per-prompt file is read or anything is written, as is that every expanded
-    path is a file. Every prompt's corpus is split and its prompt text read
-    before the first is yielded. Each header names the shared inputs and its
-    own prompt's files."""
+    ``files`` names the options that hold one prompt's file(s); the value of
+    each, with {prompt} expanded to the id, is read once and parsed:
+    --prompt-text into the corpus, any other into ``parsed[name]`` (None
+    when the option is unset, a list for --members). Over several prompts
+    each such path must contain {prompt}; that is checked before any
+    per-prompt file is read or anything is written, as is that every
+    expanded path is a file. Every prompt's corpus is split and all its
+    files parsed before the first is yielded, so a bad file of any prompt
+    stops the command before its first prompt's work; with --all-prompts
+    every prompt's parsed files are held at once. Each header names the
+    shared inputs and its own prompt's files."""
     responses = _load_dataset(ctx)
     test_rows = _load_test(ctx) if test else []
     if not ctx.all_prompts and ctx.prompt is None:
@@ -233,7 +252,7 @@ def _corpora(ctx: _Ctx, *files: str, test: bool = True):
     for pid in pids:
         ctx.inputs = dict(shared_inputs)
         paths = {name: _expand(getattr(ctx, name), pid) for name in files}
-        text = paths.get("prompt_text")
+        text = paths.pop("prompt_text", None)
         corpus = build_corpus(
             responses,
             prompt_id=pid,
@@ -242,14 +261,14 @@ def _corpora(ctx: _Ctx, *files: str, test: bool = True):
             test=test_rows,
             prompt_text="" if text is None else ctx.parse_input(text, bytes.decode, "utf-8"),
         )
-        runs.append((pid, corpus, paths, ctx.inputs))
-    for pid, corpus, paths, inputs in runs:
+        parsed = {
+            name: _each(value, lambda p: ctx.parse_input(p, _PARSERS[name], corpus))
+            for name, value in paths.items()
+        }
+        runs.append((pid, corpus, parsed, ctx.inputs))
+    for pid, corpus, parsed, inputs in runs:
         ctx.inputs = inputs
-        yield pid, corpus, paths
-
-
-def _embeddings(ctx: _Ctx, path: str | None):
-    return None if path is None else ctx.parse_input(path, load_embeddings)
+        yield pid, corpus, parsed
 
 
 def _check_positive(ctx: _Ctx, *names: str) -> None:
@@ -260,10 +279,14 @@ def _check_positive(ctx: _Ctx, *names: str) -> None:
             raise AsasError(f"{flag} must be positive, got {getattr(ctx, name)}")
 
 
-def _out_dir(ctx: _Ctx, prompt_id: int) -> Path:
-    """--out, or its prompt_<id> subdirectory with --all-prompts; created if absent."""
+def _require_out(ctx: _Ctx) -> None:
+    """Exit 2 before any work when --out, which the command writes to, is unset."""
     if ctx.out is None:
         raise AsasError("--out is required")
+
+
+def _out_dir(ctx: _Ctx, prompt_id: int) -> Path:
+    """--out, or its prompt_<id> subdirectory with --all-prompts; created if absent."""
     out = Path(ctx.out) / f"prompt_{prompt_id}" if ctx.all_prompts else Path(ctx.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -309,6 +332,7 @@ def cmd_stats(ctx: _Ctx) -> None:
 
 
 def cmd_split(ctx: _Ctx) -> None:
+    _require_out(ctx)
     for pid, corpus, _ in _corpora(ctx, test=False):
         out = _out_dir(ctx, pid)
         for name, rows in (("train.tsv", corpus.train), ("dev.tsv", corpus.dev)):
@@ -359,12 +383,12 @@ def _save_run(ctx: _Ctx, out: Path, corpus, spec: FeatureModelSpec, matrix, resu
 
 
 def cmd_train_features(ctx: _Ctx) -> None:
+    _require_out(ctx)
     _check_positive(ctx, "lr", "batch", "epochs", "hidden", "tfidf_dim")
     if not MIN_CUTOFF <= ctx.cutoff <= 1.0:
         raise AsasError(f"--cutoff must be in [{MIN_CUTOFF}, 1.0], got {ctx.cutoff}")
-    for pid, corpus, paths in _corpora(ctx, "prompt_text", "embeddings"):
-        embeddings = _embeddings(ctx, paths["embeddings"])
-        spec, matrix = fit_feature_model(corpus, ctx.tfidf_dim, ctx.cutoff, embeddings)
+    for pid, corpus, parsed in _corpora(ctx, "prompt_text", "embeddings"):
+        spec, matrix = fit_feature_model(corpus, ctx.tfidf_dim, ctx.cutoff, parsed["embeddings"])
         result = _train_once(
             corpus, matrix, lr=ctx.lr, batch=ctx.batch, epochs=ctx.epochs,
             seed=ctx.seed, hidden=ctx.hidden,
@@ -374,10 +398,15 @@ def cmd_train_features(ctx: _Ctx) -> None:
 
 
 def cmd_tune(ctx: _Ctx) -> None:
+    _require_out(ctx)
     _check_positive(ctx, "epochs", "hidden", "trials")
     space = feature_search_space()
-    for pid, corpus, paths in _corpora(ctx, "prompt_text", "embeddings"):
-        builder = CachedFeatureBuilder(corpus, _embeddings(ctx, paths["embeddings"]))
+    for pid, corpus, parsed in _corpora(ctx, "prompt_text", "embeddings"):
+        # fitted once at the widest settings the study can ask build() for
+        builder = CachedFeatureBuilder(
+            corpus, parsed["embeddings"],
+            d_t_max=space.params["tfidf_dim"].hi, floor=space.params["cutoff"].lo,
+        )
         kept = None
 
         def objective(params):
@@ -407,10 +436,11 @@ def cmd_tune(ctx: _Ctx) -> None:
 def cmd_predict(ctx: _Ctx) -> None:
     if ctx.model is None:
         raise AsasError("--model is required")
-    for pid, corpus, paths in _corpora(ctx, "prompt_text", "embeddings", "model"):
-        # Parse the bytes the header's digest is taken of: the file is read once.
-        spec, mlp = ctx.parse_input(paths["model"], _parse_feature_model)
-        matrix = build_features(corpus, spec, _embeddings(ctx, paths["embeddings"]))
+    if ctx.all_prompts:
+        _require_out(ctx)
+    for pid, corpus, parsed in _corpora(ctx, "prompt_text", "embeddings", "model"):
+        spec, mlp = parsed["model"]
+        matrix = build_features(corpus, spec, parsed["embeddings"])
         logprobs = log_softmax(mlp_forward(mlp, matrix.data), axis=1)
         single = Path(ctx.out or "predictions.tsv")
         path = _out_dir(ctx, pid) / "predictions.tsv" if ctx.all_prompts else single
@@ -420,13 +450,14 @@ def cmd_predict(ctx: _Ctx) -> None:
 
 
 def cmd_ensemble(ctx: _Ctx) -> None:
+    _require_out(ctx)
     if not ctx.members:
         raise AsasError("--members is required")
     if ctx.m is not None and not 1 <= ctx.m <= len(ctx.members):
         raise AsasError(f"--m must be between 1 and {len(ctx.members)}")
-    for pid, corpus, paths in _corpora(ctx, "members"):
+    for pid, corpus, parsed in _corpora(ctx, "members"):
         k = corpus.num_classes
-        members = [ctx.parse_input(p, load_logprobs, corpus) for p in paths["members"]]
+        members = parsed["members"]
         names = [mem.model_name for mem in members]
         if len(set(names)) != len(names):
             raise AsasError(f"duplicate member names: {names}")

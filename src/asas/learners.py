@@ -20,7 +20,7 @@ from .errors import (
     NonFiniteLoss,
     SingleClass,
 )
-from .mathutil import log_softmax, sigmoid
+from .mathutil import log_softmax, logsumexp, sigmoid
 from .metrics import qwk
 from .serialize import require_finite, row_vector
 
@@ -101,10 +101,16 @@ def mlp_forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     return hidden @ model.w2 + model.b2
 
 
-def _one_hot(labels, k: int) -> np.ndarray:
+def _checked_labels(labels, k: int) -> np.ndarray:
+    """``labels`` as an array; LabelOutOfRange unless each lies in [0, k)."""
     labels = np.asarray(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= k):
         raise LabelOutOfRange(f"labels must lie in [0, {k})")
+    return labels
+
+
+def _one_hot(labels, k: int) -> np.ndarray:
+    labels = _checked_labels(labels, k)
     out = np.zeros((labels.size, k), dtype=float)
     out[np.arange(labels.size), labels] = 1.0
     return out
@@ -350,63 +356,22 @@ class LogRegModel:
         return self.grad_norm is not None and self.grad_norm <= LOGREG_TOL
 
 
-def _label_index(labels: np.ndarray, k: int) -> np.ndarray:
-    """Flat positions of each row's label in a C-ordered N x k matrix."""
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise LabelOutOfRange(f"labels must lie in [0, {k})")
-    return np.arange(labels.size) * k + labels
-
-
-def _logreg_value(
-    weights: np.ndarray, bias: np.ndarray, X: np.ndarray, label_idx: np.ndarray, l2: float
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """Objective value, plus the logits and N x 1 log-partition it used.
-
-    The log-partition is mathutil.logsumexp along axis 1, guard included,
-    spelled with direct ufunc calls to skip the wrappers' overhead. The
-    row maximum folds over the k columns, which is exact and several
-    times cheaper than a reduction along the short axis.
-    """
-    logits = X @ weights + bias
-    m = logits[:, :1]
-    for j in range(1, logits.shape[1]):
-        m = np.maximum(m, logits[:, j:j + 1])
-    m = np.where(np.isfinite(m), m, 0.0)
-    log_z = np.log(np.add.reduce(np.exp(logits - m), axis=1, keepdims=True)) + m
-    nll = float(np.add.reduce(log_z[:, 0] - logits.ravel()[label_idx]) / X.shape[0])
-    return nll + 0.5 * l2 * float(np.add.reduce(weights * weights, axis=None)), logits, log_z
-
-
-def _logreg_grad(
-    weights: np.ndarray,
-    X: np.ndarray,
-    logits: np.ndarray,
-    log_z: np.ndarray,
-    label_idx: np.ndarray,
-    l2: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gradients at the point whose logits and log-partition are given."""
-    delta = np.exp(logits - log_z)
-    delta.ravel()[label_idx] -= 1.0
-    delta /= X.shape[0]
-    return X.T @ delta + l2 * weights, np.add.reduce(delta, axis=0)
-
-
-def _logreg_hessian(
-    Xb: np.ndarray, logits: np.ndarray, log_z: np.ndarray, l2: float
-) -> np.ndarray:
-    """Hessian over the class-major stack of ``[W; b]`` columns, gauge fixed.
+def _logreg_hessian(X: np.ndarray, weights: np.ndarray, bias: np.ndarray, l2: float):
+    """Hessian of ``logreg_objective`` at ``(weights, bias)`` over the
+    class-major stack of ``[W; b]`` columns, gauge fixed.
 
     Block (a, c) is ``Xb.T @ ((p_a [a == c] - p_a p_c) / N * Xb)``, where
-    ``Xb`` is the design with a ones column appended, plus ``l2`` on the
-    weight diagonal. Shifting every bias by the same amount leaves the
-    softmax unchanged, so the true Hessian is singular along that
-    direction; adding ``1 1^T`` to the bias block makes it positive
-    definite without moving the Newton step, which is orthogonal to it.
+    ``Xb`` is ``X`` with a ones column appended and ``p`` the softmax at the
+    point, plus ``l2`` on the weight diagonal. Shifting every bias by the
+    same amount leaves the softmax unchanged, so the true Hessian is
+    singular along that direction; adding ``1 1^T`` to the bias block makes
+    it positive definite without moving the Newton step, which is
+    orthogonal to it.
     """
-    n, f1 = Xb.shape
-    k = logits.shape[1]
-    probs = np.exp(logits - log_z)
+    n, f1 = X.shape[0], X.shape[1] + 1
+    k = weights.shape[1]
+    Xb = np.hstack([X, np.ones((n, 1))])
+    probs = np.exp(log_softmax(X @ weights + bias, axis=1))
     hess = np.empty((k, f1, k, f1))
     for a in range(k):
         for c in range(a, k):
@@ -425,15 +390,20 @@ def _logreg_hessian(
 def logreg_objective(
     weights: np.ndarray, bias: np.ndarray, X: np.ndarray, labels: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
-    """Mean cross-entropy plus (l2/2)*||W||^2, with analytic gradients."""
-    label_idx = _label_index(np.asarray(labels), weights.shape[1])
-    value, logits, log_z = _logreg_value(weights, bias, X, label_idx, l2)
-    return (value, *_logreg_grad(weights, X, logits, log_z, label_idx, l2))
-
-
-def _inf_norm(grad_w: np.ndarray, grad_b: np.ndarray) -> float:
-    w_norm = np.maximum.reduce(np.abs(grad_w), axis=None) if grad_w.size else 0.0
-    return float(max(w_norm, np.maximum.reduce(np.abs(grad_b))))
+    """Mean cross-entropy plus (l2/2)*||W||^2, with analytic gradients; the
+    labels must lie in [0, k) for the k columns of ``weights``. ``logreg_fit``
+    evaluates every point it visits with it."""
+    labels = _checked_labels(labels, weights.shape[1])
+    n = X.shape[0]
+    rows = np.arange(n)
+    logits = X @ weights + bias
+    log_z = logsumexp(logits, axis=1)
+    value = float(np.mean(log_z - logits[rows, labels]))
+    value += 0.5 * l2 * float(np.sum(weights * weights))
+    delta = np.exp(logits - log_z[:, None])
+    delta[rows, labels] -= 1.0
+    delta /= n
+    return value, X.T @ delta + l2 * weights, delta.sum(axis=0)
 
 
 def logreg_fit(design: np.ndarray, labels, l2: float, k: int | None = None) -> LogRegModel:
@@ -441,9 +411,11 @@ def logreg_fit(design: np.ndarray, labels, l2: float, k: int | None = None) -> L
 
     The objective is strictly convex for ``l2 > 0`` once the biases' common
     shift is pinned (``_logreg_hessian``), so each step solves the Newton
-    system and halves it until the objective decreases. Biases start at
-    zero and every step keeps their sum at zero, to rounding. Stops when
-    the gradient infinity-norm reaches ``LOGREG_TOL``, after
+    system and halves it until the objective decreases. Every point the
+    fit visits, the start, each halving and each accepted step, is
+    evaluated by ``logreg_objective``, which also checks the labels. Biases
+    start at zero and every step keeps their sum at zero, to rounding.
+    Stops when the gradient infinity-norm reaches ``LOGREG_TOL``, after
     ``LOGREG_MAX_ITER`` accepted steps, or when ``LOGREG_MAX_HALVINGS``
     halvings find no decrease; the model records which via ``iterations``
     and ``grad_norm``. ``k`` may widen the output beyond the classes observed
@@ -455,39 +427,34 @@ def logreg_fit(design: np.ndarray, labels, l2: float, k: int | None = None) -> L
         raise ValueError(f"l2 must be finite and > 0, got {l2!r}")
     X = np.asarray(design, dtype=float)
     y = np.asarray(labels)
-    classes = np.unique(y)
-    if classes.size < 2:
+    if np.unique(y).size < 2:
         raise SingleClass("logistic regression needs >= 2 observed classes")
     k = int(y.max()) + 1 if k is None else k
     if X.shape[0] < k:
         raise ValueError(f"need at least {k} rows, got {X.shape[0]}")
-    label_idx = _label_index(y, k)
-    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
     weights = np.zeros((X.shape[1], k))
     bias = np.zeros(k)
-    value, logits, log_z = _logreg_value(weights, bias, X, label_idx, l2)
-    grad_w, grad_b = _logreg_grad(weights, X, logits, log_z, label_idx, l2)
+    value, grad_w, grad_b = logreg_objective(weights, bias, X, y, l2)
     iterations = 0
     while True:
-        grad_norm = _inf_norm(grad_w, grad_b)
+        grad = np.vstack([grad_w, grad_b])
+        grad_norm = float(np.max(np.abs(grad)))
         if grad_norm <= LOGREG_TOL or iterations == LOGREG_MAX_ITER:
             break
-        grad = np.vstack([grad_w, grad_b]).T.ravel()
-        newton = np.linalg.solve(_logreg_hessian(Xb, logits, log_z, l2), -grad)
+        newton = np.linalg.solve(_logreg_hessian(X, weights, bias, l2), -grad.T.ravel())
         newton = newton.reshape(k, -1).T
         step = 1.0
         for _ in range(LOGREG_MAX_HALVINGS):
             trial_w = weights + step * newton[:-1]
             trial_b = bias + step * newton[-1]
-            trial = _logreg_value(trial_w, trial_b, X, label_idx, l2)
+            trial = logreg_objective(trial_w, trial_b, X, y, l2)
             if trial[0] < value:
                 break
             step *= 0.5
         else:  # no step along the Newton direction lowers the objective
             break
         weights, bias = trial_w, trial_b
-        value, logits, log_z = trial
-        grad_w, grad_b = _logreg_grad(weights, X, logits, log_z, label_idx, l2)
+        value, grad_w, grad_b = trial
         iterations += 1
     return LogRegModel(
         weights=weights, bias=bias, l2=l2, iterations=iterations, grad_norm=grad_norm

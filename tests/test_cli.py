@@ -1,6 +1,7 @@
 """End-to-end command wiring: exit codes, artifacts, determinism."""
 from __future__ import annotations
 
+import inspect
 import io
 import os
 
@@ -19,7 +20,7 @@ from asas.corpus import (
     prompt_seed,
     serialize_dataset,
 )
-from asas.hyperopt import IntUniform, SearchSpace
+from asas.hyperopt import IntUniform, SearchSpace, Uniform
 from asas.mathutil import logsumexp
 from asas.metrics import EvalReport
 from asas.serialize import digest
@@ -344,12 +345,14 @@ class TestTrainPredict:
 class TestTrainingOptions:
     @pytest.fixture
     def built(self, monkeypatch):
-        """One entry per CachedFeatureBuilder made."""
+        """The arguments, defaults included, of each CachedFeatureBuilder made."""
         built = []
         real_init = asas.features.CachedFeatureBuilder.__init__
 
         def counted_init(self, *args, **kwargs):
-            built.append(1)
+            bound = inspect.signature(real_init).bind(self, *args, **kwargs)
+            bound.apply_defaults()
+            built.append(bound.arguments)
             real_init(self, *args, **kwargs)
 
         monkeypatch.setattr(asas.features.CachedFeatureBuilder, "__init__", counted_init)
@@ -387,6 +390,35 @@ class TestTrainingOptions:
         ]) == 2
         assert f"--cutoff must be in [0.5, 1.0], got {float(cutoff)}" in capsys.readouterr().err
         assert not built and not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["split"],
+        ["train-features", "--epochs", "1"],
+        ["tune", "--trials", "2", "--epochs", "1"],
+        ["predict", "--all-prompts", "--model", "m_{prompt}.txt"],
+        ["ensemble", "--members", "mem.tsv"],
+    ], ids=lambda argv: argv[0])
+    def test_a_missing_out_exits_2_before_any_work(
+        self, workspace, built, monkeypatch, capsys, argv
+    ):
+        trained = []
+        monkeypatch.setattr(asas.cli, "train_early_stop", lambda *a, **kw: trained.append(1))
+        monkeypatch.setattr(asas.cli, "parse_dataset", lambda *a, **kw: pytest.fail("parsed"))
+        command, *extra = argv
+        prompt = [] if "--all-prompts" in extra else ["--prompt", "1"]
+        assert main([command, "--data", str(workspace["data"]), *prompt, *extra]) == 2
+        assert "asas: --out is required" in capsys.readouterr().err
+        assert not built and not trained
+
+    def test_tune_fits_its_builder_to_the_search_space(self, workspace, built, monkeypatch):
+        space = asas.cli.feature_search_space()
+        high = SearchSpace({**space.params, "cutoff": Uniform(0.7, 1.0)})
+        monkeypatch.setattr(asas.cli, "feature_search_space", lambda: high)
+        assert main([
+            "tune", "--data", str(workspace["data"]), "--prompt", "1", "--trials", "1",
+            "--epochs", "1", "--out", str(workspace["dir"] / "tune_high"),
+        ]) == 0
+        assert [(b["d_t_max"], b["floor"]) for b in built] == [(300, 0.7)]
 
 
 class TestTune:
@@ -692,6 +724,45 @@ class TestInputFaults:
             "--prompt-text", str(text), "--epochs", "1", "--out", str(out),
         ]) == 2
         assert f"asas: {text}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["embeddings", "model", "members"])
+    def test_a_bad_file_of_the_second_prompt_stops_the_first(
+        self, workspace, capsys, kind
+    ):
+        d, out = workspace["dir"], workspace["dir"] / "per_prompt_out"
+        common = ["--data", str(workspace["data"]), "--all-prompts", "--out", str(out)]
+        by_prompt = {pid: [r for r in workspace["pool"] if r.prompt_id == pid] for pid in (1, 2)}
+        if kind == "embeddings":
+            for pid, prompt_rows in by_prompt.items():
+                (d / f"emb_{pid}.tsv").write_text(_embedding_table(prompt_rows, seed=pid))
+            bad, argv = d / "emb_2.tsv", ["train-features", "--epochs", "1"]
+            lines = bad.read_text().splitlines()
+            lines[3] = lines[3].rsplit("\t", 1)[0]  # a short row
+        elif kind == "model":
+            trained = d / "trained"
+            assert main([
+                "train-features", "--data", str(workspace["data"]), "--prompt", "1",
+                "--epochs", "1", "--tfidf-dim", "6", "--out", str(trained),
+            ]) == 0
+            (d / "model_1.txt").write_bytes((trained / "model.txt").read_bytes())
+            bad, argv = d / "model_2.txt", ["predict"]
+            lines = (trained / "model.txt").read_text().splitlines()
+            lines = lines[: len(lines) // 2]  # truncated
+        else:
+            for pid, prompt_rows in by_prompt.items():
+                gold = np.array([r.score1 for r in prompt_rows])
+                member = noisy_member("m", [r.id for r in prompt_rows], gold, 3, 9, prompt_id=pid)
+                (d / f"member_{pid}.tsv").write_bytes(dump_logprobs(member))
+            bad, argv = d / "member_2.tsv", ["ensemble"]
+            lines = bad.read_text().splitlines()
+            rid, _, *values = lines[4].split("\t")
+            lines[4] = "\t".join([rid, "abc", *values])  # a non-numeric cell
+        bad.write_text("\n".join(lines) + "\n")
+        pattern = str(d / bad.name.replace("_2.", "_{prompt}."))
+        flag = {"embeddings": "--embeddings", "model": "--model", "members": "--members"}[kind]
+        assert main([*argv, *common, flag, pattern]) == 2
+        assert f"asas: {bad}: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_a_config_file_that_is_not_utf8(self, workspace, capsys):

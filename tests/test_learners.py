@@ -38,6 +38,7 @@ from oracles import (
     bce_decimal,
     central_difference,
     logreg_fit_reference,
+    logreg_objective_reference,
     mlp_forward_loops,
 )
 
@@ -449,6 +450,32 @@ class TestLogReg:
         assume(n >= k)
         model = _assert_fit_is_the_optimum(X, y, l2, k=k)
         assert model.weights.shape == (d, k)
+
+    @given(
+        n=st.integers(1, 40),
+        d=st.integers(0, 6),
+        top_label=st.integers(0, 4),
+        unobserved=st.integers(0, 3),
+        log10_scales=st.lists(st.floats(-3.0, math.log10(30.0)), min_size=6, max_size=6),
+        weight_scale=st.sampled_from([0.0, 1e-3, 0.1, 1.0, 10.0, 100.0]),
+        l2=st.floats(1e-4, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_objective_is_the_reference_bit_for_bit(
+        self, n, d, top_label, unobserved, log10_scales, weight_scale, l2, seed
+    ):
+        rng = np.random.default_rng(seed)
+        k = top_label + 1 + unobserved  # classes above every label stay unobserved
+        X = rng.normal(size=(n, d)) * 10.0 ** np.array(log10_scales[:d])
+        y = rng.integers(0, top_label + 1, size=n)
+        W = rng.normal(size=(d, k)) * weight_scale
+        b = rng.normal(size=k) * weight_scale
+        got = logreg_objective(W, b, X, y, l2)
+        want = logreg_objective_reference(W, b, X, y, l2)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert got[2].tobytes() == want[2].tobytes()
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(13)
