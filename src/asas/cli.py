@@ -34,14 +34,21 @@ from .corpus import (
     StatsRow,
 )
 from .ensemble import (
-    assemble,
     evaluate_run,
     fit_ensemble,
     mean_report,
     score_ensemble,
     select_best_subset,
 )
-from .errors import AllTrialsFailed, AsasError, CoverageGap, MalformedRow, MissingPromptPlaceholder
+from .errors import (
+    AllTrialsFailed,
+    AsasError,
+    CoverageGap,
+    DuplicateId,
+    HeaderMismatch,
+    MalformedRow,
+    MissingPromptPlaceholder,
+)
 from .features import (
     MIN_CUTOFF,
     CachedFeatureBuilder,
@@ -212,7 +219,7 @@ def _expand(value, pid: int):
 # Each entry looks its loader up when called, so replacing this module's
 # load_embeddings or load_logprobs (as a tracer does) replaces it here too.
 _PARSERS = {
-    "embeddings": lambda data, corpus: load_embeddings(data),
+    "embeddings": lambda data, corpus: load_embeddings(data, corpus),
     "model": lambda data, corpus: _parse_feature_model(data),
     "members": lambda data, corpus: load_logprobs(data, corpus),
 }
@@ -306,11 +313,11 @@ def _emit(ctx: _Ctx, table: str, body: str | None = None) -> None:
         _write(out, ctx.header(), table if body is None else body)
 
 
-def _write_logprobs(ctx: _Ctx, path: Path, name: str, corpus, ids, logprobs) -> None:
+def _write_logprobs(header: str, path: Path, name: str, corpus, ids, logprobs) -> None:
     """Write the ``logprobs`` row of each id as model ``name``'s log-probabilities."""
     rows = {rid: logprobs[i] for i, rid in enumerate(ids)}
     matrix = LogProbMatrix(name, corpus.prompt_id, corpus.num_classes, rows)
-    write_atomic(path, dump_logprobs(matrix, extra_comment=ctx.header()))
+    write_atomic(path, dump_logprobs(matrix, extra_comment=header))
 
 
 def _report_tsv(*reports: EvalReport) -> str:
@@ -341,7 +348,15 @@ def cmd_split(ctx: _Ctx) -> None:
 
 
 def _feature_model(art: Artifact) -> tuple[FeatureModelSpec, MlpModel]:
-    return FeatureModelSpec.from_artifact(art), MlpModel.from_arrays(art.arrays)
+    """The spec and MLP of a feature model; HeaderMismatch if the MLP's input
+    width is not the spec's feature count."""
+    spec, mlp = FeatureModelSpec.from_artifact(art), MlpModel.from_arrays(art.arrays)
+    if mlp.w1.shape[0] != spec.feature_dim:
+        raise HeaderMismatch(
+            f"the feature spec gives {spec.feature_dim} features, but matrix mlp_w1 has"
+            f" {mlp.w1.shape[0]} rows"
+        )
+    return spec, mlp
 
 
 def load_feature_model(path: str | Path) -> tuple[FeatureModelSpec, MlpModel]:
@@ -379,7 +394,7 @@ def _save_run(ctx: _Ctx, out: Path, corpus, spec: FeatureModelSpec, matrix, resu
     report = evaluate_run(pred, corpus.labels(corpus.dev), corpus.num_classes, corpus.prompt_id)
     _write(out / "report_dev.tsv", header, _report_tsv(report))
     logprobs = log_softmax(mlp_forward(result.model, matrix.data), axis=1)
-    _write_logprobs(ctx, out / "predictions.tsv", ctx.name, corpus, matrix.ids, logprobs)
+    _write_logprobs(header, out / "predictions.tsv", ctx.name, corpus, matrix.ids, logprobs)
 
 
 def cmd_train_features(ctx: _Ctx) -> None:
@@ -445,7 +460,7 @@ def cmd_predict(ctx: _Ctx) -> None:
         single = Path(ctx.out or "predictions.tsv")
         path = _out_dir(ctx, pid) / "predictions.tsv" if ctx.all_prompts else single
         path.parent.mkdir(parents=True, exist_ok=True)
-        _write_logprobs(ctx, path, ctx.name, corpus, matrix.ids, logprobs)
+        _write_logprobs(ctx.header(), path, ctx.name, corpus, matrix.ids, logprobs)
         print(f"prompt {pid}: wrote {len(matrix.ids)} rows -> {path}")
 
 
@@ -455,56 +470,59 @@ def cmd_ensemble(ctx: _Ctx) -> None:
         raise AsasError("--members is required")
     if ctx.m is not None and not 1 <= ctx.m <= len(ctx.members):
         raise AsasError(f"--m must be between 1 and {len(ctx.members)}")
+    # every prompt is fitted and scored before the first file is written
+    runs = []
     for pid, corpus, parsed in _corpora(ctx, "members"):
         k = corpus.num_classes
-        members = parsed["members"]
-        names = [mem.model_name for mem in members]
-        if len(set(names)) != len(names):
-            raise AsasError(f"duplicate member names: {names}")
-
-        dev_ids = [r.id for r in corpus.dev]
-        dev_gold = corpus.labels(corpus.dev)
-        if ctx.m is not None:
-            candidates = []
-            for mem in members:
-                pred = np.argmax(assemble([mem], dev_ids), axis=1)
-                candidates.append((mem.model_name, [evaluate_run(pred, dev_gold, k, pid)]))
-            chosen = select_best_subset(candidates, ctx.m)
-            members = [mem for mem in members if mem.model_name in chosen]
-
+        members = select_best_subset(parsed["members"], corpus, ctx.m)
         spec = fit_ensemble(members, corpus)
-        out, header = _out_dir(ctx, pid), ctx.header()
-        spec.to_artifact().save(out / "ensemble.txt", header)
-        dev_pred, _ = score_ensemble(spec, members, dev_ids)
-        dev_report = evaluate_run(dev_pred, dev_gold, k, pid)
-        _write(out / "report_dev.tsv", header, _report_tsv(dev_report))
-
+        dev_pred, _ = score_ensemble(spec, members, [r.id for r in corpus.dev])
+        reports = {"report_dev.tsv": evaluate_run(dev_pred, corpus.labels(corpus.dev), k, pid)}
+        test = None
         if corpus.test:
             test_ids = [r.id for r in corpus.test]
             test_pred, logprobs = score_ensemble(spec, members, test_ids)
-            _write_logprobs(ctx, out / "predictions.tsv", "ensemble", corpus, test_ids, logprobs)
+            test = test_ids, logprobs
             if all(r.score1 is not None for r in corpus.test):
-                test_report = evaluate_run(test_pred, corpus.labels(corpus.test), k, pid)
-                _write(out / "report_test.tsv", header, _report_tsv(test_report))
+                test_gold = corpus.labels(corpus.test)
+                reports["report_test.tsv"] = evaluate_run(test_pred, test_gold, k, pid)
+        runs.append((pid, corpus, ctx.header(), spec, reports, test))
+
+    for pid, corpus, header, spec, reports, test in runs:
+        out = _out_dir(ctx, pid)
+        spec.to_artifact().save(out / "ensemble.txt", header)
+        for name, report in reports.items():
+            _write(out / name, header, _report_tsv(report))
+        if test is not None:
+            _write_logprobs(header, out / "predictions.tsv", "ensemble", corpus, *test)
         head = spec.head
         print(
-            f"prompt {pid}: ensemble of {spec.members} dev QWK {dev_report.qwk:.4f};"
+            f"prompt {pid}: ensemble of {spec.members}"
+            f" dev QWK {reports['report_dev.tsv'].qwk:.4f};"
             f" stacker {head.iterations} iterations, gradient inf-norm {head.grad_norm:.2e}"
             + ("" if head.converged else ", not converged")
         )
 
 
 def cmd_report(ctx: _Ctx) -> None:
-    reports = []
+    reports, seen = [], {}
     for path in ctx.args.reports:
         for line_no, line in data_lines(ctx.read_input(path)):
             if not line.startswith("prompt\t"):
+                where = f"{path}:{line_no}"
                 try:
                     report = EvalReport.from_tsv_row(line)
                 except ValueError as exc:
-                    raise MalformedRow(f"{path}:{line_no}: not a report row ({exc})") from None
-                if report.prompt_id >= 0:
-                    reports.append(report)
+                    raise MalformedRow(f"{where}: not a report row ({exc})") from None
+                if report.prompt_id < 0:
+                    continue  # a mean row; the mean is recomputed
+                if report.prompt_id in seen:
+                    raise DuplicateId(
+                        f"{where}: a second row for prompt {report.prompt_id}"
+                        f" (first at {seen[report.prompt_id]})"
+                    )
+                seen[report.prompt_id] = where
+                reports.append(report)
     if not reports:
         raise AsasError("no report rows found")
     reports.sort(key=lambda r: r.prompt_id)

@@ -19,6 +19,7 @@ from .errors import (
     DuplicateId,
     EmptyInput,
     HeaderMismatch,
+    MissingEmbedding,
     MissingSecondRead,
     MalformedRow,
     NonIntegerScore,
@@ -406,11 +407,19 @@ class EmbeddingTable:
     rows: dict[str, np.ndarray]
 
 
-def load_embeddings(data: bytes | str) -> EmbeddingTable:
-    """Load an embedding file: line 1 holds ``#dim=<int>``, data lines an id and dim values."""
+def load_embeddings(data: bytes | str, corpus: PromptCorpus | None = None) -> EmbeddingTable:
+    """Load an embedding file: line 1 holds ``#dim=<int>``, data lines an id and dim values.
+
+    When a corpus is given, every one of its responses must have a row;
+    the first that has none, in train, dev, test order, is MissingEmbedding.
+    """
     text, _, dim = _table_header(data, "dim")
     ids, mat = _table_rows(text, dim, None)
-    return EmbeddingTable(dim, dict(zip(ids, mat)))
+    table = EmbeddingTable(dim, dict(zip(ids, mat)))
+    for r in [] if corpus is None else corpus.all_responses():
+        if r.id not in table.rows:
+            raise MissingEmbedding(f"no embedding for response {r.id!r}")
+    return table
 
 
 def parse_score_table(data: bytes | str, id_col: str, score_col: str) -> dict[str, int]:

@@ -3,8 +3,8 @@
 Members' per-class log-probabilities on the dev split, concatenated in
 a fixed member order, form the training design of a logistic-regression
 head; the head's argmax on the test split is the ensemble score. The
-test split is never touched during fitting. Best-m member subsets are
-chosen by mean dev QWK.
+test split is never touched during fitting. A best-m subset keeps the m
+members whose own dev argmax agrees best with the dev labels (QWK).
 """
 from __future__ import annotations
 
@@ -13,9 +13,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import LogProbMatrix, PromptCorpus
-from .errors import CoverageGap, HeaderMismatch, KMismatch, SingleClass, TooFewCandidates
+from .errors import (
+    AsasError,
+    CoverageGap,
+    HeaderMismatch,
+    KMismatch,
+    SingleClass,
+    TooFewCandidates,
+)
 from .learners import LogRegModel, logreg_fit, logreg_logprobs
-from .metrics import EvalReport, accuracy, criteria_flags, production_check, qwk, smd
+from .metrics import EvalReport, accuracy, criteria_flags, qwk, smd
 from .serialize import Artifact, require_finite, row_vector
 
 # L2 penalty on the head's weights; the biases are not penalised. Being
@@ -134,18 +141,27 @@ def score_ensemble(
 
 
 def select_best_subset(
-    candidates: list[tuple[str, list[EvalReport]]], m: int
-) -> list[str]:
-    """Top-m candidate names by mean dev QWK across prompts, ties by name."""
-    if m < 1 or m > len(candidates):
-        raise TooFewCandidates(f"asked for {m} of {len(candidates)} candidates")
-    prompt_sets = {frozenset(r.prompt_id for r in reports) for _, reports in candidates}
-    if len(prompt_sets) > 1:
-        raise ValueError("candidates do not cover the same prompts")
-    ranked = sorted(
-        candidates, key=lambda c: (-float(np.mean([r.qwk for r in c[1]])), c[0])
-    )
-    return [name for name, _ in ranked[:m]]
+    members: list[LogProbMatrix], corpus: PromptCorpus, m: int | None
+) -> list[LogProbMatrix]:
+    """The members to stack on ``corpus``'s prompt, in their given order.
+
+    Member names must be distinct. With ``m`` None every member is kept;
+    otherwise the ``m`` whose own dev argmax has the highest QWK against
+    the dev labels, ties broken by name.
+    """
+    names = [mem.model_name for mem in members]
+    if len(set(names)) != len(names):
+        raise AsasError(f"duplicate member names: {names}")
+    if m is None:
+        return members
+    if not 1 <= m <= len(members):
+        raise TooFewCandidates(f"asked for {m} of {len(members)} candidates")
+    ids, gold, k = [r.id for r in corpus.dev], corpus.labels(corpus.dev), corpus.num_classes
+    dev_qwk = {
+        mem.model_name: qwk(gold, np.argmax(assemble([mem], ids), axis=1), k) for mem in members
+    }
+    kept = set(sorted(names, key=lambda name: (-dev_qwk[name], name))[:m])
+    return [mem for mem in members if mem.model_name in kept]
 
 
 def evaluate_run(
@@ -153,13 +169,12 @@ def evaluate_run(
     gold_labels,
     k: int,
     prompt_id: int,
-    human_qwk: float | None = None,
 ) -> EvalReport:
-    """Score one run: QWK, SMD, accuracy, and production flags."""
+    """Score one run: QWK, SMD, accuracy, and the SMD flag."""
     pred = np.asarray(pred_labels)
     gold = np.asarray(gold_labels)
     smd_value = smd(gold, pred)
-    report = EvalReport(
+    return EvalReport(
         prompt_id=prompt_id,
         qwk=qwk(gold, pred, k),
         smd=smd_value,
@@ -167,15 +182,12 @@ def evaluate_run(
         n=int(gold.size),
         flags=criteria_flags(smd_value),
     )
-    return report if human_qwk is None else production_check(report, human_qwk)
 
 
 def mean_report(reports: list[EvalReport]) -> EvalReport:
     """Arithmetic mean row across prompts (prompt_id -1 renders as 'mean')."""
     if not reports:
         raise TooFewCandidates("no reports to average")
-    gaps = [r.qwk_gap_vs_human for r in reports]
-    mean_gap = float(np.mean(gaps)) if all(g is not None for g in gaps) else None
     mean_smd = float(np.mean([r.smd for r in reports]))
     return EvalReport(
         prompt_id=-1,
@@ -183,6 +195,5 @@ def mean_report(reports: list[EvalReport]) -> EvalReport:
         smd=mean_smd,
         accuracy=float(np.mean([r.accuracy for r in reports])),
         n=int(sum(r.n for r in reports)),
-        qwk_gap_vs_human=mean_gap,
-        flags=criteria_flags(mean_smd, mean_gap),
+        flags=criteria_flags(mean_smd),
     )

@@ -2,23 +2,19 @@
 
 Implements quadratic weighted kappa (the chance-corrected agreement
 statistic used throughout automated scoring), standardized mean
-difference, exact-match accuracy, and the operational checks applied to
-scoring engines before deployment: machine QWK within 0.1 of the
-human-human QWK, and |SMD| at most 0.15.
+difference and exact-match accuracy, and flags a report whose |SMD|
+exceeds 0.15, the deployment limit on a scoring engine's bias.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateDistribution, LabelOutOfRange, LengthMismatch
 
-QWK_GAP_LIMIT = 0.1
 SMD_LIMIT = 0.15
-
 SMD_VIOLATION = "SmdViolation"
-QWK_DEGRADATION = "QwkDegradation"
 
 
 def _as_labels(values, k: int, name: str) -> np.ndarray:
@@ -113,14 +109,13 @@ def accuracy(a, b) -> float:
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Per-prompt evaluation summary with production-criteria flags."""
+    """Per-prompt evaluation summary with its deployment flags."""
 
     prompt_id: int
     qwk: float
     smd: float
     accuracy: float
     n: int
-    qwk_gap_vs_human: float | None = None
     flags: frozenset[str] = frozenset()
 
     TSV_HEADER = "prompt\tqwk\tsmd\tacc\tn\tflags"
@@ -132,9 +127,11 @@ class EvalReport:
 
     @classmethod
     def from_tsv_row(cls, row: str) -> "EvalReport":
+        """The report a row of ``to_tsv_row`` renders; ValueError unless its
+        three statistics are finite and its ``n`` is not negative."""
         prompt, qwk_s, smd_s, acc_s, n_s, flags_s = row.rstrip("\n").split("\t")
         flags = frozenset() if flags_s == "-" else frozenset(flags_s.split(","))
-        return cls(
+        report = cls(
             prompt_id=-1 if prompt == "mean" else int(prompt),
             qwk=float(qwk_s),
             smd=float(smd_s),
@@ -142,22 +139,14 @@ class EvalReport:
             n=int(n_s),
             flags=flags,
         )
+        for name, value in (("qwk", report.qwk), ("smd", report.smd), ("acc", report.accuracy)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} {value} is not finite")
+        if report.n < 0:
+            raise ValueError(f"n {report.n} is negative")
+        return report
 
 
-def criteria_flags(smd_value: float, qwk_gap: float | None = None) -> frozenset[str]:
-    """The deployment flags a report earns: SmdViolation when |SMD| exceeds
-    0.15, QwkDegradation when the machine QWK trails the human-human QWK by
-    more than 0.1 (checked only when the gap is known)."""
-    flags = set()
-    if abs(smd_value) > SMD_LIMIT:
-        flags.add(SMD_VIOLATION)
-    if qwk_gap is not None and qwk_gap > QWK_GAP_LIMIT:
-        flags.add(QWK_DEGRADATION)
-    return frozenset(flags)
-
-
-def production_check(report: EvalReport, human_qwk: float) -> EvalReport:
-    """Apply the deployment criteria to a report, given the human-human QWK."""
-    gap = human_qwk - report.qwk
-    flags = report.flags - {SMD_VIOLATION, QWK_DEGRADATION} | criteria_flags(report.smd, gap)
-    return replace(report, qwk_gap_vs_human=gap, flags=flags)
+def criteria_flags(smd_value: float) -> frozenset[str]:
+    """The deployment flags a report earns: SmdViolation when |SMD| exceeds 0.15."""
+    return frozenset({SMD_VIOLATION}) if abs(smd_value) > SMD_LIMIT else frozenset()

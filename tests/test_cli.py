@@ -726,20 +726,25 @@ class TestInputFaults:
         assert f"asas: {text}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind", ["embeddings", "model", "members"])
+    @pytest.mark.parametrize("kind", [
+        "embeddings", "embeddings without a row", "model", "model of another width", "members"
+    ])
     def test_a_bad_file_of_the_second_prompt_stops_the_first(
         self, workspace, capsys, kind
     ):
         d, out = workspace["dir"], workspace["dir"] / "per_prompt_out"
         common = ["--data", str(workspace["data"]), "--all-prompts", "--out", str(out)]
         by_prompt = {pid: [r for r in workspace["pool"] if r.prompt_id == pid] for pid in (1, 2)}
-        if kind == "embeddings":
+        if kind.startswith("embeddings"):
             for pid, prompt_rows in by_prompt.items():
                 (d / f"emb_{pid}.tsv").write_text(_embedding_table(prompt_rows, seed=pid))
             bad, argv = d / "emb_2.tsv", ["train-features", "--epochs", "1"]
             lines = bad.read_text().splitlines()
-            lines[3] = lines[3].rsplit("\t", 1)[0]  # a short row
-        elif kind == "model":
+            if kind == "embeddings":
+                lines[3] = lines[3].rsplit("\t", 1)[0]  # a short row
+            else:
+                del lines[1]  # response 5000's row
+        elif kind.startswith("model"):
             trained = d / "trained"
             assert main([
                 "train-features", "--data", str(workspace["data"]), "--prompt", "1",
@@ -747,8 +752,12 @@ class TestInputFaults:
             ]) == 0
             (d / "model_1.txt").write_bytes((trained / "model.txt").read_bytes())
             bad, argv = d / "model_2.txt", ["predict"]
-            lines = (trained / "model.txt").read_text().splitlines()
-            lines = lines[: len(lines) // 2]  # truncated
+            text = (trained / "model.txt").read_text()
+            if kind == "model":
+                lines = text.splitlines()
+                lines = lines[: len(lines) // 2]  # truncated
+            else:
+                lines = _drop_last_w1_row(text).splitlines()
         else:
             for pid, prompt_rows in by_prompt.items():
                 gold = np.array([r.score1 for r in prompt_rows])
@@ -760,9 +769,15 @@ class TestInputFaults:
             lines[4] = "\t".join([rid, "abc", *values])  # a non-numeric cell
         bad.write_text("\n".join(lines) + "\n")
         pattern = str(d / bad.name.replace("_2.", "_{prompt}."))
-        flag = {"embeddings": "--embeddings", "model": "--model", "members": "--members"}[kind]
-        assert main([*argv, *common, flag, pattern]) == 2
-        assert f"asas: {bad}: " in capsys.readouterr().err
+        assert main([*argv, *common, "--" + kind.split()[0], pattern]) == 2
+        says = {
+            "embeddings": "row 4: expected 4 values, got 3",
+            "embeddings without a row": "no embedding for response '5000'",
+            "model": "",
+            "model of another width": "the feature spec gives ",
+            "members": "row 5: non-numeric value",
+        }[kind]
+        assert f"asas: {bad}: {says}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_a_config_file_that_is_not_utf8(self, workspace, capsys):
@@ -799,6 +814,25 @@ class TestInputFaults:
         err = capsys.readouterr().err
         assert f"asas: {emb}: row 6: non-finite value for id {rows[4].id!r}" in err
         assert not out.exists()
+
+
+def _per_prompt_members(workspace, second_names=("m0", "m1"), drop_from_second=None):
+    """Two member files for each prompt of the workspace, m{i}_p{pid}.tsv, covering
+    its pool and test rows; returns their paths with {prompt} for the prompt id.
+    Prompt 2's members take ``second_names``, and its first loses ``drop_from_second``."""
+    for pid in (1, 2):
+        rows = [r for r in workspace["pool"] if r.prompt_id == pid]
+        rows += [r for r in workspace["test_rows"] if r.prompt_id == pid]
+        gold = np.array([r.score1 for r in rows])
+        names = second_names if pid == 2 else ("m0", "m1")
+        for i, name in enumerate(names):
+            member = noisy_member(
+                name, [r.id for r in rows], gold, 3, seed=10 * pid + i, prompt_id=pid
+            )
+            if pid == 2 and i == 0 and drop_from_second is not None:
+                del member.rows[drop_from_second]
+            (workspace["dir"] / f"m{i}_p{pid}.tsv").write_bytes(dump_logprobs(member))
+    return [str(workspace["dir"] / f"m{i}_p{{prompt}}.tsv") for i in range(2)]
 
 
 class TestEnsembleCommand:
@@ -875,16 +909,7 @@ class TestEnsembleCommand:
         assert grad_norm <= 1e-6
 
     def test_all_prompts_expands_the_prompt_placeholder(self, workspace, capsys):
-        for pid in (1, 2):
-            rows = [r for r in workspace["pool"] if r.prompt_id == pid]
-            rows += [r for r in workspace["test_rows"] if r.prompt_id == pid]
-            gold = np.array([r.score1 for r in rows])
-            for i in range(2):
-                member = noisy_member(
-                    f"m{i}", [r.id for r in rows], gold, 3, seed=10 * pid + i, prompt_id=pid
-                )
-                (workspace["dir"] / f"m{i}_p{pid}.tsv").write_bytes(dump_logprobs(member))
-        pattern = [str(workspace["dir"] / f"m{i}_p{{prompt}}.tsv") for i in range(2)]
+        pattern = _per_prompt_members(workspace)
         common = ["--data", str(workspace["data"]), "--test", str(workspace["test"]), "--seed", "7"]
         out_all = workspace["dir"] / "ens_all"
         assert main(["ensemble", *common, "--all-prompts", "--members", *pattern,
@@ -903,6 +928,26 @@ class TestEnsembleCommand:
                     single / name).read_bytes(), (pid, name)
             header = (single / "report_dev.tsv").read_text().splitlines()[0]
             assert f"m0_p{pid}.tsv:" in header and f"m0_p{3 - pid}.tsv:" not in header
+
+    @pytest.mark.parametrize("fault", ["duplicate names", "a dev gap under --m"])
+    def test_a_fault_of_the_second_prompt_writes_nothing(self, workspace, capsys, fault):
+        if fault == "duplicate names":
+            pattern, extra = _per_prompt_members(workspace, second_names=["m0", "m0"]), []
+            code, says = 2, "duplicate member names: ['m0', 'm0']"
+        else:
+            pool = [r for r in workspace["pool"] if r.prompt_id == 2]
+            corpus = build_corpus(pool, prompt_id=2, dev_fraction=0.2, seed=prompt_seed(7, 2))
+            missing = corpus.dev[0].id
+            pattern, extra = _per_prompt_members(workspace, drop_from_second=missing), ["--m", "1"]
+            code, says = 4, f"member 'm0' has no row for id {missing!r}"
+        out = workspace["dir"] / "ens_fault"
+        assert main([
+            "ensemble", "--data", str(workspace["data"]), "--test", str(workspace["test"]),
+            "--seed", "7", "--all-prompts", "--members", *pattern, "--out", str(out), *extra,
+        ]) == code
+        captured = capsys.readouterr()
+        assert says in captured.err and captured.out == ""
+        assert not out.exists()
 
     def test_all_prompts_without_placeholder_exits_2_before_writing(self, workspace, capsys):
         members = _member_files(workspace)
@@ -950,29 +995,33 @@ class TestEnsembleCommand:
     def test_coverage_gap_exits_4_naming_member(self, workspace, capsys):
         missing = workspace["test_rows"][3].id
         members = _member_files(workspace, drop_id=missing)
+        out = workspace["dir"] / "gap"
         code = main([
             "ensemble", "--data", str(workspace["data"]),
             "--test", str(workspace["test"]), "--prompt", "1",
-            "--members", *members,
-            "--out", str(workspace["dir"] / "gap"),
+            "--members", *members, "--out", str(out),
         ])
         assert code == 4
         err = capsys.readouterr().err
         assert "m0" in err and missing in err
+        # the gap is in the test rows, found after the dev fit but before any write
+        assert not out.exists()
 
     def test_member_missing_a_dev_id_exits_4_when_picking_the_best_m(self, workspace, capsys):
         pool = [r for r in workspace["pool"] if r.prompt_id == 1]
         corpus = build_corpus(pool, prompt_id=1, dev_fraction=0.2, seed=prompt_seed(7, 1))
         missing = corpus.dev[0].id
         members = _member_files(workspace, drop_id=missing)
+        out = workspace["dir"] / "dev_gap"
         code = main([
             "ensemble", "--data", str(workspace["data"]),
             "--test", str(workspace["test"]), "--prompt", "1", "--m", "2",
-            "--members", *members, "--out", str(workspace["dir"] / "dev_gap"),
+            "--members", *members, "--out", str(out),
         ])
         assert code == 4
         err = capsys.readouterr().err
         assert "m0" in err and repr(missing) in err
+        assert not out.exists()
 
 
 class TestUnlabeledTestJoin:
@@ -1059,6 +1108,16 @@ def _replace_block(text: str, name: str, block: str) -> str:
     return "".join(lines[:at]) + block + "".join(lines[at + 1 + n_rows:])
 
 
+def _drop_last_w1_row(text: str) -> str:
+    """A model text whose MLP takes one input fewer than its spec gives features."""
+    lines = text.splitlines(keepends=True)
+    at = next(i for i, ln in enumerate(lines) if ln.startswith("[matrix mlp_w1 "))
+    _, _, n_rows, width = lines[at].rstrip("]\n").split(" ")
+    rows = lines[at + 1: at + int(n_rows)]
+    block = f"[matrix mlp_w1 {int(n_rows) - 1} {width}]\n" + "".join(rows)
+    return _replace_block(text, "mlp_w1", block)
+
+
 class TestModelFileChecks:
     """A malformed model.txt exits 2 with an error naming the block, never a traceback."""
 
@@ -1069,6 +1128,13 @@ class TestModelFileChecks:
     ], ids=["huge-width", "negative-width", "no-width"])
     def test_bad_block_header_or_width(self, toy_model, capsys, block, names):
         self._assert_rejected(toy_model, capsys, toy_model[2] + block, names)
+
+    def test_an_mlp_of_another_width_than_the_spec(self, toy_model, capsys):
+        text = toy_model[2]
+        head = next(ln for ln in text.splitlines() if ln.startswith("[matrix mlp_w1 "))
+        n_rows = int(head.split(" ")[2])
+        names = f"the feature spec gives {n_rows} features, but matrix mlp_w1 has {n_rows - 1} rows"
+        self._assert_rejected(toy_model, capsys, _drop_last_w1_row(text), names)
 
     def test_bias_block_without_rows(self, toy_model, capsys):
         text = _replace_block(toy_model[2], "mlp_b1", f"[matrix mlp_b1 0 {DEFAULT_HIDDEN}]\n")
@@ -1158,12 +1224,31 @@ class TestReport:
         assert mean.qwk == pytest.approx(0.7)
         assert [ln.split("\t")[0] for ln in lines[1:]] == ["1", "2", "mean"]
 
-    @pytest.mark.parametrize("row", ["1\t0.8", "1\tx\t0.01\t0.7\t50\t-"])
+    @pytest.mark.parametrize("row", [
+        "1\t0.8",
+        "1\tx\t0.01\t0.7\t50\t-",
+        "1\tnan\t0.01\t0.7\t50\t-",
+        "1\t0.8\tinf\t0.7\t50\t-",
+        "1\t0.8\t0.01\t0.7\t-3\t-",
+    ])
     def test_malformed_row_exits_2_naming_file_and_line(self, tmp_path, capsys, row):
         path = tmp_path / "bad.tsv"
         path.write_text(f"#asas\tversion=test\n{EvalReport.TSV_HEADER}\n{row}\n")
         assert main(["report", str(path)]) == 2
         assert f"{path}:3: not a report row" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("twice", ["in one file", "in two files"])
+    def test_a_second_row_for_a_prompt_exits_2(self, tmp_path, capsys, twice):
+        row = EvalReport(prompt_id=1, qwk=0.8, smd=0.01, accuracy=0.7, n=24).to_tsv_row()
+        path, out = tmp_path / "r.tsv", tmp_path / "table.tsv"
+        rows = [row, row] if twice == "in one file" else [row]
+        path.write_text(EvalReport.TSV_HEADER + "\n" + "".join(r + "\n" for r in rows))
+        paths = [str(path)] if twice == "in one file" else [str(path), str(path)]
+        assert main(["report", "--out", str(out), *paths]) == 2
+        second = f"{path}:3" if twice == "in one file" else f"{path}:2"
+        err = capsys.readouterr().err
+        assert f"asas: {second}: a second row for prompt 1 (first at {path}:2)" in err
+        assert not out.exists()
 
 
 class TestConfigFile:

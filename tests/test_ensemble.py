@@ -15,6 +15,7 @@ from asas.ensemble import (
     select_best_subset,
 )
 from asas.errors import (
+    AsasError,
     CoverageGap,
     HeaderMismatch,
     KMismatch,
@@ -343,52 +344,61 @@ class TestEnsembleSpecSerialization:
             EnsembleSpec.from_artifact(Artifact.parse(art.dump()))
 
 
+def _member_predicting(name, corpus, wrong):
+    """A member sure of every gold label except on the first ``wrong`` dev rows,
+    where it is sure of the next class; its rows cover the dev split only."""
+    gold = corpus.labels(corpus.dev)
+    pred = gold.copy()
+    pred[:wrong] = (pred[:wrong] + 1) % corpus.num_classes
+    return perfect_member(name, [r.id for r in corpus.dev], pred, corpus.num_classes)
+
+
 class TestSelectBestSubset:
-    def _report(self, prompt_id, qwk_value):
-        return EvalReport(prompt_id=prompt_id, qwk=qwk_value, smd=0.0, accuracy=0.8, n=50)
+    def _dev_qwk(self, member, corpus):
+        pred = np.argmax(assemble([member], [r.id for r in corpus.dev]), axis=1)
+        return qwk(corpus.labels(corpus.dev), pred, corpus.num_classes)
 
-    def test_reproduces_development_ranking_annotation(self):
-        # dev ranking fixture: deberta-base first, roberta-large second,
-        # electra-large third; everything else behind them
-        dev_means = {
-            "deberta_base": 0.86,
-            "roberta_large": 0.85,
-            "electra_large": 0.84,
-            "bert_large": 0.80,
-            "electra_base": 0.82,
-            "albert_xxl": 0.79,
-        }
-        candidates = [
-            (name, [self._report(p, mean_q) for p in range(1, 11)])
-            for name, mean_q in dev_means.items()
+    def test_keeps_the_best_m_in_members_order(self, corpus):
+        members = [_member_predicting(f"w{wrong}", corpus, wrong) for wrong in (4, 8, 0, 2)]
+        scores = [self._dev_qwk(mem, corpus) for mem in members]
+        assert scores[2] > scores[3] > scores[0] > scores[1]
+        chosen = select_best_subset(members, corpus, 2)
+        assert [mem.model_name for mem in chosen] == ["w0", "w2"]
+        chosen = select_best_subset(members, corpus, 3)
+        assert [mem.model_name for mem in chosen] == ["w4", "w0", "w2"]
+        assert select_best_subset(members, corpus, 4) == members
+
+    def test_ties_break_by_name(self, corpus):
+        members = [
+            _member_predicting(name, corpus, wrong)
+            for name, wrong in (("zed", 2), ("weak", 6), ("abc", 2))
         ]
-        assert select_best_subset(candidates, 2) == ["deberta_base", "roberta_large"]
-        assert select_best_subset(candidates, 3) == [
-            "deberta_base", "roberta_large", "electra_large"
+        assert [mem.model_name for mem in select_best_subset(members, corpus, 1)] == ["abc"]
+        assert [mem.model_name for mem in select_best_subset(members, corpus, 2)] == [
+            "zed", "abc"
         ]
 
-    def test_m_equal_to_candidate_count_returns_all(self):
-        candidates = [("a", [self._report(1, 0.5)]), ("b", [self._report(1, 0.6)])]
-        assert select_best_subset(candidates, 2) == ["b", "a"]
+    def test_none_keeps_every_member_unranked(self, corpus):
+        members = [_member_predicting(f"w{wrong}", corpus, wrong) for wrong in (6, 0)]
+        assert select_best_subset(members, corpus, None) == members
 
-    def test_ties_break_by_name(self):
-        candidates = [("zed", [self._report(1, 0.5)]), ("abc", [self._report(1, 0.5)])]
-        assert select_best_subset(candidates, 1) == ["abc"]
+    @pytest.mark.parametrize("m", [0, 3])
+    def test_m_outside_one_to_the_member_count(self, corpus, m):
+        members = [_member_predicting(f"w{wrong}", corpus, wrong) for wrong in (6, 0)]
+        with pytest.raises(TooFewCandidates, match=f"asked for {m} of 2 candidates"):
+            select_best_subset(members, corpus, m)
 
-    def test_too_few_candidates(self):
-        candidates = [("a", [self._report(1, 0.5)])]
-        with pytest.raises(TooFewCandidates):
-            select_best_subset(candidates, 2)
-        with pytest.raises(TooFewCandidates):
-            select_best_subset(candidates, 0)
+    @pytest.mark.parametrize("m", [None, 1])
+    def test_duplicate_names(self, corpus, m):
+        members = [_member_predicting("m0", corpus, wrong) for wrong in (6, 0)]
+        with pytest.raises(AsasError, match=r"duplicate member names: \['m0', 'm0'\]"):
+            select_best_subset(members, corpus, m)
 
-    def test_prompt_coverage_must_agree(self):
-        candidates = [
-            ("a", [self._report(1, 0.5), self._report(2, 0.5)]),
-            ("b", [self._report(1, 0.5)]),
-        ]
-        with pytest.raises(ValueError):
-            select_best_subset(candidates, 1)
+    def test_a_member_missing_a_dev_row(self, corpus):
+        members = [_member_predicting(f"w{wrong}", corpus, wrong) for wrong in (6, 0)]
+        del members[1].rows[corpus.dev[3].id]
+        with pytest.raises(CoverageGap, match="'w0'"):
+            select_best_subset(members, corpus, 1)
 
 
 class TestEvaluateRun:
@@ -411,12 +421,6 @@ class TestEvaluateRun:
         )
         assert report.smd == pytest.approx(smd(gold, pred))
         assert report.accuracy == pytest.approx(accuracy(gold, pred))
-
-    def test_human_qwk_sets_gap_and_flags(self):
-        gold = [0, 1, 2, 1, 0, 2]
-        pred = [0, 1, 1, 1, 0, 2]
-        report = evaluate_run(pred, gold, k=3, prompt_id=1, human_qwk=0.99)
-        assert report.qwk_gap_vs_human == pytest.approx(0.99 - report.qwk)
 
     def test_mean_row_is_arithmetic_mean(self):
         rng = np.random.default_rng(4)

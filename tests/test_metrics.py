@@ -8,13 +8,11 @@ from hypothesis import strategies as st
 
 from asas.errors import DegenerateDistribution, LabelOutOfRange, LengthMismatch
 from asas.metrics import (
-    QWK_DEGRADATION,
     SMD_VIOLATION,
     ConfusionTable,
     EvalReport,
     accuracy,
     criteria_flags,
-    production_check,
     qwk,
     smd,
 )
@@ -146,35 +144,15 @@ class TestAccuracy:
 
 
 class TestCriteriaFlags:
-    @pytest.mark.parametrize("smd_value, gap, flags", [
-        (0.15, None, set()),
-        (-0.151, None, {SMD_VIOLATION}),
-        (0.0, 0.1, set()),
-        (0.0, 0.1001, {QWK_DEGRADATION}),
-        (0.2, 0.2, {SMD_VIOLATION, QWK_DEGRADATION}),
+    @pytest.mark.parametrize("smd_value, flags", [
+        (0.0, set()),
+        (0.15, set()),
+        (-0.15, set()),
+        (0.151, {SMD_VIOLATION}),
+        (-0.151, {SMD_VIOLATION}),
     ])
-    def test_limits_are_exclusive_and_an_unknown_gap_sets_nothing(self, smd_value, gap, flags):
-        assert criteria_flags(smd_value, gap) == frozenset(flags)
-
-
-class TestProductionCheck:
-    def _report(self, qwk_value, smd_value):
-        return EvalReport(prompt_id=1, qwk=qwk_value, smd=smd_value, accuracy=0.9, n=100)
-
-    def test_passing_engine_has_no_flags(self):
-        checked = production_check(self._report(0.88, 0.02), human_qwk=0.936)
-        assert checked.flags == frozenset()
-        assert checked.qwk_gap_vs_human == pytest.approx(0.056)
-
-    def test_smd_boundary(self):
-        assert SMD_VIOLATION in production_check(self._report(0.9, 0.151), 0.9).flags
-        assert SMD_VIOLATION not in production_check(self._report(0.9, 0.15), 0.9).flags
-        assert SMD_VIOLATION in production_check(self._report(0.9, -0.151), 0.9).flags
-
-    def test_qwk_gap_boundary(self):
-        assert QWK_DEGRADATION not in production_check(self._report(0.9, 0.0), 0.9).flags
-        assert QWK_DEGRADATION not in production_check(self._report(0.8, 0.0), 0.9).flags
-        assert QWK_DEGRADATION in production_check(self._report(0.79, 0.0), 0.9).flags
+    def test_the_smd_limit_is_exclusive_on_both_sides(self, smd_value, flags):
+        assert criteria_flags(smd_value) == frozenset(flags)
 
 
 class TestEvalReportTsv:
@@ -192,3 +170,13 @@ class TestEvalReportTsv:
         row = EvalReport(prompt_id=-1, qwk=0.5, smd=0.0, accuracy=0.5, n=10).to_tsv_row()
         assert row.startswith("mean\t")
         assert EvalReport.from_tsv_row(row).prompt_id == -1
+
+    @pytest.mark.parametrize("row, says", [
+        ("1\tnan\t0.0\t0.5\t10\t-", "qwk nan is not finite"),
+        ("1\t0.5\tinf\t0.5\t10\t-", "smd inf is not finite"),
+        ("1\t0.5\t0.0\t-inf\t10\t-", "acc -inf is not finite"),
+        ("mean\t0.5\t0.0\t0.5\t-3\t-", "n -3 is negative"),
+    ], ids=["qwk", "smd", "acc", "n"])
+    def test_a_row_no_run_writes_is_rejected(self, row, says):
+        with pytest.raises(ValueError, match=says):
+            EvalReport.from_tsv_row(row)
