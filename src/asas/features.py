@@ -36,9 +36,11 @@ TEXT_STATS_DIM = 10
 # Lowest near-match cutoff: CachedFeatureBuilder keeps every ratio that
 # reaches it, so any cutoff a trial picks is a thresholding pass.
 MIN_CUTOFF = 0.5
-# Bounds the fuzzy engine's work arrays: (window, n-gram, character) cells
-# per histogram pass, and candidate pairs per LCS pass.
+# Bound the fuzzy engine's work arrays: _PAIR_CHUNK the (window, n-gram,
+# character) cells of one histogram pass and the candidate pairs held for
+# matching, _TABLE_CELLS the run-length table cells of one matcher chunk.
 _PAIR_CHUNK = 1 << 16
+_TABLE_CELLS = 1 << 17
 
 # Fixed 150-word English stopword list, versioned with the artifact.
 STOPWORDS = frozenset("""
@@ -158,12 +160,6 @@ def select_key_ngrams(train: list[tuple[str, int]]) -> list[KeyNgram]:
     return selected
 
 
-def similarity_ratio(a: str, b: str) -> float:
-    """2M / (|a| + |b|) where M is the total length of matching blocks
-    found by recursive longest-common-contiguous-block matching."""
-    return difflib.SequenceMatcher(None, a, b, autojunk=False).ratio()
-
-
 def window_ratios(text: str, ngram: str) -> np.ndarray:
     """Similarity of every same-token-length window of ``text`` to ``ngram``.
 
@@ -210,62 +206,177 @@ class FuzzyRatios:
         return flat.reshape(self.shape).astype(float)
 
 
-def _may_reach(matches: np.ndarray, total: np.ndarray, floor: float) -> np.ndarray:
-    """Whether difflib's ``2.0*M/(la+lb)`` can reach ``floor`` given a bound on M.
-
-    Uses difflib's own float expression, so the test is exact. 0/0 (an
-    empty window against an empty n-gram) is NaN here and 1.0 in difflib,
-    hence "not below" rather than ">=".
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return ~(2.0 * matches / total < floor)
+def _ratio(matches: np.ndarray, total: np.ndarray) -> np.ndarray:
+    """difflib's ratio ``2.0*M/(la+lb)`` in its own float expression, 1.0 at 0/0."""
+    return np.divide(2.0 * matches, total, out=np.ones(matches.shape), where=total > 0)
 
 
-def _lcs_lengths(
-    codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
-    grams: np.ndarray, tables: NgramTables,
-) -> np.ndarray:
+def _lcs_lengths(a: np.ndarray, grams: np.ndarray, tables: NgramTables) -> np.ndarray:
     """Longest-common-subsequence length of many (window, n-gram) pairs.
 
-    Window p is ``codes[starts[p]:starts[p] + lengths[p]]`` and n-gram
-    ``grams[p]`` indexes ``tables``. Bit-parallel recurrence (Hyyro 2004):
-    U = V & mask, V = (V+U) | (V-U) over the window's characters; the LCS
-    is the number of zero bits left in V's low |n-gram| bits. Carries only
-    move upward, so uint64 overflow never reaches those bits. Pairs are
-    processed longest first so step k touches only the windows longer
-    than k.
+    ``a`` holds one window's codes per column, padded with the code no
+    n-gram holds, and n-gram ``grams[p]`` indexes ``tables``. Bit-parallel
+    recurrence (Hyyro 2004): U = V & mask, V = (V+U) | (V-U) over the
+    window's characters; the LCS is the number of zero bits left in V's
+    low |n-gram| bits. Carries only move upward, so uint64 overflow never
+    reaches those bits, and padding's mask is 0, which leaves V as it is.
     """
-    by_len = np.argsort(-lengths, kind="stable")
-    starts, lengths, grams = starts[by_len], lengths[by_len], grams[by_len]
-    v = np.full(by_len.size, np.iinfo(np.uint64).max, dtype=np.uint64)
-    for k in range(int(lengths[0]) if lengths.size else 0):
-        n = int(np.searchsorted(-lengths, -k))  # pairs whose window is longer than k
-        u = v[:n] & tables.masks[grams[:n], codes[starts[:n] + k]]
-        v[:n] = (v[:n] + u) | (v[:n] - u)
+    v = np.full(grams.size, np.iinfo(np.uint64).max, dtype=np.uint64)
+    for mask in tables.masks[grams, a]:
+        u = v & mask
+        v = (v + u) | (v - u)
     ones = np.unpackbits((v & tables.low[grams]).view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
-    out = np.empty_like(lengths)
-    out[by_len] = tables.lengths[grams] - ones
+    return tables.lengths[grams] - ones
+
+
+def _chunk_totals(a: np.ndarray, la: np.ndarray, b: np.ndarray, lb: np.ndarray) -> np.ndarray:
+    """Matching-block total M of the pairs (``a[:la[p], p]``, ``b[p, :lb[p]]``).
+
+    ``a`` holds one window per column and ``b`` one n-gram per row, each
+    padded with a code the other never holds, by at least one row or
+    column. ``runs[p, i, j]`` is the length of the common run ending at
+    ``a[i, p]`` and ``b[p, j]``: 0 where they differ, else one more than
+    ``runs[p, i - 1, j - 1]``. It is built one window position at a time on
+    the transposed table, where one position of every pair is one
+    contiguous row and a step is one shifted multiply: a pair's first
+    column reads the previous pair's last one, padding, so it stays 0 or 1.
+
+    Then difflib's ``get_matching_blocks`` runs in rounds over all pairs:
+    each round finds the longest block of open rectangles, adds its size
+    to its pair's M and opens the rectangles left and right of it. A block
+    ending at (i, j) reaches back ``min(runs[i, j], i - alo + 1, j - blo + 1)``
+    inside rectangle ``[alo, ahi) x [blo, bhi)``, and difflib keeps the
+    first longest one in row-major order of its end, which is what
+    ``argmax`` returns. A round reads each rectangle's rows from ``alo`` on
+    in a box of the round's tallest height; box rows past ``ahi`` read the
+    last row, padding, and columns past ``bhi`` are cut to 0. It takes as
+    many rectangles as keep its boxes within the cells of ``runs``.
+    """
+    rows, n_pairs = a.shape
+    cols = b.shape[1]
+    dtype = np.int16 if max(rows, cols) <= np.iinfo(np.int16).max else np.int32
+    runs = np.empty((rows, n_pairs, cols), dtype=dtype)
+    np.equal(a[:, :, None], b, out=runs)
+    step = runs.reshape(rows, -1)
+    for i in range(1, rows):
+        step[i, 1:] *= step[i - 1, :-1] + 1
+    runs = np.ascontiguousarray(runs.transpose(1, 0, 2))
+    by_row = runs.reshape(-1, cols)
+    di, dj = np.arange(rows), np.arange(cols)
+    reach_i = np.arange(1, rows + 1, dtype=dtype)
+    # Open rectangles, one per row: pair, alo, blo, ahi, bhi.
+    rect = np.zeros((n_pairs, 5), dtype=np.intp)
+    rect[:, 0], rect[:, 3], rect[:, 4] = np.arange(n_pairs), la, lb
+    take, rect = rect, rect[:0]
+    box = runs.reshape(n_pairs, -1)  # the first round's rectangles are whole tables
+    pairs, sizes = [], []
+    while True:
+        end = box.argmax(axis=1)
+        size = box[np.arange(len(take)), end]
+        pairs.append(take[:, 0])
+        sizes.append(size)
+        ends = np.stack(np.divmod(end, cols), axis=1)
+        ends[:, 0] += take[:, 1]
+        kids = np.stack([take, take])  # left of the block, right of it
+        kids[0, :, 3:] = ends - (size - 1)[:, None]
+        kids[1, :, 1:3] = ends + 1
+        opened = (size > 0) & (kids[..., 1:3] < kids[..., 3:]).all(axis=2)
+        rect = np.concatenate([rect, kids[opened]])
+        if not rect.size:
+            total = np.bincount(np.concatenate(pairs), np.concatenate(sizes), n_pairs)
+            return total.astype(np.intp)
+        h = rect[:, 3] - rect[:, 1]
+        n = max(1, runs.size // (int(h.max()) * cols))
+        take, rect, h = rect[:n], rect[n:], h[:n]
+        pair, alo, blo, _, bhi = take.T
+        height = int(h.max())
+        i = np.where(di[:height] < h[:, None], alo[:, None] + di[:height], rows - 1)
+        box = by_row.take(i + (pair * rows)[:, None], axis=0)
+        reach_j = np.where(dj < bhi[:, None], dj + 1 - blo[:, None], 0).astype(dtype)
+        np.minimum(box, reach_i[:height, None], out=box)
+        np.minimum(box, reach_j[:, None], out=box)
+        box = box.reshape(len(take), -1)
+
+
+def _chunks(lengths: np.ndarray, gram_len: np.ndarray):
+    """Cut pairs sorted longest window first into (lo, hi, n-gram width) chunks.
+
+    A chunk's run-length tables, (window + 1) x (n-gram + 1) cells per
+    pair, hold at most ``_TABLE_CELLS`` cells; a pair bigger than that is a
+    chunk of its own.
+    """
+    widest = np.maximum.accumulate(gram_len[::-1])[::-1] + 1  # from each pair on
+    lo = 0
+    while lo < lengths.size:
+        hi = lo + max(1, _TABLE_CELLS // int((lengths[lo] + 1) * widest[lo]))
+        yield lo, hi, widest[lo]
+        lo = hi
+
+
+def _window_codes(
+    codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray, pad: int
+) -> np.ndarray:
+    """The windows ``codes[starts[p]:starts[p] + lengths[p]]``, one per column,
+    padded with ``pad`` to one more than the longest."""
+    di = np.arange(lengths.max(initial=0) + 1)[:, None]
+    return np.where(di < lengths, codes[np.minimum(starts + di, codes.size - 1)], pad)
+
+
+def _matching_totals(
+    codes: np.ndarray, starts: np.ndarray, lengths: np.ndarray,
+    grams: np.ndarray, tables: NgramTables, floor: float,
+) -> np.ndarray:
+    """difflib's matching-block total M of many (window, n-gram) pairs.
+
+    Window p is ``codes[starts[p]:starts[p] + lengths[p]]`` (seq1) and
+    n-gram ``grams[p]`` indexes ``tables`` (seq2), matched as
+    ``SequenceMatcher(None, window, n-gram, autojunk=False)`` would. M is
+    at most the pair's longest common subsequence, so a pair whose LCS
+    cannot reach ``floor`` is not matched and gets 0; an n-gram longer
+    than 64 characters does not fit the LCS bit vector and is always
+    matched. Both passes take the pairs longest window first, in
+    ``_chunks``.
+    """
+    other = len(tables.alphabet)  # no n-gram holds it: the windows' padding
+    gram_len = tables.lengths[grams]
+    by_size = np.lexsort((-gram_len, -lengths))
+    passed = np.zeros(by_size.size, dtype=bool)
+    for lo, hi, _ in _chunks(lengths[by_size], gram_len[by_size]):
+        p = by_size[lo:hi]
+        lcs = _lcs_lengths(_window_codes(codes, starts[p], lengths[p], other), grams[p], tables)
+        passed[p] = (gram_len[p] > 64) | (_ratio(lcs, lengths[p] + gram_len[p]) >= floor)
+    by_size = by_size[passed[by_size]]
+    out = np.zeros(passed.size, dtype=np.intp)
+    for lo, hi, width in _chunks(lengths[by_size], gram_len[by_size]):
+        p = by_size[lo:hi]
+        a = _window_codes(codes, starts[p], lengths[p], other)
+        out[p] = _chunk_totals(a, lengths[p], tables.codes[grams[p], :width], gram_len[p])
     return out
 
 
 def _gram_tables(
     grams: list[str], alphabet: dict[str, int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Length, character histogram and LCS match masks of each n-gram.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Length, character codes, character histogram and LCS match masks of each n-gram.
 
-    Bit i of ``masks[g, c]`` is set where character i (< 64) of n-gram g
-    has code c.
+    ``codes[g]`` holds n-gram g's character codes followed by at least one
+    ``len(alphabet) + 1``, a code no window holds. Bit i of ``masks[g, c]``
+    is set where character i (< 64) of n-gram g has code c.
     """
     width = len(alphabet) + 1
+    lengths = np.array([len(g) for g in grams], dtype=np.intp)
+    codes = np.full((len(grams), int(lengths.max(initial=0)) + 1), width, dtype=np.intp)
     hist = [[0] * width for _ in grams]
     masks = [[0] * width for _ in grams]
     for g, gram in enumerate(grams):
         for i, ch in enumerate(gram):
+            codes[g, i] = alphabet[ch]
             hist[g][alphabet[ch]] += 1
             if i < 64:
                 masks[g][alphabet[ch]] |= 1 << i
     return (
-        np.array([len(g) for g in grams], dtype=np.intp),
+        lengths,
+        codes,
         np.array(hist, dtype=np.int32).reshape(len(grams), width),
         np.array(masks, dtype=np.uint64).reshape(len(grams), width),
     )
@@ -279,32 +390,32 @@ class NgramTables:
     the slot of each real (non-None) n-gram; the other fields index those
     n-grams in slot order. Characters are coded by ``alphabet``, the
     n-grams' characters in sorted order; every other character gets the
-    one code ``len(alphabet)``. ``lengths`` and ``masks`` come from
+    one code ``len(alphabet)``. ``points`` holds the alphabet's code points
+    in the same order, then 2**32 - 1, which no character has. ``lengths``,
+    ``codes`` (each n-gram's codes, padded) and ``masks`` come from
     ``_gram_tables``; ``low[g]`` selects the low |n-gram g| bits (at most
     64) of an LCS bit vector. ``by_order`` holds, for each token order,
     the n-grams of that order, the character codes they use and their
-    histograms over those codes. ``matchers[g]`` is a difflib matcher
-    with n-gram g as seq2, so matching a window only sets seq1; the
-    matchers are reused from call to call, so one table serves one
-    ``fuzzy_ratios`` call at a time. Every spec derives its own table and
-    every builder builds one for its scoring pass: none is shared.
+    histograms over those codes. A table is read-only once built, so
+    calls may share it, also from several threads.
     """
 
     n_slots: int
     present: np.ndarray
     alphabet: dict[str, int]
+    points: np.ndarray
     lengths: np.ndarray
+    codes: np.ndarray
     masks: np.ndarray
     low: np.ndarray
     by_order: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
-    matchers: list[difflib.SequenceMatcher]
 
     @classmethod
     def of(cls, key_ngrams: list[str | None]) -> "NgramTables":
         present = np.array([j for j, g in enumerate(key_ngrams) if g is not None], dtype=np.intp)
         grams = [key_ngrams[j] for j in present]
         alphabet = {ch: a for a, ch in enumerate(sorted(set("".join(grams))))}
-        lengths, hist, masks = _gram_tables(grams, alphabet)
+        lengths, codes, hist, masks = _gram_tables(grams, alphabet)
         orders = np.array([len(g.split()) for g in grams], dtype=np.intp)
         by_order = []
         for order in sorted(set(orders.tolist())):
@@ -315,11 +426,12 @@ class NgramTables:
             n_slots=len(key_ngrams),
             present=present,
             alphabet=alphabet,
+            points=np.array([ord(ch) for ch in alphabet] + [2**32 - 1], dtype=np.uint32),
             lengths=lengths,
+            codes=codes,
             masks=masks,
             low=np.array([(1 << min(n, 64)) - 1 for n in lengths.tolist()], dtype=np.uint64),
             by_order=by_order,
-            matchers=[difflib.SequenceMatcher(None, "", g, autojunk=False) for g in grams],
         )
 
 
@@ -330,17 +442,19 @@ def fuzzy_ratios(texts: list[str], tables: NgramTables, floor: float) -> FuzzyRa
     a fitted spec derives it once (``FeatureModelSpec.ngram_tables``) and
     every call reuses it, so a call does only the per-text work.
 
-    Exact pruning: difflib's ratio is 2M/(la+lb), where M, the length of
-    its matching blocks, is at most the longest common subsequence of the
-    two strings, which is at most the multiset intersection of their
-    characters (``quick_ratio``), which is at most min(la, lb). The
-    intersection is computed for blocks of (window, n-gram) pairs at once
-    from per-token character histograms over the n-grams' alphabet,
-    prefix-summed along the texts; the LCS, for the pairs that pass, by a
-    vectorised bit-parallel recurrence; and difflib runs only on pairs
-    whose bound, in difflib's own float expression, reaches ``floor``.
-    Windows are seq1 and n-grams seq2, as in ``window_ratios``, so every
-    kept ratio is bit-identical to it.
+    The ratio is difflib's 2M/(la+lb), where M is the total length of the
+    matching blocks that ``SequenceMatcher(None, window, n-gram,
+    autojunk=False)`` finds (Ratcliff & Obershelp's gestalt matching). M is
+    at most the longest common subsequence of the two strings, which is at
+    most the multiset intersection of their characters (``quick_ratio``).
+    The intersection is computed for blocks of (window, n-gram) pairs at
+    once from per-token character histograms over the n-grams' alphabet,
+    prefix-summed along the texts. The pairs whose bound, in difflib's own
+    float expression, reaches ``floor`` wait in a buffer of at most
+    ``_PAIR_CHUNK`` pairs; ``_matching_totals`` then computes their LCS and
+    the exact M of those that pass, in chunks of at most ``_TABLE_CELLS``
+    table cells. Windows are seq1 and n-grams seq2, as in
+    ``window_ratios``, so every kept ratio is bit-identical to it.
     """
     if not MIN_CUTOFF <= floor <= 1.0:
         raise ValueError(f"cutoff must be in [{MIN_CUTOFF}, 1.0], got {floor}")
@@ -355,7 +469,9 @@ def fuzzy_ratios(texts: list[str], tables: NgramTables, floor: float) -> FuzzyRa
     toks = [_tokens(t) for t in texts]
     flat = [tok for ts in toks for tok in ts]
     joined = "".join(tok + " " for tok in flat)
-    codes = np.fromiter((alphabet.get(ch, other) for ch in joined), dtype=np.intp, count=len(joined))
+    points = np.frombuffer(joined.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    codes = np.searchsorted(tables.points, points)
+    codes[tables.points[codes] != points] = other
     tok_span = np.array([len(tok) + 1 for tok in flat], dtype=np.intp)
     char_at = np.concatenate([[0], np.cumsum(tok_span)])
     # cum_hist[i, c]: occurrences of code c in the first i tokens and their spaces.
@@ -370,18 +486,11 @@ def fuzzy_ratios(texts: list[str], tables: NgramTables, floor: float) -> FuzzyRa
     n_pending = 0
 
     def match_pending() -> None:
-        """LCS-filter the pending candidate pairs, then run difflib on the rest."""
+        """Match the pending candidate pairs, keeping the ratios that reach ``floor``."""
         text, start, length, gram = (np.concatenate(col) for col in zip(*pending))
         pending.clear()
-        lcs = _lcs_lengths(codes, start, length, gram, tables)
-        # An n-gram longer than 64 characters does not fit the bit vector.
-        keep = (gram_len[gram] > 64) | _may_reach(lcs, length + gram_len[gram], floor)
-        text, start, length, gram = text[keep], start[keep], length[keep], gram[keep]
-        ratio = np.empty(gram.size, dtype=float)
-        for k, (s, n, g) in enumerate(zip(start.tolist(), length.tolist(), gram.tolist())):
-            matcher = tables.matchers[g]
-            matcher.set_seq1(joined[s:s + n])
-            ratio[k] = matcher.ratio()
+        matches = _matching_totals(codes, start, length, gram, tables, floor)
+        ratio = _ratio(matches, length + gram_len[gram])
         hit = ratio >= floor
         found.append((text[hit], tables.present[gram[hit]], ratio[hit]))
 
@@ -400,7 +509,7 @@ def fuzzy_ratios(texts: list[str], tables: NgramTables, floor: float) -> FuzzyRa
             hist = cum_hist[first + order] - cum_hist[first]
             hist[:, space] -= trailing
             inter = np.minimum(hist[:, None, used], sel_hist[None]).sum(axis=2)
-            pw, pg = np.nonzero(_may_reach(inter, length[:, None] + gram_len[sel], floor))
+            pw, pg = np.nonzero(_ratio(inter, length[:, None] + gram_len[sel]) >= floor)
             pending.append((win_text[lo + pw], start[pw], length[pw], sel[pg]))
             n_pending += pw.size
             if n_pending >= _PAIR_CHUNK:

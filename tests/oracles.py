@@ -2,14 +2,16 @@
 
 Each oracle is written straight from the defining formula, avoiding the
 code paths of the package under test: exact rational arithmetic for the
-kappa statistic, an explicit recursive matcher for similarity ratios,
-Decimal arithmetic for the cross-entropy, and brute-force enumeration
-for substring overlap and window counting. The bitwise references at
-the end are the exception: they are earlier versions of package code,
-kept to pin optimised rewrites to the same bytes.
+kappa statistic, an explicit recursive matcher and difflib itself for
+similarity ratios, Decimal arithmetic for the cross-entropy, and
+brute-force enumeration for substring overlap and window counting. The
+bitwise references at the end are the exception: they are earlier
+versions of package code, kept to pin optimised rewrites to the same
+bytes.
 """
 from __future__ import annotations
 
+import difflib
 import itertools
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -78,6 +80,13 @@ def matching_blocks_total(a: str, b: str) -> int:
         return size + recurse(alo, i, blo, j) + recurse(i + size, ahi, j + size, bhi)
 
     return recurse(0, len(a), 0, len(b))
+
+
+def similarity_ratio(a: str, b: str) -> float:
+    """difflib's ratio, 2M / (|a| + |b|), where M is the total length of the
+    matching blocks of ``SequenceMatcher(None, a, b, autojunk=False)``: the
+    reference the package's own matcher must equal bit for bit."""
+    return difflib.SequenceMatcher(None, a, b, autojunk=False).ratio()
 
 
 def ratio_oracle(a: str, b: str) -> float:

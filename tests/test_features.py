@@ -3,12 +3,15 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import asas.features
 from asas.corpus import EmbeddingTable, ScoredResponse, build_corpus
 from asas.errors import InsufficientClasses, MissingEmbedding, RankDeficient
 from asas.features import (
@@ -31,15 +34,21 @@ from asas.features import (
     near_match_count,
     normalize_text,
     select_key_ngrams,
-    similarity_ratio,
     text_stats,
     tfidf_matrix,
     top_right_singular_vectors,
     window_ratios,
 )
+from asas.features import _TABLE_CELLS, _matching_totals, _ratio
 from asas.serialize import Artifact
 from conftest import make_toy_corpus, make_toy_responses
-from oracles import exact_window_counts, minutiae_brute, ratio_oracle
+from oracles import (
+    exact_window_counts,
+    matching_blocks_total,
+    minutiae_brute,
+    ratio_oracle,
+    similarity_ratio,
+)
 
 
 class TestNormalizeText:
@@ -195,10 +204,95 @@ class TestFuzzyRatios:
         for row, col, ratio in zip(fr.rows, fr.cols, fr.ratios):
             assert ratio in window_ratios(texts[row], grams[col])
 
+    def test_characters_outside_the_bmp_and_lone_surrogates(self):
+        texts = ["the \U0001d11e\ud800x water", "\ud800x \ud801x w\u00e4ter"]
+        grams = ["\ud800x", "w\u00e4ter", "\U0001d11e\ud800x water"]
+        want = [[int(np.sum(window_ratios(t, g) >= MIN_CUTOFF)) for g in grams] for t in texts]
+        got = fuzzy_ratios(texts, NgramTables.of(grams), MIN_CUTOFF).counts(MIN_CUTOFF)
+        assert got.tolist() == want
+
     def test_cutoff_below_floor_is_rejected(self):
         fr = fuzzy_ratios(["water"], NgramTables.of(["water"]), 0.8)
         with pytest.raises(ValueError):
             fr.counts(0.7)
+
+
+def _match(pairs: list[tuple[str, str]]) -> tuple[np.ndarray, np.ndarray]:
+    """M and ratio of each (window, n-gram) pair from the engine's matcher,
+    every pair matched (floor 0)."""
+    tables = NgramTables.of([b for _, b in pairs])
+    other = len(tables.alphabet)
+    # One trailing character no n-gram holds, so the codes are never empty.
+    codes = np.array([tables.alphabet.get(ch, other) for a, _ in pairs for ch in a] + [other])
+    lengths = np.array([len(a) for a, _ in pairs])
+    starts = np.cumsum(lengths) - lengths
+    grams = np.arange(len(pairs))
+    matches = _matching_totals(codes, starts, lengths, grams, tables, 0.0)
+    return matches, _ratio(matches, lengths + tables.lengths)
+
+
+# Few letters make repeated characters and tied longest blocks common; the
+# others are non-ASCII, one outside the Basic Multilingual Plane.
+_short = st.one_of(st.text("ab", max_size=10), st.text("abcé€𝄞 ", max_size=20))
+_long = st.text("ab c𝄞", min_size=65, max_size=140)
+
+
+# A 300-character token holding a 200-character n-gram: one run of 200.
+_GRAM_200 = "".join(random.Random(4).choice("abcdefghij") for _ in range(200))
+
+
+class TestMatcher:
+    def _check(self, pairs):
+        matches, ratios = _match(pairs)
+        want = np.array([similarity_ratio(a, b) for a, b in pairs])
+        assert ratios.tobytes() == want.tobytes()
+        assert matches.tolist() == [matching_blocks_total(a, b) for a, b in pairs]
+
+    @given(st.lists(st.tuples(_short, _short), min_size=1, max_size=12))
+    @example([("", ""), ("", "ab"), ("ab", ""), ("abab", "ba"), ("aaaa", "aa"), ("xyz", "abc")])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_difflib_and_the_recursive_oracle(self, pairs):
+        self._check(pairs)
+
+    @given(st.lists(st.tuples(st.one_of(_short, _long), _long), min_size=1, max_size=4))
+    @example([("k" * 60 + _GRAM_200 + "k" * 40, _GRAM_200)])
+    @settings(max_examples=40, deadline=None)
+    def test_ngrams_over_64_and_127_characters(self, pairs):
+        self._check(pairs)
+
+
+def _mutated(rng: random.Random, s: str, n: int) -> str:
+    chars = list(s)
+    for _ in range(n):
+        chars[rng.randrange(len(chars))] = rng.choice("abcdefghijklmnopqrstuvwxyz")
+    return "".join(chars)
+
+
+class TestLongInputs:
+    """Long tokens and n-grams: run lengths past int8, and a pair bigger
+    than one chunk's cell budget, which is matched in a chunk of its own."""
+
+    @pytest.mark.parametrize("token_len, gram_len", [(300, 200), (3000, 3000)])
+    def test_long_token_against_long_ngram(self, token_len, gram_len, monkeypatch):
+        tables = []
+        chunk_totals = asas.features._chunk_totals
+
+        def recorded(a, la, b, lb):
+            tables.append((a.shape[0] * a.shape[1] * b.shape[1], a.shape[1]))
+            return chunk_totals(a, la, b, lb)
+
+        monkeypatch.setattr(asas.features, "_chunk_totals", recorded)
+        rng = random.Random(token_len)
+        gram = "".join(rng.choice("abcdefghijklmnopqrstuvwxyz") for _ in range(gram_len))
+        filler = "".join(rng.choice("xyz") for _ in range(token_len - gram_len))
+        token = _mutated(rng, gram, gram_len // 50) + filler
+        text = f"the {token} and {gram} of it"
+        fr = fuzzy_ratios([text], NgramTables.of([gram]), MIN_CUTOFF)
+        want = window_ratios(text, gram)
+        assert fr.counts(MIN_CUTOFF).tolist() == [[int(np.sum(want >= MIN_CUTOFF))]]
+        assert sorted(fr.ratios.tolist()) == sorted(want[want >= MIN_CUTOFF].tolist())
+        assert fr.ratios.size == 2
+        assert tables and all(cells <= _TABLE_CELLS or pairs == 1 for cells, pairs in tables)
 
 
 @pytest.fixture(scope="module")
@@ -564,6 +658,28 @@ class TestScoringState:
                 a = extract_features([r], built).data
                 b = extract_features([r], loaded).data
                 assert a.tobytes() == b.tobytes()
+
+    def test_threads_score_with_one_spec(self, two_specs):
+        spec = _reloaded(two_specs[0])  # derives its tables while the threads score
+        answers = make_toy_corpus().all_responses() + _other_corpus().all_responses()
+        batches = [answers[k:k + 16] for k in range(0, len(answers), 16)]
+        want = [extract_features(rs, two_specs[0]).data for rs in batches]
+        offsets = range(0, len(batches), 2)
+
+        def score(offset: int) -> list[np.ndarray]:
+            order = batches[offset:] + batches[:offset]
+            return [extract_features(rs, spec).data for rs in order * 2]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads often, so their calls interleave
+        try:
+            with ThreadPoolExecutor(max_workers=len(offsets)) as pool:
+                results = list(pool.map(score, offsets, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for offset, rows in zip(offsets, results):
+            order = want[offset:] + want[:offset]
+            assert [r.tobytes() for r in rows] == [w.tobytes() for w in order * 2]
 
     def test_scoring_leaves_the_artifact_unchanged(self, two_specs, toy_corpus):
         spec = two_specs[0]
