@@ -10,6 +10,7 @@ flags win.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -279,11 +280,14 @@ def _corpora(ctx: _Ctx, *files: str, test: bool = True):
 
 
 def _check_positive(ctx: _Ctx, *names: str) -> None:
-    """Exit 2 before any featurising when a fixed training value is not positive."""
+    """Exit 2 before any featurising when a fixed training value is not
+    positive or not finite."""
     for name in names:
-        if not getattr(ctx, name) > 0:
-            flag = "--" + name.replace("_", "-")
-            raise AsasError(f"{flag} must be positive, got {getattr(ctx, name)}")
+        value, flag = getattr(ctx, name), "--" + name.replace("_", "-")
+        if not value > 0:
+            raise AsasError(f"{flag} must be positive, got {value}")
+        if not math.isfinite(value):
+            raise AsasError(f"{flag} must be finite, got {value}")
 
 
 def _require_out(ctx: _Ctx) -> None:

@@ -3,7 +3,10 @@
 Training uses decoupled-weight-decay Adam with a linear learning-rate
 ramp to zero, per-class binary cross-entropy on one-hot targets, and
 epoch-boundary early stopping on dev QWK. All randomness flows through
-explicit seeds so runs are bit-reproducible.
+explicit seeds so runs are bit-reproducible. The MLP trains in float32,
+while every score, the dev QWK included, is computed in float64 on the
+float32 weights converted exactly; the losses, gradients and optimiser
+compute in the dtype of their inputs.
 """
 from __future__ import annotations
 
@@ -20,7 +23,7 @@ from .errors import (
     NonFiniteLoss,
     SingleClass,
 )
-from .mathutil import log_softmax, logsumexp, sigmoid
+from .mathutil import as_float, log_softmax, logsumexp, sigmoid
 from .metrics import qwk
 from .serialize import require_finite, row_vector
 
@@ -109,9 +112,9 @@ def _checked_labels(labels, k: int) -> np.ndarray:
     return labels
 
 
-def _one_hot(labels, k: int) -> np.ndarray:
+def _one_hot(labels, k: int, dtype) -> np.ndarray:
     labels = _checked_labels(labels, k)
-    out = np.zeros((labels.size, k), dtype=float)
+    out = np.zeros((labels.size, k), dtype=dtype)
     out[np.arange(labels.size), labels] = 1.0
     return out
 
@@ -127,15 +130,15 @@ def bce_loss(logits: np.ndarray, labels, k: int | None = None) -> float:
     Uses the overflow-free form max(z,0) - z*t + log(1 + exp(-|z|)),
     averaged over all N*k logits.
     """
-    logits = np.atleast_2d(np.asarray(logits, dtype=float))
+    logits = np.atleast_2d(as_float(logits))
     k = logits.shape[1] if k is None else k
-    return _bce_mean(logits, _one_hot(labels, k))
+    return _bce_mean(logits, _one_hot(labels, k, logits.dtype))
 
 
 def bce_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Loss and its gradient with respect to the logits."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=float))
-    targets = _one_hot(labels, logits.shape[1])
+    """Loss and its gradient with respect to the logits, in the logits' dtype."""
+    logits = np.atleast_2d(as_float(logits))
+    targets = _one_hot(labels, logits.shape[1], logits.dtype)
     loss = _bce_mean(logits, targets)
     grad = (sigmoid(logits) - targets) / logits.size
     return loss, grad
@@ -179,7 +182,10 @@ def adamw_step(
     Returns new parameter arrays (``params`` is not written) and
     ``state``, advanced in place. Every element goes through the same
     IEEE operations in the same order as the textbook expression, so
-    the result is bit-for-bit that of evaluating it with temporaries.
+    the result is bit-for-bit that of evaluating it with temporaries,
+    in the parameters' dtype. Overflow, such as a learning rate too large
+    for float32, is not an error here: it reaches the next loss or
+    gradient, which the train loop checks.
     """
     for g in grads:
         if not np.isfinite(g).all():
@@ -188,26 +194,27 @@ def adamw_step(
     m_corr = 1 - ADAM_BETA1 ** t
     v_corr = 1 - ADAM_BETA2 ** t
     new_params = []
-    for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
-        # m = beta1 * m + (1 - beta1) * g
-        np.multiply(m, ADAM_BETA1, out=m)
-        np.multiply(g, 1 - ADAM_BETA1, out=a)
-        np.add(m, a, out=m)
-        # v = beta2 * v + ((1 - beta2) * g) * g
-        np.multiply(v, ADAM_BETA2, out=v)
-        np.multiply(g, 1 - ADAM_BETA2, out=a)
-        np.multiply(a, g, out=a)
-        np.add(v, a, out=v)
-        # lr_t * (m_hat / (sqrt(v_hat) + eps) + wd * p)
-        np.divide(m, m_corr, out=a)
-        np.divide(v, v_corr, out=b)
-        np.sqrt(b, out=b)
-        np.add(b, ADAM_EPS, out=b)
-        np.divide(a, b, out=a)
-        np.multiply(p, weight_decay, out=b)
-        np.add(a, b, out=a)
-        np.multiply(a, lr_t, out=a)
-        new_params.append(np.subtract(p, a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
+            # m = beta1 * m + (1 - beta1) * g
+            np.multiply(m, ADAM_BETA1, out=m)
+            np.multiply(g, 1 - ADAM_BETA1, out=a)
+            np.add(m, a, out=m)
+            # v = beta2 * v + ((1 - beta2) * g) * g
+            np.multiply(v, ADAM_BETA2, out=v)
+            np.multiply(g, 1 - ADAM_BETA2, out=a)
+            np.multiply(a, g, out=a)
+            np.add(v, a, out=v)
+            # lr_t * (m_hat / (sqrt(v_hat) + eps) + wd * p)
+            np.divide(m, m_corr, out=a)
+            np.divide(v, v_corr, out=b)
+            np.sqrt(b, out=b)
+            np.add(b, ADAM_EPS, out=b)
+            np.divide(a, b, out=a)
+            np.multiply(p, weight_decay, out=b)
+            np.add(a, b, out=a)
+            np.multiply(a, lr_t, out=a)
+            new_params.append(np.subtract(p, a))
     state.step = t
     return new_params, state
 
@@ -227,7 +234,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0 or self.batch_size < 1 or self.epochs < 1:
+        if not 0 < self.learning_rate < math.inf or self.batch_size < 1 or self.epochs < 1:
             raise ValueError(f"invalid training config: {self}")
 
 
@@ -283,9 +290,14 @@ def train_early_stop(
 ) -> TrainResult:
     """Train with seeded minibatches, keep the best-dev-QWK snapshot.
 
-    Dev QWK is computed from argmax predictions after every epoch; on
-    ties the earliest epoch wins. The linear schedule runs over the full
-    step budget epochs * ceil(N / batch).
+    The steps run in float32: ``train_x`` and the initial parameters are
+    cast once, and the gradients and AdamW state follow them. Dev QWK is
+    computed after every epoch from argmax predictions of the float64
+    ``mlp_forward``, on the float32 weights converted exactly, so the
+    returned model (float64 arrays holding float32 values) scores the
+    same bits as the epoch that chose it; on ties the earliest epoch
+    wins. The linear schedule runs over the full step budget
+    epochs * ceil(N / batch).
     """
     train_y = np.asarray(train_y)
     dev_y = np.asarray(dev_y)
@@ -295,7 +307,8 @@ def train_early_stop(
     steps_per_epoch = -(-n // config.batch_size)
     total_steps = config.epochs * steps_per_epoch
 
-    params = [p.copy() for p in model_init.params()]
+    train_x = np.asarray(train_x, dtype=np.float32)
+    params = [p.astype(np.float32) for p in model_init.params()]
     state = AdamState.for_params(params)
     best: tuple[float, int, list[np.ndarray]] | None = None
     history: list[EpochStats] = []
@@ -312,12 +325,12 @@ def train_early_stop(
             lr_t = linear_lr(step, total_steps, config.learning_rate)
             params, state = adamw_step(params, grads, state, lr_t, WEIGHT_DECAY)
             step += 1
-        model = model_init.with_params(params)
-        dev_pred = np.argmax(mlp_forward(model, dev_x), axis=1)
+        weights = [p.astype(float) for p in params]
+        dev_pred = np.argmax(mlp_forward(model_init.with_params(weights), dev_x), axis=1)
         dev_qwk = qwk_fn(dev_y, dev_pred, k)
         history.append(EpochStats(epoch=epoch, train_loss=loss_sum / n, dev_qwk=dev_qwk))
         if best is None or dev_qwk > best[0]:
-            best = (dev_qwk, epoch, [p.copy() for p in params])
+            best = (dev_qwk, epoch, weights)
     assert best is not None
     return TrainResult(
         model=model_init.with_params(best[2]),

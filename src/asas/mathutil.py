@@ -20,9 +20,16 @@ def log_softmax(a: np.ndarray, axis: int = -1) -> np.ndarray:
     return a - np.expand_dims(logsumexp(a, axis=axis), axis)
 
 
+def as_float(a) -> np.ndarray:
+    """``a`` as an array of its own floating dtype, or of float64 if it has none."""
+    a = np.asarray(a)
+    return a if np.issubdtype(a.dtype, np.floating) else a.astype(float)
+
+
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Stable logistic function, no overflow for any finite z."""
-    z = np.asarray(z, dtype=float)
+    """Stable logistic function, no overflow for any finite z; computed in
+    ``z``'s floating dtype, or in float64 for integer and list input."""
+    z = as_float(z)
     out = np.empty_like(z)
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))

@@ -379,6 +379,17 @@ class TestTrainingOptions:
         assert f"{flag} must be positive, got 0" in capsys.readouterr().err
         assert not built and not out.exists()
 
+    def test_an_infinite_learning_rate_exits_2_before_featurising(
+        self, workspace, built, capsys
+    ):
+        out = workspace["dir"] / "bad_lr"
+        assert main([
+            "train-features", "--data", str(workspace["data"]), "--prompt", "1",
+            "--epochs", "2", "--lr", "inf", "--out", str(out),
+        ]) == 2
+        assert "--lr must be finite, got inf" in capsys.readouterr().err
+        assert not built and not out.exists()
+
     @pytest.mark.parametrize("cutoff", ["0.3", "1.5", "nan"])
     def test_a_cutoff_outside_its_range_exits_2_before_featurising(
         self, workspace, built, capsys, cutoff

@@ -33,6 +33,8 @@ from asas.learners import (
     train_early_stop,
 )
 from asas.mathutil import log_softmax, logsumexp
+from asas.metrics import qwk
+from asas.serialize import Artifact
 from oracles import (
     adamw_step_reference,
     bce_decimal,
@@ -160,6 +162,7 @@ class TestAdamW:
         with pytest.raises(NonFiniteGradient):
             adamw_step(params, [np.array([np.nan, 0.0])], state, 0.1, 0.0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @given(
         shapes=st.lists(
             st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
@@ -172,10 +175,10 @@ class TestAdamW:
     )
     @settings(max_examples=25, deadline=None)
     def test_bitwise_equal_to_reference_over_a_schedule(
-        self, shapes, steps, base_lr, weight_decay, seed
+        self, dtype, shapes, steps, base_lr, weight_decay, seed
     ):
         rng = np.random.default_rng(seed)
-        params = [rng.normal(size=shape) for shape in shapes]
+        params = [rng.normal(size=shape).astype(dtype) for shape in shapes]
         caller_copy = [p.copy() for p in params]
         state = AdamState.for_params(params)
         ref_params = params
@@ -183,7 +186,10 @@ class TestAdamW:
         current = params
         for step in range(steps):
             # gradients spanning many magnitudes exercise the sqrt/eps rounding
-            grads = [rng.normal(size=shape) * 10.0 ** rng.integers(-9, 4) for shape in shapes]
+            grads = [
+                (rng.normal(size=shape) * 10.0 ** rng.integers(-9, 4)).astype(dtype)
+                for shape in shapes
+            ]
             lr_t = linear_lr(step, steps, base_lr)
             new, state = adamw_step(current, grads, state, lr_t, weight_decay)
             ref_params, ref_state = adamw_step_reference(
@@ -194,6 +200,7 @@ class TestAdamW:
             current = new
         assert [m.tobytes() for m in state.m] == [m.tobytes() for m in ref_state[1]]
         assert [v.tobytes() for v in state.v] == [v.tobytes() for v in ref_state[2]]
+        assert {a.dtype for a in [*new, *state.m, *state.v]} == {np.dtype(dtype)}
         assert state.step == steps
         # the caller's arrays are never written
         assert [p.tobytes() for p in params] == [p.tobytes() for p in caller_copy]
@@ -295,6 +302,28 @@ class TestTrainEarlyStop:
         assert qwk(dev_y, pred, 3) == pytest.approx(max(h.dev_qwk for h in result.history))
         assert result.best_dev_qwk == max(h.dev_qwk for h in result.history)
 
+    def test_float32_training_scores_in_float64(self):
+        X, y = _toy_problem(seed=6, n=96, separation=0.6)
+        train_X, train_y, dev_X, dev_y = X[:64], y[:64], X[64:], y[64:]
+        result = train_early_stop(
+            MlpModel.init(6, 8, 3, seed=3), train_X, train_y, dev_X, dev_y,
+            TrainConfig(learning_rate=5e-3, batch_size=8, epochs=8, seed=3),
+        )
+        weights = result.model.params()
+        assert {w.dtype for w in weights} == {np.dtype(float)}
+        assert all(np.array_equal(w.astype(np.float32).astype(float), w) for w in weights)
+        # the history's QWK is the float64 forward pass of the returned model, bit for bit
+        pred = np.argmax(mlp_forward(result.model, dev_X), axis=1)
+        assert qwk(dev_y, pred, 3) == result.best_dev_qwk == max(h.dev_qwk for h in result.history)
+        saved = Artifact(kind="feature-model", arrays=result.model.to_arrays()).dump()
+        again = MlpModel.from_arrays(Artifact.parse(saved).arrays)
+        assert [w.tobytes() for w in again.params()] == [w.tobytes() for w in weights]
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, math.inf, math.nan])
+    def test_config_rejects_a_learning_rate_that_is_not_positive_and_finite(self, lr):
+        with pytest.raises(ValueError, match="invalid training config"):
+            TrainConfig(learning_rate=lr, batch_size=8)
+
     def test_non_finite_loss_reports_epoch(self):
         X, y = _toy_problem(seed=7)
         with pytest.raises(NonFiniteLoss, match="epoch 1"):
@@ -302,6 +331,16 @@ class TestTrainEarlyStop:
                 MlpModel.init(6, 4, 3, seed=0), X, y, X[:8], y[:8],
                 TrainConfig(learning_rate=1e308, batch_size=8, epochs=2, seed=0),
             )
+
+    def test_float32_gradients_stay_float32(self):
+        from asas.learners import _mlp_grads
+
+        rng = np.random.default_rng(4)
+        params = [p.astype(np.float32) for p in MlpModel.init(5, 4, 3, seed=2).params()]
+        X = rng.normal(size=(7, 5)).astype(np.float32)
+        loss, grads = _mlp_grads(params, X, rng.integers(0, 3, size=7))
+        assert math.isfinite(loss)
+        assert [g.dtype for g in grads] == [np.dtype(np.float32)] * 4
 
     def test_mlp_loss_gradient_matches_central_differences(self):
         from asas.learners import _mlp_grads

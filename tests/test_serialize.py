@@ -144,3 +144,11 @@ class TestMathUtil:
         assert sigmoid(np.array([-800.0]))[0] == 0.0
         z = np.linspace(-30, 30, 61)
         assert np.allclose(sigmoid(z) + sigmoid(-z), 1.0, atol=1e-15)
+
+    def test_sigmoid_follows_a_float_dtype_and_takes_float64_otherwise(self):
+        z = [-3, -1, 0, 2, 40]
+        want = sigmoid(np.array(z, dtype=float))
+        for given in (np.array(z), z, np.array(z, dtype=np.int8)):
+            got = sigmoid(given)
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        assert sigmoid(np.array(z, dtype=np.float32)).dtype == np.float32
