@@ -168,13 +168,13 @@ class _Ctx:
         return data
 
     def parse_input(self, path: str | Path, parse, *args):
-        """``parse(bytes of path, *args)``; an error it raises names ``path``."""
+        """``parse(bytes of path, *args)``; an error it raises names ``path``. An
+        ``AsasError`` keeps its class (its exit code); a ``ValueError`` is ``MalformedRow``."""
         data = self.read_input(path)
         try:
             return parse(data, *args)
         except (AsasError, ValueError) as exc:
-            # the same class keeps the exit code; a decode error's class needs more arguments
-            kind = type(exc) if isinstance(exc, AsasError) else ValueError
+            kind = type(exc) if isinstance(exc, AsasError) else MalformedRow
             raise kind(f"{path}: {exc}") from None
 
     def header(self) -> str:
@@ -239,7 +239,9 @@ def _corpora(ctx: _Ctx, *files: str, test: bool = True):
     files parsed before the first is yielded, so a bad file of any prompt
     stops the command before its first prompt's work; with --all-prompts
     every prompt's parsed files are held at once. Each header names the
-    shared inputs and its own prompt's files."""
+    shared inputs and its own prompt's files. --dev-frac is checked first."""
+    if not 0.0 < ctx.dev_frac < 1.0:
+        raise AsasError(f"--dev-frac must be in (0, 1), got {ctx.dev_frac}")
     responses = _load_dataset(ctx)
     test_rows = _load_test(ctx) if test else []
     if not ctx.all_prompts and ctx.prompt is None:
@@ -279,9 +281,11 @@ def _corpora(ctx: _Ctx, *files: str, test: bool = True):
         yield pid, corpus, parsed
 
 
-def _check_positive(ctx: _Ctx, *names: str) -> None:
-    """Exit 2 before any featurising when a fixed training value is not
-    positive or not finite."""
+def _check_training(ctx: _Ctx, *names: str) -> None:
+    """Exit 2 before any featurising when --seed is negative or a fixed
+    training value is not positive or not finite."""
+    if ctx.seed < 0:
+        raise AsasError(f"--seed must be non-negative, got {ctx.seed}")
     for name in names:
         value, flag = getattr(ctx, name), "--" + name.replace("_", "-")
         if not value > 0:
@@ -317,11 +321,11 @@ def _emit(ctx: _Ctx, table: str, body: str | None = None) -> None:
         _write(out, ctx.header(), table if body is None else body)
 
 
-def _write_logprobs(header: str, path: Path, name: str, corpus, ids, logprobs) -> None:
-    """Write the ``logprobs`` row of each id as model ``name``'s log-probabilities."""
+def _logprob_file(header: str, name: str, corpus, ids, logprobs) -> bytes:
+    """The ``logprobs`` row of each id as model ``name``'s member file."""
     rows = {rid: logprobs[i] for i, rid in enumerate(ids)}
     matrix = LogProbMatrix(name, corpus.prompt_id, corpus.num_classes, rows)
-    write_atomic(path, dump_logprobs(matrix, extra_comment=header))
+    return dump_logprobs(matrix, extra_comment=header)
 
 
 def _report_tsv(*reports: EvalReport) -> str:
@@ -384,26 +388,31 @@ def _train_once(corpus, matrix, lr, batch, epochs, seed, hidden):
     )
 
 
-def _save_run(ctx: _Ctx, out: Path, corpus, spec: FeatureModelSpec, matrix, result) -> None:
+def _save_run(ctx: _Ctx, pid: int, corpus, spec: FeatureModelSpec, matrix, result) -> Path:
     """Write a trained feature model, its training history, its dev report and,
-    as ``predictions.tsv``, its log-probabilities on every row it was fitted on."""
+    as ``predictions.tsv``, its log-probabilities on every row it was fitted on,
+    into the prompt's output directory, which is returned. The dev report and
+    the member file, which can fail, are made before the directory is."""
     header = ctx.header()
-    art = spec.to_artifact()
-    art.kind = "feature-model"
-    art.arrays.update(result.model.to_arrays())
-    art.save(out / "model.txt", header)
-    _write(out / "history.tsv", header, result.history_tsv())
     dev_ids = [r.id for r in corpus.dev]
     pred = np.argmax(mlp_forward(result.model, matrix.rows_for(dev_ids)), axis=1)
     report = evaluate_run(pred, corpus.labels(corpus.dev), corpus.num_classes, corpus.prompt_id)
-    _write(out / "report_dev.tsv", header, _report_tsv(report))
     logprobs = log_softmax(mlp_forward(result.model, matrix.data), axis=1)
-    _write_logprobs(header, out / "predictions.tsv", ctx.name, corpus, matrix.ids, logprobs)
+    member = _logprob_file(header, ctx.name, corpus, matrix.ids, logprobs)
+    art = spec.to_artifact()
+    art.kind = "feature-model"
+    art.arrays.update(result.model.to_arrays())
+    out = _out_dir(ctx, pid)
+    art.save(out / "model.txt", header)
+    _write(out / "history.tsv", header, result.history_tsv())
+    _write(out / "report_dev.tsv", header, _report_tsv(report))
+    write_atomic(out / "predictions.tsv", member)
+    return out
 
 
 def cmd_train_features(ctx: _Ctx) -> None:
     _require_out(ctx)
-    _check_positive(ctx, "lr", "batch", "epochs", "hidden", "tfidf_dim")
+    _check_training(ctx, "lr", "batch", "epochs", "hidden", "tfidf_dim")
     if not MIN_CUTOFF <= ctx.cutoff <= 1.0:
         raise AsasError(f"--cutoff must be in [{MIN_CUTOFF}, 1.0], got {ctx.cutoff}")
     for pid, corpus, parsed in _corpora(ctx, "prompt_text", "embeddings"):
@@ -412,13 +421,13 @@ def cmd_train_features(ctx: _Ctx) -> None:
             corpus, matrix, lr=ctx.lr, batch=ctx.batch, epochs=ctx.epochs,
             seed=ctx.seed, hidden=ctx.hidden,
         )
-        _save_run(ctx, _out_dir(ctx, pid), corpus, spec, matrix, result)
+        _save_run(ctx, pid, corpus, spec, matrix, result)
         print(f"prompt {pid}: best dev QWK {result.best_dev_qwk:.4f} (epoch {result.best_epoch})")
 
 
 def cmd_tune(ctx: _Ctx) -> None:
     _require_out(ctx)
-    _check_positive(ctx, "epochs", "hidden", "trials")
+    _check_training(ctx, "epochs", "hidden", "trials")
     space = feature_search_space()
     for pid, corpus, parsed in _corpora(ctx, "prompt_text", "embeddings"):
         # fitted once at the widest settings the study can ask build() for
@@ -443,9 +452,8 @@ def cmd_tune(ctx: _Ctx) -> None:
             return result.best_dev_qwk
 
         study = run_study(space, objective, n_trials=ctx.trials, seed=ctx.seed)
-        out = _out_dir(ctx, pid)
+        out = _save_run(ctx, pid, corpus, *kept)
         _write(out / "study.tsv", ctx.header(), study_log(space, study))
-        _save_run(ctx, out, corpus, *kept)
         print(
             f"prompt {pid}: best trial {study.best.trial_index} "
             f"dev QWK {study.best.objective:.4f} params {study.best.params}"
@@ -461,10 +469,11 @@ def cmd_predict(ctx: _Ctx) -> None:
         spec, mlp = parsed["model"]
         matrix = build_features(corpus, spec, parsed["embeddings"])
         logprobs = log_softmax(mlp_forward(mlp, matrix.data), axis=1)
+        text = _logprob_file(ctx.header(), ctx.name, corpus, matrix.ids, logprobs)
         single = Path(ctx.out or "predictions.tsv")
         path = _out_dir(ctx, pid) / "predictions.tsv" if ctx.all_prompts else single
         path.parent.mkdir(parents=True, exist_ok=True)
-        _write_logprobs(ctx.header(), path, ctx.name, corpus, matrix.ids, logprobs)
+        write_atomic(path, text)
         print(f"prompt {pid}: wrote {len(matrix.ids)} rows -> {path}")
 
 
@@ -486,19 +495,19 @@ def cmd_ensemble(ctx: _Ctx) -> None:
         if corpus.test:
             test_ids = [r.id for r in corpus.test]
             test_pred, logprobs = score_ensemble(spec, members, test_ids)
-            test = test_ids, logprobs
+            test = _logprob_file(ctx.header(), "ensemble", corpus, test_ids, logprobs)
             if all(r.score1 is not None for r in corpus.test):
                 test_gold = corpus.labels(corpus.test)
                 reports["report_test.tsv"] = evaluate_run(test_pred, test_gold, k, pid)
-        runs.append((pid, corpus, ctx.header(), spec, reports, test))
+        runs.append((pid, ctx.header(), spec, reports, test))
 
-    for pid, corpus, header, spec, reports, test in runs:
+    for pid, header, spec, reports, test in runs:
         out = _out_dir(ctx, pid)
         spec.to_artifact().save(out / "ensemble.txt", header)
         for name, report in reports.items():
             _write(out / name, header, _report_tsv(report))
         if test is not None:
-            _write_logprobs(header, out / "predictions.tsv", "ensemble", corpus, *test)
+            write_atomic(out / "predictions.tsv", test)
         head = spec.head
         print(
             f"prompt {pid}: ensemble of {spec.members}"
@@ -511,7 +520,7 @@ def cmd_ensemble(ctx: _Ctx) -> None:
 def cmd_report(ctx: _Ctx) -> None:
     reports, seen = [], {}
     for path in ctx.args.reports:
-        for line_no, line in data_lines(ctx.read_input(path)):
+        for line_no, line in data_lines(ctx.parse_input(path, bytes.decode, "utf-8")):
             if not line.startswith("prompt\t"):
                 where = f"{path}:{line_no}"
                 try:
@@ -593,7 +602,7 @@ def main(argv=None) -> int:
         return 0
     except SystemExit as exc:  # argparse: --help, or a usage error
         return 0 if exc.code in (0, None) else EXIT_VALIDATION
-    except (AsasError, OSError, ValueError) as exc:
+    except (AsasError, OSError) as exc:
         print(f"asas: {exc}", file=sys.stderr)
         return EXIT_CODES.get(type(exc), EXIT_VALIDATION)
 

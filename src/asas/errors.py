@@ -1,7 +1,8 @@
 """Exception types raised by the scoring pipeline.
 
-Everything derives from AsasError so the command-line layer can map
-validation failures to exit codes in one place.
+AsasError is the one expected failure: the command-line layer maps each to
+an exit code, and a tuning trial that raises one is a failed trial. Any
+other exception is a bug and propagates.
 """
 
 
@@ -11,7 +12,7 @@ class AsasError(Exception):
 
 # dataset ingestion and external artifact files
 class MalformedRow(AsasError):
-    """A data row has the wrong number of fields, or a value that is not a finite number."""
+    """Input does not parse: not UTF-8, a row of the wrong width, or a value not a finite number."""
 
 
 class NonIntegerScore(AsasError):
@@ -83,6 +84,10 @@ class NonFiniteLoss(AsasError):
 
 class SingleClass(AsasError):
     """Classifier fitting needs labels from at least two classes."""
+
+
+class TooFewRows(AsasError):
+    """Classifier fitting needs at least one row per class."""
 
 
 # hyperparameter search

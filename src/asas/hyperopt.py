@@ -109,18 +109,8 @@ class SearchSpace:
             raise EmptySpace("search space has no parameters")
 
 
-def lm_search_space() -> SearchSpace:
-    """Batch size 6..12, learning rate 5e-6..1e-4 (log scale)."""
-    return SearchSpace(
-        params={
-            "batch_size": IntUniform(6, 12),
-            "learning_rate": LogUniform(5e-6, 1e-4),
-        }
-    )
-
-
 def feature_search_space() -> SearchSpace:
-    """The feature-model study: adds TF-IDF dimension and fuzzy cutoff."""
+    """Batch size, learning rate (log scale), TF-IDF dimension and fuzzy cutoff."""
     return SearchSpace(
         params={
             "batch_size": IntUniform(6, 12),
@@ -234,11 +224,10 @@ def run_study(
 ) -> StudyResult:
     """Sequential suggest/evaluate loop, deterministic for a fixed seed.
 
-    Objective evaluations that raise a pipeline error (``AsasError``) or a
-    numeric one (``ValueError``, which covers numpy's ``LinAlgError``, or
-    ``ArithmeticError``) are recorded as failed trials and excluded from
-    later density fits; any other exception is a bug and propagates.
-    ``history`` resumes a study from previously logged trials.
+    An objective evaluation that raises ``AsasError`` is recorded as a
+    failed trial and excluded from later density fits; any other exception
+    is a bug and propagates. ``history`` resumes a study from previously
+    logged trials.
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
@@ -252,7 +241,7 @@ def run_study(
             trials.append(
                 TrialRecord(trial_index=i, params=params, objective=objective, status="completed")
             )
-        except (AsasError, ValueError, ArithmeticError):
+        except AsasError:
             trials.append(
                 TrialRecord(trial_index=i, params=params, objective=math.nan, status="failed")
             )

@@ -22,6 +22,7 @@ from .errors import (
     NonFiniteGradient,
     NonFiniteLoss,
     SingleClass,
+    TooFewRows,
 )
 from .mathutil import as_float, log_softmax, logsumexp, sigmoid
 from .metrics import qwk
@@ -444,7 +445,7 @@ def logreg_fit(design: np.ndarray, labels, l2: float, k: int | None = None) -> L
         raise SingleClass("logistic regression needs >= 2 observed classes")
     k = int(y.max()) + 1 if k is None else k
     if X.shape[0] < k:
-        raise ValueError(f"need at least {k} rows, got {X.shape[0]}")
+        raise TooFewRows(f"need at least {k} rows, got {X.shape[0]}")
     weights = np.zeros((X.shape[1], k))
     bias = np.zeros(k)
     value, grad_w, grad_b = logreg_objective(weights, bias, X, y, l2)

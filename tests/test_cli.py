@@ -4,6 +4,7 @@ from __future__ import annotations
 import inspect
 import io
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -402,6 +403,36 @@ class TestTrainingOptions:
         assert f"--cutoff must be in [0.5, 1.0], got {float(cutoff)}" in capsys.readouterr().err
         assert not built and not out.exists()
 
+    @pytest.mark.parametrize("command", ["train-features", "tune"])
+    def test_a_negative_seed_exits_2_before_featurising(self, workspace, built, capsys, command):
+        out = workspace["dir"] / "bad_seed"
+        assert main([
+            command, "--data", str(workspace["data"]), "--prompt", "1", "--epochs", "1",
+            "--seed", "-1", "--out", str(out),
+        ]) == 2
+        assert "asas: --seed must be non-negative, got -1" in capsys.readouterr().err
+        assert not built and not out.exists()
+
+    def test_split_accepts_a_negative_seed(self, workspace):
+        out = workspace["dir"] / "split_neg"
+        argv = ["split", "--data", str(workspace["data"]), "--prompt", "1", "--out", str(out)]
+        assert main([*argv, "--seed", "-3"]) == 0
+        assert (out / "dev.tsv").is_file()
+
+    @pytest.mark.parametrize("frac", ["0", "1", "-0.5", "nan"])
+    @pytest.mark.parametrize("command", ["stats", "split", "tune"])
+    def test_a_dev_frac_outside_its_range_exits_2_before_reading(
+        self, workspace, monkeypatch, capsys, command, frac
+    ):
+        monkeypatch.setattr(asas.cli, "parse_dataset", lambda *a, **kw: pytest.fail("parsed"))
+        out = workspace["dir"] / "bad_frac"
+        assert main([
+            command, "--data", str(workspace["data"]), "--prompt", "1", "--dev-frac", frac,
+            "--out", str(out),
+        ]) == 2
+        assert f"asas: --dev-frac must be in (0, 1), got {float(frac)}" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [
         ["split"],
         ["train-features", "--epochs", "1"],
@@ -433,6 +464,28 @@ class TestTrainingOptions:
 
 
 class TestTune:
+    @pytest.mark.parametrize("seed, hits", [("7", "every trial"), ("2", "a 9-row batch")])
+    def test_a_bug_in_training_propagates(self, workspace, monkeypatch, seed, hits):
+        # a numpy shape error is a bug, not a failed trial
+        real_grads, batches = asas.learners._mlp_grads, []
+
+        def buggy_grads(params, X, labels):
+            batches.append(X.shape[0])
+            if hits == "every trial" or X.shape[0] == 9:
+                params = [params[0][:-1], *params[1:]]
+            return real_grads(params, X, labels)
+
+        monkeypatch.setattr(asas.learners, "_mlp_grads", buggy_grads)
+        out = workspace["dir"] / "tune_bug"
+        with pytest.raises(ValueError, match="matmul"):
+            main([
+                "tune", "--data", str(workspace["data"]), "--prompt", "1", "--trials", "4",
+                "--epochs", "1", "--hidden", "8", "--seed", seed, "--out", str(out),
+            ])
+        assert not out.exists()
+        if hits == "a 9-row batch":
+            assert set(batches) - {9}  # trials without one ran before the bug surfaced
+
     def test_five_trials_emit_all_artifacts(self, workspace):
         out_dir = workspace["dir"] / "tuned"
         code = main([
@@ -799,10 +852,10 @@ class TestInputFaults:
 
     def test_a_member_value_that_is_not_finite(self, workspace, capsys):
         members = _member_files(workspace)
-        lines = open(members[1]).read().splitlines()
+        lines = Path(members[1]).read_text().splitlines()
         rid, *values = lines[1].split("\t")
         lines[1] = "\t".join([rid, "-inf", *values[1:]])
-        open(members[1], "w").write("\n".join(lines) + "\n")
+        Path(members[1]).write_text("\n".join(lines) + "\n")
         out = workspace["dir"] / "ens_inf"
         assert main([
             "ensemble", "--data", str(workspace["data"]), "--test", str(workspace["test"]),
@@ -919,6 +972,24 @@ class TestEnsembleCommand:
         assert 0 < iterations < 5000
         assert grad_norm <= 1e-6
 
+    def test_fewer_dev_rows_than_classes_exits_2(self, tmp_path, capsys):
+        # 8 responses at --dev-frac 0.2 leave 2 dev rows for 3 score classes
+        pool = make_toy_responses(prompt_id=1, n=8, k=3, seed=0)
+        data = tmp_path / "train.tsv"
+        data.write_bytes(serialize_dataset(pool))
+        ids, gold = [r.id for r in pool], np.array([r.score1 for r in pool])
+        members = []
+        for i in range(2):
+            members.append(tmp_path / f"m{i}.tsv")
+            members[-1].write_bytes(dump_logprobs(noisy_member(f"m{i}", ids, gold, 3, seed=i)))
+        out = tmp_path / "ens"
+        assert main([
+            "ensemble", "--data", str(data), "--prompt", "1", "--seed", "1",
+            "--members", *map(str, members), "--out", str(out),
+        ]) == 2
+        assert "asas: need at least 3 rows, got 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_prompts_expands_the_prompt_placeholder(self, workspace, capsys):
         pattern = _per_prompt_members(workspace)
         common = ["--data", str(workspace["data"]), "--test", str(workspace["test"]), "--seed", "7"]
@@ -986,7 +1057,7 @@ class TestEnsembleCommand:
         members = _member_files(workspace)
         with open(members[1], "a") as bad:
             bad.write("zz\t0\t0\t0\n")
-        n_lines = len(open(members[1]).read().splitlines())
+        n_lines = len(Path(members[1]).read_text().splitlines())
         assert main([
             "ensemble", "--data", str(workspace["data"]), "--test", str(workspace["test"]),
             "--prompt", "1", "--members", *members, "--out", str(workspace["dir"] / "bad"),
@@ -1247,6 +1318,14 @@ class TestReport:
         path.write_text(f"#asas\tversion=test\n{EvalReport.TSV_HEADER}\n{row}\n")
         assert main(["report", str(path)]) == 2
         assert f"{path}:3: not a report row" in capsys.readouterr().err
+
+    def test_a_report_that_is_not_utf8_exits_2_naming_the_file(self, tmp_path, capsys):
+        path, out = tmp_path / "latin1.tsv", tmp_path / "table.tsv"
+        row = "1\t0.8\t0.01\t0.7\t50\t\xe9"
+        path.write_bytes(f"{EvalReport.TSV_HEADER}\n{row}\n".encode("latin-1"))
+        assert main(["report", "--out", str(out), str(path)]) == 2
+        assert f"asas: {path}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("twice", ["in one file", "in two files"])
     def test_a_second_row_for_a_prompt_exits_2(self, tmp_path, capsys, twice):

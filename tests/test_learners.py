@@ -14,6 +14,7 @@ from asas.errors import (
     NonFiniteGradient,
     NonFiniteLoss,
     SingleClass,
+    TooFewRows,
 )
 from asas import learners
 from asas.learners import (
@@ -415,6 +416,10 @@ class TestLogReg:
     def test_single_class_raises(self):
         with pytest.raises(SingleClass):
             logreg_fit(np.ones((4, 2)), [1, 1, 1, 1], 1e-4)
+
+    def test_fewer_rows_than_classes_raises(self):
+        with pytest.raises(TooFewRows, match="^need at least 3 rows, got 2$"):
+            logreg_fit(np.ones((2, 2)), [0, 2], 1e-4)
 
     def test_k_can_exceed_observed_classes(self):
         X = np.array([[-1.0], [1.0], [-2.0], [2.0]])
