@@ -13,6 +13,7 @@ import argparse
 import math
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
@@ -20,7 +21,6 @@ import numpy as np
 
 from .corpus import (
     ColumnMap,
-    attach_scores,
     build_corpus,
     corpus_stats,
     data_lines,
@@ -45,10 +45,13 @@ from .errors import (
     AllTrialsFailed,
     AsasError,
     CoverageGap,
+    DegenerateDistribution,
     DuplicateId,
     HeaderMismatch,
     MalformedRow,
     MissingPromptPlaceholder,
+    SingleClass,
+    TooFewRows,
 )
 from .features import (
     MIN_CUTOFF,
@@ -188,20 +191,23 @@ def _existing(path: str | Path) -> Path:
     return p
 
 
-def _load_dataset(ctx: _Ctx):
+def _load_dataset(ctx: _Ctx, prompts: set[int] | None = None):
+    """--data, every row checked; records only for ``prompts`` (all when None)."""
     if ctx.data is None:
         raise AsasError("--data is required")
-    return ctx.parse_input(ctx.data, parse_dataset, ctx.columns)
+    return ctx.parse_input(ctx.data, parse_dataset, ctx.columns, prompts)
 
 
-def _load_test(ctx: _Ctx):
+def _load_test(ctx: _Ctx, prompts: set[int] | None = None):
+    """--test like --data, each score1 taken from --solution when it is given;
+    the solution is read first, so its faults are reported before the test file's."""
     if ctx.test is None:
         return []
-    test = ctx.parse_input(ctx.test, parse_dataset, ctx.columns)
-    if ctx.solution is None:
-        return test
-    cols = ctx.solution_id_col, ctx.solution_score_col
-    return attach_scores(test, ctx.parse_input(ctx.solution, parse_score_table, *cols))
+    scores = None
+    if ctx.solution is not None:
+        cols = ctx.solution_id_col, ctx.solution_score_col
+        scores = ctx.parse_input(ctx.solution, parse_score_table, *cols)
+    return ctx.parse_input(ctx.test, parse_dataset, ctx.columns, prompts, scores)
 
 
 def _each(value, fn):
@@ -239,13 +245,17 @@ def _corpora(ctx: _Ctx, *files: str, test: bool = True):
     files parsed before the first is yielded, so a bad file of any prompt
     stops the command before its first prompt's work; with --all-prompts
     every prompt's parsed files are held at once. Each header names the
-    shared inputs and its own prompt's files. --dev-frac is checked first."""
+    shared inputs and its own prompt's files. --dev-frac is checked first,
+    then that --prompt or --all-prompts is given: every row of --data,
+    --test and --solution is read and checked, but records are built only
+    for --prompt's rows."""
     if not 0.0 < ctx.dev_frac < 1.0:
         raise AsasError(f"--dev-frac must be in (0, 1), got {ctx.dev_frac}")
-    responses = _load_dataset(ctx)
-    test_rows = _load_test(ctx) if test else []
     if not ctx.all_prompts and ctx.prompt is None:
         raise AsasError("--prompt is required (or pass --all-prompts)")
+    prompts = None if ctx.all_prompts else {ctx.prompt}
+    responses = _load_dataset(ctx, prompts)
+    test_rows = _load_test(ctx, prompts) if test else []
     pids = sorted({r.prompt_id for r in responses}) if ctx.all_prompts else [ctx.prompt]
     for name in files:
         value = getattr(ctx, name)
@@ -279,6 +289,16 @@ def _corpora(ctx: _Ctx, *files: str, test: bool = True):
     for pid, corpus, parsed, inputs in runs:
         ctx.inputs = inputs
         yield pid, corpus, parsed
+
+
+@contextmanager
+def _naming(pid: int):
+    """Prefix ``prompt <pid>: `` to the fit and score errors that cannot name
+    their prompt; each keeps its class, so its exit code."""
+    try:
+        yield
+    except (TooFewRows, SingleClass, DegenerateDistribution) as exc:
+        raise type(exc)(f"prompt {pid}: {exc}") from None
 
 
 def _check_training(ctx: _Ctx, *names: str) -> None:
@@ -421,7 +441,8 @@ def cmd_train_features(ctx: _Ctx) -> None:
             corpus, matrix, lr=ctx.lr, batch=ctx.batch, epochs=ctx.epochs,
             seed=ctx.seed, hidden=ctx.hidden,
         )
-        _save_run(ctx, pid, corpus, spec, matrix, result)
+        with _naming(pid):
+            _save_run(ctx, pid, corpus, spec, matrix, result)
         print(f"prompt {pid}: best dev QWK {result.best_dev_qwk:.4f} (epoch {result.best_epoch})")
 
 
@@ -452,7 +473,8 @@ def cmd_tune(ctx: _Ctx) -> None:
             return result.best_dev_qwk
 
         study = run_study(space, objective, n_trials=ctx.trials, seed=ctx.seed)
-        out = _save_run(ctx, pid, corpus, *kept)
+        with _naming(pid):
+            out = _save_run(ctx, pid, corpus, *kept)
         _write(out / "study.tsv", ctx.header(), study_log(space, study))
         print(
             f"prompt {pid}: best trial {study.best.trial_index} "
@@ -486,20 +508,21 @@ def cmd_ensemble(ctx: _Ctx) -> None:
     # every prompt is fitted and scored before the first file is written
     runs = []
     for pid, corpus, parsed in _corpora(ctx, "members"):
-        k = corpus.num_classes
-        members = select_best_subset(parsed["members"], corpus, ctx.m)
-        spec = fit_ensemble(members, corpus)
-        dev_pred, _ = score_ensemble(spec, members, [r.id for r in corpus.dev])
-        reports = {"report_dev.tsv": evaluate_run(dev_pred, corpus.labels(corpus.dev), k, pid)}
-        test = None
-        if corpus.test:
-            test_ids = [r.id for r in corpus.test]
-            test_pred, logprobs = score_ensemble(spec, members, test_ids)
-            test = _logprob_file(ctx.header(), "ensemble", corpus, test_ids, logprobs)
-            if all(r.score1 is not None for r in corpus.test):
-                test_gold = corpus.labels(corpus.test)
-                reports["report_test.tsv"] = evaluate_run(test_pred, test_gold, k, pid)
-        runs.append((pid, ctx.header(), spec, reports, test))
+        with _naming(pid):
+            k = corpus.num_classes
+            members = select_best_subset(parsed["members"], corpus, ctx.m)
+            spec = fit_ensemble(members, corpus)
+            dev_pred, _ = score_ensemble(spec, members, [r.id for r in corpus.dev])
+            reports = {"report_dev.tsv": evaluate_run(dev_pred, corpus.labels(corpus.dev), k, pid)}
+            test = None
+            if corpus.test:
+                test_ids = [r.id for r in corpus.test]
+                test_pred, logprobs = score_ensemble(spec, members, test_ids)
+                test = _logprob_file(ctx.header(), "ensemble", corpus, test_ids, logprobs)
+                if all(r.score1 is not None for r in corpus.test):
+                    test_gold = corpus.labels(corpus.test)
+                    reports["report_test.tsv"] = evaluate_run(test_pred, test_gold, k, pid)
+            runs.append((pid, ctx.header(), spec, reports, test))
 
     for pid, header, spec, reports, test in runs:
         out = _out_dir(ctx, pid)

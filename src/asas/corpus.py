@@ -81,11 +81,22 @@ def _parse_score(cell: str, row_num: int) -> int | None:
         raise NonIntegerScore(f"row {row_num}: score {cell!r} is not an integer") from None
 
 
-def parse_dataset(data: bytes | str, columns: ColumnMap = DEFAULT_COLUMNS) -> list[ScoredResponse]:
+def parse_dataset(
+    data: bytes | str,
+    columns: ColumnMap = DEFAULT_COLUMNS,
+    prompts: set[int] | None = None,
+    solution: dict[str, int] | None = None,
+) -> list[ScoredResponse]:
     """Parse a tab-separated dataset with a header row.
 
     Missing score cells, and score columns missing from the header, map
-    to None. Ids must be unique within a prompt.
+    to None. Ids must be unique within a prompt. Every row is checked, in
+    file order: its field count, an integer prompt id, a new (prompt, id)
+    pair and integer score cells; a record is built only for a row whose
+    prompt is in ``prompts`` (every row when None). With a ``solution``
+    table, each row's score1 comes from it, after the row's own score
+    cells pass their check, and a row of any prompt missing from it is
+    UnknownResponseId.
     """
     lines = data_lines(data)
     _, head = next(lines, (0, None))
@@ -118,15 +129,14 @@ def parse_dataset(data: bytes | str, columns: ColumnMap = DEFAULT_COLUMNS) -> li
         if key in seen:
             raise DuplicateId(f"row {row_num}: duplicate id {rid!r} in prompt {prompt_id}")
         seen.add(key)
-        responses.append(
-            ScoredResponse(
-                id=rid,
-                prompt_id=prompt_id,
-                text=fields[i_text],
-                score1=None if i_score1 is None else _parse_score(fields[i_score1], row_num),
-                score2=None if i_score2 is None else _parse_score(fields[i_score2], row_num),
-            )
-        )
+        score1 = None if i_score1 is None else _parse_score(fields[i_score1], row_num)
+        score2 = None if i_score2 is None else _parse_score(fields[i_score2], row_num)
+        if solution is not None:
+            if rid not in solution:
+                raise UnknownResponseId(f"no score for response {rid!r}")
+            score1 = solution[rid]
+        if prompts is None or prompt_id in prompts:
+            responses.append(ScoredResponse(rid, prompt_id, fields[i_text], score1, score2))
     return responses
 
 
@@ -453,17 +463,3 @@ def parse_score_table(data: bytes | str, id_col: str, score_col: str) -> dict[st
         except ValueError:
             raise NonIntegerScore(f"row {row_num}: score {fields[i_score]!r}") from None
     return scores
-
-
-def attach_scores(responses: list[ScoredResponse], scores: dict[str, int]) -> list[ScoredResponse]:
-    """Return copies of ``responses`` with score1 filled in from a table."""
-    out = []
-    for r in responses:
-        if r.id not in scores:
-            raise UnknownResponseId(f"no score for response {r.id!r}")
-        out.append(
-            ScoredResponse(
-                id=r.id, prompt_id=r.prompt_id, text=r.text, score1=scores[r.id], score2=r.score2
-            )
-        )
-    return out

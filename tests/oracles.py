@@ -18,6 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from asas.corpus import ScoredResponse
 from asas.errors import DuplicateId, MalformedRow, RowLengthMismatch, UnknownResponseId
 from asas.mathutil import logsumexp
 from asas.serialize import FORMAT_VERSION
@@ -320,3 +321,18 @@ def artifact_dump_reference(self, header: str | None = None) -> str:
         lines.append(f"[matrix {name} {arr.shape[0]} {arr.shape[1]}]")
         lines.extend("\t".join(_fmt_float_reference(x) for x in row) for row in arr)
     return "\n".join(lines) + "\n"
+
+
+def attach_scores(responses: list[ScoredResponse], scores: dict[str, int]) -> list[ScoredResponse]:
+    """The two-pass solution join ``parse_dataset(..., solution=...)`` replaced:
+    copies of ``responses`` with score1 filled in from a table."""
+    out = []
+    for r in responses:
+        if r.id not in scores:
+            raise UnknownResponseId(f"no score for response {r.id!r}")
+        out.append(
+            ScoredResponse(
+                id=r.id, prompt_id=r.prompt_id, text=r.text, score1=scores[r.id], score2=r.score2
+            )
+        )
+    return out

@@ -14,7 +14,6 @@ import pytest
 
 from asas.corpus import (
     ColumnMap,
-    attach_scores,
     build_corpus,
     corpus_stats,
     parse_dataset,
@@ -263,11 +262,10 @@ def _load_real_test(root):
     solutions = sorted(root.glob("*solution*.csv")) + sorted(root.glob("*solution*.tsv"))
     if not candidates or not solutions:
         pytest.skip("test split files not provided (public_leaderboard*.tsv + *solution*)")
-    unlabeled = parse_dataset(
-        candidates[0].read_bytes(), ColumnMap(score1="", score2="")
-    )
     scores = parse_score_table(solutions[0].read_bytes(), "id", "essay_score")
-    return attach_scores(unlabeled, scores)
+    return parse_dataset(
+        candidates[0].read_bytes(), ColumnMap(score1="", score2=""), solution=scores
+    )
 
 
 @requires_dataset

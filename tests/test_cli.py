@@ -21,6 +21,7 @@ from asas.corpus import (
     prompt_seed,
     serialize_dataset,
 )
+from asas.errors import DegenerateDistribution, EmptyInput, SingleClass, TooFewRows
 from asas.hyperopt import IntUniform, SearchSpace, Uniform
 from asas.mathutil import logsumexp
 from asas.metrics import EvalReport
@@ -844,6 +845,35 @@ class TestInputFaults:
         assert f"asas: {bad}: {says}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_a_fit_error_names_its_prompt(self, workspace, capsys):
+        # at --seed 1, prompt 2's 8 responses leave 2 dev rows for 3 classes
+        pool = [r for r in workspace["pool"] if r.prompt_id == 1]
+        pool += make_toy_responses(prompt_id=2, n=8, k=3, seed=1, start_id=5_000)
+        d, out = workspace["dir"], workspace["dir"] / "small_dev"
+        (d / "small.tsv").write_bytes(serialize_dataset(pool))
+        for pid in (1, 2):
+            rows = [r for r in pool if r.prompt_id == pid]
+            gold = np.array([r.score1 for r in rows])
+            member = noisy_member("m", [r.id for r in rows], gold, 3, seed=pid, prompt_id=pid)
+            (d / f"small_m_{pid}.tsv").write_bytes(dump_logprobs(member))
+        assert main([
+            "ensemble", "--data", str(d / "small.tsv"), "--all-prompts", "--seed", "1",
+            "--members", str(d / "small_m_{prompt}.tsv"), "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr().err == "asas: prompt 2: need at least 3 rows, got 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", [TooFewRows, SingleClass, DegenerateDistribution])
+    def test_fit_and_score_errors_gain_the_prompt_and_keep_their_class(self, kind):
+        with pytest.raises(kind, match="^prompt 4: cannot$"):
+            with asas.cli._naming(4):
+                raise kind("cannot")
+
+    def test_an_error_that_names_its_prompt_is_not_prefixed_again(self):
+        with pytest.raises(EmptyInput, match="^prompt 4: no rows$"):
+            with asas.cli._naming(4):
+                raise EmptyInput("prompt 4: no rows")
+
     def test_a_config_file_that_is_not_utf8(self, workspace, capsys):
         conf = workspace["dir"] / "latin1.conf"
         conf.write_bytes("# r\xe9glages\nseed = 3\n".encode("latin-1"))
@@ -897,6 +927,71 @@ def _per_prompt_members(workspace, second_names=("m0", "m1"), drop_from_second=N
                 del member.rows[drop_from_second]
             (workspace["dir"] / f"m{i}_p{pid}.tsv").write_bytes(dump_logprobs(member))
     return [str(workspace["dir"] / f"m{i}_p{{prompt}}.tsv") for i in range(2)]
+
+
+class TestScopedInputChecks:
+    """``--prompt 1`` reads and checks every row of --data, --test and
+    --solution: a fault only in prompt 2 exits 2 with the message
+    ``--all-prompts`` gives, and writes nothing."""
+
+    @pytest.fixture
+    def inputs(self, workspace, toy_model):
+        d = workspace["dir"]
+        test = workspace["test_rows"] + make_toy_responses(
+            prompt_id=2, n=6, k=3, seed=3, start_id=9_500
+        )
+        (d / "both.tsv").write_bytes(serialize_dataset(test))
+        (d / "both.csv").write_text(
+            "id,essay_score\n" + "".join(f"{r.id},{r.score1}\n" for r in test)
+        )
+        (d / "model.txt").write_text(toy_model[2])
+        return {
+            "data": workspace["data"], "test": d / "both.tsv", "solution": d / "both.csv",
+            "members": _member_files(workspace), "model": d / "model.txt", "dir": d,
+        }
+
+    def _run(self, command, inputs, out, *scope):
+        extra = {
+            "ensemble": ["--members", *inputs["members"]],
+            "predict": ["--model", str(inputs["model"])],
+        }[command]
+        return main([
+            command, "--data", str(inputs["data"]), "--test", str(inputs["test"]),
+            "--solution", str(inputs["solution"]), *scope, *extra, "--out", str(out),
+        ])
+
+    @pytest.mark.parametrize("command", ["ensemble", "predict"])
+    def test_clean_inputs_pass(self, inputs, command):
+        assert self._run(command, inputs, inputs["dir"] / "clean", "--prompt", "1") == 0
+
+    @pytest.mark.parametrize("fault", ["data row", "test score", "solution id"])
+    @pytest.mark.parametrize("command", ["ensemble", "predict"])
+    def test_a_fault_in_another_prompt_still_exits_2(self, inputs, capsys, command, fault):
+        data, test, solution = (inputs[name] for name in ("data", "test", "solution"))
+        if fault == "data row":
+            lines = data.read_text().splitlines()
+            lines[61] = lines[61].rsplit("\t", 1)[0]  # prompt 2's first row loses its text
+            bad, says = data, "row 62: expected 5 fields, got 4"
+        elif fault == "test score":
+            lines = test.read_text().splitlines()
+            rid, pid, _, *rest = lines[-1].split("\t")
+            assert pid == "2"
+            lines[-1] = "\t".join([rid, pid, "x", *rest])  # --solution has this id's score
+            bad, says = test, f"row {len(lines)}: score 'x' is not an integer"
+        else:
+            lines = solution.read_text().splitlines()
+            rid = lines.pop().split(",")[0]  # a prompt-2 id
+            bad, says = solution, f"no score for response {rid!r}"
+        bad.write_text("\n".join(lines) + "\n")
+        if fault == "solution id":
+            bad = test  # the join runs as the test file is parsed
+        errors = []
+        for scope in (["--prompt", "1"], ["--all-prompts"]):
+            out = inputs["dir"] / f"out_{scope[-1]}"
+            assert self._run(command, inputs, out, *scope) == 2
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors[0] == errors[1] == f"asas: {bad}: {says}\n"
 
 
 class TestEnsembleCommand:
@@ -987,7 +1082,7 @@ class TestEnsembleCommand:
             "ensemble", "--data", str(data), "--prompt", "1", "--seed", "1",
             "--members", *map(str, members), "--out", str(out),
         ]) == 2
-        assert "asas: need at least 3 rows, got 2" in capsys.readouterr().err
+        assert "asas: prompt 1: need at least 3 rows, got 2" in capsys.readouterr().err
         assert not out.exists()
 
     def test_all_prompts_expands_the_prompt_placeholder(self, workspace, capsys):

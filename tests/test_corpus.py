@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asas.corpus import (
+    DEFAULT_COLUMNS,
     ColumnMap,
     LogProbMatrix,
     PromptCorpus,
@@ -37,7 +38,7 @@ from asas.errors import (
     UnknownResponseId,
 )
 from conftest import make_toy_responses, requires_dataset
-from oracles import load_logprobs_per_row, qwk_exact
+from oracles import attach_scores, load_logprobs_per_row, qwk_exact
 
 HEADER = "Id\tEssaySet\tScore1\tScore2\tEssayText"
 
@@ -129,6 +130,100 @@ class TestParseDataset:
         data = f"#asas\tversion=0\n{HEADER}\n1\t1\t1\t1\ta\n\n2\t1\t1\tb\n"
         with pytest.raises(MalformedRow, match="^row 5: expected 5 fields, got 4$"):
             parse_dataset(data)
+
+
+_CELL = st.sampled_from(["", "0", "1", "3", " 2 "])
+_TEXT = st.text(
+    alphabet=st.characters(blacklist_characters="\t\n\r", blacklist_categories=("Cs",)),
+    max_size=12,
+)
+
+
+@st.composite
+def _datasets(draw):
+    """(file bytes, ids) of a dataset over prompts 1-3: shuffled columns, either
+    score column possibly absent, blank score cells, '#' comments and blank
+    lines anywhere, LF or CRLF endings."""
+    names = ["Id", "EssaySet", "EssayText"]
+    names += [name for name in ("Score1", "Score2") if draw(st.booleans())]
+    names = draw(st.permutations(names))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 20), st.integers(1, 3), _CELL, _CELL, _TEXT),
+        max_size=12, unique_by=lambda row: row[:2],
+    ))
+    lines = []
+    for line in ["\t".join(names)] + [
+        "\t".join({"Id": str(rid), "EssaySet": str(pid), "Score1": s1, "Score2": s2,
+                   "EssayText": text}[name] for name in names)
+        for rid, pid, s1, s2, text in rows
+    ]:
+        lines += draw(st.lists(st.sampled_from(["", "# note", "#\tx"]), max_size=2))
+        lines.append(line)
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return (ending.join(lines) + ending).encode(), sorted({str(row[0]) for row in rows})
+
+
+def _outcome(parse, *args):
+    """``parse(*args)``, or the class and message of what it raised."""
+    try:
+        return parse(*args)
+    except (AsasError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestScopedParse:
+    """``parse_dataset`` with ``prompts`` checks every row but builds records
+    only for those prompts; with ``solution`` it joins score1 in the same pass."""
+
+    @given(_datasets(), st.integers(1, 4))
+    @settings(max_examples=150)
+    def test_scoped_records_are_the_prompts_records_in_order(self, dataset, pid):
+        data, _ = dataset
+        everything = parse_dataset(data, DEFAULT_COLUMNS)
+        scoped = parse_dataset(data, DEFAULT_COLUMNS, {pid})
+        assert scoped == [r for r in everything if r.prompt_id == pid]
+
+    @given(_datasets(), st.integers(1, 4), st.data())
+    @settings(max_examples=300)
+    def test_a_cut_or_changed_byte_fails_alike_scoped_or_not(self, dataset, pid, data):
+        valid, _ = dataset
+        at = data.draw(st.integers(0, len(valid) - 1), label="at")
+        if data.draw(st.booleans(), label="cut"):
+            hostile = valid[:at]
+        else:
+            byte = data.draw(st.sampled_from(b"\t\n\r#x-0 \xff") | st.integers(0, 255))
+            hostile = valid[:at] + bytes([byte]) + valid[at + 1:]
+        everything = _outcome(parse_dataset, hostile, DEFAULT_COLUMNS)
+        scoped = _outcome(parse_dataset, hostile, DEFAULT_COLUMNS, {pid})
+        if isinstance(everything, tuple):
+            assert scoped == everything
+        else:
+            assert scoped == [r for r in everything if r.prompt_id == pid]
+
+    @given(_datasets(), st.integers(1, 4), st.data())
+    @settings(max_examples=150)
+    def test_a_solution_joins_like_the_two_pass_reference(self, dataset, pid, data):
+        valid, ids = dataset
+        dropped = data.draw(st.sets(st.sampled_from(ids), max_size=2) if ids else st.just(set()))
+        scores = {rid: data.draw(st.integers(0, 3)) for rid in ids if rid not in dropped}
+        scores["not in the file"] = 1
+        want = _outcome(attach_scores, parse_dataset(valid, DEFAULT_COLUMNS), scores)
+        assert _outcome(parse_dataset, valid, DEFAULT_COLUMNS, None, scores) == want
+        scoped = _outcome(parse_dataset, valid, DEFAULT_COLUMNS, {pid}, scores)
+        if isinstance(want, tuple):
+            assert scoped == want
+        else:
+            assert scoped == [r for r in want if r.prompt_id == pid]
+
+    def test_the_test_files_own_score_cells_are_checked_before_the_join(self):
+        data = f"{HEADER}\n1\t2\tx\t\tan answer\n"
+        with pytest.raises(NonIntegerScore, match="^row 2: score 'x' is not an integer$"):
+            parse_dataset(data, DEFAULT_COLUMNS, {1}, {"1": 2})
+
+    def test_an_id_of_another_prompt_missing_from_the_solution(self):
+        data = f"{HEADER}\n1\t1\t\t\ta\n2\t2\t\t\tb\n"
+        with pytest.raises(UnknownResponseId, match="^no score for response '2'$"):
+            parse_dataset(data, DEFAULT_COLUMNS, {1}, {"1": 2})
 
 
 class TestSplitDev:
