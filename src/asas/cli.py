@@ -69,7 +69,7 @@ from .learners import (
 )
 from .mathutil import log_softmax
 from .metrics import EvalReport
-from .serialize import Artifact, artifact_header, write_atomic
+from .serialize import Artifact, artifact_header, digest, write_atomic
 
 EXIT_VALIDATION = 2  # usage and validation errors
 EXIT_CODES = {AllTrialsFailed: 3, CoverageGap: 4}
@@ -163,11 +163,11 @@ class _Ctx:
         self.columns = ColumnMap(
             self.id_col, self.prompt_col, self.score1_col, self.score2_col, self.text_col
         )
-        self.inputs: dict[str, bytes] = {}
+        self.digests: dict[str, str] = {}  # path -> digest of each input read
 
     def read_input(self, path: str | Path) -> bytes:
         data = _existing(path).read_bytes()
-        self.inputs[str(path)] = data
+        self.digests[str(path)] = digest(data)
         return data
 
     def parse_input(self, path: str | Path, parse, *args):
@@ -181,7 +181,7 @@ class _Ctx:
             raise kind(f"{path}: {exc}") from None
 
     def header(self) -> str:
-        return artifact_header(self.seed, self.inputs)
+        return artifact_header(self.seed, digests=self.digests)
 
 
 def _existing(path: str | Path) -> Path:
@@ -268,9 +268,9 @@ def _corpora(ctx: _Ctx, *files: str, test: bool = True):
                 )
             for pid in pids:
                 _existing(_expand(path, pid))
-    shared_inputs, runs = dict(ctx.inputs), []
+    shared_digests, runs = dict(ctx.digests), []
     for pid in pids:
-        ctx.inputs = dict(shared_inputs)
+        ctx.digests = dict(shared_digests)
         paths = {name: _expand(getattr(ctx, name), pid) for name in files}
         text = paths.pop("prompt_text", None)
         corpus = build_corpus(
@@ -285,9 +285,9 @@ def _corpora(ctx: _Ctx, *files: str, test: bool = True):
             name: _each(value, lambda p: ctx.parse_input(p, _PARSERS[name], corpus))
             for name, value in paths.items()
         }
-        runs.append((pid, corpus, parsed, ctx.inputs))
-    for pid, corpus, parsed, inputs in runs:
-        ctx.inputs = inputs
+        runs.append((pid, corpus, parsed, ctx.digests))
+    for pid, corpus, parsed, digests in runs:
+        ctx.digests = digests
         yield pid, corpus, parsed
 
 

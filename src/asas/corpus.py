@@ -10,7 +10,6 @@ are comparable.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,16 +58,16 @@ class ColumnMap:
 DEFAULT_COLUMNS = ColumnMap()
 
 
-def data_lines(data: bytes | str) -> Iterator[tuple[int, str]]:
+def data_lines(data: bytes | str) -> list[tuple[int, str]]:
     """(line number, line) of each line that is neither blank nor a '#' comment.
 
     Bytes are decoded as UTF-8 and one trailing '\\r' is dropped from each line;
     numbers count every line from 1, comments and blank lines included."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    for number, line in enumerate(text.split("\n"), 1):
-        line = line.removesuffix("\r")
-        if line and not line.startswith("#"):
-            yield number, line
+    lines = text.split("\n")
+    if "\r" in text:
+        lines = [line.removesuffix("\r") for line in lines]
+    return [(n, line) for n, line in enumerate(lines, 1) if line and line[0] != "#"]
 
 
 def _parse_score(cell: str, row_num: int) -> int | None:
@@ -96,9 +95,10 @@ def parse_dataset(
     prompt is in ``prompts`` (every row when None). With a ``solution``
     table, each row's score1 comes from it, after the row's own score
     cells pass their check, and a row of any prompt missing from it is
-    UnknownResponseId.
+    UnknownResponseId. A column holds few distinct prompt and score cells,
+    so each distinct cell is converted once.
     """
-    lines = data_lines(data)
+    lines = iter(data_lines(data))
     _, head = next(lines, (0, None))
     if head is None:
         raise MalformedRow("no header row found")
@@ -112,25 +112,38 @@ def parse_dataset(
     scores = columns.score1, columns.score2
     i_score1, i_score2 = (header.index(col) if col in header else None for col in scores)
 
+    n_fields = len(header)
     responses: list[ScoredResponse] = []
     seen: set[tuple[int, str]] = set()
+    prompt_ids: dict[str, int] = {}  # cell -> its value, for each cell that parsed
+    score_of: dict[str, int | None] = {}  # likewise for score cells
     for row_num, line in lines:
         fields = line.split("\t")
-        if len(fields) != len(header):
-            raise MalformedRow(
-                f"row {row_num}: expected {len(header)} fields, got {len(fields)}"
-            )
+        if len(fields) != n_fields:
+            raise MalformedRow(f"row {row_num}: expected {n_fields} fields, got {len(fields)}")
         rid = fields[i_id].strip()
-        try:
-            prompt_id = int(fields[i_prompt])
-        except ValueError:
-            raise NonIntegerScore(f"row {row_num}: prompt id is not an integer") from None
+        cell = fields[i_prompt]
+        prompt_id = prompt_ids.get(cell)
+        if prompt_id is None:
+            try:
+                prompt_id = prompt_ids[cell] = int(cell)
+            except ValueError:
+                raise NonIntegerScore(f"row {row_num}: prompt id is not an integer") from None
         key = (prompt_id, rid)
         if key in seen:
             raise DuplicateId(f"row {row_num}: duplicate id {rid!r} in prompt {prompt_id}")
         seen.add(key)
-        score1 = None if i_score1 is None else _parse_score(fields[i_score1], row_num)
-        score2 = None if i_score2 is None else _parse_score(fields[i_score2], row_num)
+        score1 = score2 = None
+        if i_score1 is not None:
+            cell = fields[i_score1]
+            if cell not in score_of:
+                score_of[cell] = _parse_score(cell, row_num)
+            score1 = score_of[cell]
+        if i_score2 is not None:
+            cell = fields[i_score2]
+            if cell not in score_of:
+                score_of[cell] = _parse_score(cell, row_num)
+            score2 = score_of[cell]
         if solution is not None:
             if rid not in solution:
                 raise UnknownResponseId(f"no score for response {rid!r}")
@@ -324,26 +337,43 @@ def _table_header(data: bytes | str, *keys: str) -> tuple[str, dict[str, str], i
 def _table_rows(text: str, width: int, known: set[str] | None) -> tuple[list[str], np.ndarray]:
     """The ids of the data lines and their values as one matrix. Each line is an
     id and ``width`` finite numbers; an id appears once and, when ``known`` is
-    given, is one of ``known``."""
+    given, is one of ``known``.
+
+    The first faulty line in file order is reported; a number that is not
+    finite only once every line passes the other checks. Each line's width and
+    id are checked first, up to the first line that fails them; the cells of the
+    lines before it are then converted in one call, which accepts the cells
+    ``float`` accepts and gives the same values."""
     rows: dict[str, int] = {}  # id -> its line number
-    values: list[float] = []
+    cells: list[str] = []
+    fault = None
     for row_num, line in data_lines(text):
         fields = line.split("\t")
+        rid = fields[0]
         if len(fields) != width + 1:
-            raise RowLengthMismatch(
+            fault = RowLengthMismatch(
                 f"row {row_num}: expected {width} values, got {len(fields) - 1}"
             )
-        rid = fields[0]
-        if rid in rows:
-            raise DuplicateId(f"row {row_num}: duplicate response id {rid!r}")
-        if known is not None and rid not in known:
-            raise UnknownResponseId(f"row {row_num}: id {rid!r} not in corpus")
-        try:
-            values += map(float, fields[1:])
-        except ValueError:
-            raise MalformedRow(f"row {row_num}: non-numeric value for id {rid!r}") from None
+        elif rid in rows:
+            fault = DuplicateId(f"row {row_num}: duplicate response id {rid!r}")
+        elif known is not None and rid not in known:
+            fault = UnknownResponseId(f"row {row_num}: id {rid!r} not in corpus")
+        if fault is not None:
+            break
         rows[rid] = row_num
-    mat = np.array(values, dtype=float).reshape(len(rows), width)
+        cells += fields[1:]
+    try:
+        mat = np.array(cells, dtype=float).reshape(len(rows), width)
+    except ValueError:
+        # Only on this error path: find the first line holding a cell that failed.
+        for i, (rid, row_num) in enumerate(rows.items()):
+            try:
+                np.array(cells[i * width:(i + 1) * width], dtype=float)
+            except ValueError:
+                raise MalformedRow(f"row {row_num}: non-numeric value for id {rid!r}") from None
+        raise
+    if fault is not None:
+        raise fault
     finite = np.isfinite(mat)
     if not finite.all():
         rid, row_num = list(rows.items())[np.argmin(finite.all(axis=1))]
@@ -438,7 +468,7 @@ def parse_score_table(data: bytes | str, id_col: str, score_col: str) -> dict[st
     Used to join withheld test labels (released as a separate solution
     file) onto the unlabeled test responses.
     """
-    lines = data_lines(data)
+    lines = iter(data_lines(data))
     _, head = next(lines, (0, None))
     if head is None:
         raise MalformedRow("no header row found")
@@ -451,6 +481,7 @@ def parse_score_table(data: bytes | str, id_col: str, score_col: str) -> dict[st
     except ValueError:
         raise HeaderMismatch(f"solution file lacks columns {id_col!r}/{score_col!r}") from None
     scores: dict[str, int] = {}
+    values: dict[str, int] = {}  # cell -> its value, for each cell that parsed
     for row_num, line in lines:
         fields = line.split(delim)
         if len(fields) != len(header):
@@ -458,8 +489,12 @@ def parse_score_table(data: bytes | str, id_col: str, score_col: str) -> dict[st
         rid = fields[i_id].strip()
         if rid in scores:
             raise DuplicateId(f"row {row_num}: duplicate id {rid!r}")
-        try:
-            scores[rid] = int(fields[i_score])
-        except ValueError:
-            raise NonIntegerScore(f"row {row_num}: score {fields[i_score]!r}") from None
+        cell = fields[i_score]
+        score = values.get(cell)
+        if score is None:
+            try:
+                score = values[cell] = int(cell)
+            except ValueError:
+                raise NonIntegerScore(f"row {row_num}: score {cell!r}") from None
+        scores[rid] = score
     return scores

@@ -102,13 +102,15 @@ def assemble(members: list[LogProbMatrix], ids: list[str]) -> np.ndarray:
                 f"member {m.model_name!r} has k={m.k}/prompt={m.prompt_id}, "
                 f"expected k={k}/prompt={prompt_id}"
             )
+    blocks = [[m.rows.get(rid) for rid in ids] for m in members]
+    gaps = [(i, j) for j, rows in enumerate(blocks) for i, row in enumerate(rows) if row is None]
+    if gaps:
+        i, j = min(gaps)  # the first gap in id order, then member order
+        raise CoverageGap(f"member {members[j].model_name!r} has no row for id {ids[i]!r}")
     data = np.empty((len(ids), len(members) * k), dtype=float)
-    for i, rid in enumerate(ids):
-        for j, m in enumerate(members):
-            row = m.rows.get(rid)
-            if row is None:
-                raise CoverageGap(f"member {m.model_name!r} has no row for id {rid!r}")
-            data[i, j * k:(j + 1) * k] = row
+    if ids:  # an empty list does not broadcast into a (0, k) block
+        for j, rows in enumerate(blocks):
+            data[:, j * k:(j + 1) * k] = rows
     return data
 
 

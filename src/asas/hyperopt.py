@@ -268,7 +268,7 @@ def study_log(space: SearchSpace, result: StudyResult) -> str:
 def read_study_log(text: str, space: SearchSpace) -> list[TrialRecord]:
     """Parse a study log back into trial records; a malformed row, such as a
     killed run's truncated last line, raises ``MalformedRow`` naming its line."""
-    rows = data_lines(text)
+    rows = iter(data_lines(text))
     _, head = next(rows, (0, None))
     if head is None:
         return []

@@ -30,12 +30,18 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
 
-def artifact_header(seed: int | None, inputs: dict[str, bytes] | None = None) -> str:
-    """One '#'-comment line: tool version, seed, input digests."""
+def artifact_header(
+    seed: int | None,
+    inputs: dict[str, bytes] | None = None,
+    *,
+    digests: dict[str, str] | None = None,
+) -> str:
+    """One '#'-comment line: tool version, seed, input digests. Each input is
+    named with its bytes in ``inputs`` or with its ``digest`` in ``digests``."""
+    named = {name: digest(data) for name, data in (inputs or {}).items()} | (digests or {})
     parts = [f"#asas\tversion={TOOL_VERSION}", f"seed={seed if seed is not None else '-'}"]
-    if inputs:
-        digests = ",".join(f"{name}:{digest(data)}" for name, data in sorted(inputs.items()))
-        parts.append(f"inputs={digests}")
+    if named:
+        parts.append("inputs=" + ",".join(f"{name}:{d}" for name, d in sorted(named.items())))
     return "\t".join(parts)
 
 

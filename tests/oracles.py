@@ -13,13 +13,21 @@ from __future__ import annotations
 
 import difflib
 import itertools
+from collections.abc import Iterator
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
 import numpy as np
 
-from asas.corpus import ScoredResponse
-from asas.errors import DuplicateId, MalformedRow, RowLengthMismatch, UnknownResponseId
+from asas.corpus import DEFAULT_COLUMNS, ColumnMap, ScoredResponse
+from asas.errors import (
+    DuplicateId,
+    HeaderMismatch,
+    MalformedRow,
+    NonIntegerScore,
+    RowLengthMismatch,
+    UnknownResponseId,
+)
 from asas.mathutil import logsumexp
 from asas.serialize import FORMAT_VERSION
 
@@ -336,3 +344,155 @@ def attach_scores(responses: list[ScoredResponse], scores: dict[str, int]) -> li
             )
         )
     return out
+
+
+# --- The readers before their per-cell Python calls were batched: one int()
+# per prompt and score cell, one float() per number, a generator of lines.
+# ``parse_dataset``, ``parse_score_table`` and ``_table_rows`` must match these
+# record for record, or in the class and message of the first fault.
+
+
+def data_lines_per_line(data: bytes | str) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line that is neither blank nor a '#' comment.
+
+    Bytes are decoded as UTF-8 and one trailing '\\r' is dropped from each line;
+    numbers count every line from 1, comments and blank lines included."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    for number, line in enumerate(text.split("\n"), 1):
+        line = line.removesuffix("\r")
+        if line and not line.startswith("#"):
+            yield number, line
+
+
+def _parse_score_per_cell(cell: str, row_num: int) -> int | None:
+    cell = cell.strip()
+    if cell == "":
+        return None
+    try:
+        return int(cell)
+    except ValueError:
+        raise NonIntegerScore(f"row {row_num}: score {cell!r} is not an integer") from None
+
+
+def parse_dataset_per_cell(
+    data: bytes | str,
+    columns: ColumnMap = DEFAULT_COLUMNS,
+    prompts: set[int] | None = None,
+    solution: dict[str, int] | None = None,
+) -> list[ScoredResponse]:
+    """Parse a tab-separated dataset with a header row.
+
+    Missing score cells, and score columns missing from the header, map
+    to None. Ids must be unique within a prompt. Every row is checked, in
+    file order: its field count, an integer prompt id, a new (prompt, id)
+    pair and integer score cells; a record is built only for a row whose
+    prompt is in ``prompts`` (every row when None). With a ``solution``
+    table, each row's score1 comes from it, after the row's own score
+    cells pass their check, and a row of any prompt missing from it is
+    UnknownResponseId.
+    """
+    lines = data_lines_per_line(data)
+    _, head = next(lines, (0, None))
+    if head is None:
+        raise MalformedRow("no header row found")
+    header = head.split("\t")
+    try:
+        i_id = header.index(columns.id)
+        i_prompt = header.index(columns.prompt)
+        i_text = header.index(columns.text)
+    except ValueError as exc:
+        raise HeaderMismatch(f"missing column in header: {exc}") from None
+    scores = columns.score1, columns.score2
+    i_score1, i_score2 = (header.index(col) if col in header else None for col in scores)
+
+    responses: list[ScoredResponse] = []
+    seen: set[tuple[int, str]] = set()
+    for row_num, line in lines:
+        fields = line.split("\t")
+        if len(fields) != len(header):
+            raise MalformedRow(
+                f"row {row_num}: expected {len(header)} fields, got {len(fields)}"
+            )
+        rid = fields[i_id].strip()
+        try:
+            prompt_id = int(fields[i_prompt])
+        except ValueError:
+            raise NonIntegerScore(f"row {row_num}: prompt id is not an integer") from None
+        key = (prompt_id, rid)
+        if key in seen:
+            raise DuplicateId(f"row {row_num}: duplicate id {rid!r} in prompt {prompt_id}")
+        seen.add(key)
+        score1 = None if i_score1 is None else _parse_score_per_cell(fields[i_score1], row_num)
+        score2 = None if i_score2 is None else _parse_score_per_cell(fields[i_score2], row_num)
+        if solution is not None:
+            if rid not in solution:
+                raise UnknownResponseId(f"no score for response {rid!r}")
+            score1 = solution[rid]
+        if prompts is None or prompt_id in prompts:
+            responses.append(ScoredResponse(rid, prompt_id, fields[i_text], score1, score2))
+    return responses
+
+
+def table_rows_per_cell(
+    text: str, width: int, known: set[str] | None
+) -> tuple[list[str], np.ndarray]:
+    """The ids of the data lines and their values as one matrix. Each line is an
+    id and ``width`` finite numbers; an id appears once and, when ``known`` is
+    given, is one of ``known``."""
+    rows: dict[str, int] = {}  # id -> its line number
+    values: list[float] = []
+    for row_num, line in data_lines_per_line(text):
+        fields = line.split("\t")
+        if len(fields) != width + 1:
+            raise RowLengthMismatch(
+                f"row {row_num}: expected {width} values, got {len(fields) - 1}"
+            )
+        rid = fields[0]
+        if rid in rows:
+            raise DuplicateId(f"row {row_num}: duplicate response id {rid!r}")
+        if known is not None and rid not in known:
+            raise UnknownResponseId(f"row {row_num}: id {rid!r} not in corpus")
+        try:
+            values += map(float, fields[1:])
+        except ValueError:
+            raise MalformedRow(f"row {row_num}: non-numeric value for id {rid!r}") from None
+        rows[rid] = row_num
+    mat = np.array(values, dtype=float).reshape(len(rows), width)
+    finite = np.isfinite(mat)
+    if not finite.all():
+        rid, row_num = list(rows.items())[np.argmin(finite.all(axis=1))]
+        raise MalformedRow(f"row {row_num}: non-finite value for id {rid!r}")
+    return list(rows), mat
+
+
+def parse_score_table_per_cell(data: bytes | str, id_col: str, score_col: str) -> dict[str, int]:
+    """Read an id -> score table from a comma- or tab-separated file.
+
+    Used to join withheld test labels (released as a separate solution
+    file) onto the unlabeled test responses.
+    """
+    lines = data_lines_per_line(data)
+    _, head = next(lines, (0, None))
+    if head is None:
+        raise MalformedRow("no header row found")
+    delim = "\t" if "\t" in head else ","
+    header = [h.strip() for h in head.split(delim)]
+    lowered = [h.lower() for h in header]
+    try:
+        i_id = lowered.index(id_col.lower())
+        i_score = lowered.index(score_col.lower())
+    except ValueError:
+        raise HeaderMismatch(f"solution file lacks columns {id_col!r}/{score_col!r}") from None
+    scores: dict[str, int] = {}
+    for row_num, line in lines:
+        fields = line.split(delim)
+        if len(fields) != len(header):
+            raise MalformedRow(f"row {row_num}: expected {len(header)} fields")
+        rid = fields[i_id].strip()
+        if rid in scores:
+            raise DuplicateId(f"row {row_num}: duplicate id {rid!r}")
+        try:
+            scores[rid] = int(fields[i_score])
+        except ValueError:
+            raise NonIntegerScore(f"row {row_num}: score {fields[i_score]!r}") from None
+    return scores

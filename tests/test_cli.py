@@ -25,7 +25,7 @@ from asas.errors import DegenerateDistribution, EmptyInput, SingleClass, TooFewR
 from asas.hyperopt import IntUniform, SearchSpace, Uniform
 from asas.mathutil import logsumexp
 from asas.metrics import EvalReport
-from asas.serialize import digest
+from asas.serialize import artifact_header, digest
 from conftest import make_toy_responses, noisy_member, PROMPT_TEXT
 
 
@@ -1539,6 +1539,19 @@ class TestUsage:
             "tune", "--data", str(workspace["data"]),
             "--out", str(workspace["dir"] / "y"),
         ]) == 2
+
+    def test_an_ensemble_header_names_each_input_by_its_digest(self, workspace):
+        members = _member_files(workspace, n_members=2)
+        inputs = [str(workspace["data"]), str(workspace["test"]), *members]
+        out = workspace["dir"] / "ens"
+        assert main([
+            "ensemble", "--data", inputs[0], "--test", inputs[1], "--prompt", "1",
+            "--seed", "7", "--members", *members, "--out", str(out),
+        ]) == 0
+        want = artifact_header(7, {path: Path(path).read_bytes() for path in inputs})
+        for name in ("ensemble.txt", "report_dev.tsv", "report_test.tsv"):
+            assert (out / name).read_text().splitlines()[0] == want, name
+        assert (out / "predictions.tsv").read_text().splitlines()[1] == want
 
     def test_artifact_headers_record_input_digests(self, workspace):
         out_a = workspace["dir"] / "ha.tsv"

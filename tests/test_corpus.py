@@ -3,15 +3,18 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import asas.corpus
 from asas.corpus import (
     DEFAULT_COLUMNS,
     ColumnMap,
+    EmbeddingTable,
     LogProbMatrix,
     PromptCorpus,
     ScoredResponse,
@@ -38,7 +41,14 @@ from asas.errors import (
     UnknownResponseId,
 )
 from conftest import make_toy_responses, requires_dataset
-from oracles import attach_scores, load_logprobs_per_row, qwk_exact
+from oracles import (
+    attach_scores,
+    load_logprobs_per_row,
+    parse_dataset_per_cell,
+    parse_score_table_per_cell,
+    qwk_exact,
+    table_rows_per_cell,
+)
 
 HEADER = "Id\tEssaySet\tScore1\tScore2\tEssayText"
 
@@ -583,6 +593,142 @@ class TestMemberAndEmbeddingFiles:
         first = _FIRST_LINES[kind].format(2)
         with pytest.raises(HeaderMismatch, match="^expected '#.*' on line 1"):
             _LOADERS[kind](spoil(first) + "\nr1\t0\t1\n")
+
+
+def _mutated(data, valid: bytes) -> bytes:
+    """``valid`` cut at a drawn byte, or with a byte put in before it or in its place."""
+    at = data.draw(st.integers(0, len(valid) - 1), label="at")
+    how = data.draw(st.sampled_from(["cut", "insert", "change"]), label="how")
+    if how == "cut":
+        return valid[:at]
+    byte = data.draw(st.sampled_from(b"\t\n\r#x-0.e \xff") | st.integers(0, 255), label="byte")
+    return valid[:at] + bytes([byte]) + valid[at + (how == "change"):]
+
+
+def _records(result):
+    """A reader's result with every matrix row as its bytes, so == is bitwise."""
+    if isinstance(result, (LogProbMatrix, EmbeddingTable)):
+        meta = {k: v for k, v in vars(result).items() if k != "rows"}
+        return meta, [(rid, vec.tobytes()) for rid, vec in result.rows.items()]
+    return result
+
+
+_SCORE_CELL = st.sampled_from(["0", "1", "2", "12", " 3", "+1", "1.0", "٢", ""])
+
+
+@st.composite
+def _solutions(draw):
+    """The bytes of a solution table, comma- or tab-separated."""
+    delim = draw(st.sampled_from([",", "\t"]))
+    rows = draw(st.lists(st.tuples(st.integers(0, 20), _SCORE_CELL), max_size=10))
+    lines = [delim.join(["id", "essay_score"])]
+    for rid, score in rows:
+        lines += draw(st.lists(st.sampled_from(["", "# note"]), max_size=1))
+        lines.append(delim.join([str(rid), score]))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    return (ending.join(lines) + ending).encode()
+
+
+_DERANDOMIZED = settings(max_examples=300, deadline=None, derandomize=True)
+
+
+class TestReadersMatchPerCellReferences:
+    """Each reader gives the records of its per-cell reference in
+    ``oracles``, bitwise, or raises the same class with the same message,
+    on files cut at a byte, or with one byte put in or changed."""
+
+    @given(_datasets(), st.sampled_from([None, {1}, {2, 3}]), st.booleans(), st.data())
+    @_DERANDOMIZED
+    def test_dataset(self, dataset, prompts, with_solution, data):
+        valid, ids = dataset
+        solution = None
+        if with_solution:
+            solution = {rid: data.draw(st.integers(0, 3)) for rid in ids[1:]}
+        hostile = _mutated(data, valid)
+        args = (DEFAULT_COLUMNS, prompts, solution)
+        assert _outcome(parse_dataset, hostile, *args) == _outcome(
+            parse_dataset_per_cell, hostile, *args
+        )
+
+    @given(_solutions(), st.data())
+    @_DERANDOMIZED
+    def test_solution_table(self, table, data):
+        hostile = _mutated(data, table)
+        args = (hostile, "id", "essay_score")
+        assert _outcome(parse_score_table, *args) == _outcome(parse_score_table_per_cell, *args)
+
+    def test_cells_that_share_a_prefix_or_a_value_read_alike(self):
+        cells = ["1", "12", "01", " 1", "1 ", "+1", "1", "12", "2"]
+        dataset = "\n".join(
+            [HEADER] + [f"r{i}\t{c}\t{c}\t{c.strip()}\ttext" for i, c in enumerate(cells)]
+        )
+        want = parse_dataset_per_cell(dataset)
+        assert parse_dataset(dataset) == want and {r.prompt_id for r in want} == {1, 2, 12}
+        solution = "\n".join(["id,score"] + [f"r{i},{c}" for i, c in enumerate(cells)])
+        want = parse_score_table_per_cell(solution, "id", "score")
+        assert parse_score_table(solution, "id", "score") == want
+        assert set(want.values()) == {1, 2, 12}
+
+    @pytest.mark.parametrize("kind", ["member", "member with corpus", "embedding"])
+    @given(files=_logprob_files(), data=st.data())
+    @_DERANDOMIZED
+    def test_member_and_embedding_files(self, kind, files, data):
+        text, k, n, _ = files
+        if kind == "embedding":
+            text = f"#dim={k}\n" + text.split("\n", 1)[1]
+        corpus = None
+        if kind == "member with corpus":
+            members = [ScoredResponse(f"r{i}", 1, "text", score1=0) for i in range(n)]
+            corpus = PromptCorpus(1, members, [], [], num_classes=k, min_score=0)
+        hostile = _mutated(data, text.encode())
+        load = load_embeddings if kind == "embedding" else load_logprobs
+        got = _records(_outcome(load, hostile, corpus))
+        with mock.patch.object(asas.corpus, "_table_rows", table_rows_per_cell):
+            want = _records(_outcome(load, hostile, corpus))
+        assert got == want
+
+
+class TestCellLanguage:
+    """Number cells read as ``float`` reads them and score cells as ``int``
+    does, so a stricter or looser parser cannot slip in unnoticed."""
+
+    @pytest.mark.parametrize("kind", ["member", "embedding"])
+    @pytest.mark.parametrize("cell", ["1_0", " 1.5", "١", "+.5e-3", "nan", "1e400", "0x10", ""])
+    def test_a_number_cell_reads_as_float_reads_it(self, kind, cell):
+        first = _FIRST_LINES[kind].format(2)
+        try:
+            value = float(cell)
+        except ValueError:
+            with pytest.raises(MalformedRow, match="^row 3: non-numeric value for id 'r2'$"):
+                _LOADERS[kind](f"{first}\nr1\t0\t1\nr2\t{cell}\t0\n")
+            return
+        if not math.isfinite(value):
+            with pytest.raises(MalformedRow, match="^row 3: non-finite value for id 'r2'$"):
+                _LOADERS[kind](f"{first}\nr1\t0\t1\nr2\t{cell}\t0\n")
+            return
+        got = _LOADERS[kind](f"{first}\nr2\t{cell}\t0\n").rows["r2"]
+        want = _LOADERS[kind](f"{first}\nr2\t{value!r}\t0\n").rows["r2"]
+        assert got.tobytes() == want.tobytes()
+        if kind == "embedding":
+            assert got[0] == value
+
+    @pytest.mark.parametrize("cell", [" 2", "+2", "2.0", "٢"])
+    def test_a_score_cell_reads_as_int_reads_it(self, cell):
+        try:
+            value = int(cell)
+        except ValueError:
+            value = None
+        dataset = f"{HEADER}\n1\t1\t{cell}\t{cell}\tan answer\n"
+        solution = f"id,essay_score\n1,{cell}\n"
+        if value is None:
+            with pytest.raises(NonIntegerScore, match=f"^row 2: score {cell.strip()!r}"):
+                parse_dataset(dataset)
+            with pytest.raises(NonIntegerScore, match=f"^row 2: score {cell!r}$"):
+                parse_score_table(solution, "id", "essay_score")
+            return
+        row = parse_dataset(dataset)[0]
+        assert (row.score1, row.score2) == (value, value)
+        assert parse_score_table(solution, "id", "essay_score") == {"1": value}
 
 
 class TestScoreTable:

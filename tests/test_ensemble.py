@@ -64,6 +64,30 @@ class TestAssemble:
         except CoverageGap as exc:
             assert _ids(corpus)[2] in str(exc)
 
+    @pytest.mark.parametrize("late, early", [("m0", "m1"), ("m1", "m0")])
+    def test_the_first_gap_in_id_order_is_named(self, corpus, late, early):
+        ids = _ids(corpus)[:6]
+        members = {
+            name: noisy_member(name, _ids(corpus), _gold(corpus), 3, seed=i)
+            for i, name in enumerate(["m0", "m1"])
+        }
+        del members[late].rows[ids[4]]
+        del members[early].rows[ids[1]]
+        with pytest.raises(CoverageGap, match=f"^member '{early}' has no row for id '{ids[1]}'$"):
+            assemble(list(members.values()), ids)
+
+    def test_a_gap_of_both_members_at_one_id_names_the_first_member(self, corpus):
+        ids = _ids(corpus)[:3]
+        members = [noisy_member(n, _ids(corpus), _gold(corpus), 3, seed=0) for n in ("a", "b")]
+        for m in members:
+            del m.rows[ids[2]]
+        with pytest.raises(CoverageGap, match=f"^member 'a' has no row for id '{ids[2]}'$"):
+            assemble(members, ids)
+
+    def test_no_ids_give_an_empty_design(self, corpus):
+        members = [noisy_member(n, _ids(corpus), _gold(corpus), 3, seed=0) for n in ("a", "b")]
+        assert assemble(members, []).shape == (0, 6)
+
     def test_k_mismatch(self, corpus):
         a = noisy_member("a", _ids(corpus), _gold(corpus), 3, seed=0)
         b = LogProbMatrix(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from asas.errors import HeaderMismatch
 from asas.mathutil import log_softmax, logsumexp, sigmoid
-from asas.serialize import Artifact, artifact_header, fmt_float
+from asas.serialize import TOOL_VERSION, Artifact, artifact_header, digest, fmt_float
 from oracles import artifact_dump_reference
 
 # Values whose text form is easy to get wrong: NaN, both infinities, both
@@ -53,6 +53,14 @@ class TestArtifact:
         assert first.startswith("#asas\tversion=")
         assert "seed=3" in first and "data.tsv:" in first
         assert Artifact.parse(text).meta == {"k": "v"}
+
+    def test_a_header_from_digests_equals_one_from_bytes(self):
+        inputs = {"b.tsv": b"second", "a.tsv": b"first"}
+        from_bytes = artifact_header(4, inputs)
+        assert artifact_header(4, digests={n: digest(d) for n, d in inputs.items()}) == from_bytes
+        assert from_bytes == f"#asas\tversion={TOOL_VERSION}\tseed=4\tinputs=" + (
+            f"a.tsv:{digest(b'first')},b.tsv:{digest(b'second')}"
+        )
 
     def test_rejects_foreign_files(self):
         with pytest.raises(HeaderMismatch):
