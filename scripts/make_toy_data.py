@@ -35,7 +35,16 @@ KEY_WORDS = {
 }
 
 
-def synth_responses(prompt_id, n, k, seed, start_id=0):
+def synth_responses(
+    prompt_id: int = 1,
+    n: int = 80,
+    k: int = 3,
+    seed: int = 0,
+    start_id: int = 0,
+    second_read: bool = True,
+) -> list[ScoredResponse]:
+    """Seeded responses whose key-term usage tracks the score. Without
+    ``second_read`` score2 is None and no random number is drawn for it."""
     rng = random.Random(seed)
     out = []
     for i in range(n):
@@ -44,8 +53,8 @@ def synth_responses(prompt_id, n, k, seed, start_id=0):
         for level in range(1, score + 1):
             words += rng.sample(KEY_WORDS[min(level, 2)], 2)
         rng.shuffle(words)
-        score2 = score
-        if rng.random() < 0.1:
+        score2 = score if second_read else None
+        if second_read and rng.random() < 0.1:
             score2 = max(0, min(k - 1, score + rng.choice([-1, 1])))
         out.append(
             ScoredResponse(

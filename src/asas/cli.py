@@ -124,7 +124,6 @@ OPTIONS = {
     ),
     "m": Option(int, None, "ensemble the best m members by dev QWK"),
 }
-DEFAULT_HIDDEN = OPTIONS["hidden"].default
 
 
 def load_config_file(path: str | Path) -> dict[str, object]:

@@ -90,9 +90,9 @@ def parse_dataset(
 
     Missing score cells, and score columns missing from the header, map
     to None. Ids must be unique within a prompt. Every row is checked, in
-    file order: its field count, an integer prompt id, a new (prompt, id)
-    pair and integer score cells; a record is built only for a row whose
-    prompt is in ``prompts`` (every row when None). With a ``solution``
+    file order: its field count, a non-negative integer prompt id, a new
+    (prompt, id) pair and integer score cells; a record is built only for a
+    row whose prompt is in ``prompts`` (every row when None). With a ``solution``
     table, each row's score1 comes from it, after the row's own score
     cells pass their check, and a row of any prompt missing from it is
     UnknownResponseId. A column holds few distinct prompt and score cells,
@@ -126,9 +126,12 @@ def parse_dataset(
         prompt_id = prompt_ids.get(cell)
         if prompt_id is None:
             try:
-                prompt_id = prompt_ids[cell] = int(cell)
+                prompt_id = int(cell)
             except ValueError:
                 raise NonIntegerScore(f"row {row_num}: prompt id is not an integer") from None
+            if prompt_id < 0:
+                raise MalformedRow(f"row {row_num}: prompt id {prompt_id} is negative")
+            prompt_ids[cell] = prompt_id
         key = (prompt_id, rid)
         if key in seen:
             raise DuplicateId(f"row {row_num}: duplicate id {rid!r} in prompt {prompt_id}")

@@ -528,18 +528,6 @@ def fuzzy_ratios(texts: list[str], tables: NgramTables, floor: float) -> FuzzyRa
     )
 
 
-def near_match_count(
-    response: str, key_ngrams: list[str | None], cutoff: float
-) -> np.ndarray:
-    """Count fuzzy occurrences of each key n-gram in the response.
-
-    A window counts when its similarity ratio with the n-gram is at
-    least ``cutoff``; with cutoff 1.0 this reduces to exact occurrence
-    counting. Padding slots (None) always contribute zero.
-    """
-    return fuzzy_ratios([response], NgramTables.of(key_ngrams), cutoff).counts(cutoff)[0]
-
-
 def fit_tfidf_vocab(train_texts: list[str]) -> dict[str, tuple[int, float]]:
     """Train-unigram vocabulary with smoothed idf weights.
 

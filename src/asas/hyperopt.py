@@ -176,8 +176,6 @@ def suggest(space: SearchSpace, history: list[TrialRecord], seed: int) -> dict[s
     Prior sampling until 5 completed trials exist; afterwards the
     Parzen-ratio rule over 24 candidates drawn from the good density.
     """
-    if not space.params:
-        raise EmptySpace("search space has no parameters")
     completed = [t for t in history if t.status == "completed"]
     if len(completed) < N_STARTUP:
         return sample_prior(space, seed)

@@ -120,29 +120,18 @@ def _one_hot(labels, k: int, dtype) -> np.ndarray:
     return out
 
 
-def _bce_mean(logits: np.ndarray, targets: np.ndarray) -> float:
-    per_logit = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
-    return float(per_logit.mean())
+def bce_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
+    """Mean per-class sigmoid binary cross-entropy against one-hot targets,
+    and its gradient with respect to the logits, in the logits' dtype.
 
-
-def bce_loss(logits: np.ndarray, labels, k: int | None = None) -> float:
-    """Mean per-class sigmoid binary cross-entropy against one-hot targets.
-
-    Uses the overflow-free form max(z,0) - z*t + log(1 + exp(-|z|)),
+    The loss uses the overflow-free form max(z,0) - z*t + log(1 + exp(-|z|)),
     averaged over all N*k logits.
     """
     logits = np.atleast_2d(as_float(logits))
-    k = logits.shape[1] if k is None else k
-    return _bce_mean(logits, _one_hot(labels, k, logits.dtype))
-
-
-def bce_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
-    """Loss and its gradient with respect to the logits, in the logits' dtype."""
-    logits = np.atleast_2d(as_float(logits))
     targets = _one_hot(labels, logits.shape[1], logits.dtype)
-    loss = _bce_mean(logits, targets)
+    per_logit = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
     grad = (sigmoid(logits) - targets) / logits.size
-    return loss, grad
+    return float(per_logit.mean()), grad
 
 
 @dataclass

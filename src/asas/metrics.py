@@ -32,48 +32,30 @@ def _as_labels(values, k: int, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class ConfusionTable:
-    """Observed/expected joint proportions with quadratic disagreement weights.
-
-    ``observed[i, j]`` is the fraction of items rated i by the first
-    scorer and j by the second; ``expected`` is the outer product of the
-    two marginal distributions; ``weights[i, j] = (i - j)^2 / (k - 1)^2``.
-    """
-
-    k: int
-    observed: np.ndarray
-    expected: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def from_labels(cls, a, b, k: int) -> "ConfusionTable":
-        if k < 2:
-            raise LabelOutOfRange("need at least two classes")
-        av = _as_labels(a, k, "a")
-        bv = _as_labels(b, k, "b")
-        if av.shape != bv.shape:
-            raise LengthMismatch(f"label vectors differ in length: {av.size} vs {bv.size}")
-        n = av.size
-        observed = np.zeros((k, k), dtype=float)
-        np.add.at(observed, (av, bv), 1.0)
-        observed /= n
-        expected = np.outer(observed.sum(axis=1), observed.sum(axis=0))
-        idx = np.arange(k, dtype=float)
-        weights = (idx[:, None] - idx[None, :]) ** 2 / (k - 1) ** 2
-        return cls(k=k, observed=observed, expected=expected, weights=weights)
-
-
 def qwk(a, b, k: int) -> float:
     """Quadratic weighted kappa between two integer label vectors.
 
-    Returns 1 - (sum w*observed) / (sum w*expected). When the expected
-    weighted disagreement is zero the statistic is defined as 1.0 on
-    exact agreement and 0.0 otherwise, so sweeps never produce NaN.
+    With ``observed[i, j]`` the fraction of items rated i by the first
+    scorer and j by the second, ``expected`` the outer product of the two
+    marginal distributions and weights ``(i - j)^2 / (k - 1)^2``, returns
+    1 - (sum w*observed) / (sum w*expected). When the expected weighted
+    disagreement is zero the statistic is defined as 1.0 on exact
+    agreement and 0.0 otherwise, so sweeps never produce NaN.
     """
-    table = ConfusionTable.from_labels(a, b, k)
-    weighted_obs = float(np.sum(table.weights * table.observed))
-    weighted_exp = float(np.sum(table.weights * table.expected))
+    if k < 2:
+        raise LabelOutOfRange("need at least two classes")
+    av = _as_labels(a, k, "a")
+    bv = _as_labels(b, k, "b")
+    if av.shape != bv.shape:
+        raise LengthMismatch(f"label vectors differ in length: {av.size} vs {bv.size}")
+    observed = np.zeros((k, k), dtype=float)
+    np.add.at(observed, (av, bv), 1.0)
+    observed /= av.size
+    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0))
+    idx = np.arange(k, dtype=float)
+    weights = (idx[:, None] - idx[None, :]) ** 2 / (k - 1) ** 2
+    weighted_obs = float(np.sum(weights * observed))
+    weighted_exp = float(np.sum(weights * expected))
     if weighted_exp == 0.0:
         return 1.0 if weighted_obs == 0.0 else 0.0
     return 1.0 - weighted_obs / weighted_exp

@@ -30,18 +30,12 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
 
-def artifact_header(
-    seed: int | None,
-    inputs: dict[str, bytes] | None = None,
-    *,
-    digests: dict[str, str] | None = None,
-) -> str:
-    """One '#'-comment line: tool version, seed, input digests. Each input is
-    named with its bytes in ``inputs`` or with its ``digest`` in ``digests``."""
-    named = {name: digest(data) for name, data in (inputs or {}).items()} | (digests or {})
+def artifact_header(seed: int | None, digests: dict[str, str] | None = None) -> str:
+    """One '#'-comment line: tool version, seed, and the ``digest`` of each
+    named input in ``digests``."""
     parts = [f"#asas\tversion={TOOL_VERSION}", f"seed={seed if seed is not None else '-'}"]
-    if named:
-        parts.append("inputs=" + ",".join(f"{name}:{d}" for name, d in sorted(named.items())))
+    if digests:
+        parts.append("inputs=" + ",".join(f"{name}:{d}" for name, d in sorted(digests.items())))
     return "\t".join(parts)
 
 
@@ -94,8 +88,13 @@ class Artifact:
     @classmethod
     def parse(cls, text: str, expect_kind: str | None = None) -> "Artifact":
         """The artifact in ``text``; HeaderMismatch if it is not one, is
-        truncated, or is not of kind ``expect_kind`` (when given)."""
-        lines = text.splitlines()
+        truncated, or is not of kind ``expect_kind`` (when given). Lines end
+        at each '\\n', as ``dump`` joins them, less one trailing '\\r'."""
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()  # the final newline ends the last line
+        if "\r" in text:
+            lines = [line.removesuffix("\r") for line in lines]
         start = 0
         while start < len(lines) and not lines[start].startswith(f"#{FORMAT_VERSION} kind="):
             if not lines[start].startswith("#"):
@@ -140,7 +139,7 @@ class Artifact:
 
     @classmethod
     def load(cls, path: str | Path, expect_kind: str | None = None) -> "Artifact":
-        return cls.parse(Path(path).read_text(encoding="utf-8"), expect_kind)
+        return cls.parse(Path(path).read_bytes().decode("utf-8"), expect_kind)
 
 
 def _block_header(line: str, n_sizes: int) -> tuple:

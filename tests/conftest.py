@@ -1,64 +1,24 @@
 """Shared fixtures: deterministic toy corpora and ensemble members."""
 from __future__ import annotations
 
+import importlib.util
 import os
-import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from asas.corpus import PromptCorpus, ScoredResponse, build_corpus, LogProbMatrix
+from asas.corpus import PromptCorpus, build_corpus, LogProbMatrix
 from asas.mathutil import log_softmax
 
-PROMPT_TEXT = (
-    "When salt is dissolved in water the concentration gradient drives "
-    "diffusion across the membrane until equilibrium is reached. "
-    "Describe how osmosis moves water through a semipermeable membrane "
-    "and explain what happens to the cells in the experiment."
+# The toy corpus is the one scripts/make_toy_data.py writes, loaded by path.
+_spec = importlib.util.spec_from_file_location(
+    "make_toy_data", Path(__file__).resolve().parents[1] / "scripts" / "make_toy_data.py"
 )
-
-_FILLERS = (
-    "the water was in a cup and it did move because they put salt on it "
-    "so then some of them went to look at what would happen after that"
-).split()
-
-_KEY_WORDS = {
-    1: "osmosis membrane water concentration".split(),
-    2: "diffusion gradient equilibrium semipermeable".split(),
-}
-
-
-def make_toy_responses(
-    prompt_id: int = 1,
-    n: int = 80,
-    k: int = 3,
-    seed: int = 0,
-    start_id: int = 0,
-    second_read: bool = True,
-) -> list[ScoredResponse]:
-    """Synthetic responses whose key-term usage tracks the score."""
-    rng = random.Random(seed)
-    out = []
-    for i in range(n):
-        score = i % k
-        words = [rng.choice(_FILLERS) for _ in range(rng.randint(8, 16))]
-        for level in range(1, score + 1):
-            words += rng.sample(_KEY_WORDS[min(level, 2)], 2)
-        rng.shuffle(words)
-        score2 = score
-        if second_read and rng.random() < 0.1:
-            score2 = max(0, min(k - 1, score + rng.choice([-1, 1])))
-        out.append(
-            ScoredResponse(
-                id=str(start_id + i),
-                prompt_id=prompt_id,
-                text=" ".join(words) + ".",
-                score1=score,
-                score2=score2 if second_read else None,
-            )
-        )
-    return out
+_toy = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_toy)
+PROMPT_TEXT = _toy.PROMPT_TEXT
+make_toy_responses = _toy.synth_responses
 
 
 def make_toy_corpus(

@@ -28,6 +28,7 @@ from asas.errors import (
     RowLengthMismatch,
     UnknownResponseId,
 )
+from asas.features import NgramTables, fuzzy_ratios
 from asas.mathutil import logsumexp
 from asas.serialize import FORMAT_VERSION
 
@@ -137,6 +138,12 @@ def exact_window_counts(text: str, ngrams: list[str | None]) -> list[int]:
                 count += 1
         out.append(count)
     return out
+
+
+def near_match_count(response: str, key_ngrams: list[str | None], cutoff: float) -> np.ndarray:
+    """Fuzzy occurrence counts of each key n-gram in one response, read from
+    the package's ``fuzzy_ratios``: a shorthand for tests, not a reference."""
+    return fuzzy_ratios([response], NgramTables.of(key_ngrams), cutoff).counts(cutoff)[0]
 
 
 def bce_decimal(logits: np.ndarray, labels: list[int]) -> float:
@@ -384,11 +391,11 @@ def parse_dataset_per_cell(
 
     Missing score cells, and score columns missing from the header, map
     to None. Ids must be unique within a prompt. Every row is checked, in
-    file order: its field count, an integer prompt id, a new (prompt, id)
-    pair and integer score cells; a record is built only for a row whose
-    prompt is in ``prompts`` (every row when None). With a ``solution``
-    table, each row's score1 comes from it, after the row's own score
-    cells pass their check, and a row of any prompt missing from it is
+    file order: its field count, a non-negative integer prompt id, a new
+    (prompt, id) pair and integer score cells; a record is built only for a
+    row whose prompt is in ``prompts`` (every row when None). With a
+    ``solution`` table, each row's score1 comes from it, after the row's own
+    score cells pass their check, and a row of any prompt missing from it is
     UnknownResponseId.
     """
     lines = data_lines_per_line(data)
@@ -418,6 +425,8 @@ def parse_dataset_per_cell(
             prompt_id = int(fields[i_prompt])
         except ValueError:
             raise NonIntegerScore(f"row {row_num}: prompt id is not an integer") from None
+        if prompt_id < 0:
+            raise MalformedRow(f"row {row_num}: prompt id {prompt_id} is negative")
         key = (prompt_id, rid)
         if key in seen:
             raise DuplicateId(f"row {row_num}: duplicate id {rid!r} in prompt {prompt_id}")

@@ -12,7 +12,7 @@ import pytest
 import asas.cli
 import asas.features
 import asas.learners
-from asas.cli import DEFAULT_HIDDEN, main, load_feature_model
+from asas.cli import OPTIONS, main, load_feature_model
 from asas.corpus import (
     build_corpus,
     dump_logprobs,
@@ -21,11 +21,12 @@ from asas.corpus import (
     prompt_seed,
     serialize_dataset,
 )
+from asas.ensemble import EnsembleSpec
 from asas.errors import DegenerateDistribution, EmptyInput, SingleClass, TooFewRows
 from asas.hyperopt import IntUniform, SearchSpace, Uniform
 from asas.mathutil import logsumexp
 from asas.metrics import EvalReport
-from asas.serialize import artifact_header, digest
+from asas.serialize import Artifact, artifact_header, digest
 from conftest import make_toy_responses, noisy_member, PROMPT_TEXT
 
 
@@ -558,7 +559,7 @@ class TestTune:
         )
         retrained = asas.cli._train_once(
             corpus, matrix, lr=float(best["learning_rate"]), batch=int(best["batch_size"]),
-            epochs=3, seed=11, hidden=DEFAULT_HIDDEN,
+            epochs=3, seed=11, hidden=OPTIONS["hidden"].default,
         )
         _, saved = load_feature_model(out_dir / "model.txt")
         want = retrained.model.to_arrays()
@@ -789,6 +790,21 @@ class TestInputFaults:
             "--prompt-text", str(text), "--epochs", "1", "--out", str(out),
         ]) == 2
         assert f"asas: {text}: 'utf-8' codec can't decode byte 0xe9" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_negative_prompt_id(self, workspace, capsys):
+        # a negative id would be taken for the mean row of a report
+        data, out = workspace["dir"] / "negative.tsv", workspace["dir"] / "negative"
+        lines = workspace["data"].read_text().split("\n")
+        fields = lines[10].split("\t")
+        fields[1] = "-1"
+        lines[10] = "\t".join(fields)
+        data.write_text("\n".join(lines))
+        assert main([
+            "train-features", "--data", str(data), "--prompt", "1", "--epochs", "1",
+            "--out", str(out),
+        ]) == 2
+        assert f"asas: {data}: row 11: prompt id -1 is negative" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("kind", [
@@ -1029,6 +1045,23 @@ class TestEnsembleCommand:
             ]) == 0
         for name in ("ensemble.txt", "predictions.tsv", "report_dev.tsv", "report_test.tsv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_a_member_name_holding_a_line_break_other_than_newline(self, workspace, capsys):
+        rows = [r for r in workspace["pool"] if r.prompt_id == 1] + workspace["test_rows"]
+        ids, gold = [r.id for r in rows], np.array([r.score1 for r in rows])
+        names = ["a\x85b", "m2"]
+        members = []
+        for i, name in enumerate(names):
+            path = workspace["dir"] / f"member_{i}.tsv"
+            path.write_bytes(dump_logprobs(noisy_member(name, ids, gold, 3, seed=40 + i)))
+            members.append(str(path))
+        out = workspace["dir"] / "ens"
+        assert main([
+            "ensemble", "--data", str(workspace["data"]), "--test", str(workspace["test"]),
+            "--prompt", "1", "--members", *members, "--out", str(out),
+        ]) == 0
+        spec = EnsembleSpec.from_artifact(Artifact.load(out / "ensemble.txt", "ensemble-spec"))
+        assert spec.members == names
 
     def test_stdout_says_when_the_stacker_hits_the_iteration_cap(
         self, workspace, capsys, monkeypatch
@@ -1314,13 +1347,15 @@ class TestModelFileChecks:
         self._assert_rejected(toy_model, capsys, _drop_last_w1_row(text), names)
 
     def test_bias_block_without_rows(self, toy_model, capsys):
-        text = _replace_block(toy_model[2], "mlp_b1", f"[matrix mlp_b1 0 {DEFAULT_HIDDEN}]\n")
+        hidden = OPTIONS["hidden"].default
+        text = _replace_block(toy_model[2], "mlp_b1", f"[matrix mlp_b1 0 {hidden}]\n")
         self._assert_rejected(toy_model, capsys, text, "matrix mlp_b1 has 0 rows, expected 1")
 
     def test_bias_block_of_the_wrong_width(self, toy_model, capsys):
         text = _replace_block(toy_model[2], "mlp_b1", "[matrix mlp_b1 1 1]\n0.5\n")
         self._assert_rejected(
-            toy_model, capsys, text, f"matrix mlp_b1 has 1 values, but mlp_w1 has {DEFAULT_HIDDEN}"
+            toy_model, capsys, text,
+            f"matrix mlp_b1 has 1 values, but mlp_w1 has {OPTIONS['hidden'].default}",
         )
 
     @pytest.mark.parametrize("name, value", [
@@ -1548,7 +1583,7 @@ class TestUsage:
             "ensemble", "--data", inputs[0], "--test", inputs[1], "--prompt", "1",
             "--seed", "7", "--members", *members, "--out", str(out),
         ]) == 0
-        want = artifact_header(7, {path: Path(path).read_bytes() for path in inputs})
+        want = artifact_header(7, {path: digest(Path(path).read_bytes()) for path in inputs})
         for name in ("ensemble.txt", "report_dev.tsv", "report_test.tsv"):
             assert (out / name).read_text().splitlines()[0] == want, name
         assert (out / "predictions.tsv").read_text().splitlines()[1] == want

@@ -31,7 +31,6 @@ from asas.features import (
     fuzzy_ratios,
     minutiae_overlap,
     minutiae_substrings,
-    near_match_count,
     normalize_text,
     select_key_ngrams,
     text_stats,
@@ -46,6 +45,7 @@ from oracles import (
     exact_window_counts,
     matching_blocks_total,
     minutiae_brute,
+    near_match_count,
     ratio_oracle,
     similarity_ratio,
 )

@@ -24,7 +24,6 @@ from asas.learners import (
     MlpModel,
     TrainConfig,
     adamw_step,
-    bce_loss,
     bce_loss_grad,
     linear_lr,
     logreg_fit,
@@ -79,30 +78,30 @@ class TestMlpForward:
 
 class TestBceLoss:
     def test_zero_logits_give_ln2(self):
-        assert bce_loss(np.zeros((3, 4)), [0, 1, 2]) == pytest.approx(math.log(2))
+        assert bce_loss_grad(np.zeros((3, 4)), [0, 1, 2])[0] == pytest.approx(math.log(2))
 
     def test_saturated_correct_logits_vanish(self):
         logits = np.full((2, 3), -20.0)
         logits[0, 0] = 20.0
         logits[1, 2] = 20.0
-        assert bce_loss(logits, [0, 2]) <= 1e-8
+        assert bce_loss_grad(logits, [0, 2])[0] <= 1e-8
 
     def test_matches_decimal_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             logits = rng.normal(0, 3, size=(2, 3))
             labels = rng.integers(0, 3, size=2).tolist()
-            assert bce_loss(logits, labels) == pytest.approx(
+            assert bce_loss_grad(logits, labels)[0] == pytest.approx(
                 bce_decimal(logits, labels), abs=1e-12
             )
 
     def test_no_overflow_for_large_logits(self):
         logits = np.array([[700.0, -700.0]])
-        assert np.isfinite(bce_loss(logits, [0]))
+        assert np.isfinite(bce_loss_grad(logits, [0])[0])
 
     def test_label_out_of_range(self):
         with pytest.raises(LabelOutOfRange):
-            bce_loss(np.zeros((1, 2)), [2])
+            bce_loss_grad(np.zeros((1, 2)), [2])
 
     def test_gradient_matches_central_differences(self):
         rng = np.random.default_rng(2)
@@ -110,7 +109,7 @@ class TestBceLoss:
         labels = rng.integers(0, 4, size=3).tolist()
         _, grad = bce_loss_grad(logits, labels)
         numeric = central_difference(
-            lambda flat: bce_loss(flat.reshape(3, 4), labels), logits.flatten().copy()
+            lambda flat: bce_loss_grad(flat.reshape(3, 4), labels)[0], logits.flatten().copy()
         ).reshape(3, 4)
         assert np.max(np.abs(grad - numeric) / (np.abs(numeric) + 1e-10)) <= 1e-5
 
@@ -357,7 +356,7 @@ class TestTrainEarlyStop:
             def loss_at(flat, index=index, base=base):
                 params = model.params()
                 params[index] = flat.reshape(base.shape)
-                return bce_loss(mlp_forward(model.with_params(params), X), y)
+                return bce_loss_grad(mlp_forward(model.with_params(params), X), y)[0]
 
             numeric = central_difference(loss_at, base.flatten().copy()).reshape(base.shape)
             denom = np.abs(numeric) + 1e-10

@@ -1,7 +1,6 @@
 """Agreement statistics against exact-arithmetic oracles and identities."""
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from asas.errors import DegenerateDistribution, LabelOutOfRange, LengthMismatch
 from asas.metrics import (
     SMD_VIOLATION,
-    ConfusionTable,
     EvalReport,
     accuracy,
     criteria_flags,
@@ -82,18 +80,6 @@ class TestQwk:
             qwk([0, 2], [0, 1], 2)
         with pytest.raises(LabelOutOfRange):
             qwk([0, -1], [0, 1], 2)
-
-
-class TestConfusionTable:
-    def test_proportions_and_weights(self):
-        table = ConfusionTable.from_labels([0, 1, 2, 2], [0, 2, 2, 0], 3)
-        assert table.observed.sum() == pytest.approx(1.0)
-        assert table.expected.sum() == pytest.approx(1.0)
-        assert np.all(table.observed >= 0) and np.all(table.expected >= 0)
-        assert np.all(np.diag(table.weights) == 0)
-        assert table.weights[0, 2] == pytest.approx(1.0)
-        assert table.weights[0, 1] == pytest.approx(0.25)
-        assert np.allclose(table.weights, table.weights.T)
 
 
 class TestSmd:

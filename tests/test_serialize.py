@@ -22,6 +22,24 @@ _AWKWARD = [
     0.1 + 0.2, 1 / 3, -2 / 3, 9007199254740993.0, 1.0000000000000002, 123456789.01234567,
 ]
 
+# Every character besides '\n' that str.splitlines() breaks a line at, mixed
+# into cells of any other characters but the tab.
+_LINE_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+_CELL = st.text(
+    st.sampled_from(_LINE_BREAKS) | st.characters(blacklist_characters="\t\n"), max_size=5
+)
+# One trailing '\r' is read as part of a CRLF line end, so a row's last cell
+# is drawn without one.
+_ROW = st.lists(_CELL, min_size=1, max_size=3).filter(lambda row: not row[-1].endswith("\r"))
+# Every float but NaNs other than the one float("nan") reads back as, since
+# each NaN is written as "nan".
+_MATRIX = st.tuples(st.integers(0, 3), st.integers(1, 3)).flatmap(
+    lambda shape: st.lists(
+        st.floats(allow_nan=False) | st.just(math.nan),
+        min_size=shape[0] * shape[1], max_size=shape[0] * shape[1],
+    ).map(lambda values: np.array(values, dtype=float).reshape(shape))
+)
+
 
 class TestArtifact:
     def test_round_trip_arrays_tables_meta(self):
@@ -32,7 +50,7 @@ class TestArtifact:
             arrays={"m": rng.normal(size=(3, 4)), "v": rng.normal(size=7)},
             tables={"rows": [["a", "1.5"], ["b", "2.5"]]},
         )
-        back = Artifact.parse(art.dump(header=artifact_header(9, {"in": b"bytes"})))
+        back = Artifact.parse(art.dump(header=artifact_header(9, {"in": digest(b"bytes")})))
         assert back.kind == "demo"
         assert back.meta == art.meta
         assert back.tables == art.tables
@@ -48,17 +66,16 @@ class TestArtifact:
 
     def test_header_is_first_line_and_parsed_past(self):
         art = Artifact(kind="h", meta={"k": "v"})
-        text = art.dump(header=artifact_header(3, {"data.tsv": b"x"}))
+        text = art.dump(header=artifact_header(3, {"data.tsv": digest(b"x")}))
         first = text.splitlines()[0]
         assert first.startswith("#asas\tversion=")
         assert "seed=3" in first and "data.tsv:" in first
         assert Artifact.parse(text).meta == {"k": "v"}
 
-    def test_a_header_from_digests_equals_one_from_bytes(self):
+    def test_a_header_names_its_input_digests_in_name_order(self):
         inputs = {"b.tsv": b"second", "a.tsv": b"first"}
-        from_bytes = artifact_header(4, inputs)
-        assert artifact_header(4, digests={n: digest(d) for n, d in inputs.items()}) == from_bytes
-        assert from_bytes == f"#asas\tversion={TOOL_VERSION}\tseed=4\tinputs=" + (
+        header = artifact_header(4, digests={n: digest(d) for n, d in inputs.items()})
+        assert header == f"#asas\tversion={TOOL_VERSION}\tseed=4\tinputs=" + (
             f"a.tsv:{digest(b'first')},b.tsv:{digest(b'second')}"
         )
 
@@ -112,7 +129,7 @@ class TestArtifact:
                 "no_rows": np.zeros((0, 3)),
             },
         )
-        for header in (None, artifact_header(5, {"in": b"x"})):
+        for header in (None, artifact_header(5, {"in": digest(b"x")})):
             assert art.dump(header) == artifact_dump_reference(art, header)
 
     @given(st.lists(st.floats(width=64), min_size=1, max_size=24), st.integers(1, 4))
@@ -130,6 +147,30 @@ class TestArtifact:
         Artifact(kind="one").save(path)
         with pytest.raises(HeaderMismatch):
             Artifact.load(path, expect_kind="two")
+
+    def test_line_breaks_other_than_newline_stay_inside_a_cell(self):
+        art = Artifact(kind="ensemble-spec", tables={"members": [["a\x85b"], ["m2"]]})
+        assert Artifact.parse(art.dump()).tables == {"members": [["a\x85b"], ["m2"]]}
+
+    def test_crlf_lines_read_like_lf_lines(self):
+        art = Artifact(
+            kind="crlf", meta={"k": "v"}, tables={"t": [["a", "b"]]}, arrays={"m": np.eye(2)}
+        )
+        back = Artifact.parse(art.dump().replace("\n", "\r\n"))
+        assert back.meta == art.meta and back.tables == art.tables
+        assert back.arrays["m"].tobytes() == art.arrays["m"].tobytes()
+
+    @given(
+        st.dictionaries(st.sampled_from(["members", "t", "u"]), st.lists(_ROW, max_size=4)),
+        st.dictionaries(st.sampled_from(["m", "v"]), _MATRIX),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_dump_then_parse_returns_the_same_blocks(self, tables, arrays):
+        back = Artifact.parse(Artifact(kind="any", tables=tables, arrays=arrays).dump())
+        assert back.tables == tables
+        assert back.arrays.keys() == arrays.keys()
+        for name, data in arrays.items():
+            assert back.arrays[name].tobytes() == data.tobytes()
 
 
 class TestMathUtil:
