@@ -133,7 +133,7 @@ def load_config_file(path: str | Path) -> dict[str, object]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise AsasError(f"{path}: {exc}") from None
-    for line_no, line in enumerate(text.splitlines(), 1):
+    for line_no, line in data_lines(text):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -159,6 +159,8 @@ class _Ctx:
         for name, opt in OPTIONS.items():
             flag = getattr(args, name, None)
             setattr(self, name, flag if flag is not None else cfg.get(name, opt.default))
+        if any(c in self.name for c in "\t\r\n"):
+            raise AsasError(f"--name must not hold a tab, CR or LF, got {self.name!r}")
         self.columns = ColumnMap(
             self.id_col, self.prompt_col, self.score1_col, self.score2_col, self.text_col
         )
@@ -320,14 +322,8 @@ def _require_out(ctx: _Ctx) -> None:
 
 
 def _out_dir(ctx: _Ctx, prompt_id: int) -> Path:
-    """--out, or its prompt_<id> subdirectory with --all-prompts; created if absent."""
-    out = Path(ctx.out) / f"prompt_{prompt_id}" if ctx.all_prompts else Path(ctx.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _write(path: Path, header: str, body: str) -> None:
-    write_atomic(path, header + "\n" + body)
+    """--out, or its prompt_<id> subdirectory with --all-prompts."""
+    return Path(ctx.out) / f"prompt_{prompt_id}" if ctx.all_prompts else Path(ctx.out)
 
 
 def _emit(ctx: _Ctx, table: str, body: str | None = None) -> None:
@@ -335,9 +331,7 @@ def _emit(ctx: _Ctx, table: str, body: str | None = None) -> None:
     print(ctx.header())
     print(table, end="")
     if ctx.out is not None:
-        out = Path(ctx.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        _write(out, ctx.header(), table if body is None else body)
+        write_atomic({Path(ctx.out): f"{ctx.header()}\n{table if body is None else body}"})
 
 
 def _logprob_file(header: str, name: str, corpus, ids, logprobs) -> bytes:
@@ -367,11 +361,14 @@ def cmd_stats(ctx: _Ctx) -> None:
 
 def cmd_split(ctx: _Ctx) -> None:
     _require_out(ctx)
+    files, done = {}, []
     for pid, corpus, _ in _corpora(ctx, test=False):
         out = _out_dir(ctx, pid)
         for name, rows in (("train.tsv", corpus.train), ("dev.tsv", corpus.dev)):
-            _write(out / name, ctx.header(), serialize_dataset(rows, ctx.columns).decode())
-        print(f"prompt {pid}: train {len(corpus.train)}, dev {len(corpus.dev)} -> {out}")
+            files[out / name] = f"{ctx.header()}\n".encode() + serialize_dataset(rows, ctx.columns)
+        done.append(f"prompt {pid}: train {len(corpus.train)}, dev {len(corpus.dev)} -> {out}")
+    write_atomic(files)
+    print(*done, sep="\n")
 
 
 def _feature_model(art: Artifact) -> tuple[FeatureModelSpec, MlpModel]:
@@ -407,26 +404,24 @@ def _train_once(corpus, matrix, lr, batch, epochs, seed, hidden):
     )
 
 
-def _save_run(ctx: _Ctx, pid: int, corpus, spec: FeatureModelSpec, matrix, result) -> Path:
-    """Write a trained feature model, its training history, its dev report and,
-    as ``predictions.tsv``, its log-probabilities on every row it was fitted on,
-    into the prompt's output directory, which is returned. The dev report and
-    the member file, which can fail, are made before the directory is."""
+def _run_files(ctx: _Ctx, out: Path, corpus, spec: FeatureModelSpec, matrix, result):
+    """The files of run directory ``out``: a trained feature model, its training
+    history, its dev report and, as ``predictions.tsv``, its log-probabilities
+    on every row it was fitted on."""
     header = ctx.header()
     dev_ids = [r.id for r in corpus.dev]
     pred = np.argmax(mlp_forward(result.model, matrix.rows_for(dev_ids)), axis=1)
     report = evaluate_run(pred, corpus.labels(corpus.dev), corpus.num_classes, corpus.prompt_id)
     logprobs = log_softmax(mlp_forward(result.model, matrix.data), axis=1)
-    member = _logprob_file(header, ctx.name, corpus, matrix.ids, logprobs)
     art = spec.to_artifact()
     art.kind = "feature-model"
     art.arrays.update(result.model.to_arrays())
-    out = _out_dir(ctx, pid)
-    art.save(out / "model.txt", header)
-    _write(out / "history.tsv", header, result.history_tsv())
-    _write(out / "report_dev.tsv", header, _report_tsv(report))
-    write_atomic(out / "predictions.tsv", member)
-    return out
+    return {
+        out / "model.txt": art.dump(header),
+        out / "history.tsv": f"{header}\n{result.history_tsv()}",
+        out / "report_dev.tsv": f"{header}\n{_report_tsv(report)}",
+        out / "predictions.tsv": _logprob_file(header, ctx.name, corpus, matrix.ids, logprobs),
+    }
 
 
 def cmd_train_features(ctx: _Ctx) -> None:
@@ -441,7 +436,7 @@ def cmd_train_features(ctx: _Ctx) -> None:
             seed=ctx.seed, hidden=ctx.hidden,
         )
         with _naming(pid):
-            _save_run(ctx, pid, corpus, spec, matrix, result)
+            write_atomic(_run_files(ctx, _out_dir(ctx, pid), corpus, spec, matrix, result))
         print(f"prompt {pid}: best dev QWK {result.best_dev_qwk:.4f} (epoch {result.best_epoch})")
 
 
@@ -472,9 +467,11 @@ def cmd_tune(ctx: _Ctx) -> None:
             return result.best_dev_qwk
 
         study = run_study(space, objective, n_trials=ctx.trials, seed=ctx.seed)
+        out = _out_dir(ctx, pid)
         with _naming(pid):
-            out = _save_run(ctx, pid, corpus, *kept)
-        _write(out / "study.tsv", ctx.header(), study_log(space, study))
+            files = _run_files(ctx, out, corpus, *kept)
+        files[out / "study.tsv"] = f"{ctx.header()}\n{study_log(space, study)}"
+        write_atomic(files)
         print(
             f"prompt {pid}: best trial {study.best.trial_index} "
             f"dev QWK {study.best.objective:.4f} params {study.best.params}"
@@ -493,8 +490,7 @@ def cmd_predict(ctx: _Ctx) -> None:
         text = _logprob_file(ctx.header(), ctx.name, corpus, matrix.ids, logprobs)
         single = Path(ctx.out or "predictions.tsv")
         path = _out_dir(ctx, pid) / "predictions.tsv" if ctx.all_prompts else single
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(path, text)
+        write_atomic({path: text})
         print(f"prompt {pid}: wrote {len(matrix.ids)} rows -> {path}")
 
 
@@ -505,38 +501,32 @@ def cmd_ensemble(ctx: _Ctx) -> None:
     if ctx.m is not None and not 1 <= ctx.m <= len(ctx.members):
         raise AsasError(f"--m must be between 1 and {len(ctx.members)}")
     # every prompt is fitted and scored before the first file is written
-    runs = []
+    files, done = {}, []
     for pid, corpus, parsed in _corpora(ctx, "members"):
+        out, header, k = _out_dir(ctx, pid), ctx.header(), corpus.num_classes
         with _naming(pid):
-            k = corpus.num_classes
             members = select_best_subset(parsed["members"], corpus, ctx.m)
             spec = fit_ensemble(members, corpus)
             dev_pred, _ = score_ensemble(spec, members, [r.id for r in corpus.dev])
-            reports = {"report_dev.tsv": evaluate_run(dev_pred, corpus.labels(corpus.dev), k, pid)}
-            test = None
+            dev = evaluate_run(dev_pred, corpus.labels(corpus.dev), k, pid)
+            files[out / "ensemble.txt"] = spec.to_artifact().dump(header)
+            files[out / "report_dev.tsv"] = f"{header}\n{_report_tsv(dev)}"
             if corpus.test:
                 test_ids = [r.id for r in corpus.test]
                 test_pred, logprobs = score_ensemble(spec, members, test_ids)
-                test = _logprob_file(ctx.header(), "ensemble", corpus, test_ids, logprobs)
+                test = _logprob_file(header, "ensemble", corpus, test_ids, logprobs)
+                files[out / "predictions.tsv"] = test
                 if all(r.score1 is not None for r in corpus.test):
-                    test_gold = corpus.labels(corpus.test)
-                    reports["report_test.tsv"] = evaluate_run(test_pred, test_gold, k, pid)
-            runs.append((pid, ctx.header(), spec, reports, test))
-
-    for pid, header, spec, reports, test in runs:
-        out = _out_dir(ctx, pid)
-        spec.to_artifact().save(out / "ensemble.txt", header)
-        for name, report in reports.items():
-            _write(out / name, header, _report_tsv(report))
-        if test is not None:
-            write_atomic(out / "predictions.tsv", test)
+                    report = evaluate_run(test_pred, corpus.labels(corpus.test), k, pid)
+                    files[out / "report_test.tsv"] = f"{header}\n{_report_tsv(report)}"
         head = spec.head
-        print(
-            f"prompt {pid}: ensemble of {spec.members}"
-            f" dev QWK {reports['report_dev.tsv'].qwk:.4f};"
+        done.append(
+            f"prompt {pid}: ensemble of {spec.members} dev QWK {dev.qwk:.4f};"
             f" stacker {head.iterations} iterations, gradient inf-norm {head.grad_norm:.2e}"
             + ("" if head.converged else ", not converged")
         )
+    write_atomic(files)
+    print(*done, sep="\n")
 
 
 def cmd_report(ctx: _Ctx) -> None:

@@ -412,6 +412,8 @@ def load_logprobs(data: bytes | str, corpus: PromptCorpus | None = None) -> LogP
         raise HeaderMismatch(f"prompt must be an integer, got {header['prompt']!r}") from None
     if k < 2:
         raise HeaderMismatch(f"k must be >= 2, got {k}")
+    if "\r" in header["model"]:
+        raise HeaderMismatch(f"model name {header['model']!r} holds a CR")
     known = None
     if corpus is not None:
         if corpus.num_classes != k:

@@ -39,19 +39,26 @@ def artifact_header(seed: int | None, digests: dict[str, str] | None = None) -> 
     return "\t".join(parts)
 
 
-def write_atomic(path: str | Path, data: str | bytes) -> None:
-    """Write ``data`` (str as UTF-8) to ``<name>.tmp`` beside ``path``, then rename it.
+def write_atomic(files: dict[Path, str | bytes]) -> None:
+    """Write each of ``files`` (str as UTF-8) to ``<name>.tmp`` beside its path,
+    creating its directory, and only then rename each ``.tmp`` over its path.
 
-    The rename replaces ``path`` in one step, so ``path`` holds either its
-    previous content or all of ``data``, never part of it.
+    A failure while writing leaves every path as it was, and no ``.tmp``: each
+    rename replaces one path in one step. Only a failure between two renames
+    can leave some paths new and the others as they were.
     """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+    renames = {}
     try:
-        tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
-        os.replace(tmp, path)
+        for path, data in files.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            tmp = path.with_name(path.name + ".tmp")
+            renames[tmp] = path
+            tmp.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+        for tmp, path in renames.items():
+            os.replace(tmp, path)
     except BaseException:
-        tmp.unlink(missing_ok=True)
+        for tmp in renames:
+            tmp.unlink(missing_ok=True)
         raise
 
 
@@ -65,25 +72,39 @@ class Artifact:
     tables: dict[str, list[list[str]]] = field(default_factory=dict)
 
     def dump(self, header: str | None = None) -> str:
+        """The artifact as text; ValueError if ``parse`` would not read its kind,
+        a meta key or value, a block name, a table row or a matrix back unchanged.
+        Every NaN is written as ``nan``."""
+        _check(_ends_a_line(self.kind), "kind", self.kind)
         lines = []
         if header:
             lines.append(header)
         lines.append(f"#{FORMAT_VERSION} kind={self.kind}")
         for key in sorted(self.meta):
+            key_ok = "\t" not in key and "\n" not in key and not key.startswith(_NOT_META)
+            _check(key_ok, "key", key)
+            _check(_ends_a_line(self.meta[key]), f"value of {key}", self.meta[key])
             lines.append(f"{key}\t{self.meta[key]}")
         for name in sorted(self.tables):
             rows = self.tables[name]
+            _check(_block_name(name), "table name", name)
+            for row in rows:
+                cells_ok = not any("\t" in cell or "\n" in cell for cell in row)
+                _check(row and cells_ok and _ends_a_line(row[-1]), f"row of table {name}", row)
             lines.append(f"[strings {name} {len(rows)}]")
             lines.extend("\t".join(row) for row in rows)
         for name in sorted(self.arrays):
             arr = np.atleast_2d(np.asarray(self.arrays[name], dtype=float))
+            _check(_block_name(name), "matrix name", name)
+            shape_ok = arr.ndim == 2 and (arr.shape[1] > 0 or arr.shape[0] == 0)
+            _check(shape_ok, f"shape of matrix {name}", arr.shape)
             lines.append(f"[matrix {name} {arr.shape[0]} {arr.shape[1]}]")
             # tolist() gives Python floats, whose repr is fmt_float's.
             lines.extend("\t".join(map(repr, row.tolist())) for row in arr)
         return "\n".join(lines) + "\n"
 
     def save(self, path: str | Path, header: str | None = None) -> None:
-        write_atomic(path, self.dump(header))
+        write_atomic({Path(path): self.dump(header)})
 
     @classmethod
     def parse(cls, text: str, expect_kind: str | None = None) -> "Artifact":
@@ -140,6 +161,26 @@ class Artifact:
     @classmethod
     def load(cls, path: str | Path, expect_kind: str | None = None) -> "Artifact":
         return cls.parse(Path(path).read_bytes().decode("utf-8"), expect_kind)
+
+
+# A meta key starting with one of these would read back as a comment or a block.
+_NOT_META = ("#", "[strings ", "[matrix ")
+
+
+def _ends_a_line(text: str) -> bool:
+    """Whether ``text`` reads back whole at the end of a line: it holds no
+    newline, and no '\\r' that ``parse`` would take for part of a CRLF."""
+    return "\n" not in text and not text.endswith("\r")
+
+
+def _block_name(name: str) -> bool:
+    return name != "" and " " not in name and "\n" not in name
+
+
+def _check(ok: bool, what: str, value) -> None:
+    """ValueError naming ``what`` and its ``value`` unless ``ok``."""
+    if not ok:
+        raise ValueError(f"{what} {value!r} would not read back unchanged")
 
 
 def _block_header(line: str, n_sizes: int) -> tuple:

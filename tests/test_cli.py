@@ -12,7 +12,7 @@ import pytest
 import asas.cli
 import asas.features
 import asas.learners
-from asas.cli import OPTIONS, main, load_feature_model
+from asas.cli import OPTIONS, load_config_file, main, load_feature_model
 from asas.corpus import (
     build_corpus,
     dump_logprobs,
@@ -22,7 +22,7 @@ from asas.corpus import (
     serialize_dataset,
 )
 from asas.ensemble import EnsembleSpec
-from asas.errors import DegenerateDistribution, EmptyInput, SingleClass, TooFewRows
+from asas.errors import AsasError, DegenerateDistribution, EmptyInput, SingleClass, TooFewRows
 from asas.hyperopt import IntUniform, SearchSpace, Uniform
 from asas.mathutil import logsumexp
 from asas.metrics import EvalReport
@@ -343,6 +343,59 @@ class TestTrainPredict:
         assert main(base + ["--seed", "4"]) == 2
         assert (out_dir / "model.txt").read_bytes() == before
         assert not list(out_dir.glob("*.tmp"))
+
+
+def _files_under(root: Path) -> dict[str, bytes]:
+    """The bytes of every file under ``root``, by relative path."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+class TestCommitStep:
+    """A command writes its files, or a prompt's, together: a write that fails
+    part-way exits 2 and leaves every file as it was, with no ``.tmp`` left."""
+
+    @pytest.mark.parametrize("command, args", [
+        ("train-features", ["--prompt", "1", "--epochs", "2", "--tfidf-dim", "6"]),
+        ("tune", ["--prompt", "1", "--trials", "2", "--epochs", "2"]),
+        ("split", ["--all-prompts"]),
+        ("ensemble", ["--all-prompts", "--members"]),  # the members follow
+    ], ids=["train-features", "tune", "split", "ensemble"])
+    def test_the_kth_failed_write_leaves_every_file_as_it_was(
+        self, workspace, monkeypatch, command, args
+    ):
+        if command == "ensemble":
+            args = args + _per_prompt_members(workspace) + ["--test", str(workspace["test"])]
+
+        def run(out, seed):
+            return main([command, "--data", str(workspace["data"]), *args,
+                         "--out", str(out), "--seed", seed])
+
+        out, fresh = workspace["dir"] / "out", workspace["dir"] / "fresh"
+        assert run(out, "3") == 0
+        before = _files_under(out)
+        real, tmp_writes, fail_at = Path.write_bytes, [], [None]
+
+        def write_bytes(path, data):
+            if path.name.endswith(".tmp"):
+                tmp_writes.append(path)
+                if len(tmp_writes) == fail_at[0]:
+                    raise OSError(f"no space left writing {path.name}")
+            return real(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", write_bytes)
+        assert run(workspace["dir"] / "counted", "4") == 0
+        assert len(tmp_writes) == len(before) >= 4
+        for k in range(1, len(before) + 1):
+            for where, was in ((out, before), (fresh, {})):
+                tmp_writes.clear()
+                fail_at[0] = k
+                assert run(where, "4") == 2, k
+                assert _files_under(where) == was, k
+        fail_at[0] = None
+        assert run(out, "4") == 0
+        after = _files_under(out)
+        assert after.keys() == before.keys()
+        assert all(after[name] != before[name] for name in after)
 
 
 class TestTrainingOptions:
@@ -890,6 +943,31 @@ class TestInputFaults:
             with asas.cli._naming(4):
                 raise EmptyInput("prompt 4: no rows")
 
+    @pytest.mark.parametrize("name", ["a\tb", "a\r", "a\nb"])
+    def test_a_name_that_cannot_read_back_exits_2_before_reading(
+        self, workspace, toy_model, capsys, monkeypatch, name
+    ):
+        root, data, _ = toy_model
+        monkeypatch.setattr(asas.cli, "parse_dataset", None)  # reading would raise TypeError
+        out = workspace["dir"] / "named.tsv"
+        assert main([
+            "predict", "--data", str(data), "--model", str(root / "model" / "model.txt"),
+            "--prompt", "1", "--name", name, "--out", str(out),
+        ]) == 2
+        assert f"--name must not hold a tab, CR or LF, got {name!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_name_from_the_config_file_is_checked_too(self, workspace, capsys, monkeypatch):
+        conf = workspace["dir"] / "named.conf"
+        conf.write_text(f"data = {workspace['data']}\nname = a\tb\n")
+        monkeypatch.setattr(asas.cli, "parse_dataset", None)
+        out = workspace["dir"] / "named"
+        assert main([
+            "train-features", "--config", str(conf), "--prompt", "1", "--out", str(out),
+        ]) == 2
+        assert "--name must not hold a tab, CR or LF, got 'a\\tb'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_a_config_file_that_is_not_utf8(self, workspace, capsys):
         conf = workspace["dir"] / "latin1.conf"
         conf.write_bytes("# r\xe9glages\nseed = 3\n".encode("latin-1"))
@@ -1062,6 +1140,18 @@ class TestEnsembleCommand:
         ]) == 0
         spec = EnsembleSpec.from_artifact(Artifact.load(out / "ensemble.txt", "ensemble-spec"))
         assert spec.members == names
+
+    def test_a_member_name_ending_in_cr_exits_2(self, workspace, capsys):
+        members = _member_files(workspace, n_members=2)
+        matrix = load_logprobs(Path(members[0]).read_bytes())
+        Path(members[0]).write_bytes(dump_logprobs(matrix).replace(b"#model=m0", b"#model=m0\r"))
+        out = workspace["dir"] / "ens"
+        assert main([
+            "ensemble", "--data", str(workspace["data"]), "--prompt", "1",
+            "--members", *members, "--out", str(out),
+        ]) == 2
+        assert "model name 'm0\\r' holds a CR" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stdout_says_when_the_stacker_hits_the_iteration_cap(
         self, workspace, capsys, monkeypatch
@@ -1525,6 +1615,15 @@ class TestConfigFile:
         assert main(["stats", "--config", str(conf)]) == 2
         err = capsys.readouterr().err
         assert f"typed.conf:2: bad value for {key}" in err
+
+    @pytest.mark.parametrize("char", ["\x85", "\x0c", "\u2028"])
+    def test_a_value_holding_a_line_break_other_than_newline(self, tmp_path, char):
+        conf = tmp_path / "c.conf"
+        conf.write_text(f"name = a{char}b\nseed = 3\n", encoding="utf-8")
+        assert load_config_file(conf) == {"name": f"a{char}b", "seed": 3}
+        conf.write_text(f"name = a{char}b\r\n  # note\r\nsed = 3\n", encoding="utf-8")
+        with pytest.raises(AsasError, match="c.conf:3: unknown key 'sed'"):
+            load_config_file(conf)
 
     def test_unknown_key_is_validation_error(self, workspace, capsys):
         conf = workspace["dir"] / "typo.conf"

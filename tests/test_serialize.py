@@ -2,15 +2,23 @@
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from asas.errors import HeaderMismatch
 from asas.mathutil import log_softmax, logsumexp, sigmoid
-from asas.serialize import TOOL_VERSION, Artifact, artifact_header, digest, fmt_float
+from asas.serialize import (
+    TOOL_VERSION,
+    Artifact,
+    artifact_header,
+    digest,
+    fmt_float,
+    write_atomic,
+)
 from oracles import artifact_dump_reference
 
 # Values whose text form is easy to get wrong: NaN, both infinities, both
@@ -31,13 +39,33 @@ _CELL = st.text(
 # One trailing '\r' is read as part of a CRLF line end, so a row's last cell
 # is drawn without one.
 _ROW = st.lists(_CELL, min_size=1, max_size=3).filter(lambda row: not row[-1].endswith("\r"))
-# Every float but NaNs other than the one float("nan") reads back as, since
-# each NaN is written as "nan".
-_MATRIX = st.tuples(st.integers(0, 3), st.integers(1, 3)).flatmap(
-    lambda shape: st.lists(
-        st.floats(allow_nan=False) | st.just(math.nan),
-        min_size=shape[0] * shape[1], max_size=shape[0] * shape[1],
-    ).map(lambda values: np.array(values, dtype=float).reshape(shape))
+
+
+def _matrices(min_cols: int):
+    """Float64 matrices of up to 3 x 3 values. Every float is drawn but NaNs other
+    than the one float("nan") reads back as, since each NaN is written as "nan"."""
+    return st.tuples(st.integers(0, 3), st.integers(min_cols, 3)).flatmap(
+        lambda shape: st.lists(
+            st.floats(allow_nan=False) | st.just(math.nan),
+            min_size=shape[0] * shape[1], max_size=shape[0] * shape[1],
+        ).map(lambda values: np.array(values, dtype=float).reshape(shape))
+    )
+
+
+_MATRIX = _matrices(min_cols=1)
+# Names, keys, values and cells: plain; a form that ends a line early, splits a
+# cell, starts a comment or a block, or ends in '\r'; or any short text.
+_ODD = st.sampled_from(
+    ["", "a\tb", "a\nb", "a\r", "a\rb", "a b", "a\x85b", "#a", "[strings a", "[matrix a", "a]"]
+)
+_PLAIN = st.text("ab", min_size=1, max_size=2)
+_TEXT = st.one_of(_PLAIN, _ODD, st.text(max_size=3))
+_ANY_ARTIFACT = st.builds(
+    Artifact,
+    kind=_TEXT,
+    meta=st.dictionaries(_TEXT, _TEXT, max_size=3),
+    tables=st.dictionaries(_TEXT, st.lists(st.lists(_TEXT, max_size=3), max_size=3), max_size=2),
+    arrays=st.dictionaries(_TEXT, _matrices(min_cols=0), max_size=2),
 )
 
 
@@ -125,7 +153,6 @@ class TestArtifact:
                 "random": rng.normal(0, 1e3, size=(5, 7)) * 10.0 ** rng.integers(-300, 300, (5, 7)),
                 "single": np.float32(rng.normal(size=(2, 3))),
                 "ints": np.arange(6).reshape(2, 3),
-                "empty_row": np.zeros(0),
                 "no_rows": np.zeros((0, 3)),
             },
         )
@@ -171,6 +198,56 @@ class TestArtifact:
         assert back.arrays.keys() == arrays.keys()
         for name, data in arrays.items():
             assert back.arrays[name].tobytes() == data.tobytes()
+
+    @pytest.mark.parametrize("art", [
+        Artifact(kind="e", arrays={"e": np.zeros(0)}),
+        Artifact(kind="e", arrays={"e": np.zeros((2, 0))}),
+        Artifact(kind="e", tables={"t": [["a"], []]}),
+        Artifact(kind="e", tables={"members": [["a\r"]]}),
+        Artifact(kind="e", meta={"[matrix m 1 1]": "v"}),
+    ], ids=["zero-column row", "zero-column rows", "row of no cells", "trailing CR", "block key"])
+    def test_dump_refuses_a_block_that_parse_would_change(self, art):
+        with pytest.raises(ValueError, match="would not read back unchanged"):
+            art.dump()
+
+    @given(_ANY_ARTIFACT)
+    @example(Artifact(kind="k", tables={"t": [["a", "b\r"]]}))
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_dump_refuses_or_parse_returns_the_artifact(self, art):
+        try:
+            text = art.dump()
+        except ValueError:
+            return
+        back = Artifact.parse(text)
+        assert (back.kind, back.meta, back.tables) == (art.kind, art.meta, art.tables)
+        assert back.arrays.keys() == art.arrays.keys()
+        for name, data in art.arrays.items():
+            assert back.arrays[name].shape == data.shape
+            assert back.arrays[name].tobytes() == data.tobytes()
+
+
+class TestWriteAtomic:
+    def test_writes_every_file_and_creates_its_directory(self, tmp_path):
+        files = {tmp_path / "a.txt": "\u00e9\n", tmp_path / "sub" / "deeper" / "b.bin": b"\x00\xff"}
+        write_atomic(files)
+        assert (tmp_path / "a.txt").read_bytes() == "\u00e9\n".encode()
+        assert (tmp_path / "sub" / "deeper" / "b.bin").read_bytes() == b"\x00\xff"
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_a_failed_write_leaves_every_file_as_it_was(self, tmp_path, monkeypatch):
+        (tmp_path / "a.txt").write_text("old a")
+        real = Path.write_bytes
+
+        def second_fails(path, data):
+            if path.name == "b.txt.tmp":
+                raise OSError("disk full")
+            return real(path, data)
+
+        monkeypatch.setattr(Path, "write_bytes", second_fails)
+        with pytest.raises(OSError, match="disk full"):
+            write_atomic({tmp_path / "a.txt": "new a", tmp_path / "b.txt": "new b"})
+        assert (tmp_path / "a.txt").read_text() == "old a"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt"]
 
 
 class TestMathUtil:
