@@ -155,10 +155,20 @@ class _Ctx:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
+        _check_utf8(args)
         cfg = load_config_file(args.config) if args.config else {}
         for name, opt in OPTIONS.items():
             flag = getattr(args, name, None)
             setattr(self, name, flag if flag is not None else cfg.get(name, opt.default))
+        # --prompt and --all-prompts set one scope, so a flag for either
+        # replaces both config keys; both set in one place is an error.
+        names = ("prompt", "all_prompts")
+        scope, source = [getattr(args, n, None) for n in names], "on the command line"
+        if scope == [None, None]:
+            scope, source = [cfg.get(n) for n in names], f"in {args.config}"
+        if scope[0] is not None and scope[1]:
+            raise AsasError(f"--prompt and --all-prompts are both set {source}; give one of them")
+        self.prompt, self.all_prompts = scope[0], bool(scope[1])
         if any(c in self.name for c in "\t\r\n"):
             raise AsasError(f"--name must not hold a tab, CR or LF, got {self.name!r}")
         self.columns = ColumnMap(
@@ -183,6 +193,19 @@ class _Ctx:
 
     def header(self) -> str:
         return artifact_header(self.seed, digests=self.digests)
+
+
+def _check_utf8(args: argparse.Namespace) -> None:
+    """Exit 2, naming the flag, when a command-line string is not UTF-8: its
+    undecodable bytes arrive as lone surrogates, which no output can encode."""
+    for name, value in vars(args).items():
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, str):
+                try:
+                    item.encode("utf-8")
+                except UnicodeEncodeError:
+                    flag = "a report path" if name == "reports" else "--" + name.replace("_", "-")
+                    raise AsasError(f"{flag} is not valid UTF-8: {item!r}") from None
 
 
 def _existing(path: str | Path) -> Path:

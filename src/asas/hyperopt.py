@@ -31,78 +31,43 @@ BANDWIDTH_FLOOR_FRACTION = 0.10
 
 @dataclass(frozen=True)
 class Uniform:
+    """A parameter drawn uniformly from [lo, hi]: over its values (``linear``),
+    over their logarithms (``log``) or over the integers (``int``)."""
+
     lo: float
     hi: float
+    scale: str = "linear"
 
     def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
-
-    def transform(self, x: float) -> float:
-        return float(x)
-
-    def untransform(self, t: float) -> float:
-        return float(min(max(t, self.lo), self.hi))
-
-    def bounds_t(self) -> tuple[float, float]:
-        return self.lo, self.hi
-
-    def sample_prior(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.lo, self.hi))
-
-
-@dataclass(frozen=True)
-class LogUniform:
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not 0 < self.lo < self.hi:
-            raise ValueError(f"need 0 < lo < hi, got [{self.lo}, {self.hi}]")
-
-    def transform(self, x: float) -> float:
-        return math.log(x)
-
-    def untransform(self, t: float) -> float:
-        return float(min(max(math.exp(t), self.lo), self.hi))
-
-    def bounds_t(self) -> tuple[float, float]:
-        return math.log(self.lo), math.log(self.hi)
-
-    def sample_prior(self, rng: np.random.Generator) -> float:
-        return self.untransform(rng.uniform(math.log(self.lo), math.log(self.hi)))
-
-
-@dataclass(frozen=True)
-class IntUniform:
-    lo: int
-    hi: int
-
-    def __post_init__(self):
-        if int(self.lo) != self.lo or int(self.hi) != self.hi:
+        if self.scale not in ("linear", "log", "int"):
+            raise ValueError(f"scale must be linear, log or int, got {self.scale!r}")
+        if self.scale == "int" and (int(self.lo) != self.lo or int(self.hi) != self.hi):
             raise ValueError("integer bounds must be integral")
-        if not self.lo < self.hi:
-            raise ValueError(f"need lo < hi, got [{self.lo}, {self.hi}]")
+        if not self.lo < self.hi or (self.scale == "log" and not 0 < self.lo):
+            need = "0 < lo < hi" if self.scale == "log" else "lo < hi"
+            raise ValueError(f"need {need}, got [{self.lo}, {self.hi}]")
 
     def transform(self, x: float) -> float:
-        return float(x)
+        return math.log(x) if self.scale == "log" else float(x)
 
-    def untransform(self, t: float) -> int:
-        return int(min(max(round(t), self.lo), self.hi))
+    def untransform(self, t: float) -> float | int:
+        if self.scale == "int":
+            return int(min(max(round(t), self.lo), self.hi))
+        x = math.exp(t) if self.scale == "log" else t
+        return float(min(max(x, self.lo), self.hi))
 
     def bounds_t(self) -> tuple[float, float]:
-        return float(self.lo), float(self.hi)
+        return self.transform(self.lo), self.transform(self.hi)
 
-    def sample_prior(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(self.lo, self.hi + 1))
-
-
-Distribution = Uniform | LogUniform | IntUniform
+    def sample_prior(self, rng: np.random.Generator) -> float | int:
+        if self.scale == "int":
+            return int(rng.integers(self.lo, self.hi + 1))
+        return self.untransform(rng.uniform(*self.bounds_t()))
 
 
 @dataclass(frozen=True)
 class SearchSpace:
-    params: dict[str, Distribution]
+    params: dict[str, Uniform]
 
     def __post_init__(self):
         if not self.params:
@@ -113,9 +78,9 @@ def feature_search_space() -> SearchSpace:
     """Batch size, learning rate (log scale), TF-IDF dimension and fuzzy cutoff."""
     return SearchSpace(
         params={
-            "batch_size": IntUniform(6, 12),
-            "learning_rate": LogUniform(5e-6, 1e-4),
-            "tfidf_dim": IntUniform(100, 300),
+            "batch_size": Uniform(6, 12, scale="int"),
+            "learning_rate": Uniform(5e-6, 1e-4, scale="log"),
+            "tfidf_dim": Uniform(100, 300, scale="int"),
             "cutoff": Uniform(MIN_CUTOFF, 1.0),
         }
     )
@@ -192,18 +157,13 @@ def suggest(space: SearchSpace, history: list[TrialRecord], seed: int) -> dict[s
         rest_t = np.array([dist.transform(t.params[name]) for t in rest])
         densities[name] = (_Parzen(good_t, lo_t, hi_t), _Parzen(rest_t, lo_t, hi_t))
 
-    candidates: list[dict[str, float | int]] = []
+    best_cand, best_score = None, -math.inf
     for _ in range(N_CANDIDATES):
         cand: dict[str, float | int] = {}
-        for name, dist in space.params.items():
-            cand[name] = dist.untransform(densities[name][0].sample(rng))
-        candidates.append(cand)
-
-    best_cand, best_score = None, -math.inf
-    for cand in candidates:
         score = 0.0
         for name, dist in space.params.items():
             l_density, g_density = densities[name]
+            cand[name] = dist.untransform(l_density.sample(rng))
             x_t = dist.transform(cand[name])
             score += l_density.logpdf(x_t) - g_density.logpdf(x_t)
         if score > best_score:
@@ -235,14 +195,10 @@ def run_study(
     for i in range(start, start + n_trials):
         params = suggest_fn(space, trials, int(trial_seeds[i]))
         try:
-            objective = float(objective_fn(params))
-            trials.append(
-                TrialRecord(trial_index=i, params=params, objective=objective, status="completed")
-            )
+            objective, status = float(objective_fn(params)), "completed"
         except AsasError:
-            trials.append(
-                TrialRecord(trial_index=i, params=params, objective=math.nan, status="failed")
-            )
+            objective, status = math.nan, "failed"
+        trials.append(TrialRecord(trial_index=i, params=params, objective=objective, status=status))
     completed = [t for t in trials if t.status == "completed"]
     if not completed:
         raise AllTrialsFailed(f"all {len(trials)} trials failed")
@@ -282,7 +238,7 @@ def read_study_log(text: str, space: SearchSpace) -> list[TrialRecord]:
             raise MalformedRow(f"line {line_no}: unknown trial status {cells[-1]!r}")
         try:
             params = {
-                name: int(cell) if isinstance(space.params[name], IntUniform) else float(cell)
+                name: int(cell) if space.params[name].scale == "int" else float(cell)
                 for name, cell in zip(names, cells[1:-2])
             }
             trials.append(TrialRecord(int(cells[0]), params, float(cells[-2]), cells[-1]))

@@ -23,7 +23,7 @@ from asas.corpus import (
 )
 from asas.ensemble import EnsembleSpec
 from asas.errors import AsasError, DegenerateDistribution, EmptyInput, SingleClass, TooFewRows
-from asas.hyperopt import IntUniform, SearchSpace, Uniform
+from asas.hyperopt import SearchSpace, Uniform
 from asas.mathutil import logsumexp
 from asas.metrics import EvalReport
 from asas.serialize import Artifact, artifact_header, digest
@@ -660,7 +660,7 @@ class TestMemberFile:
         # so narrow the dimension until every trial projects below the rank,
         # to widths where slicing a wider product rounds differently.
         space = asas.cli.feature_search_space()
-        narrow = SearchSpace({**space.params, "tfidf_dim": IntUniform(2, 4)})
+        narrow = SearchSpace({**space.params, "tfidf_dim": Uniform(2, 4, scale="int")})
         monkeypatch.setattr(asas.cli, "feature_search_space", lambda: narrow)
         run = workspace["dir"] / "tune_member"
         assert main([
@@ -966,6 +966,29 @@ class TestInputFaults:
             "train-features", "--config", str(conf), "--prompt", "1", "--out", str(out),
         ]) == 2
         assert "--name must not hold a tab, CR or LF, got 'a\\tb'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["predict", "--prompt", "1", "--model", "model.txt", "--name", "\udcff"], "--name"),
+        (["ensemble", "--prompt", "1", "--members", "m0.tsv", "m\udcff.tsv"], "--members"),
+        (["report", "r\udcff.tsv"], "a report path"),
+    ], ids=["name", "list-item", "report-path"])
+    def test_a_string_that_is_not_utf8_exits_2_before_reading(
+        self, workspace, capsys, monkeypatch, argv, flag
+    ):
+        monkeypatch.setattr(asas.cli, "parse_dataset", None)  # reading would raise TypeError
+        out = workspace["dir"] / "undecodable"
+        data = [] if argv[0] == "report" else ["--data", str(workspace["data"])]
+        assert main([*argv, *data, "--out", str(out)]) == 2
+        assert f"asas: {flag} is not valid UTF-8: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_existing_input_path_that_is_not_utf8(self, workspace, capsys):
+        data = workspace["dir"] / "d\udcff.tsv"  # the file name holds byte 0xff
+        data.write_bytes(workspace["data"].read_bytes())
+        out = workspace["dir"] / "x.tsv"
+        assert main(["ingest", "--data", str(data), "--out", str(out)]) == 2
+        assert "asas: --data is not valid UTF-8: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_a_config_file_that_is_not_utf8(self, workspace, capsys):
@@ -1589,6 +1612,34 @@ class TestConfigFile:
         assert sorted(p.name for p in out_dir.iterdir()) == ["dev.tsv", "train.tsv"]
         train = parse_dataset((out_dir / "train.tsv").read_bytes())
         assert {r.prompt_id for r in train} == {1}
+
+    @pytest.mark.parametrize("conf_line, flag, written", [
+        ("all_prompts = true", ["--prompt", "2"], ["dev.tsv", "train.tsv"]),
+        ("prompt = 2", ["--all-prompts"], ["prompt_1", "prompt_2"]),
+    ])
+    def test_a_scope_flag_replaces_the_config_scope(self, workspace, conf_line, flag, written):
+        conf = workspace["dir"] / "scope.conf"
+        conf.write_text(f"data = {workspace['data']}\n{conf_line}\n")
+        out_dir = workspace["dir"] / "scoped"
+        assert main(["split", "--config", str(conf), *flag, "--out", str(out_dir)]) == 0
+        assert sorted(p.name for p in out_dir.iterdir()) == written
+
+    @pytest.mark.parametrize("conf_lines, flags, source", [
+        ("", ["--prompt", "2", "--all-prompts"], "on the command line"),
+        ("all_prompts = true\n", ["--prompt", "2", "--all-prompts"], "on the command line"),
+        ("prompt = 2\nall_prompts = true\n", [], "in "),
+    ])
+    def test_both_scopes_in_one_place_exit_2_before_reading(
+        self, workspace, capsys, monkeypatch, conf_lines, flags, source
+    ):
+        conf = workspace["dir"] / "both.conf"
+        conf.write_text(f"data = {workspace['data']}\n{conf_lines}")
+        monkeypatch.setattr(asas.cli, "parse_dataset", None)  # reading would raise TypeError
+        out_dir = workspace["dir"] / "both"
+        assert main(["split", "--config", str(conf), *flags, "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"asas: --prompt and --all-prompts are both set {source}" in err
+        assert not out_dir.exists()
 
     def test_members_list_in_config_stacks_every_file(self, workspace, capsys):
         members = _member_files(workspace, n_members=2)

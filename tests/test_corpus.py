@@ -40,6 +40,7 @@ from asas.errors import (
     RowLengthMismatch,
     UnknownResponseId,
 )
+from asas.mathutil import log_softmax
 from conftest import make_toy_responses, requires_dataset
 from oracles import (
     attach_scores,
@@ -499,6 +500,28 @@ class TestLoadLogprobs:
         crlf = load_logprobs(dump_logprobs(matrix).replace(b"\n", b"\r\n") + b"\r\n")
         assert list(crlf.rows) == list(again.rows)
         assert all(crlf.rows[rid].tobytes() == again.rows[rid].tobytes() for rid in again.rows)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.text("abcXYZ019_-.", min_size=1, max_size=12),
+        st.integers(0, 10**6),
+        st.integers(2, 6),
+        st.lists(st.text("abc019_", min_size=1, max_size=8), min_size=1, max_size=20, unique=True),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.1, 40.0),
+    )
+    def test_reading_then_writing_keeps_the_file(self, name, prompt, k, ids, seed, spread):
+        """Header and ids survive exactly. Values only to 1e-12: each reload
+        renormalises every row, which can move its last bits."""
+        logits = np.random.default_rng(seed).normal(scale=spread, size=(len(ids), k))
+        rows = dict(zip(ids, log_softmax(logits, axis=1)))
+        first = dump_logprobs(LogProbMatrix(name, prompt, k, rows)).decode().splitlines()
+        again = dump_logprobs(load_logprobs("\n".join(first))).decode().splitlines()
+        assert again[0] == first[0] == f"#model={name}\tprompt={prompt}\tk={k}"
+        cells, cells_again = (np.array([ln.split("\t") for ln in f[1:]]) for f in (first, again))
+        assert list(cells_again[:, 0]) == list(cells[:, 0]) == ids
+        values, values_again = (c[:, 1:].astype(float) for c in (cells, cells_again))
+        np.testing.assert_allclose(values_again, values, rtol=0, atol=1e-12)
 
     def test_error_after_a_blank_line_names_the_files_own_line(self):
         with pytest.raises(RowLengthMismatch, match="^row 4: expected 2 values, got 1$"):

@@ -5,13 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from asas.errors import AllTrialsFailed, EmptySpace, MalformedRow, NonFiniteLoss
 from asas.hyperopt import (
     BANDWIDTH_FLOOR_FRACTION,
-    IntUniform,
-    LogUniform,
     SearchSpace,
+    StudyResult,
     TrialRecord,
     Uniform,
     _Parzen,
@@ -35,11 +36,25 @@ def _space_1d():
 def _mixed_space():
     return SearchSpace(
         params={
-            "batch_size": IntUniform(6, 12),
-            "learning_rate": LogUniform(5e-6, 1e-4),
+            "batch_size": Uniform(6, 12, scale="int"),
+            "learning_rate": Uniform(5e-6, 1e-4, scale="log"),
             "cutoff": Uniform(0.5, 1.0),
         }
     )
+
+
+@st.composite
+def _params(draw):
+    """A parameter of any scale with bounds drawn for that scale."""
+    scale = draw(st.sampled_from(["linear", "log", "int"]))
+    if scale == "int":
+        lo = draw(st.integers(-1000, 1000))
+        return Uniform(lo, lo + draw(st.integers(1, 1000)), scale="int")
+    if scale == "log":
+        lo = draw(st.floats(1e-8, 1e3))
+        return Uniform(lo, lo * draw(st.floats(1.5, 1e4)), scale="log")
+    lo = draw(st.floats(-1e6, 1e6))
+    return Uniform(lo, lo + draw(st.floats(1e-3, 1e6)))
 
 
 class TestDistributions:
@@ -47,22 +62,26 @@ class TestDistributions:
         with pytest.raises(ValueError):
             Uniform(1.0, 1.0)
         with pytest.raises(ValueError):
-            LogUniform(0.0, 1.0)
+            Uniform(0.0, 1.0, scale="log")
         with pytest.raises(ValueError):
-            IntUniform(5, 5)
+            Uniform(5, 5, scale="int")
         with pytest.raises(ValueError):
-            IntUniform(1.5, 3)
+            Uniform(1.5, 3, scale="int")
 
     def test_int_untransform_rounds_and_clamps(self):
-        dist = IntUniform(6, 12)
+        dist = Uniform(6, 12, scale="int")
         assert dist.untransform(7.4) == 7
         assert dist.untransform(-3.0) == 6
         assert dist.untransform(99.0) == 12
 
     def test_log_untransform_clamps_to_bounds(self):
-        dist = LogUniform(1e-5, 1e-3)
+        dist = Uniform(1e-5, 1e-3, scale="log")
         assert dist.untransform(math.log(1e-9)) == 1e-5
         assert dist.untransform(math.log(1.0)) == 1e-3
+
+    def test_unknown_scale_rejected(self):
+        with pytest.raises(ValueError, match="scale must be linear, log or int"):
+            Uniform(0.0, 1.0, scale="logit")
 
 
 class TestSuggest:
@@ -277,3 +296,51 @@ class TestStudyLog:
         history = read_study_log(study_log(space, first), space)
         resumed = run_study(space, f, 6, seed=6, history=history)
         assert [t.params for t in resumed.trials] == [t.params for t in full.trials]
+
+    def test_feature_study_log_is_pinned(self):
+        """TPE's exact suggestions on the feature space, a failed trial included.
+        A change that moves any of them must re-record this text and say why."""
+
+        def objective(p):
+            if p["batch_size"] == 11:
+                raise NonFiniteLoss("batch 11 diverges")
+            lr_miss = abs(math.log10(p["learning_rate"]) + 4.5)
+            return p["cutoff"] - lr_miss - abs(p["tfidf_dim"] - 220) / 200
+
+        space = feature_search_space()
+        text = study_log(space, run_study(space, objective, 12, seed=3))
+        assert text == (
+            "trial\tbatch_size\tlearning_rate\ttfidf_dim\tcutoff\tobjective\tstatus\n"
+            "0\t11\t8.154085939089926e-06\t194\t0.7909021580749143\tnan\tfailed\n"
+            "1\t12\t8.548235936177811e-06\t188\t0.9780828623016038\t0.2499593627339766\tcompleted\n"
+            "2\t9\t3.0150317980572867e-05\t145\t0.9169746287700036\t0.521266525560599\tcompleted\n"
+            "3\t9\t6.841263239055138e-05\t299\t0.7451675677137682\t0.015031266125709375\tcompleted\n"
+            "4\t9\t7.496231752765961e-06\t269\t0.9016760206601012\t0.031519025353000885\tcompleted\n"
+            "5\t7\t3.477385095415184e-05\t110\t0.8626456211289713\t0.2713928327888544\tcompleted\n"
+            "6\t6\t4.0173108616042324e-05\t110\t0.5\t-0.1539354389648857\tcompleted\n"
+            "7\t6\t3.298885443587224e-05\t109\t0.8587114508050826\t0.28534421621813577\tcompleted\n"
+            "8\t9\t3.557283472112874e-05\t100\t0.921990767435048\t0.27087229289614234\tcompleted\n"
+            "9\t6\t2.9471162589591648e-05\t100\t0.8841483685783715\t0.25354563697954824\tcompleted\n"
+            "10\t6\t3.218000650053407e-05\t109\t0.8531907404306753\t0.2906046129378387\tcompleted\n"
+            "11\t6\t3.236504813845422e-05\t110\t0.941986346991704\t0.3819100896853529\tcompleted\n"
+        )
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.lists(_params(), min_size=1, max_size=4),
+        st.lists(st.booleans(), min_size=1, max_size=12),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_read_then_write_gives_the_same_text(self, params, fails, seed):
+        space = SearchSpace({f"p{i}": dist for i, dist in enumerate(params)})
+        assume(not all(fails))
+        outcomes = iter(fails)
+
+        def objective(p):
+            if next(outcomes):
+                raise NonFiniteLoss("drawn to fail")
+            return sum(space.params[n].transform(v) for n, v in p.items())
+
+        text = study_log(space, run_study(space, objective, len(fails), seed))
+        trials = read_study_log(text, space)
+        assert study_log(space, StudyResult(trials, trials[0])) == text

@@ -152,6 +152,17 @@ class TestEvalReportTsv:
         assert again.qwk == pytest.approx(0.75)
         assert again.flags == frozenset({SMD_VIOLATION})
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(-3, 10**6),
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+        st.integers(0, 10**9),
+        st.frozensets(st.sampled_from([SMD_VIOLATION, "Other"])),
+    )
+    def test_reading_a_row_then_writing_it_gives_the_same_row(self, prompt, stats, n, flags):
+        row = EvalReport(prompt, *stats, n=n, flags=flags).to_tsv_row()
+        assert EvalReport.from_tsv_row(row).to_tsv_row() == row
+
     def test_mean_row_renders_as_mean(self):
         row = EvalReport(prompt_id=-1, qwk=0.5, smd=0.0, accuracy=0.5, n=10).to_tsv_row()
         assert row.startswith("mean\t")
