@@ -640,6 +640,9 @@ def main(argv=None) -> int:
     except (AsasError, OSError) as exc:
         print(f"asas: {exc}", file=sys.stderr)
         return EXIT_CODES.get(type(exc), EXIT_VALIDATION)
+    except MemoryError as exc:
+        print(f"asas: out of memory: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -90,11 +90,13 @@ def parse_dataset(
 
     Missing score cells, and score columns missing from the header, map
     to None. Ids must be unique within a prompt. Every row is checked, in
-    file order: its field count, a non-negative integer prompt id, a new
-    (prompt, id) pair and integer score cells; a record is built only for a
-    row whose prompt is in ``prompts`` (every row when None). With a ``solution``
-    table, each row's score1 comes from it, after the row's own score
-    cells pass their check, and a row of any prompt missing from it is
+    file order: its field count, a non-negative integer prompt id, an id
+    that does not start with '#' (a writer would put it first on a line,
+    where it reads back as a comment), a new (prompt, id) pair and integer
+    score cells; a record is built only for a row whose prompt is in
+    ``prompts`` (every row when None). With a ``solution`` table, each
+    row's score1 comes from it, after the row's own score cells pass
+    their check, and a row of any prompt missing from it is
     UnknownResponseId. A column holds few distinct prompt and score cells,
     so each distinct cell is converted once.
     """
@@ -132,6 +134,8 @@ def parse_dataset(
             if prompt_id < 0:
                 raise MalformedRow(f"row {row_num}: prompt id {prompt_id} is negative")
             prompt_ids[cell] = prompt_id
+        if rid.startswith("#"):
+            raise MalformedRow(f"row {row_num}: id {rid!r} starts with '#', which marks a comment")
         key = (prompt_id, rid)
         if key in seen:
             raise DuplicateId(f"row {row_num}: duplicate id {rid!r} in prompt {prompt_id}")
@@ -156,17 +160,26 @@ def parse_dataset(
     return responses
 
 
+def _line_start_id(rid: str) -> str:
+    """``rid``, to open a line; ValueError if it starts with '#', as that
+    line would read back as a comment."""
+    if rid.startswith("#"):
+        raise ValueError(f"id {rid!r} would not read back unchanged")
+    return rid
+
+
 def serialize_dataset(
     responses: list[ScoredResponse], columns: ColumnMap = DEFAULT_COLUMNS
 ) -> bytes:
-    """Inverse of parse_dataset for well-formed records."""
+    """Inverse of parse_dataset for well-formed records; ValueError on an id
+    that parse_dataset rejects for its leading '#'."""
     out = [
         "\t".join([columns.id, columns.prompt, columns.score1, columns.score2, columns.text])
     ]
     for r in responses:
         s1 = "" if r.score1 is None else str(r.score1)
         s2 = "" if r.score2 is None else str(r.score2)
-        out.append("\t".join([r.id, str(r.prompt_id), s1, s2, r.text]))
+        out.append("\t".join([_line_start_id(r.id), str(r.prompt_id), s1, s2, r.text]))
     return ("\n".join(out) + "\n").encode("utf-8")
 
 
@@ -433,14 +446,15 @@ def load_logprobs(data: bytes | str, corpus: PromptCorpus | None = None) -> LogP
 
 
 def dump_logprobs(matrix: LogProbMatrix, extra_comment: str | None = None) -> bytes:
-    """Serialize a LogProbMatrix in the interchange format; every row must hold k values."""
+    """Serialize a LogProbMatrix in the interchange format; every row must hold
+    k values, and ValueError on an id that starts with '#'."""
     out = [f"#model={matrix.model_name}\tprompt={matrix.prompt_id}\tk={matrix.k}"]
     if extra_comment:
         out.append(extra_comment)
     for rid, vec in matrix.rows.items():
         if len(vec) != matrix.k:
             raise RowLengthMismatch(f"row {rid!r}: expected {matrix.k} values, got {len(vec)}")
-        out.append(rid + "\t" + "\t".join(repr(float(v)) for v in vec))
+        out.append(_line_start_id(rid) + "\t" + "\t".join(repr(float(v)) for v in vec))
     return ("\n".join(out) + "\n").encode("utf-8")
 
 

@@ -558,6 +558,13 @@ def tfidf_matrix(texts: list[str], vocab: Mapping[str, tuple[int, float]]) -> np
     return X / norms
 
 
+def with_positive_peaks(columns: np.ndarray) -> np.ndarray:
+    """``columns`` with each column negated whose first largest-magnitude
+    entry is negative."""
+    peaks = columns[np.argmax(np.abs(columns), axis=0), np.arange(columns.shape[1])]
+    return columns * np.where(peaks < 0, -1.0, 1.0)
+
+
 def top_right_singular_vectors(X: np.ndarray, d: int) -> np.ndarray:
     """Top-d right singular vectors of X as orthonormal columns.
 
@@ -574,12 +581,7 @@ def top_right_singular_vectors(X: np.ndarray, d: int) -> np.ndarray:
             f"requested {d} eigenvectors but rank is {rank}; shrinking", stacklevel=2
         )
         d = rank
-    projection = vt[:d].T.copy()
-    for j in range(projection.shape[1]):
-        col = projection[:, j]
-        if col[int(np.argmax(np.abs(col)))] < 0:
-            projection[:, j] = -col
-    return projection
+    return with_positive_peaks(vt[:d].T.copy())
 
 
 def fit_tfidf_projection(

@@ -114,10 +114,7 @@ def _checked_labels(labels, k: int) -> np.ndarray:
 
 
 def _one_hot(labels, k: int, dtype) -> np.ndarray:
-    labels = _checked_labels(labels, k)
-    out = np.zeros((labels.size, k), dtype=dtype)
-    out[np.arange(labels.size), labels] = 1.0
-    return out
+    return np.eye(k, dtype=dtype)[_checked_labels(labels, k)]
 
 
 def bce_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
@@ -136,17 +133,11 @@ def bce_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
 
 @dataclass
 class AdamState:
-    """First/second-moment accumulators, the step counter and scratch space.
-
-    ``adamw_step`` updates ``m`` and ``v`` in place and computes in the
-    two scratch buffers per parameter, so a step allocates only the new
-    parameter arrays.
-    """
+    """First/second-moment accumulators and the step counter."""
 
     step: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
-    scratch: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
 
     @classmethod
     def for_params(cls, params: list[np.ndarray]) -> "AdamState":
@@ -154,7 +145,6 @@ class AdamState:
             step=0,
             m=[np.zeros_like(p) for p in params],
             v=[np.zeros_like(p) for p in params],
-            scratch=[(np.empty_like(p), np.empty_like(p)) for p in params],
         )
 
 
@@ -168,14 +158,11 @@ def adamw_step(
     """One decoupled-weight-decay Adam update.
 
     theta <- theta - lr_t * (m_hat / (sqrt(v_hat) + eps) + wd * theta),
-    with bias-corrected moment estimates (beta1=0.9, beta2=0.999).
-    Returns new parameter arrays (``params`` is not written) and
-    ``state``, advanced in place. Every element goes through the same
-    IEEE operations in the same order as the textbook expression, so
-    the result is bit-for-bit that of evaluating it with temporaries,
-    in the parameters' dtype. Overflow, such as a learning rate too large
-    for float32, is not an error here: it reaches the next loss or
-    gradient, which the train loop checks.
+    with bias-corrected moment estimates (beta1=0.9, beta2=0.999), in the
+    parameters' dtype. Returns new parameter arrays (``params`` is not
+    written) and ``state``, whose moments are updated in place. Overflow,
+    such as a learning rate too large for float32, is not an error here:
+    it reaches the next loss or gradient, which the train loop checks.
     """
     for g in grads:
         if not np.isfinite(g).all():
@@ -185,26 +172,13 @@ def adamw_step(
     v_corr = 1 - ADAM_BETA2 ** t
     new_params = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for p, g, m, v, (a, b) in zip(params, grads, state.m, state.v, state.scratch):
-            # m = beta1 * m + (1 - beta1) * g
-            np.multiply(m, ADAM_BETA1, out=m)
-            np.multiply(g, 1 - ADAM_BETA1, out=a)
-            np.add(m, a, out=m)
-            # v = beta2 * v + ((1 - beta2) * g) * g
-            np.multiply(v, ADAM_BETA2, out=v)
-            np.multiply(g, 1 - ADAM_BETA2, out=a)
-            np.multiply(a, g, out=a)
-            np.add(v, a, out=v)
-            # lr_t * (m_hat / (sqrt(v_hat) + eps) + wd * p)
-            np.divide(m, m_corr, out=a)
-            np.divide(v, v_corr, out=b)
-            np.sqrt(b, out=b)
-            np.add(b, ADAM_EPS, out=b)
-            np.divide(a, b, out=a)
-            np.multiply(p, weight_decay, out=b)
-            np.add(a, b, out=a)
-            np.multiply(a, lr_t, out=a)
-            new_params.append(np.subtract(p, a))
+        for p, g, m, v in zip(params, grads, state.m, state.v):
+            m *= ADAM_BETA1
+            m += (1 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1 - ADAM_BETA2) * g * g
+            update = m / m_corr / (np.sqrt(v / v_corr) + ADAM_EPS) + weight_decay * p
+            new_params.append(p - lr_t * update)
     state.step = t
     return new_params, state
 

@@ -10,8 +10,6 @@ def logsumexp(a: np.ndarray, axis: int | None = None) -> np.ndarray:
     m = np.max(a, axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
-    if axis is None:
-        return out.reshape(())
     return np.squeeze(out, axis=axis)
 
 
@@ -30,9 +28,5 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     """Stable logistic function, no overflow for any finite z; computed in
     ``z``'s floating dtype, or in float64 for integer and list input."""
     z = as_float(z)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))

@@ -48,9 +48,7 @@ def qwk(a, b, k: int) -> float:
     bv = _as_labels(b, k, "b")
     if av.shape != bv.shape:
         raise LengthMismatch(f"label vectors differ in length: {av.size} vs {bv.size}")
-    observed = np.zeros((k, k), dtype=float)
-    np.add.at(observed, (av, bv), 1.0)
-    observed /= av.size
+    observed = np.bincount(av * k + bv, minlength=k * k).reshape(k, k) / av.size
     expected = np.outer(observed.sum(axis=1), observed.sum(axis=0))
     idx = np.arange(k, dtype=float)
     weights = (idx[:, None] - idx[None, :]) ** 2 / (k - 1) ** 2

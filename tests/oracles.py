@@ -29,7 +29,7 @@ from asas.errors import (
     UnknownResponseId,
 )
 from asas.features import NgramTables, fuzzy_ratios
-from asas.mathutil import logsumexp
+from asas.mathutil import as_float, logsumexp
 from asas.serialize import FORMAT_VERSION
 
 
@@ -284,6 +284,63 @@ def adamw_step_reference(
     return new_params, (t, new_m, new_v)
 
 
+def sigmoid_masked_reference(z) -> np.ndarray:
+    """The stable logistic function by boolean-mask gathers and scatters."""
+    z = as_float(z)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def logsumexp_reference(a, axis: int | None = None) -> np.ndarray:
+    """Stable log-sum-exp with a 0-d result for ``axis=None`` by reshape."""
+    a = np.asarray(a, dtype=float)
+    m = np.max(a, axis=axis, keepdims=True)
+    m = np.where(np.isfinite(m), m, 0.0)
+    out = np.log(np.sum(np.exp(a - m), axis=axis, keepdims=True)) + m
+    if axis is None:
+        return out.reshape(())
+    return np.squeeze(out, axis=axis)
+
+
+def one_hot_reference(labels, k: int, dtype) -> np.ndarray:
+    """One-hot rows by scattering ones into a zero matrix."""
+    labels = np.asarray(labels)
+    out = np.zeros((labels.size, k), dtype=dtype)
+    out[np.arange(labels.size), labels] = 1.0
+    return out
+
+
+def qwk_add_at_reference(a, b, k: int) -> float:
+    """Quadratic weighted kappa of valid label vectors, counting with np.add.at."""
+    av, bv = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    observed = np.zeros((k, k), dtype=float)
+    np.add.at(observed, (av, bv), 1.0)
+    observed /= av.size
+    expected = np.outer(observed.sum(axis=1), observed.sum(axis=0))
+    idx = np.arange(k, dtype=float)
+    weights = (idx[:, None] - idx[None, :]) ** 2 / (k - 1) ** 2
+    weighted_obs = float(np.sum(weights * observed))
+    weighted_exp = float(np.sum(weights * expected))
+    if weighted_exp == 0.0:
+        return 1.0 if weighted_obs == 0.0 else 0.0
+    return 1.0 - weighted_obs / weighted_exp
+
+
+def positive_peaks_per_column(columns: np.ndarray) -> np.ndarray:
+    """A copy of ``columns``, each column negated, one at a time, whose first
+    largest-magnitude entry is negative."""
+    columns = columns.copy()
+    for j in range(columns.shape[1]):
+        col = columns[:, j]
+        if col[int(np.argmax(np.abs(col)))] < 0:
+            columns[:, j] = -col
+    return columns
+
+
 def load_logprobs_per_row(data: str, known: set[str] | None, k: int):
     """Data rows of a log-probability file, each renormalised on its own.
 
@@ -391,12 +448,12 @@ def parse_dataset_per_cell(
 
     Missing score cells, and score columns missing from the header, map
     to None. Ids must be unique within a prompt. Every row is checked, in
-    file order: its field count, a non-negative integer prompt id, a new
-    (prompt, id) pair and integer score cells; a record is built only for a
-    row whose prompt is in ``prompts`` (every row when None). With a
-    ``solution`` table, each row's score1 comes from it, after the row's own
-    score cells pass their check, and a row of any prompt missing from it is
-    UnknownResponseId.
+    file order: its field count, a non-negative integer prompt id, an id
+    that does not start with '#', a new (prompt, id) pair and integer score
+    cells; a record is built only for a row whose prompt is in ``prompts``
+    (every row when None). With a ``solution`` table, each row's score1
+    comes from it, after the row's own score cells pass their check, and a
+    row of any prompt missing from it is UnknownResponseId.
     """
     lines = data_lines_per_line(data)
     _, head = next(lines, (0, None))
@@ -427,6 +484,8 @@ def parse_dataset_per_cell(
             raise NonIntegerScore(f"row {row_num}: prompt id is not an integer") from None
         if prompt_id < 0:
             raise MalformedRow(f"row {row_num}: prompt id {prompt_id} is negative")
+        if rid.startswith("#"):
+            raise MalformedRow(f"row {row_num}: id {rid!r} starts with '#', which marks a comment")
         key = (prompt_id, rid)
         if key in seen:
             raise DuplicateId(f"row {row_num}: duplicate id {rid!r} in prompt {prompt_id}")

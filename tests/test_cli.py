@@ -860,6 +860,37 @@ class TestInputFaults:
         assert f"asas: {data}: row 11: prompt id -1 is negative" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["split", "train-features", "ensemble"])
+    def test_an_id_starting_with_hash_exits_2_before_any_work(self, workspace, capsys, command):
+        # with the id column second, a '#' id would start its line in the files written
+        data, out = workspace["dir"] / "hash_id.tsv", workspace["dir"] / "hash_id"
+        rows = [line.split("\t") for line in workspace["data"].read_text().splitlines()]
+        lines = ["\t".join([f[1], f[0], *f[2:]]) for f in rows]
+        lines[10] = lines[10].replace("\t", "\t#", 1)
+        data.write_text("\n".join(lines) + "\n")
+        extra = {
+            "split": [],
+            "train-features": ["--epochs", "1"],
+            "ensemble": ["--members", *_member_files(workspace, n_members=1)],
+        }[command]
+        assert main([
+            command, "--data", str(data), "--prompt", "1", "--out", str(out), *extra
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == f"asas: {data}: row 11: id '#9' starts with '#', which marks a comment\n"
+        assert not out.exists()
+
+    def test_an_allocation_beyond_the_address_space_exits_2(self, workspace, capsys):
+        # 10^12 hidden units ask for petabytes, so the request fails at once
+        out = workspace["dir"] / "huge"
+        assert main([
+            "train-features", "--data", str(workspace["data"]), "--prompt", "1",
+            "--tfidf-dim", "6", "--hidden", "1000000000000", "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("asas: out of memory: ") and err.count("\n") == 1
+        assert not out.exists()
+
     @pytest.mark.parametrize("kind", [
         "embeddings", "embeddings without a row", "model", "model of another width", "members"
     ])

@@ -142,6 +142,31 @@ class TestParseDataset:
         with pytest.raises(MalformedRow, match="^row 5: expected 5 fields, got 4$"):
             parse_dataset(data)
 
+    @pytest.mark.parametrize("data", [
+        "EssaySet\tId\tScore1\tScore2\tEssayText\n1\t0\t1\t1\ta\n1\t#1\t1\t1\tb\n",
+        f"{HEADER}\n0\t1\t1\t1\ta\n #1\t1\t1\t1\tb\n",
+    ], ids=["id column second", "leading space"])
+    def test_an_id_starting_with_hash_is_malformed(self, data):
+        # written back first on its line, the row would read as a comment
+        want = (MalformedRow, "row 3: id '#1' starts with '#', which marks a comment")
+        assert _outcome(parse_dataset, data) == want
+        assert _outcome(parse_dataset_per_cell, data) == want
+
+    @pytest.mark.parametrize("row, error", [
+        ("x\t#1\t1\t1\tb", NonIntegerScore),  # the prompt id is checked first
+        ("1\t#1\tx\t1\tb", MalformedRow),  # then the id, before the score cells
+    ])
+    def test_an_id_is_checked_after_the_prompt_and_before_the_scores(self, row, error):
+        data = f"EssaySet\tId\tScore1\tScore2\tEssayText\n{row}\n"
+        assert _outcome(parse_dataset, data)[0] is error
+        assert _outcome(parse_dataset, data) == _outcome(parse_dataset_per_cell, data)
+
+    def test_writers_refuse_an_id_starting_with_hash(self):
+        with pytest.raises(ValueError, match="^id '#1' would not read back unchanged$"):
+            serialize_dataset([ScoredResponse("#1", 1, "text", 0, 0)])
+        with pytest.raises(ValueError, match="^id '#1' would not read back unchanged$"):
+            dump_logprobs(LogProbMatrix("m", 1, 2, {"#1": np.zeros(2)}))
+
 
 _CELL = st.sampled_from(["", "0", "1", "3", " 2 "])
 _TEXT = st.text(

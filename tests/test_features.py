@@ -37,6 +37,7 @@ from asas.features import (
     tfidf_matrix,
     top_right_singular_vectors,
     window_ratios,
+    with_positive_peaks,
 )
 from asas.features import _TABLE_CELLS, _matching_totals, _ratio
 from asas.serialize import Artifact
@@ -46,6 +47,7 @@ from oracles import (
     matching_blocks_total,
     minutiae_brute,
     near_match_count,
+    positive_peaks_per_column,
     ratio_oracle,
     similarity_ratio,
 )
@@ -314,6 +316,16 @@ def test_builder_near_counts_match_direct_path(toy_builder, cutoff):
 
 
 class TestTfidfProjection:
+    @given(st.integers(1, 6), st.integers(0, 6), st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_sign_fix_bitwise_equals_the_per_column_loop(self, rows, cols, data):
+        # few distinct magnitudes: zero entries, zero columns and tied maxima
+        cells = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])
+        values = data.draw(st.lists(cells, min_size=rows * cols, max_size=rows * cols))
+        columns = np.array(values, dtype=float).reshape(rows, cols)
+        got, want = with_positive_peaks(columns), positive_peaks_per_column(columns)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
     def test_orthogonal_rows_recover_directions(self):
         X = np.array([[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
         projection = top_right_singular_vectors(X, 3)

@@ -42,6 +42,7 @@ from oracles import (
     logreg_fit_reference,
     logreg_objective_reference,
     mlp_forward_loops,
+    one_hot_reference,
 )
 
 
@@ -112,6 +113,17 @@ class TestBceLoss:
             lambda flat: bce_loss_grad(flat.reshape(3, 4), labels)[0], logits.flatten().copy()
         ).reshape(3, 4)
         assert np.max(np.abs(grad - numeric) / (np.abs(numeric) + 1e-10)) <= 1e-5
+
+
+class TestOneHot:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_identity_rows_bitwise_equal_scattered_ones(self, dtype, k, data):
+        labels = np.array(data.draw(st.lists(st.integers(0, k - 1), max_size=20)), dtype=int)
+        got, want = learners._one_hot(labels, k, dtype), one_hot_reference(labels, k, dtype)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestAdamW:

@@ -1,6 +1,7 @@
 """Agreement statistics against exact-arithmetic oracles and identities."""
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +15,7 @@ from asas.metrics import (
     qwk,
     smd,
 )
-from oracles import iter_joint_histograms, qwk_exact
+from oracles import iter_joint_histograms, qwk_add_at_reference, qwk_exact
 
 
 @st.composite
@@ -27,6 +28,13 @@ def label_pairs(draw, max_n=30, max_k=5):
 
 
 class TestQwk:
+    @given(label_pairs(max_n=60, max_k=8))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_bincount_counts_give_the_bytes_of_add_at_counts(self, pair):
+        a, b, k = pair
+        got, want = qwk(a, b, k), qwk_add_at_reference(a, b, k)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_perfect_agreement_is_one(self):
         assert qwk([0, 1, 2, 1], [0, 1, 2, 1], 3) == 1.0
         assert qwk([2, 2], [2, 2], 4) == 1.0

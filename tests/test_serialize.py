@@ -19,7 +19,7 @@ from asas.serialize import (
     fmt_float,
     write_atomic,
 )
-from oracles import artifact_dump_reference
+from oracles import artifact_dump_reference, logsumexp_reference, sigmoid_masked_reference
 
 # Values whose text form is easy to get wrong: NaN, both infinities, both
 # zeros, subnormals down to the smallest, the float extremes, and values
@@ -270,6 +270,36 @@ class TestMathUtil:
         assert sigmoid(np.array([-800.0]))[0] == 0.0
         z = np.linspace(-30, 30, 61)
         assert np.allclose(sigmoid(z) + sigmoid(-z), 1.0, atol=1e-15)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(st.lists(
+        st.one_of(st.floats(-1e30, 1e30), st.sampled_from([0.0, -0.0, math.inf, -math.inf])),
+        min_size=1, max_size=40,
+    ))
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_sigmoid_bitwise_equals_the_masked_reference(self, dtype, values):
+        z = np.array(values, dtype=dtype)
+        for arr in (z, z[:1].reshape(())):
+            got, want = sigmoid(arr), sigmoid_masked_reference(arr)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes()
+
+    @given(st.lists(st.integers(1, 4), max_size=3), st.data())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_logsumexp_keeps_its_value_shape_and_type(self, shape, data):
+        size = math.prod(shape)
+        values = data.draw(st.lists(
+            st.one_of(st.floats(-1e300, 1e300), st.sampled_from([math.inf, -math.inf])),
+            min_size=size, max_size=size,
+        ))
+        a = np.array(values, dtype=float).reshape(shape)
+        with np.errstate(all="ignore"):  # an infinity overflows exp, an all -inf row log
+            for axis in [None, *range(-len(shape), len(shape))]:
+                got, want = logsumexp(a, axis), logsumexp_reference(a, axis)
+                assert (type(got), got.dtype, got.shape) == (type(want), want.dtype, want.shape)
+                assert got.tobytes() == want.tobytes()
+            if shape:  # over a whole array the result is a 0-d array, not a scalar
+                assert type(logsumexp(a)) is np.ndarray and logsumexp(a).shape == ()
 
     def test_sigmoid_follows_a_float_dtype_and_takes_float64_otherwise(self):
         z = [-3, -1, 0, 2, 40]
