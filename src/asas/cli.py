@@ -31,6 +31,7 @@ from .corpus import (
     parse_dataset,
     parse_score_table,
     prompt_seed,
+    PromptCorpus,
     serialize_dataset,
     StatsRow,
 )
@@ -171,6 +172,8 @@ class _Ctx:
         self.prompt, self.all_prompts = scope[0], bool(scope[1])
         if any(c in self.name for c in "\t\r\n"):
             raise AsasError(f"--name must not hold a tab, CR or LF, got {self.name!r}")
+        if self.id_col.startswith("#"):  # it opens the header line of each dataset written
+            raise AsasError(f"id_col must not start with '#' (a comment), got {self.id_col!r}")
         self.columns = ColumnMap(
             self.id_col, self.prompt_col, self.score1_col, self.score2_col, self.text_col
         )
@@ -190,9 +193,6 @@ class _Ctx:
         except (AsasError, ValueError) as exc:
             kind = type(exc) if isinstance(exc, AsasError) else MalformedRow
             raise kind(f"{path}: {exc}") from None
-
-    def header(self) -> str:
-        return artifact_header(self.seed, digests=self.digests)
 
 
 def _check_utf8(args: argparse.Namespace) -> None:
@@ -222,42 +222,19 @@ def _load_dataset(ctx: _Ctx, prompts: set[int] | None = None):
     return ctx.parse_input(ctx.data, parse_dataset, ctx.columns, prompts)
 
 
-def _load_test(ctx: _Ctx, prompts: set[int] | None = None):
-    """--test like --data, each score1 taken from --solution when it is given;
-    the solution is read first, so its faults are reported before the test file's."""
-    if ctx.test is None:
-        return []
-    scores = None
-    if ctx.solution is not None:
-        cols = ctx.solution_id_col, ctx.solution_score_col
-        scores = ctx.parse_input(ctx.solution, parse_score_table, *cols)
-    return ctx.parse_input(ctx.test, parse_dataset, ctx.columns, prompts, scores)
+class _Run(NamedTuple):
+    """One prompt's work: its corpus, its parsed per-prompt files, the header
+    of its outputs and the directory they go to."""
+
+    prompt: int
+    corpus: PromptCorpus
+    parsed: dict[str, object]
+    header: str
+    out: Path | None
 
 
-def _each(value, fn):
-    """``fn`` of an option's path, or a list of ``fn`` of each of its paths; None stays None."""
-    if isinstance(value, list):
-        return [fn(p) for p in value]
-    return None if value is None else fn(value)
-
-
-def _expand(value, pid: int):
-    """An option's path, or list of paths, with {prompt} standing for ``pid``."""
-    return _each(value, lambda p: p.replace("{prompt}", str(pid)))
-
-
-# How _corpora parses a file of each per-prompt option for the prompt's corpus.
-# Each entry looks its loader up when called, so replacing this module's
-# load_embeddings or load_logprobs (as a tracer does) replaces it here too.
-_PARSERS = {
-    "embeddings": lambda data, corpus: load_embeddings(data, corpus),
-    "model": lambda data, corpus: _parse_feature_model(data),
-    "members": lambda data, corpus: load_logprobs(data, corpus),
-}
-
-
-def _corpora(ctx: _Ctx, *files: str, test: bool = True):
-    """(id, corpus, parsed) of --prompt, or of every prompt with --all-prompts.
+def _runs(ctx: _Ctx, all_prompts: bool, *files: str, test: bool = True) -> list[_Run]:
+    """The run of --prompt, or of every prompt when ``all_prompts``.
 
     ``files`` names the options that hold one prompt's file(s); the value of
     each, with {prompt} expanded to the id, is read once and parsed:
@@ -266,21 +243,27 @@ def _corpora(ctx: _Ctx, *files: str, test: bool = True):
     each such path must contain {prompt}; that is checked before any
     per-prompt file is read or anything is written, as is that every
     expanded path is a file. Every prompt's corpus is split and all its
-    files parsed before the first is yielded, so a bad file of any prompt
-    stops the command before its first prompt's work; with --all-prompts
+    files parsed before the runs are returned, so a bad file of any prompt
+    stops the command before its first prompt's work; over several prompts
     every prompt's parsed files are held at once. Each header names the
-    shared inputs and its own prompt's files. --dev-frac is checked first,
-    then that --prompt or --all-prompts is given: every row of --data,
-    --test and --solution is read and checked, but records are built only
-    for --prompt's rows."""
+    shared inputs and its own prompt's files; each output directory is
+    --out, or its prompt_<id> subdirectory with --all-prompts. --dev-frac is
+    checked first, then the scope: every row of --data, --test and
+    --solution is read and checked, but records are built only for
+    --prompt's rows."""
     if not 0.0 < ctx.dev_frac < 1.0:
         raise AsasError(f"--dev-frac must be in (0, 1), got {ctx.dev_frac}")
-    if not ctx.all_prompts and ctx.prompt is None:
+    if not all_prompts and ctx.prompt is None:
         raise AsasError("--prompt is required (or pass --all-prompts)")
-    prompts = None if ctx.all_prompts else {ctx.prompt}
+    prompts = None if all_prompts else {ctx.prompt}
     responses = _load_dataset(ctx, prompts)
-    test_rows = _load_test(ctx, prompts) if test else []
-    pids = sorted({r.prompt_id for r in responses}) if ctx.all_prompts else [ctx.prompt]
+    test_rows = []
+    if test and ctx.test is not None:  # --solution first, so its faults are reported first
+        solution = ctx.solution, parse_score_table, ctx.solution_id_col, ctx.solution_score_col
+        scores = None if ctx.solution is None else ctx.parse_input(*solution)
+        test_rows = ctx.parse_input(ctx.test, parse_dataset, ctx.columns, prompts, scores)
+    pids = sorted({r.prompt_id for r in responses}) if all_prompts else [ctx.prompt]
+    paths = {pid: {name: [] for name in files} for pid in pids}  # each prompt's own paths
     for name in files:
         value = getattr(ctx, name)
         for path in [value] if isinstance(value, str) else value or []:
@@ -291,28 +274,35 @@ def _corpora(ctx: _Ctx, *files: str, test: bool = True):
                     " e.g. run_{prompt}.tsv"
                 )
             for pid in pids:
-                _existing(_expand(path, pid))
-    shared_digests, runs = dict(ctx.digests), []
+                _existing(expanded := path.replace("{prompt}", str(pid)))
+                paths[pid][name].append(expanded)
+    # looked up here, so replacing this module's loaders (as a tracer does) applies
+    loaders = {
+        "embeddings": load_embeddings,
+        "model": lambda data, _: _feature_model(Artifact.parse(data.decode(), "feature-model")),
+        "members": load_logprobs,
+    }
+    shared, runs = dict(ctx.digests), []
+    out = None if ctx.out is None else Path(ctx.out)
     for pid in pids:
-        ctx.digests = dict(shared_digests)
-        paths = {name: _expand(getattr(ctx, name), pid) for name in files}
-        text = paths.pop("prompt_text", None)
+        own = dict(paths[pid])
+        text = [ctx.parse_input(p, bytes.decode, "utf-8") for p in own.pop("prompt_text", [])]
         corpus = build_corpus(
             responses,
             prompt_id=pid,
             dev_fraction=ctx.dev_frac,
             seed=prompt_seed(ctx.seed, pid),
             test=test_rows,
-            prompt_text="" if text is None else ctx.parse_input(text, bytes.decode, "utf-8"),
+            prompt_text="".join(text),  # "" without --prompt-text
         )
-        parsed = {
-            name: _each(value, lambda p: ctx.parse_input(p, _PARSERS[name], corpus))
-            for name, value in paths.items()
-        }
-        runs.append((pid, corpus, parsed, ctx.digests))
-    for pid, corpus, parsed, digests in runs:
-        ctx.digests = digests
-        yield pid, corpus, parsed
+        parsed = {}
+        for name, ps in own.items():
+            values = [ctx.parse_input(p, loaders[name], corpus) for p in ps]
+            parsed[name] = values if OPTIONS[name].type is list else next(iter(values), None)
+        digests = shared | {p: ctx.digests[p] for ps in paths[pid].values() for p in ps}
+        own_out = out / f"prompt_{pid}" if out is not None and all_prompts else out
+        runs.append(_Run(pid, corpus, parsed, artifact_header(ctx.seed, digests), own_out))
+    return runs
 
 
 @contextmanager
@@ -344,17 +334,14 @@ def _require_out(ctx: _Ctx) -> None:
         raise AsasError("--out is required")
 
 
-def _out_dir(ctx: _Ctx, prompt_id: int) -> Path:
-    """--out, or its prompt_<id> subdirectory with --all-prompts."""
-    return Path(ctx.out) / f"prompt_{prompt_id}" if ctx.all_prompts else Path(ctx.out)
-
-
 def _emit(ctx: _Ctx, table: str, body: str | None = None) -> None:
-    """Print the header and ``table``; write them, or the header and ``body``, to --out."""
-    print(ctx.header())
+    """Print the header and ``table``; write them, or the header and ``body``, to --out.
+    The header names every input the command read."""
+    header = artifact_header(ctx.seed, ctx.digests)
+    print(header)
     print(table, end="")
     if ctx.out is not None:
-        write_atomic({Path(ctx.out): f"{ctx.header()}\n{table if body is None else body}"})
+        write_atomic({Path(ctx.out): f"{header}\n{table if body is None else body}"})
 
 
 def _logprob_file(header: str, name: str, corpus, ids, logprobs) -> bytes:
@@ -377,18 +364,17 @@ def cmd_ingest(ctx: _Ctx) -> None:
 
 
 def cmd_stats(ctx: _Ctx) -> None:
-    ctx.all_prompts = ctx.prompt is None  # stats covers every prompt unless --prompt names one
-    rows = "".join(corpus_stats(c).to_tsv_row() + "\n" for _, c, _ in _corpora(ctx))
+    runs = _runs(ctx, ctx.prompt is None)  # every prompt unless --prompt names one
+    rows = "".join(corpus_stats(run.corpus).to_tsv_row() + "\n" for run in runs)
     _emit(ctx, StatsRow.TSV_HEADER + "\n" + rows)
 
 
 def cmd_split(ctx: _Ctx) -> None:
     _require_out(ctx)
     files, done = {}, []
-    for pid, corpus, _ in _corpora(ctx, test=False):
-        out = _out_dir(ctx, pid)
+    for pid, corpus, _, header, out in _runs(ctx, ctx.all_prompts, test=False):
         for name, rows in (("train.tsv", corpus.train), ("dev.tsv", corpus.dev)):
-            files[out / name] = f"{ctx.header()}\n".encode() + serialize_dataset(rows, ctx.columns)
+            files[out / name] = f"{header}\n".encode() + serialize_dataset(rows, ctx.columns)
         done.append(f"prompt {pid}: train {len(corpus.train)}, dev {len(corpus.dev)} -> {out}")
     write_atomic(files)
     print(*done, sep="\n")
@@ -410,10 +396,6 @@ def load_feature_model(path: str | Path) -> tuple[FeatureModelSpec, MlpModel]:
     return _feature_model(Artifact.load(path, "feature-model"))
 
 
-def _parse_feature_model(data: bytes) -> tuple[FeatureModelSpec, MlpModel]:
-    return _feature_model(Artifact.parse(data.decode("utf-8"), "feature-model"))
-
-
 def _train_once(corpus, matrix, lr, batch, epochs, seed, hidden):
     config = TrainConfig(learning_rate=lr, batch_size=batch, epochs=epochs, seed=seed)
     model = MlpModel.init(matrix.dim, hidden, corpus.num_classes, seed)
@@ -427,11 +409,11 @@ def _train_once(corpus, matrix, lr, batch, epochs, seed, hidden):
     )
 
 
-def _run_files(ctx: _Ctx, out: Path, corpus, spec: FeatureModelSpec, matrix, result):
-    """The files of run directory ``out``: a trained feature model, its training
+def _run_files(ctx: _Ctx, run: _Run, spec: FeatureModelSpec, matrix, result):
+    """The files of ``run``'s directory: a trained feature model, its training
     history, its dev report and, as ``predictions.tsv``, its log-probabilities
     on every row it was fitted on."""
-    header = ctx.header()
+    corpus, header, out = run.corpus, run.header, run.out
     dev_ids = [r.id for r in corpus.dev]
     pred = np.argmax(mlp_forward(result.model, matrix.rows_for(dev_ids)), axis=1)
     report = evaluate_run(pred, corpus.labels(corpus.dev), corpus.num_classes, corpus.prompt_id)
@@ -452,14 +434,15 @@ def cmd_train_features(ctx: _Ctx) -> None:
     _check_training(ctx, "lr", "batch", "epochs", "hidden", "tfidf_dim")
     if not MIN_CUTOFF <= ctx.cutoff <= 1.0:
         raise AsasError(f"--cutoff must be in [{MIN_CUTOFF}, 1.0], got {ctx.cutoff}")
-    for pid, corpus, parsed in _corpora(ctx, "prompt_text", "embeddings"):
-        spec, matrix = fit_feature_model(corpus, ctx.tfidf_dim, ctx.cutoff, parsed["embeddings"])
+    for run in _runs(ctx, ctx.all_prompts, "prompt_text", "embeddings"):
+        pid, corpus, embeddings = run.prompt, run.corpus, run.parsed["embeddings"]
+        spec, matrix = fit_feature_model(corpus, ctx.tfidf_dim, ctx.cutoff, embeddings)
         result = _train_once(
             corpus, matrix, lr=ctx.lr, batch=ctx.batch, epochs=ctx.epochs,
             seed=ctx.seed, hidden=ctx.hidden,
         )
         with _naming(pid):
-            write_atomic(_run_files(ctx, _out_dir(ctx, pid), corpus, spec, matrix, result))
+            write_atomic(_run_files(ctx, run, spec, matrix, result))
         print(f"prompt {pid}: best dev QWK {result.best_dev_qwk:.4f} (epoch {result.best_epoch})")
 
 
@@ -467,10 +450,10 @@ def cmd_tune(ctx: _Ctx) -> None:
     _require_out(ctx)
     _check_training(ctx, "epochs", "hidden", "trials")
     space = feature_search_space()
-    for pid, corpus, parsed in _corpora(ctx, "prompt_text", "embeddings"):
+    for run in _runs(ctx, ctx.all_prompts, "prompt_text", "embeddings"):
         # fitted once at the widest settings the study can ask build() for
         builder = CachedFeatureBuilder(
-            corpus, parsed["embeddings"],
+            run.corpus, run.parsed["embeddings"],
             d_t_max=space.params["tfidf_dim"].hi, floor=space.params["cutoff"].lo,
         )
         kept = None
@@ -479,7 +462,7 @@ def cmd_tune(ctx: _Ctx) -> None:
             nonlocal kept
             spec, matrix = builder.build(int(params["tfidf_dim"]), float(params["cutoff"]))
             result = _train_once(
-                corpus, matrix,
+                run.corpus, matrix,
                 lr=float(params["learning_rate"]), batch=int(params["batch_size"]),
                 epochs=ctx.epochs, seed=ctx.seed, hidden=ctx.hidden,
             )
@@ -490,13 +473,12 @@ def cmd_tune(ctx: _Ctx) -> None:
             return result.best_dev_qwk
 
         study = run_study(space, objective, n_trials=ctx.trials, seed=ctx.seed)
-        out = _out_dir(ctx, pid)
-        with _naming(pid):
-            files = _run_files(ctx, out, corpus, *kept)
-        files[out / "study.tsv"] = f"{ctx.header()}\n{study_log(space, study)}"
+        with _naming(run.prompt):
+            files = _run_files(ctx, run, *kept)
+        files[run.out / "study.tsv"] = f"{run.header}\n{study_log(space, study)}"
         write_atomic(files)
         print(
-            f"prompt {pid}: best trial {study.best.trial_index} "
+            f"prompt {run.prompt}: best trial {study.best.trial_index} "
             f"dev QWK {study.best.objective:.4f} params {study.best.params}"
         )
 
@@ -506,15 +488,15 @@ def cmd_predict(ctx: _Ctx) -> None:
         raise AsasError("--model is required")
     if ctx.all_prompts:
         _require_out(ctx)
-    for pid, corpus, parsed in _corpora(ctx, "prompt_text", "embeddings", "model"):
-        spec, mlp = parsed["model"]
-        matrix = build_features(corpus, spec, parsed["embeddings"])
+    for run in _runs(ctx, ctx.all_prompts, "prompt_text", "embeddings", "model"):
+        spec, mlp = run.parsed["model"]
+        matrix = build_features(run.corpus, spec, run.parsed["embeddings"])
         logprobs = log_softmax(mlp_forward(mlp, matrix.data), axis=1)
-        text = _logprob_file(ctx.header(), ctx.name, corpus, matrix.ids, logprobs)
-        single = Path(ctx.out or "predictions.tsv")
-        path = _out_dir(ctx, pid) / "predictions.tsv" if ctx.all_prompts else single
+        text = _logprob_file(run.header, ctx.name, run.corpus, matrix.ids, logprobs)
+        single = run.out or Path("predictions.tsv")
+        path = run.out / "predictions.tsv" if ctx.all_prompts else single
         write_atomic({path: text})
-        print(f"prompt {pid}: wrote {len(matrix.ids)} rows -> {path}")
+        print(f"prompt {run.prompt}: wrote {len(matrix.ids)} rows -> {path}")
 
 
 def cmd_ensemble(ctx: _Ctx) -> None:
@@ -525,8 +507,8 @@ def cmd_ensemble(ctx: _Ctx) -> None:
         raise AsasError(f"--m must be between 1 and {len(ctx.members)}")
     # every prompt is fitted and scored before the first file is written
     files, done = {}, []
-    for pid, corpus, parsed in _corpora(ctx, "members"):
-        out, header, k = _out_dir(ctx, pid), ctx.header(), corpus.num_classes
+    for pid, corpus, parsed, header, out in _runs(ctx, ctx.all_prompts, "members"):
+        k = corpus.num_classes
         with _naming(pid):
             members = select_best_subset(parsed["members"], corpus, ctx.m)
             spec = fit_ensemble(members, corpus)

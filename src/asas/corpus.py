@@ -171,11 +171,11 @@ def _line_start_id(rid: str) -> str:
 def serialize_dataset(
     responses: list[ScoredResponse], columns: ColumnMap = DEFAULT_COLUMNS
 ) -> bytes:
-    """Inverse of parse_dataset for well-formed records; ValueError on an id
-    that parse_dataset rejects for its leading '#'."""
-    out = [
-        "\t".join([columns.id, columns.prompt, columns.score1, columns.score2, columns.text])
-    ]
+    """Inverse of parse_dataset for well-formed records; ValueError on an id,
+    or an id column name, that starts with '#', as its line would read back
+    as a comment."""
+    names = [columns.prompt, columns.score1, columns.score2, columns.text]
+    out = ["\t".join([_line_start_id(columns.id), *names])]
     for r in responses:
         s1 = "" if r.score1 is None else str(r.score1)
         s2 = "" if r.score2 is None else str(r.score2)
@@ -447,7 +447,10 @@ def load_logprobs(data: bytes | str, corpus: PromptCorpus | None = None) -> LogP
 
 def dump_logprobs(matrix: LogProbMatrix, extra_comment: str | None = None) -> bytes:
     """Serialize a LogProbMatrix in the interchange format; every row must hold
-    k values, and ValueError on an id that starts with '#'."""
+    k values. ValueError on what load_logprobs would not read back unchanged:
+    an id that starts with '#', or a model name that holds a tab, LF or CR."""
+    if any(c in matrix.model_name for c in "\t\n\r"):
+        raise ValueError(f"model name {matrix.model_name!r} holds a tab, LF or CR")
     out = [f"#model={matrix.model_name}\tprompt={matrix.prompt_id}\tk={matrix.k}"]
     if extra_comment:
         out.append(extra_comment)

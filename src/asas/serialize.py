@@ -30,10 +30,10 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:12]
 
 
-def artifact_header(seed: int | None, digests: dict[str, str] | None = None) -> str:
+def artifact_header(seed: int, digests: dict[str, str] | None = None) -> str:
     """One '#'-comment line: tool version, seed, and the ``digest`` of each
     named input in ``digests``."""
-    parts = [f"#asas\tversion={TOOL_VERSION}", f"seed={seed if seed is not None else '-'}"]
+    parts = [f"#asas\tversion={TOOL_VERSION}", f"seed={seed}"]
     if digests:
         parts.append("inputs=" + ",".join(f"{name}:{d}" for name, d in sorted(digests.items())))
     return "\t".join(parts)

@@ -1,6 +1,7 @@
 """End-to-end command wiring: exit codes, artifacts, determinism."""
 from __future__ import annotations
 
+from collections import Counter
 import inspect
 import io
 import os
@@ -88,6 +89,16 @@ class TestIngestAndStats:
         assert len(lines) == 3  # header + one row per prompt
         assert lines[1].split("\t")[0] == "1"
         assert lines[2].split("\t")[0] == "2"
+
+    def test_stats_without_prompt_leaves_the_options_unchanged(self, workspace, capsys):
+        args = asas.cli.build_parser().parse_args(["stats", "--data", str(workspace["data"])])
+        ctx = asas.cli._Ctx(args)
+        before = dict(vars(ctx))
+        asas.cli.cmd_stats(ctx)
+        assert len(capsys.readouterr().out.splitlines()) == 4  # header, columns, two prompts
+        assert vars(ctx).keys() == before.keys()
+        assert all(vars(ctx)[name] is value for name, value in before.items())
+        assert ctx.prompt is None and ctx.all_prompts is False
 
     def test_stats_out_creates_its_directory(self, workspace):
         out_file = workspace["dir"] / "nodir" / "stats.tsv"
@@ -775,6 +786,38 @@ class TestPerPromptTextAndEmbeddings:
             assert spec.prompt_minutiae == asas.features.normalize_text(text)
             assert spec.embedding_dim == 4
 
+    def test_each_all_prompts_header_names_the_shared_inputs_and_its_own_files(
+        self, workspace, files
+    ):
+        d, out = workspace["dir"], workspace["dir"] / "tf_all"
+        shared = [str(workspace["data"]), str(workspace["test"])]
+        assert main([
+            "train-features", "--data", shared[0], "--test", shared[1], "--all-prompts",
+            "--seed", "5", "--epochs", "1", "--tfidf-dim", "6", "--out", str(out), *files,
+        ]) == 0
+        for pid in self.TEXTS:
+            inputs = [*shared, str(d / f"prompt_{pid}.txt"), str(d / f"emb_{pid}.tsv")]
+            want = artifact_header(5, {p: digest(Path(p).read_bytes()) for p in inputs})
+            for name in ("model.txt", "history.tsv", "report_dev.tsv"):
+                assert (out / f"prompt_{pid}" / name).read_text().splitlines()[0] == want
+
+    def test_each_per_prompt_file_is_loaded_once(self, workspace, files, monkeypatch):
+        loaded = Counter()
+        for name in ("load_embeddings", "load_logprobs"):
+            def counting(data, corpus, real=getattr(asas.cli, name)):
+                loaded[data] += 1
+                return real(data, corpus)
+
+            monkeypatch.setattr(asas.cli, name, counting)
+        common = ["--data", str(workspace["data"]), "--test", str(workspace["test"]),
+                  "--all-prompts"]
+        members = _per_prompt_members(workspace)
+        assert main(["ensemble", *common, "--members", *members,
+                     "--out", str(workspace["dir"] / "ens")]) == 0
+        assert self._tune(workspace, workspace["dir"] / "tune", "--all-prompts", *files) == 0
+        paths = [p.replace("{prompt}", str(pid)) for p in [*members, files[3]] for pid in (1, 2)]
+        assert loaded == Counter(Path(p).read_bytes() for p in paths)
+
     @pytest.mark.parametrize("flag, name", [
         ("--prompt-text", "prompt_1.txt"),
         ("--embeddings", "emb_both.tsv"),  # covers both prompts' ids, yet one table per prompt
@@ -879,6 +922,27 @@ class TestInputFaults:
         err = capsys.readouterr().err
         assert err == f"asas: {data}: row 11: id '#9' starts with '#', which marks a comment\n"
         assert not out.exists()
+
+    def test_an_id_column_starting_with_hash_exits_2_before_any_read(
+        self, workspace, capsys, monkeypatch
+    ):
+        # with the id column second its name parses, but split writes it first
+        data, out = workspace["dir"] / "hash_col.tsv", workspace["dir"] / "hash_col"
+        rows = [line.split("\t") for line in workspace["data"].read_text().splitlines()]
+        lines = ["\t".join([f[1], f[0], *f[2:]]) for f in rows]
+        lines[0] = lines[0].replace("\tId\t", "\t#Id\t")
+        data.write_text("\n".join(lines) + "\n")
+        conf = workspace["dir"] / "hash_col.conf"
+        conf.write_text("id_col = #Id\n")
+        reads = []
+        monkeypatch.setattr(asas.cli._Ctx, "read_input", lambda ctx, path: reads.append(path))
+        assert main([
+            "split", "--config", str(conf), "--data", str(data), "--prompt", "1",
+            "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == "asas: id_col must not start with '#' (a comment), got '#Id'\n"
+        assert reads == [] and not out.exists()
 
     def test_an_allocation_beyond_the_address_space_exits_2(self, workspace, capsys):
         # 10^12 hidden units ask for petabytes, so the request fails at once
@@ -1417,7 +1481,8 @@ class TestUnlabeledTestJoin:
         args = asas.cli.build_parser().parse_args(
             ["stats", "--data", str(workspace["data"]), "--test", str(unlabeled)]
         )
-        loaded = asas.cli._load_test(asas.cli._Ctx(args))
+        runs = asas.cli._runs(asas.cli._Ctx(args), True)
+        loaded = [r for run in runs for r in run.corpus.test]
         assert [(r.id, r.text, r.score1, r.score2) for r in loaded] == [
             (r.id, r.text, None, None) for r in workspace["test_rows"]
         ]

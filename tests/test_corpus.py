@@ -167,6 +167,11 @@ class TestParseDataset:
         with pytest.raises(ValueError, match="^id '#1' would not read back unchanged$"):
             dump_logprobs(LogProbMatrix("m", 1, 2, {"#1": np.zeros(2)}))
 
+    def test_serialize_refuses_an_id_column_starting_with_hash(self):
+        # the id column opens the header line, which would read back as a comment
+        with pytest.raises(ValueError, match="^id '#Id' would not read back unchanged$"):
+            serialize_dataset([ScoredResponse("1", 1, "text", 0, 0)], ColumnMap(id="#Id"))
+
 
 _CELL = st.sampled_from(["", "0", "1", "3", " 2 "])
 _TEXT = st.text(
@@ -515,6 +520,11 @@ class TestLoadLogprobs:
         assert list(got) == list(want)
         assert all(got[rid].tobytes() == want[rid].tobytes() for rid in want)
 
+    @pytest.mark.parametrize("name", ["a\tb", "a\nb", "a\r"])
+    def test_dump_refuses_a_model_name_the_loader_would_not_read_back(self, name):
+        with pytest.raises(ValueError, match="holds a tab, LF or CR"):
+            dump_logprobs(LogProbMatrix(name, 1, 2, {"r1": np.zeros(2)}))
+
     def test_dump_round_trip(self):
         data = "#model=m\tprompt=2\tk=3\nr1\t-0.1\t-3\t-4\nr2\t0\t0\t0\n"
         matrix = load_logprobs(data)
@@ -528,7 +538,7 @@ class TestLoadLogprobs:
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
-        st.text("abcXYZ019_-.", min_size=1, max_size=12),
+        st.text("abcXYZ019_-.\t\n\r", min_size=1, max_size=12),
         st.integers(0, 10**6),
         st.integers(2, 6),
         st.lists(st.text("abc019_", min_size=1, max_size=8), min_size=1, max_size=20, unique=True),
@@ -536,11 +546,17 @@ class TestLoadLogprobs:
         st.floats(0.1, 40.0),
     )
     def test_reading_then_writing_keeps_the_file(self, name, prompt, k, ids, seed, spread):
-        """Header and ids survive exactly. Values only to 1e-12: each reload
+        """Header and ids survive exactly, or the dump refuses a model name
+        the loader would change. Values only to 1e-12: each reload
         renormalises every row, which can move its last bits."""
         logits = np.random.default_rng(seed).normal(scale=spread, size=(len(ids), k))
         rows = dict(zip(ids, log_softmax(logits, axis=1)))
-        first = dump_logprobs(LogProbMatrix(name, prompt, k, rows)).decode().splitlines()
+        matrix = LogProbMatrix(name, prompt, k, rows)
+        if any(c in name for c in "\t\n\r"):
+            with pytest.raises(ValueError, match="holds a tab, LF or CR"):
+                dump_logprobs(matrix)
+            return
+        first = dump_logprobs(matrix).decode().splitlines()
         again = dump_logprobs(load_logprobs("\n".join(first))).decode().splitlines()
         assert again[0] == first[0] == f"#model={name}\tprompt={prompt}\tk={k}"
         cells, cells_again = (np.array([ln.split("\t") for ln in f[1:]]) for f in (first, again))
