@@ -46,13 +46,9 @@ from .errors import (
     AllTrialsFailed,
     AsasError,
     CoverageGap,
-    DegenerateDistribution,
     DuplicateId,
-    HeaderMismatch,
     MalformedRow,
     MissingPromptPlaceholder,
-    SingleClass,
-    TooFewRows,
 )
 from .features import (
     MIN_CUTOFF,
@@ -279,7 +275,9 @@ def _runs(ctx: _Ctx, all_prompts: bool, *files: str, test: bool = True) -> list[
     # looked up here, so replacing this module's loaders (as a tracer does) applies
     loaders = {
         "embeddings": load_embeddings,
-        "model": lambda data, _: _feature_model(Artifact.parse(data.decode(), "feature-model")),
+        "model": lambda data, _: FeatureModelSpec.from_artifact(
+            Artifact.parse(data.decode(), "feature-model")
+        ),
         "members": load_logprobs,
     }
     shared, runs = dict(ctx.digests), []
@@ -307,11 +305,13 @@ def _runs(ctx: _Ctx, all_prompts: bool, *files: str, test: bool = True) -> list[
 
 @contextmanager
 def _naming(pid: int):
-    """Prefix ``prompt <pid>: `` to the fit and score errors that cannot name
-    their prompt; each keeps its class, so its exit code."""
+    """Prefix ``prompt <pid>: `` to an ``AsasError`` of prompt ``pid``'s work
+    unless it starts so already; it keeps its class, so its exit code."""
     try:
         yield
-    except (TooFewRows, SingleClass, DegenerateDistribution) as exc:
+    except AsasError as exc:
+        if str(exc).startswith(f"prompt {pid}: "):
+            raise
         raise type(exc)(f"prompt {pid}: {exc}") from None
 
 
@@ -364,36 +364,27 @@ def cmd_ingest(ctx: _Ctx) -> None:
 
 
 def cmd_stats(ctx: _Ctx) -> None:
-    runs = _runs(ctx, ctx.prompt is None)  # every prompt unless --prompt names one
-    rows = "".join(corpus_stats(run.corpus).to_tsv_row() + "\n" for run in runs)
-    _emit(ctx, StatsRow.TSV_HEADER + "\n" + rows)
+    table = StatsRow.TSV_HEADER + "\n"
+    for run in _runs(ctx, ctx.prompt is None):  # every prompt unless --prompt names one
+        with _naming(run.prompt):
+            table += corpus_stats(run.corpus).to_tsv_row() + "\n"
+    _emit(ctx, table)
 
 
 def cmd_split(ctx: _Ctx) -> None:
     _require_out(ctx)
     files, done = {}, []
     for pid, corpus, _, header, out in _runs(ctx, ctx.all_prompts, test=False):
-        for name, rows in (("train.tsv", corpus.train), ("dev.tsv", corpus.dev)):
-            files[out / name] = f"{header}\n".encode() + serialize_dataset(rows, ctx.columns)
+        with _naming(pid):
+            for name, rows in (("train.tsv", corpus.train), ("dev.tsv", corpus.dev)):
+                files[out / name] = f"{header}\n".encode() + serialize_dataset(rows, ctx.columns)
         done.append(f"prompt {pid}: train {len(corpus.train)}, dev {len(corpus.dev)} -> {out}")
     write_atomic(files)
     print(*done, sep="\n")
 
 
-def _feature_model(art: Artifact) -> tuple[FeatureModelSpec, MlpModel]:
-    """The spec and MLP of a feature model; HeaderMismatch if the MLP's input
-    width is not the spec's feature count."""
-    spec, mlp = FeatureModelSpec.from_artifact(art), MlpModel.from_arrays(art.arrays)
-    if mlp.w1.shape[0] != spec.feature_dim:
-        raise HeaderMismatch(
-            f"the feature spec gives {spec.feature_dim} features, but matrix mlp_w1 has"
-            f" {mlp.w1.shape[0]} rows"
-        )
-    return spec, mlp
-
-
 def load_feature_model(path: str | Path) -> tuple[FeatureModelSpec, MlpModel]:
-    return _feature_model(Artifact.load(path, "feature-model"))
+    return FeatureModelSpec.from_artifact(Artifact.load(path, "feature-model"))
 
 
 def _train_once(corpus, matrix, lr, batch, epochs, seed, hidden):
@@ -418,11 +409,8 @@ def _run_files(ctx: _Ctx, run: _Run, spec: FeatureModelSpec, matrix, result):
     pred = np.argmax(mlp_forward(result.model, matrix.rows_for(dev_ids)), axis=1)
     report = evaluate_run(pred, corpus.labels(corpus.dev), corpus.num_classes, corpus.prompt_id)
     logprobs = log_softmax(mlp_forward(result.model, matrix.data), axis=1)
-    art = spec.to_artifact()
-    art.kind = "feature-model"
-    art.arrays.update(result.model.to_arrays())
     return {
-        out / "model.txt": art.dump(header),
+        out / "model.txt": spec.to_artifact(result.model).dump(header),
         out / "history.tsv": f"{header}\n{result.history_tsv()}",
         out / "report_dev.tsv": f"{header}\n{_report_tsv(report)}",
         out / "predictions.tsv": _logprob_file(header, ctx.name, corpus, matrix.ids, logprobs),
@@ -436,12 +424,12 @@ def cmd_train_features(ctx: _Ctx) -> None:
         raise AsasError(f"--cutoff must be in [{MIN_CUTOFF}, 1.0], got {ctx.cutoff}")
     for run in _runs(ctx, ctx.all_prompts, "prompt_text", "embeddings"):
         pid, corpus, embeddings = run.prompt, run.corpus, run.parsed["embeddings"]
-        spec, matrix = fit_feature_model(corpus, ctx.tfidf_dim, ctx.cutoff, embeddings)
-        result = _train_once(
-            corpus, matrix, lr=ctx.lr, batch=ctx.batch, epochs=ctx.epochs,
-            seed=ctx.seed, hidden=ctx.hidden,
-        )
         with _naming(pid):
+            spec, matrix = fit_feature_model(corpus, ctx.tfidf_dim, ctx.cutoff, embeddings)
+            result = _train_once(
+                corpus, matrix, lr=ctx.lr, batch=ctx.batch, epochs=ctx.epochs,
+                seed=ctx.seed, hidden=ctx.hidden,
+            )
             write_atomic(_run_files(ctx, run, spec, matrix, result))
         print(f"prompt {pid}: best dev QWK {result.best_dev_qwk:.4f} (epoch {result.best_epoch})")
 
@@ -451,32 +439,32 @@ def cmd_tune(ctx: _Ctx) -> None:
     _check_training(ctx, "epochs", "hidden", "trials")
     space = feature_search_space()
     for run in _runs(ctx, ctx.all_prompts, "prompt_text", "embeddings"):
-        # fitted once at the widest settings the study can ask build() for
-        builder = CachedFeatureBuilder(
-            run.corpus, run.parsed["embeddings"],
-            d_t_max=space.params["tfidf_dim"].hi, floor=space.params["cutoff"].lo,
-        )
-        kept = None
-
-        def objective(params):
-            nonlocal kept
-            spec, matrix = builder.build(int(params["tfidf_dim"]), float(params["cutoff"]))
-            result = _train_once(
-                run.corpus, matrix,
-                lr=float(params["learning_rate"]), batch=int(params["batch_size"]),
-                epochs=ctx.epochs, seed=ctx.seed, hidden=ctx.hidden,
-            )
-            # Trials run in index order, so a strict > keeps the lowest-index
-            # trial of the highest objective: the one study.best picks.
-            if kept is None or result.best_dev_qwk > kept[2].best_dev_qwk:
-                kept = spec, matrix, result
-            return result.best_dev_qwk
-
-        study = run_study(space, objective, n_trials=ctx.trials, seed=ctx.seed)
         with _naming(run.prompt):
+            # fitted once at the widest settings the study can ask build() for
+            builder = CachedFeatureBuilder(
+                run.corpus, run.parsed["embeddings"],
+                d_t_max=space.params["tfidf_dim"].hi, floor=space.params["cutoff"].lo,
+            )
+            kept = None
+
+            def objective(params):
+                nonlocal kept
+                spec, matrix = builder.build(int(params["tfidf_dim"]), float(params["cutoff"]))
+                result = _train_once(
+                    run.corpus, matrix,
+                    lr=float(params["learning_rate"]), batch=int(params["batch_size"]),
+                    epochs=ctx.epochs, seed=ctx.seed, hidden=ctx.hidden,
+                )
+                # Trials run in index order, so a strict > keeps the lowest-index
+                # trial of the highest objective: the one study.best picks.
+                if kept is None or result.best_dev_qwk > kept[2].best_dev_qwk:
+                    kept = spec, matrix, result
+                return result.best_dev_qwk
+
+            study = run_study(space, objective, n_trials=ctx.trials, seed=ctx.seed)
             files = _run_files(ctx, run, *kept)
-        files[run.out / "study.tsv"] = f"{run.header}\n{study_log(space, study)}"
-        write_atomic(files)
+            files[run.out / "study.tsv"] = f"{run.header}\n{study_log(space, study)}"
+            write_atomic(files)
         print(
             f"prompt {run.prompt}: best trial {study.best.trial_index} "
             f"dev QWK {study.best.objective:.4f} params {study.best.params}"
@@ -489,13 +477,14 @@ def cmd_predict(ctx: _Ctx) -> None:
     if ctx.all_prompts:
         _require_out(ctx)
     for run in _runs(ctx, ctx.all_prompts, "prompt_text", "embeddings", "model"):
-        spec, mlp = run.parsed["model"]
-        matrix = build_features(run.corpus, spec, run.parsed["embeddings"])
-        logprobs = log_softmax(mlp_forward(mlp, matrix.data), axis=1)
-        text = _logprob_file(run.header, ctx.name, run.corpus, matrix.ids, logprobs)
-        single = run.out or Path("predictions.tsv")
-        path = run.out / "predictions.tsv" if ctx.all_prompts else single
-        write_atomic({path: text})
+        with _naming(run.prompt):
+            spec, mlp = run.parsed["model"]
+            matrix = build_features(run.corpus, spec, run.parsed["embeddings"])
+            logprobs = log_softmax(mlp_forward(mlp, matrix.data), axis=1)
+            text = _logprob_file(run.header, ctx.name, run.corpus, matrix.ids, logprobs)
+            single = run.out or Path("predictions.tsv")
+            path = run.out / "predictions.tsv" if ctx.all_prompts else single
+            write_atomic({path: text})
         print(f"prompt {run.prompt}: wrote {len(matrix.ids)} rows -> {path}")
 
 
@@ -508,8 +497,8 @@ def cmd_ensemble(ctx: _Ctx) -> None:
     # every prompt is fitted and scored before the first file is written
     files, done = {}, []
     for pid, corpus, parsed, header, out in _runs(ctx, ctx.all_prompts, "members"):
-        k = corpus.num_classes
         with _naming(pid):
+            k = corpus.num_classes
             members = select_best_subset(parsed["members"], corpus, ctx.m)
             spec = fit_ensemble(members, corpus)
             dev_pred, _ = score_ensemble(spec, members, [r.id for r in corpus.dev])

@@ -10,7 +10,7 @@ are comparable.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -80,6 +80,13 @@ def _parse_score(cell: str, row_num: int) -> int | None:
         raise NonIntegerScore(f"row {row_num}: score {cell!r} is not an integer") from None
 
 
+def _refuse_repeats(header: list[str], *names: str) -> None:
+    """HeaderMismatch naming the first of ``names`` that ``header`` holds twice."""
+    for name in names:
+        if header.count(name) > 1:
+            raise HeaderMismatch(f"repeated column in header: {name!r}")
+
+
 def parse_dataset(
     data: bytes | str,
     columns: ColumnMap = DEFAULT_COLUMNS,
@@ -89,7 +96,8 @@ def parse_dataset(
     """Parse a tab-separated dataset with a header row.
 
     Missing score cells, and score columns missing from the header, map
-    to None. Ids must be unique within a prompt. Every row is checked, in
+    to None; a column of ``columns`` that the header names twice is
+    HeaderMismatch. Ids must be unique within a prompt. Every row is checked, in
     file order: its field count, a non-negative integer prompt id, an id
     that does not start with '#' (a writer would put it first on a line,
     where it reads back as a comment), a new (prompt, id) pair and integer
@@ -105,6 +113,7 @@ def parse_dataset(
     if head is None:
         raise MalformedRow("no header row found")
     header = head.split("\t")
+    _refuse_repeats(header, *astuple(columns))
     try:
         i_id = header.index(columns.id)
         i_prompt = header.index(columns.prompt)
@@ -258,13 +267,14 @@ def build_corpus(
     test: list[ScoredResponse] | None = None,
     prompt_text: str = "",
 ) -> PromptCorpus:
-    """Filter one prompt, split off dev, derive the label range."""
+    """Filter one prompt, split off dev, derive the label range. Each error
+    starts with ``prompt <prompt_id>: ``."""
     pool = [r for r in responses if r.prompt_id == prompt_id]
     if not pool:
-        raise EmptyInput(f"no responses for prompt {prompt_id}")
+        raise EmptyInput(f"prompt {prompt_id}: no responses")
     for r in pool:
         if r.score1 is None:
-            raise MalformedRow(f"response {r.id!r} has no score1; cannot train on it")
+            raise MalformedRow(f"prompt {prompt_id}: response {r.id!r} has no score1 to train on")
     train, dev = split_dev(pool, dev_fraction, seed)
     test = [r for r in (test or []) if r.prompt_id == prompt_id]
 
@@ -273,7 +283,7 @@ def build_corpus(
     min_score, max_score = min(observed), max(observed)
     num_classes = max_score - min_score + 1
     if num_classes < 2:
-        raise EmptyInput(f"prompt {prompt_id} has a single observed score value")
+        raise EmptyInput(f"prompt {prompt_id}: a single observed score value")
 
     ids = [r.id for r in train] + [r.id for r in dev] + [r.id for r in test]
     if len(ids) != len(set(ids)):
@@ -488,7 +498,8 @@ def parse_score_table(data: bytes | str, id_col: str, score_col: str) -> dict[st
     """Read an id -> score table from a comma- or tab-separated file.
 
     Used to join withheld test labels (released as a separate solution
-    file) onto the unlabeled test responses.
+    file) onto the unlabeled test responses. Column names match without
+    case; a header naming either column twice is HeaderMismatch.
     """
     lines = iter(data_lines(data))
     _, head = next(lines, (0, None))
@@ -497,6 +508,7 @@ def parse_score_table(data: bytes | str, id_col: str, score_col: str) -> dict[st
     delim = "\t" if "\t" in head else ","
     header = [h.strip() for h in head.split(delim)]
     lowered = [h.lower() for h in header]
+    _refuse_repeats(lowered, id_col.lower(), score_col.lower())
     try:
         i_id = lowered.index(id_col.lower())
         i_score = lowered.index(score_col.lower())

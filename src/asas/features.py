@@ -26,7 +26,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .corpus import EmbeddingTable, PromptCorpus, ScoredResponse
-from .errors import InsufficientClasses, MissingEmbedding, RankDeficient
+from .errors import HeaderMismatch, InsufficientClasses, MissingEmbedding, RankDeficient
+from .learners import MlpModel
 from .serialize import Artifact, fmt_float, require_finite, row_vector
 
 MINUTIAE_LENGTHS = range(5, 20)  # 15 substring lengths
@@ -702,6 +703,10 @@ class FeatureModelSpec:
             n = sum(1 for g in self.key_ngrams if g.order == order)
             if n != NGRAMS_PER_ORDER:
                 raise ValueError(f"expected 30 n-grams of order {order}, got {n}")
+        for g in self.key_ngrams:  # scoring takes each n-gram's order from its text
+            n = g.order if g.text is None else len(g.text.split())
+            if n != g.order:
+                raise ValueError(f"key n-gram {g.text!r} has {n} tokens, not its order {g.order}")
         if self.tfidf_projection.shape[0] != len(self.tfidf_vocab):
             raise ValueError("projection rows disagree with vocabulary size")
         mean, sd = self.standardizer
@@ -715,7 +720,9 @@ class FeatureModelSpec:
         if mean.shape != (self.feature_dim,) or sd.shape != (self.feature_dim,):
             raise ValueError("standardizer length disagrees with feature dimension")
 
-    def to_artifact(self) -> Artifact:
+    def to_artifact(self, mlp: MlpModel) -> Artifact:
+        """The ``feature-model`` artifact (``model.txt``) of this spec and the
+        MLP trained on its features."""
         vocab_rows = [None] * len(self.tfidf_vocab)
         for term, (idx, idf) in self.tfidf_vocab.items():
             vocab_rows[idx] = [term, fmt_float(idf)]
@@ -725,7 +732,7 @@ class FeatureModelSpec:
         ]
         mean, sd = self.standardizer
         return Artifact(
-            kind="feature-spec",
+            kind="feature-model",
             meta={
                 "cutoff": fmt_float(self.near_match_cutoff),
                 "embedding_dim": "none" if self.embedding_dim is None else str(self.embedding_dim),
@@ -736,11 +743,14 @@ class FeatureModelSpec:
                 "projection": self.tfidf_projection,
                 "std_mean": mean,
                 "std_sd": sd,
+                **mlp.to_arrays(),
             },
         )
 
     @classmethod
-    def from_artifact(cls, art: Artifact) -> "FeatureModelSpec":
+    def from_artifact(cls, art: Artifact) -> tuple["FeatureModelSpec", MlpModel]:
+        """The spec and MLP of a ``feature-model`` artifact; HeaderMismatch if
+        the MLP's input width is not the spec's feature count."""
         art.require(
             meta=("cutoff", "embedding_dim", "prompt_minutiae"),
             tables=("vocab", "key_ngrams"),
@@ -754,7 +764,7 @@ class FeatureModelSpec:
             for order, text, score in art.tables["key_ngrams"]
         ]
         emb = art.meta["embedding_dim"]
-        return cls(
+        spec = cls(
             tfidf_vocab=vocab,
             tfidf_projection=art.arrays["projection"],
             key_ngrams=key_ngrams,
@@ -763,6 +773,13 @@ class FeatureModelSpec:
             embedding_dim=None if emb == "none" else int(emb),
             prompt_minutiae=art.meta["prompt_minutiae"],
         )
+        mlp = MlpModel.from_arrays(art.arrays)
+        if mlp.w1.shape[0] != spec.feature_dim:
+            raise HeaderMismatch(
+                f"the feature spec gives {spec.feature_dim} features, but matrix mlp_w1 has"
+                f" {mlp.w1.shape[0]} rows"
+            )
+        return spec, mlp
 
 
 def _embedding_block(

@@ -18,14 +18,13 @@ import numpy as np
 from .errors import (
     DimMismatch,
     HeaderMismatch,
-    LabelOutOfRange,
     NonFiniteGradient,
     NonFiniteLoss,
     SingleClass,
     TooFewRows,
 )
 from .mathutil import as_float, log_softmax, logsumexp, sigmoid
-from .metrics import qwk
+from .metrics import as_labels, qwk
 from .serialize import require_finite, row_vector
 
 ADAM_BETA1 = 0.9
@@ -105,16 +104,8 @@ def mlp_forward(model: MlpModel, features: np.ndarray) -> np.ndarray:
     return hidden @ model.w2 + model.b2
 
 
-def _checked_labels(labels, k: int) -> np.ndarray:
-    """``labels`` as an array; LabelOutOfRange unless each lies in [0, k)."""
-    labels = np.asarray(labels)
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise LabelOutOfRange(f"labels must lie in [0, {k})")
-    return labels
-
-
 def _one_hot(labels, k: int, dtype) -> np.ndarray:
-    return np.eye(k, dtype=dtype)[_checked_labels(labels, k)]
+    return np.eye(k, dtype=dtype)[as_labels(labels, k)]
 
 
 def bce_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
@@ -370,7 +361,7 @@ def logreg_objective(
     """Mean cross-entropy plus (l2/2)*||W||^2, with analytic gradients; the
     labels must lie in [0, k) for the k columns of ``weights``. ``logreg_fit``
     evaluates every point it visits with it."""
-    labels = _checked_labels(labels, weights.shape[1])
+    labels = as_labels(labels, weights.shape[1])
     n = X.shape[0]
     rows = np.arange(n)
     logits = X @ weights + bias

@@ -17,19 +17,24 @@ SMD_LIMIT = 0.15
 SMD_VIOLATION = "SmdViolation"
 
 
-def _as_labels(values, k: int, name: str) -> np.ndarray:
+def as_labels(values, k: int, name: str = "labels") -> np.ndarray:
+    """``values`` as int64 labels; LabelOutOfRange unless each is an integer
+    in [0, k). An empty vector passes."""
     arr = np.asarray(values)
-    if arr.ndim != 1 or arr.size == 0:
-        raise LengthMismatch(f"{name} must be a nonempty 1-D label vector")
-    if not np.issubdtype(arr.dtype, np.integer):
-        rounded = np.rint(arr)
-        if not np.all(arr == rounded):
-            raise LabelOutOfRange(f"{name} contains non-integer labels")
-        arr = rounded
-    arr = arr.astype(np.int64)
-    if arr.min() < 0 or arr.max() >= k:
-        raise LabelOutOfRange(f"{name} labels must lie in [0, {k})")
-    return arr
+    if arr.dtype.kind not in "iu" and not np.all(arr == np.rint(arr)):  # "iu": an integer dtype
+        raise LabelOutOfRange(f"{name} contains non-integer labels")
+    if arr.size and (arr.min() < 0 or arr.max() >= k):
+        raise LabelOutOfRange(f"{name} must lie in [0, {k})")
+    return arr.astype(np.int64, copy=False)
+
+
+def _paired(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """``a`` and ``b`` as arrays; LengthMismatch unless both are 1-D, non-empty
+    and of one length."""
+    av, bv = np.asarray(a), np.asarray(b)
+    if av.ndim != 1 or av.size == 0 or av.shape != bv.shape:
+        raise LengthMismatch(f"not two non-empty 1-D vectors of one length: {av.shape}, {bv.shape}")
+    return av, bv
 
 
 def qwk(a, b, k: int) -> float:
@@ -44,10 +49,7 @@ def qwk(a, b, k: int) -> float:
     """
     if k < 2:
         raise LabelOutOfRange("need at least two classes")
-    av = _as_labels(a, k, "a")
-    bv = _as_labels(b, k, "b")
-    if av.shape != bv.shape:
-        raise LengthMismatch(f"label vectors differ in length: {av.size} vs {bv.size}")
+    av, bv = (as_labels(v, k, name) for v, name in zip(_paired(a, b), "ab"))
     observed = np.bincount(av * k + bv, minlength=k * k).reshape(k, k) / av.size
     expected = np.outer(observed.sum(axis=1), observed.sum(axis=0))
     idx = np.arange(k, dtype=float)
@@ -65,10 +67,7 @@ def smd(human, machine) -> float:
     The denominator is the pooled standard deviation
     sqrt((var(human) + var(machine)) / 2) with population variances.
     """
-    h = np.asarray(human, dtype=float)
-    m = np.asarray(machine, dtype=float)
-    if h.ndim != 1 or h.size == 0 or h.shape != m.shape:
-        raise LengthMismatch(f"label vectors differ in length: {h.size} vs {m.size}")
+    h, m = (v.astype(float) for v in _paired(human, machine))
     pooled = np.sqrt((h.var() + m.var()) / 2.0)
     diff = m.mean() - h.mean()
     if pooled == 0.0:
@@ -80,10 +79,7 @@ def smd(human, machine) -> float:
 
 def accuracy(a, b) -> float:
     """Fraction of exact label matches."""
-    av = np.asarray(a)
-    bv = np.asarray(b)
-    if av.ndim != 1 or av.size == 0 or av.shape != bv.shape:
-        raise LengthMismatch(f"label vectors differ in length: {av.size} vs {bv.size}")
+    av, bv = _paired(a, b)
     return float(np.mean(av == bv))
 
 

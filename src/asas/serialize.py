@@ -109,8 +109,9 @@ class Artifact:
     @classmethod
     def parse(cls, text: str, expect_kind: str | None = None) -> "Artifact":
         """The artifact in ``text``; HeaderMismatch if it is not one, is
-        truncated, or is not of kind ``expect_kind`` (when given). Lines end
-        at each '\\n', as ``dump`` joins them, less one trailing '\\r'."""
+        truncated, repeats a meta key or a table or matrix name, or is not of
+        kind ``expect_kind`` (when given). Lines end at each '\\n', as ``dump``
+        joins them, less one trailing '\\r'."""
         lines = text.split("\n")
         if lines[-1] == "":
             lines.pop()  # the final newline ends the last line
@@ -135,16 +136,19 @@ class Artifact:
                 i += 1
             elif line.startswith("[strings "):
                 name, count = _block_header(line, 1)
+                _refuse_repeat(art.tables, "table", name)
                 rows = _block_rows(lines, i, name, count)
                 art.tables[name] = [row.split("\t") for row in rows]
                 i += 1 + len(rows)
             elif line.startswith("[matrix "):
                 name, n_rows, n_cols = _block_header(line, 2)
+                _refuse_repeat(art.arrays, "matrix", name)
                 rows = _block_rows(lines, i, name, n_rows)
                 art.arrays[name] = _matrix(name, rows, n_cols)
                 i += 1 + len(rows)
             else:
                 key, _, value = line.partition("\t")
+                _refuse_repeat(art.meta, "key", key)
                 art.meta[key] = value
                 i += 1
         return art
@@ -181,6 +185,13 @@ def _check(ok: bool, what: str, value) -> None:
     """ValueError naming ``what`` and its ``value`` unless ``ok``."""
     if not ok:
         raise ValueError(f"{what} {value!r} would not read back unchanged")
+
+
+def _refuse_repeat(seen: dict, what: str, name: str) -> None:
+    """HeaderMismatch if ``seen`` already holds ``name``: a file that repeats a
+    key or block has no one meaning."""
+    if name in seen:
+        raise HeaderMismatch(f"repeated {what} {name!r}")
 
 
 def _block_header(line: str, n_sizes: int) -> tuple:

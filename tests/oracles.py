@@ -460,6 +460,9 @@ def parse_dataset_per_cell(
     if head is None:
         raise MalformedRow("no header row found")
     header = head.split("\t")
+    for name in (columns.id, columns.prompt, columns.score1, columns.score2, columns.text):
+        if header.count(name) > 1:
+            raise HeaderMismatch(f"repeated column in header: {name!r}")
     try:
         i_id = header.index(columns.id)
         i_prompt = header.index(columns.prompt)
@@ -546,6 +549,9 @@ def parse_score_table_per_cell(data: bytes | str, id_col: str, score_col: str) -
     delim = "\t" if "\t" in head else ","
     header = [h.strip() for h in head.split(delim)]
     lowered = [h.lower() for h in header]
+    for name in (id_col.lower(), score_col.lower()):
+        if lowered.count(name) > 1:
+            raise HeaderMismatch(f"repeated column in header: {name!r}")
     try:
         i_id = lowered.index(id_col.lower())
         i_score = lowered.index(score_col.lower())

@@ -5,6 +5,7 @@ from collections import Counter
 import inspect
 import io
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import asas.features
 import asas.learners
 from asas.cli import OPTIONS, load_config_file, main, load_feature_model
 from asas.corpus import (
+    ScoredResponse,
     build_corpus,
     dump_logprobs,
     load_logprobs,
@@ -23,7 +25,7 @@ from asas.corpus import (
     serialize_dataset,
 )
 from asas.ensemble import EnsembleSpec
-from asas.errors import AsasError, DegenerateDistribution, EmptyInput, SingleClass, TooFewRows
+from asas.errors import AsasError, EmptyInput, NonFiniteLoss
 from asas.hyperopt import SearchSpace, Uniform
 from asas.mathutil import logsumexp
 from asas.metrics import EvalReport
@@ -1027,11 +1029,71 @@ class TestInputFaults:
         assert capsys.readouterr().err == "asas: prompt 2: need at least 3 rows, got 2\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("kind", [TooFewRows, SingleClass, DegenerateDistribution])
-    def test_fit_and_score_errors_gain_the_prompt_and_keep_their_class(self, kind):
-        with pytest.raises(kind, match="^prompt 4: cannot$"):
+    @pytest.mark.parametrize("kind", [AsasError, *AsasError.__subclasses__()])
+    def test_every_asas_error_gains_the_prompt_and_keeps_its_class(self, kind):
+        with pytest.raises(kind, match="^prompt 4: cannot$") as info:
             with asas.cli._naming(4):
                 raise kind("cannot")
+        assert type(info.value) is kind
+
+    def test_any_other_exception_passes_unnamed(self):
+        with pytest.raises(ValueError, match="^cannot$"):
+            with asas.cli._naming(4):
+                raise ValueError("cannot")
+
+    @pytest.mark.parametrize("argv, says", [
+        (["train-features", "--lr", "1e30", "--epochs", "1", "--tfidf-dim", "6"],
+         "prompt 1: non-finite loss at epoch 1"),
+        (["tune", "--dev-frac", "0.97", "--trials", "1", "--epochs", "1"],
+         "prompt 1: key n-gram selection needs >= 2 score classes"),
+    ], ids=["train-features", "tune"])
+    def test_a_training_error_of_one_prompt_names_it(self, workspace, capsys, argv, says):
+        out = workspace["dir"] / "named"
+        common = ["--data", str(workspace["data"]), "--all-prompts", "--out", str(out)]
+        assert main([*argv, *common]) == 2
+        assert capsys.readouterr().err == f"asas: {says}\n"
+        assert not out.exists()
+
+    def test_every_trial_failing_names_its_prompt_and_exits_3(self, workspace, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise NonFiniteLoss("non-finite loss at epoch 1")
+
+        monkeypatch.setattr(asas.cli, "_train_once", diverge)
+        out = workspace["dir"] / "all_failed"
+        assert main([
+            "tune", "--data", str(workspace["data"]), "--all-prompts", "--trials", "2",
+            "--out", str(out),
+        ]) == 3
+        assert capsys.readouterr().err.startswith("asas: prompt 1: ")
+        assert not out.exists()
+
+    def test_a_stats_error_names_its_prompt(self, workspace, capsys):
+        pool = [
+            r if r.prompt_id == 1 else ScoredResponse(r.id, r.prompt_id, r.text, r.score1, None)
+            for r in workspace["pool"]
+        ]
+        data = workspace["dir"] / "one_read.tsv"
+        data.write_bytes(serialize_dataset(pool))
+        assert main(["stats", "--data", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"asas: prompt 2: dev response '\d+' lacks a second read\n", err)
+
+    def test_a_dataset_column_named_twice_exits_2(self, workspace, capsys):
+        data = workspace["dir"] / "twice.tsv"
+        data.write_text("Id\tEssaySet\tScore1\tScore1\tEssayText\n1\t1\t1\t1\ttext\n")
+        assert main(["ingest", "--data", str(data)]) == 2
+        assert capsys.readouterr().err == f"asas: {data}: repeated column in header: 'Score1'\n"
+
+    def test_a_solution_column_named_twice_exits_2(self, workspace, capsys):
+        solution = workspace["dir"] / "twice.csv"
+        rows = "".join(f"{r.id},{r.score1},{r.score1}\n" for r in workspace["test_rows"])
+        solution.write_text("id,essay_score,Essay_Score\n" + rows)
+        assert main([
+            "stats", "--data", str(workspace["data"]), "--test", str(workspace["test"]),
+            "--solution", str(solution), "--prompt", "1",
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err == f"asas: {solution}: repeated column in header: 'essay_score'\n"
 
     def test_an_error_that_names_its_prompt_is_not_prefixed_again(self):
         with pytest.raises(EmptyInput, match="^prompt 4: no rows$"):
@@ -1544,7 +1606,9 @@ class TestModelFileChecks:
         ("[matrix x 2 1000000000000]\n1.0\n2.0\n", "matrix x row 1 has 1 values"),
         ("[matrix x 2 -3]\n1.0\n2.0\n", "bad block header '[matrix x 2 -3]'"),
         ("[matrix x 2]\n1.0\n2.0\n", "bad block header '[matrix x 2]'"),
-    ], ids=["huge-width", "negative-width", "no-width"])
+        ("[matrix projection 1 1]\n0.5\n", "repeated matrix 'projection'"),
+        ("cutoff\t0.9\n", "repeated key 'cutoff'"),
+    ], ids=["huge-width", "negative-width", "no-width", "repeated-matrix", "repeated-key"])
     def test_bad_block_header_or_width(self, toy_model, capsys, block, names):
         self._assert_rejected(toy_model, capsys, toy_model[2] + block, names)
 
@@ -1582,6 +1646,16 @@ class TestModelFileChecks:
         cells[1 if name == "vocab" else 0] = value
         lines[at] = "\t".join(cells) + "\n"
         names = f"block {name} holds a value that is not a finite number"
+        self._assert_rejected(toy_model, capsys, "".join(lines), names)
+
+    @pytest.mark.parametrize("text", [" ", "foo bar baz"], ids=["blank", "three-words"])
+    def test_a_key_ngram_whose_words_are_not_its_order(self, toy_model, capsys, text):
+        lines = toy_model[2].splitlines(keepends=True)
+        at = lines.index("[strings key_ngrams 90]\n") + 1
+        order, _, score = lines[at].split("\t")
+        assert order == "1"
+        lines[at] = f"1\t{text}\t{score}"
+        names = f"key n-gram {text!r} has {len(text.split())} tokens, not its order 1"
         self._assert_rejected(toy_model, capsys, "".join(lines), names)
 
     def _assert_rejected(self, toy_model, capsys, text, names):

@@ -161,6 +161,30 @@ class TestParseDataset:
         assert _outcome(parse_dataset, data)[0] is error
         assert _outcome(parse_dataset, data) == _outcome(parse_dataset_per_cell, data)
 
+    @pytest.mark.parametrize("header, repeated", [
+        ("Id\tEssaySet\tScore1\tScore1\tEssayText", "Score1"),
+        ("Id\tEssaySet\tScore1\tEssayText\tEssayText", "EssayText"),
+        ("Id\tEssaySet\tId\tScore1\tEssayText", "Id"),
+    ])
+    def test_a_column_named_twice_is_header_mismatch(self, header, repeated):
+        data = f"{header}\n1\t1\t1\t1\ttext\n"
+        want = (HeaderMismatch, f"repeated column in header: {repeated!r}")
+        assert _outcome(parse_dataset, data) == want
+        assert _outcome(parse_dataset_per_cell, data) == want
+
+    def test_a_column_it_does_not_read_may_repeat(self):
+        data = f"{HEADER}\tNote\tNote\n1\t1\t1\t1\ttext\ta\tb\n"
+        assert parse_dataset(data) == parse_dataset_per_cell(data)
+        assert parse_dataset(data)[0].text == "text"
+
+    @pytest.mark.parametrize("head", ["id,essay_score,essay_score", "id,ID,essay_score"])
+    def test_a_solution_column_named_twice_is_header_mismatch(self, head):
+        table = f"{head}\na,1,1\n"
+        name = "essay_score" if head.count("essay_score") == 2 else "id"
+        want = (HeaderMismatch, f"repeated column in header: {name!r}")
+        assert _outcome(parse_score_table, table, "id", "essay_score") == want
+        assert _outcome(parse_score_table_per_cell, table, "id", "essay_score") == want
+
     def test_writers_refuse_an_id_starting_with_hash(self):
         with pytest.raises(ValueError, match="^id '#1' would not read back unchanged$"):
             serialize_dataset([ScoredResponse("#1", 1, "text", 0, 0)])

@@ -40,6 +40,7 @@ from asas.features import (
     with_positive_peaks,
 )
 from asas.features import _TABLE_CELLS, _matching_totals, _ratio
+from asas.learners import MlpModel
 from asas.serialize import Artifact
 from conftest import make_toy_corpus, make_toy_responses
 from oracles import (
@@ -505,8 +506,7 @@ class TestBuildFeatures:
 class TestSpecSerialization:
     def test_round_trip_preserves_features_bit_exactly(self, toy_corpus):
         spec, _ = fit_feature_model(toy_corpus, d_t=6, near_match_cutoff=0.77)
-        art = Artifact.parse(spec.to_artifact().dump())
-        again = FeatureModelSpec.from_artifact(art)
+        again = _reloaded(spec)
         a = extract_features(toy_corpus.dev, spec)
         b = extract_features(toy_corpus.dev, again)
         assert np.array_equal(a.data, b.data)
@@ -520,6 +520,15 @@ class TestSpecSerialization:
         spec, _ = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
         with pytest.raises(ValueError):
             dataclasses.replace(spec, key_ngrams=spec.key_ngrams[:-1])
+
+    @pytest.mark.parametrize("text", [" ", "", "two words"])
+    def test_validate_rejects_a_key_ngram_whose_tokens_are_not_its_order(self, toy_corpus, text):
+        spec, _ = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
+        first = spec.key_ngrams[0]
+        assert first.order == 1 and first.text is not None
+        bad = (dataclasses.replace(first, text=text), *spec.key_ngrams[1:])
+        with pytest.raises(ValueError, match="tokens, not its order 1"):
+            dataclasses.replace(spec, key_ngrams=bad)
 
     def test_fields_cannot_be_assigned(self, toy_corpus):
         spec, _ = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
@@ -584,8 +593,16 @@ def _other_corpus():
     return build_corpus(pool, prompt_id=2, dev_fraction=0.25, seed=7, prompt_text=_OTHER_PROMPT)
 
 
+def _mlp(spec: FeatureModelSpec) -> MlpModel:
+    """An untrained MLP that fits ``spec``'s features, to save the spec with."""
+    return MlpModel.init(spec.feature_dim, 3, 4, seed=0)
+
+
 def _reloaded(spec: FeatureModelSpec) -> FeatureModelSpec:
-    return FeatureModelSpec.from_artifact(Artifact.parse(spec.to_artifact().dump()))
+    mlp = _mlp(spec)
+    again, loaded = FeatureModelSpec.from_artifact(Artifact.parse(spec.to_artifact(mlp).dump()))
+    assert [a.tobytes() for a in loaded.params()] == [a.tobytes() for a in mlp.params()]
+    return again
 
 
 def _one_at_a_time(responses, spec) -> np.ndarray:
@@ -695,7 +712,7 @@ class TestScoringState:
 
     def test_scoring_leaves_the_artifact_unchanged(self, two_specs, toy_corpus):
         spec = two_specs[0]
-        before = spec.to_artifact().dump()
+        before = spec.to_artifact(_mlp(spec)).dump()
         _one_at_a_time(toy_corpus.all_responses(), spec)
         extract_features(toy_corpus.all_responses(), spec)
-        assert spec.to_artifact().dump() == before
+        assert spec.to_artifact(_mlp(spec)).dump() == before

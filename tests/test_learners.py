@@ -125,6 +125,39 @@ class TestOneHot:
         assert (got.dtype, got.shape) == (want.dtype, want.shape)
         assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("empty", [[], np.array([], dtype=float), np.array([], dtype=int)])
+    def test_an_empty_vector_gives_no_rows(self, empty):
+        assert learners._one_hot(empty, 3, np.float32).shape == (0, 3)
+
+    def test_integral_floats_read_as_their_integers(self):
+        floats = learners._one_hot([2.0, 0.0, 1.0], 3, np.float64)
+        assert floats.tobytes() == learners._one_hot([2, 0, 1], 3, np.float64).tobytes()
+
+
+# Each caller of metrics.as_labels, given labels for k = 3 classes.
+_LABEL_CALLERS = {
+    "qwk": lambda y: qwk(y, [0] * len(y), 3),
+    "one_hot": lambda y: learners._one_hot(y, 3, np.float32),
+    "logreg_objective": lambda y: logreg_objective(
+        np.zeros((1, 3)), np.zeros(3), np.ones((len(y), 1)), y, 1e-3
+    ),
+}
+
+
+class TestLabelCheckParity:
+    """``qwk``, ``_one_hot`` and ``logreg_objective`` check labels with one rule."""
+
+    @pytest.mark.parametrize("caller", _LABEL_CALLERS)
+    @pytest.mark.parametrize("labels", [[0, 2, 1], [0.0, 2.0, 1.0], np.array([1, 2], np.int8)])
+    def test_integral_labels_in_range_pass(self, caller, labels):
+        _LABEL_CALLERS[caller](labels)
+
+    @pytest.mark.parametrize("caller", _LABEL_CALLERS)
+    @pytest.mark.parametrize("labels", [[0, 3], [-1, 0], [0.5, 1], [np.nan, 1], [np.inf, 0]])
+    def test_a_label_out_of_range_or_not_integral_fails(self, caller, labels):
+        with pytest.raises(LabelOutOfRange):
+            _LABEL_CALLERS[caller](labels)
+
 
 class TestAdamW:
     def test_zero_gradient_zero_decay_is_noop(self):

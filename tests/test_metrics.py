@@ -88,6 +88,15 @@ class TestQwk:
             qwk([0, 2], [0, 1], 2)
         with pytest.raises(LabelOutOfRange):
             qwk([0, -1], [0, 1], 2)
+        with pytest.raises(LabelOutOfRange, match="non-integer"):
+            qwk([0, 1], [0, 0.5], 2)
+        assert qwk([0.0, 1.0], [0, 1], 2) == 1.0  # integral floats are labels
+
+    def test_a_pair_wrong_in_two_ways_reports_its_shapes_first(self):
+        with pytest.raises(LengthMismatch):
+            qwk([0, 5], [0], 3)
+        with pytest.raises(LengthMismatch):
+            qwk([[0, 5]], [[0, 1]], 3)
 
 
 class TestSmd:
@@ -135,6 +144,13 @@ class TestAccuracy:
     def test_errors(self):
         with pytest.raises(LengthMismatch):
             accuracy([0], [0, 1])
+
+
+@pytest.mark.parametrize("stat", [accuracy, smd, lambda a, b: qwk(a, b, 3)])
+@pytest.mark.parametrize("a, b", [([0], [0, 1]), ([], []), ([[0, 1]], [[0, 1]]), (0, 0)])
+def test_every_statistic_refuses_a_pair_that_is_not_two_equal_vectors(stat, a, b):
+    with pytest.raises(LengthMismatch):
+        stat(a, b)
 
 
 class TestCriteriaFlags:

@@ -135,6 +135,20 @@ class TestArtifact:
         with pytest.raises(HeaderMismatch, match="row 2"):
             Artifact.parse(text)
 
+    @pytest.mark.parametrize("body, names", [
+        ("k\tv\nk\tw\n", "repeated key 'k'"),
+        ("[strings t 1]\na\n[strings t 1]\nb\n", "repeated table 't'"),
+        ("[matrix m 1 1]\n1.0\n[matrix m 1 1]\n2.0\n", "repeated matrix 'm'"),
+    ])
+    def test_a_repeated_key_or_block_is_header_mismatch(self, body, names):
+        with pytest.raises(HeaderMismatch, match=f"^{names}$"):
+            Artifact.parse("#asas-artifact v1 kind=r\n" + body)
+
+    def test_a_table_and_a_matrix_may_share_a_name(self):
+        art = Artifact(kind="r", tables={"x": [["a"]]}, arrays={"x": np.ones((1, 1))})
+        back = Artifact.parse(art.dump())
+        assert back.tables == art.tables and np.array_equal(back.arrays["x"], art.arrays["x"])
+
     def test_require_names_the_missing_block(self):
         art = Artifact(kind="r", meta={"k": "v"}, arrays={"m": np.ones(2)})
         art.require(meta=("k",), arrays=("m",))
