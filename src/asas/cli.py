@@ -17,8 +17,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
-
 from .corpus import (
     ColumnMap,
     build_corpus,
@@ -47,6 +45,7 @@ from .errors import (
     AsasError,
     CoverageGap,
     DuplicateId,
+    HeaderMismatch,
     MalformedRow,
     MissingPromptPlaceholder,
 )
@@ -275,9 +274,7 @@ def _runs(ctx: _Ctx, all_prompts: bool, *files: str, test: bool = True) -> list[
     # looked up here, so replacing this module's loaders (as a tracer does) applies
     loaders = {
         "embeddings": load_embeddings,
-        "model": lambda data, _: FeatureModelSpec.from_artifact(
-            Artifact.parse(data.decode(), "feature-model")
-        ),
+        "model": _model_for,
         "members": load_logprobs,
     }
     shared, runs = dict(ctx.digests), []
@@ -285,14 +282,15 @@ def _runs(ctx: _Ctx, all_prompts: bool, *files: str, test: bool = True) -> list[
     for pid in pids:
         own = dict(paths[pid])
         text = [ctx.parse_input(p, bytes.decode, "utf-8") for p in own.pop("prompt_text", [])]
-        corpus = build_corpus(
-            responses,
-            prompt_id=pid,
-            dev_fraction=ctx.dev_frac,
-            seed=prompt_seed(ctx.seed, pid),
-            test=test_rows,
-            prompt_text="".join(text),  # "" without --prompt-text
-        )
+        with _naming(pid):
+            corpus = build_corpus(
+                responses,
+                prompt_id=pid,
+                dev_fraction=ctx.dev_frac,
+                seed=prompt_seed(ctx.seed, pid),
+                test=test_rows,
+                prompt_text="".join(text),  # "" without --prompt-text
+            )
         parsed = {}
         for name, ps in own.items():
             values = [ctx.parse_input(p, loaders[name], corpus) for p in ps]
@@ -305,13 +303,11 @@ def _runs(ctx: _Ctx, all_prompts: bool, *files: str, test: bool = True) -> list[
 
 @contextmanager
 def _naming(pid: int):
-    """Prefix ``prompt <pid>: `` to an ``AsasError`` of prompt ``pid``'s work
-    unless it starts so already; it keeps its class, so its exit code."""
+    """Prefix ``prompt <pid>: `` to an ``AsasError`` of prompt ``pid``'s work;
+    it keeps its class, so its exit code."""
     try:
         yield
     except AsasError as exc:
-        if str(exc).startswith(f"prompt {pid}: "):
-            raise
         raise type(exc)(f"prompt {pid}: {exc}") from None
 
 
@@ -387,6 +383,15 @@ def load_feature_model(path: str | Path) -> tuple[FeatureModelSpec, MlpModel]:
     return FeatureModelSpec.from_artifact(Artifact.load(path, "feature-model"))
 
 
+def _model_for(data: bytes, corpus: PromptCorpus) -> tuple[FeatureModelSpec, MlpModel]:
+    """The spec and MLP of model file ``data``; HeaderMismatch unless the MLP
+    scores as many classes as ``corpus`` has."""
+    spec, mlp = FeatureModelSpec.from_artifact(Artifact.parse(data.decode(), "feature-model"))
+    if (k := mlp.n_classes) != corpus.num_classes:
+        raise HeaderMismatch(f"model declares k={k} but corpus has {corpus.num_classes} classes")
+    return spec, mlp
+
+
 def _train_once(corpus, matrix, lr, batch, epochs, seed, hidden):
     config = TrainConfig(learning_rate=lr, batch_size=batch, epochs=epochs, seed=seed)
     model = MlpModel.init(matrix.dim, hidden, corpus.num_classes, seed)
@@ -404,10 +409,8 @@ def _run_files(ctx: _Ctx, run: _Run, spec: FeatureModelSpec, matrix, result):
     """The files of ``run``'s directory: a trained feature model, its training
     history, its dev report and, as ``predictions.tsv``, its log-probabilities
     on every row it was fitted on."""
-    corpus, header, out = run.corpus, run.header, run.out
-    dev_ids = [r.id for r in corpus.dev]
-    pred = np.argmax(mlp_forward(result.model, matrix.rows_for(dev_ids)), axis=1)
-    report = evaluate_run(pred, corpus.labels(corpus.dev), corpus.num_classes, corpus.prompt_id)
+    pid, corpus, _, header, out = run
+    report = evaluate_run(result.dev_pred, corpus.labels(corpus.dev), corpus.num_classes, pid)
     logprobs = log_softmax(mlp_forward(result.model, matrix.data), axis=1)
     return {
         out / "model.txt": spec.to_artifact(result.model).dump(header),

@@ -27,6 +27,7 @@ from .errors import (
 )
 from .mathutil import logsumexp
 from .metrics import accuracy, qwk
+from .serialize import data_lines
 
 
 @dataclass(frozen=True)
@@ -56,18 +57,6 @@ class ColumnMap:
 
 
 DEFAULT_COLUMNS = ColumnMap()
-
-
-def data_lines(data: bytes | str) -> list[tuple[int, str]]:
-    """(line number, line) of each line that is neither blank nor a '#' comment.
-
-    Bytes are decoded as UTF-8 and one trailing '\\r' is dropped from each line;
-    numbers count every line from 1, comments and blank lines included."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
-    lines = text.split("\n")
-    if "\r" in text:
-        lines = [line.removesuffix("\r") for line in lines]
-    return [(n, line) for n, line in enumerate(lines, 1) if line and line[0] != "#"]
 
 
 def _parse_score(cell: str, row_num: int) -> int | None:
@@ -215,8 +204,7 @@ def split_dev(
     if not 0 < n_dev < n:
         half = "dev" if n_dev == 0 else "train"
         raise EmptyInput(
-            f"prompt {responses[0].prompt_id}: a dev fraction of {dev_fraction} of"
-            f" {n} responses leaves the {half} split empty"
+            f"a dev fraction of {dev_fraction} of {n} responses leaves the {half} split empty"
         )
     rng = random.Random(seed)
     order = list(range(n))
@@ -267,14 +255,13 @@ def build_corpus(
     test: list[ScoredResponse] | None = None,
     prompt_text: str = "",
 ) -> PromptCorpus:
-    """Filter one prompt, split off dev, derive the label range. Each error
-    starts with ``prompt <prompt_id>: ``."""
+    """Filter one prompt, split off dev, derive the label range."""
     pool = [r for r in responses if r.prompt_id == prompt_id]
     if not pool:
-        raise EmptyInput(f"prompt {prompt_id}: no responses")
+        raise EmptyInput("no responses")
     for r in pool:
         if r.score1 is None:
-            raise MalformedRow(f"prompt {prompt_id}: response {r.id!r} has no score1 to train on")
+            raise MalformedRow(f"response {r.id!r} has no score1 to train on")
     train, dev = split_dev(pool, dev_fraction, seed)
     test = [r for r in (test or []) if r.prompt_id == prompt_id]
 
@@ -283,11 +270,11 @@ def build_corpus(
     min_score, max_score = min(observed), max(observed)
     num_classes = max_score - min_score + 1
     if num_classes < 2:
-        raise EmptyInput(f"prompt {prompt_id}: a single observed score value")
+        raise EmptyInput("a single observed score value")
 
     ids = [r.id for r in train] + [r.id for r in dev] + [r.id for r in test]
     if len(ids) != len(set(ids)):
-        raise DuplicateId(f"prompt {prompt_id}: train/dev/test ids are not disjoint")
+        raise DuplicateId("train/dev/test ids are not disjoint")
     return PromptCorpus(
         prompt_id=prompt_id,
         train=train,

@@ -697,16 +697,22 @@ class FeatureModelSpec:
             object.__setattr__(self, "tfidf_vocab", MappingProxyType(dict(self.tfidf_vocab)))
         if not MIN_CUTOFF <= self.near_match_cutoff <= 1.0:
             raise ValueError(f"cutoff out of range: {self.near_match_cutoff}")
-        if len(self.key_ngrams) != len(NGRAM_ORDERS) * NGRAMS_PER_ORDER:
-            raise ValueError(f"expected 90 key n-grams, got {len(self.key_ngrams)}")
-        for order in NGRAM_ORDERS:
-            n = sum(1 for g in self.key_ngrams if g.order == order)
-            if n != NGRAMS_PER_ORDER:
-                raise ValueError(f"expected 30 n-grams of order {order}, got {n}")
-        for g in self.key_ngrams:  # scoring takes each n-gram's order from its text
-            n = g.order if g.text is None else len(g.text.split())
-            if n != g.order:
-                raise ValueError(f"key n-gram {g.text!r} has {n} tokens, not its order {g.order}")
+        # Scoring matches the _tokens of answers against these texts and takes
+        # an n-gram's order from its text, so each must be in _tokens form.
+        orders = [g.order for g in self.key_ngrams]
+        if orders != [order for order in NGRAM_ORDERS for _ in range(NGRAMS_PER_ORDER)]:
+            raise ValueError("expected 30 key n-grams of order 1, then 30 of 2, then 30 of 3")
+        for text, order in ((g.text, g.order) for g in self.key_ngrams if g.text is not None):
+            tokens = _tokens(text)
+            if len(tokens) != order:
+                raise ValueError(
+                    f"key n-gram {text!r} has {len(tokens)} tokens, not its order {order}"
+                )
+            if text != " ".join(tokens):
+                raise ValueError(f"key n-gram {text!r} is not lower-case tokens one space apart")
+        for term in self.tfidf_vocab:
+            if _tokens(term) != [term]:
+                raise ValueError(f"vocabulary term {term!r} is not one lower-cased token")
         if self.tfidf_projection.shape[0] != len(self.tfidf_vocab):
             raise ValueError("projection rows disagree with vocabulary size")
         mean, sd = self.standardizer

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import data_lines
-from .errors import AllTrialsFailed, AsasError, EmptySpace, MalformedRow
+from .errors import AllTrialsFailed, AsasError, EmptySpace, HeaderMismatch, MalformedRow
 from .features import MIN_CUTOFF
 from .mathutil import logsumexp
+from .serialize import data_lines
 
 N_STARTUP = 5
 GAMMA = 0.25
@@ -221,14 +221,15 @@ def study_log(space: SearchSpace, result: StudyResult) -> str:
 
 def read_study_log(text: str, space: SearchSpace) -> list[TrialRecord]:
     """Parse a study log back into trial records; a malformed row, such as a
-    killed run's truncated last line, raises ``MalformedRow`` naming its line."""
+    killed run's truncated last line, raises ``MalformedRow`` naming its line,
+    and a log whose columns are not ``space``'s parameters ``HeaderMismatch``."""
     rows = iter(data_lines(text))
     _, head = next(rows, (0, None))
     if head is None:
         return []
     names = head.split("\t")[1:-2]
     if names != list(space.params):
-        raise ValueError(f"log columns {names} do not match space {list(space.params)}")
+        raise HeaderMismatch(f"log columns {names} do not match space {list(space.params)}")
     trials = []
     for line_no, row in rows:
         cells = row.split("\t")

@@ -11,7 +11,7 @@ compute in the dtype of their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -206,6 +206,7 @@ class TrainResult:
     history: list[EpochStats]
     best_epoch: int
     best_dev_qwk: float
+    dev_pred: np.ndarray  # the kept model's argmax class of each dev row
 
     def history_tsv(self) -> str:
         lines = ["epoch\tloss\tdev_qwk"]
@@ -250,9 +251,9 @@ def train_early_stop(
     computed after every epoch from argmax predictions of the float64
     ``mlp_forward``, on the float32 weights converted exactly, so the
     returned model (float64 arrays holding float32 values) scores the
-    same bits as the epoch that chose it; on ties the earliest epoch
-    wins. The linear schedule runs over the full step budget
-    epochs * ceil(N / batch).
+    same bits as the epoch that chose it, and the result keeps that
+    epoch's dev predictions; on ties the earliest epoch wins. The linear
+    schedule runs over the full step budget epochs * ceil(N / batch).
     """
     train_y = np.asarray(train_y)
     dev_y = np.asarray(dev_y)
@@ -265,7 +266,7 @@ def train_early_stop(
     train_x = np.asarray(train_x, dtype=np.float32)
     params = [p.astype(np.float32) for p in model_init.params()]
     state = AdamState.for_params(params)
-    best: tuple[float, int, list[np.ndarray]] | None = None
+    best: TrainResult | None = None
     history: list[EpochStats] = []
     step = 0
     for epoch in range(1, config.epochs + 1):
@@ -280,19 +281,14 @@ def train_early_stop(
             lr_t = linear_lr(step, total_steps, config.learning_rate)
             params, state = adamw_step(params, grads, state, lr_t, WEIGHT_DECAY)
             step += 1
-        weights = [p.astype(float) for p in params]
-        dev_pred = np.argmax(mlp_forward(model_init.with_params(weights), dev_x), axis=1)
+        model = model_init.with_params([p.astype(float) for p in params])
+        dev_pred = np.argmax(mlp_forward(model, dev_x), axis=1)
         dev_qwk = qwk_fn(dev_y, dev_pred, k)
         history.append(EpochStats(epoch=epoch, train_loss=loss_sum / n, dev_qwk=dev_qwk))
-        if best is None or dev_qwk > best[0]:
-            best = (dev_qwk, epoch, weights)
+        if best is None or dev_qwk > best.best_dev_qwk:
+            best = TrainResult(model, [], epoch, dev_qwk, dev_pred)  # history added below
     assert best is not None
-    return TrainResult(
-        model=model_init.with_params(best[2]),
-        history=history,
-        best_epoch=best[1],
-        best_dev_qwk=best[0],
-    )
+    return replace(best, history=history)
 
 
 LOGREG_MAX_ITER = 100  # a safety cap: fits converge in 5-15 Newton steps

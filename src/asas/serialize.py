@@ -112,11 +112,9 @@ class Artifact:
         truncated, repeats a meta key or a table or matrix name, or is not of
         kind ``expect_kind`` (when given). Lines end at each '\\n', as ``dump``
         joins them, less one trailing '\\r'."""
-        lines = text.split("\n")
+        lines = _split_lines(text)
         if lines[-1] == "":
             lines.pop()  # the final newline ends the last line
-        if "\r" in text:
-            lines = [line.removesuffix("\r") for line in lines]
         start = 0
         while start < len(lines) and not lines[start].startswith(f"#{FORMAT_VERSION} kind="):
             if not lines[start].startswith("#"):
@@ -165,6 +163,23 @@ class Artifact:
     @classmethod
     def load(cls, path: str | Path, expect_kind: str | None = None) -> "Artifact":
         return cls.parse(Path(path).read_bytes().decode("utf-8"), expect_kind)
+
+
+def _split_lines(text: str) -> list[str]:
+    """The lines of ``text``: it is split at each '\\n', and one trailing '\\r'
+    is dropped from each line."""
+    lines = text.split("\n")
+    return [line.removesuffix("\r") for line in lines] if "\r" in text else lines
+
+
+def data_lines(data: bytes | str) -> list[tuple[int, str]]:
+    """(line number, line) of each line that is neither blank nor a '#' comment.
+
+    Bytes are decoded as UTF-8 and lines end as ``_split_lines`` ends them;
+    numbers count every line from 1, comments and blank lines included."""
+    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    lines = enumerate(_split_lines(text), 1)
+    return [(n, line) for n, line in lines if line and line[0] != "#"]
 
 
 # A meta key starting with one of these would read back as a comment or a block.

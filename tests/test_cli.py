@@ -25,7 +25,7 @@ from asas.corpus import (
     serialize_dataset,
 )
 from asas.ensemble import EnsembleSpec
-from asas.errors import AsasError, EmptyInput, NonFiniteLoss
+from asas.errors import AsasError, NonFiniteLoss
 from asas.hyperopt import SearchSpace, Uniform
 from asas.mathutil import logsumexp
 from asas.metrics import EvalReport
@@ -735,8 +735,10 @@ class TestPredictPerPrompt:
     def test_another_prompts_model_exits_2_without_writing(self, mixed_k, capsys):
         root, data, models = mixed_k
         out = root / "pred_2.tsv"
-        assert self._predict(data, models / "prompt_1" / "model.txt", out, "--prompt", "2") == 2
-        assert "expected 4 values, got 3" in capsys.readouterr().err
+        model = models / "prompt_1" / "model.txt"
+        assert self._predict(data, model, out, "--prompt", "2") == 2
+        err = capsys.readouterr().err
+        assert err == f"asas: {model}: model declares k=3 but corpus has 4 classes\n"
         assert not out.exists()
 
 
@@ -1094,11 +1096,6 @@ class TestInputFaults:
         ]) == 2
         err = capsys.readouterr().err
         assert err == f"asas: {solution}: repeated column in header: 'essay_score'\n"
-
-    def test_an_error_that_names_its_prompt_is_not_prefixed_again(self):
-        with pytest.raises(EmptyInput, match="^prompt 4: no rows$"):
-            with asas.cli._naming(4):
-                raise EmptyInput("prompt 4: no rows")
 
     @pytest.mark.parametrize("name", ["a\tb", "a\r", "a\nb"])
     def test_a_name_that_cannot_read_back_exits_2_before_reading(
@@ -1658,6 +1655,22 @@ class TestModelFileChecks:
         names = f"key n-gram {text!r} has {len(text.split())} tokens, not its order 1"
         self._assert_rejected(toy_model, capsys, "".join(lines), names)
 
+    @pytest.mark.parametrize("edit", [str.upper, lambda t: t + " "], ids=["upper", "spaced"])
+    def test_a_key_ngram_not_in_token_form(self, toy_model, capsys, edit):
+        lines = toy_model[2].splitlines(keepends=True)
+        at = lines.index("[strings key_ngrams 90]\n") + 1
+        order, text, score = lines[at].split("\t")
+        assert order == "1" and text != edit(text)
+        lines[at] = f"1\t{edit(text)}\t{score}"
+        names = f"key n-gram {edit(text)!r} is not lower-case tokens one space apart"
+        self._assert_rejected(toy_model, capsys, "".join(lines), names)
+
+    def test_an_upper_cased_vocabulary_term(self, toy_model, capsys):
+        text = toy_model[2]
+        assert text.count("\nwater\t") == 1  # the one vocab row; n-gram rows start with an order
+        names = "vocabulary term 'WATER' is not one lower-cased token"
+        self._assert_rejected(toy_model, capsys, text.replace("\nwater\t", "\nWATER\t"), names)
+
     def _assert_rejected(self, toy_model, capsys, text, names):
         root, data, _ = toy_model
         bad, out = root / "bad_model.txt", root / "bad_predictions.tsv"
@@ -1696,6 +1709,30 @@ class TestModelFileFidelity:
         assert qwk(corpus.labels(corpus.dev), pred, corpus.num_classes) == pytest.approx(
             reported.qwk, abs=1e-6
         )
+
+    def test_train_features_scores_the_mlp_once(self, workspace, monkeypatch):
+        from asas.corpus import build_corpus, parse_dataset
+        from asas.ensemble import evaluate_run
+        from asas.features import build_features
+
+        real, calls = asas.cli.mlp_forward, []
+        monkeypatch.setattr(asas.cli, "mlp_forward", lambda *a: calls.append(a) or real(*a))
+        out_dir = workspace["dir"] / "forward_once"
+        assert main([
+            "train-features", "--data", str(workspace["data"]), "--prompt", "1",
+            "--seed", "5", "--epochs", "4", "--tfidf-dim", "8", "--out", str(out_dir),
+        ]) == 0
+        assert len(calls) == 1  # the log-probabilities of predictions.tsv
+        # report_dev.tsv is the report of the saved model's dev predictions
+        spec, mlp = load_feature_model(out_dir / "model.txt")
+        pool = [r for r in parse_dataset(workspace["data"].read_bytes()) if r.prompt_id == 1]
+        corpus = build_corpus(pool, prompt_id=1, dev_fraction=0.2, seed=prompt_seed(5, 1))
+        dev_rows = build_features(corpus, spec).rows_for([r.id for r in corpus.dev])
+        pred = np.argmax(real(mlp, dev_rows), axis=1)
+        report = evaluate_run(pred, corpus.labels(corpus.dev), corpus.num_classes, 1)
+        header = (out_dir / "model.txt").read_text().split("\n", 1)[0]
+        expected = f"{header}\n{EvalReport.TSV_HEADER}\n{report.to_tsv_row()}\n"
+        assert (out_dir / "report_dev.tsv").read_text() == expected
 
 
 class TestReport:

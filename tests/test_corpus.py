@@ -340,7 +340,7 @@ class TestSplitDev:
     def test_partition_property(self, n, fraction, seed):
         responses = make_toy_responses(n=n, seed=1)
         if round(fraction * n) in (0, n):
-            with pytest.raises(EmptyInput, match=f"^prompt 1: a dev fraction of {fraction} of {n}"):
+            with pytest.raises(EmptyInput, match=f"^a dev fraction of {fraction} of {n}"):
                 split_dev(responses, fraction, seed)
             return
         train, dev = split_dev(responses, fraction, seed)

@@ -530,6 +530,36 @@ class TestSpecSerialization:
         with pytest.raises(ValueError, match="tokens, not its order 1"):
             dataclasses.replace(spec, key_ngrams=bad)
 
+    def test_validate_rejects_key_ngram_slots_out_of_order(self, toy_corpus):
+        spec, _ = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
+        grams = spec.key_ngrams
+        swapped = (grams[30], *grams[1:30], grams[0], *grams[31:])  # still 30 of each order
+        with pytest.raises(ValueError, match="^expected 30 key n-grams of order 1, then 30 of 2"):
+            dataclasses.replace(spec, key_ngrams=swapped)
+
+    @pytest.mark.parametrize("slot, edit", [
+        (0, str.upper),
+        (0, lambda t: " " + t),
+        (0, lambda t: t + " "),
+        (30, lambda t: t.replace(" ", "  ")),  # the first n-gram of order 2
+    ], ids=["upper", "lead", "trail", "two-spaces"])
+    def test_validate_rejects_a_key_ngram_not_in_token_form(self, toy_corpus, slot, edit):
+        spec, _ = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
+        grams = list(spec.key_ngrams)
+        text = grams[slot].text
+        assert text is not None and edit(text) != text
+        grams[slot] = dataclasses.replace(grams[slot], text=edit(text))
+        with pytest.raises(ValueError, match="is not lower-case tokens one space apart"):
+            dataclasses.replace(spec, key_ngrams=grams)
+
+    @pytest.mark.parametrize("term", ["WATER", "wat er", " water", ""])
+    def test_validate_rejects_a_vocabulary_term_not_one_token(self, toy_corpus, term):
+        spec, _ = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
+        vocab = {term if t == "water" else t: v for t, v in spec.tfidf_vocab.items()}
+        assert term in vocab
+        with pytest.raises(ValueError, match=f"^vocabulary term {term!r} is not one lower-cased"):
+            dataclasses.replace(spec, tfidf_vocab=vocab)
+
     def test_fields_cannot_be_assigned(self, toy_corpus):
         spec, _ = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from asas.errors import AllTrialsFailed, EmptySpace, MalformedRow, NonFiniteLoss
+from asas.errors import AllTrialsFailed, EmptySpace, HeaderMismatch, MalformedRow, NonFiniteLoss
 from asas.hyperopt import (
     BANDWIDTH_FLOOR_FRACTION,
     SearchSpace,
@@ -272,7 +272,7 @@ class TestStudyLog:
         space = _space_1d()
         result = run_study(space, lambda p: p["x"], 6, seed=0)
         text = study_log(space, result)
-        with pytest.raises(ValueError):
+        with pytest.raises(HeaderMismatch, match="^log columns .* do not match space"):
             read_study_log(text, _mixed_space())
 
     @pytest.mark.parametrize("row, fault", [

@@ -312,6 +312,12 @@ class TestTrainEarlyStop:
         result = self._run([0.7, 0.7], epochs=2)
         assert result.best_epoch == 1
 
+    def test_dev_predictions_are_the_kept_models(self):
+        result = self._run([0.3, 0.7, 0.5], epochs=3)
+        X, _ = _toy_problem()
+        pred = np.argmax(mlp_forward(result.model, X[:12]), axis=1)
+        assert np.array_equal(result.dev_pred, pred)
+
     def test_separable_problem_reaches_perfect_dev_qwk(self):
         X, y = _toy_problem(seed=3, n=72)
         train_X, train_y = X[:48], y[:48]
