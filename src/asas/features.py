@@ -63,7 +63,7 @@ def normalize_text(s: str) -> str:
     Whitespace, digits, and punctuation all disappear; this is the
     "minutiae" form used for substring overlap against the prompt.
     """
-    return "".join(ch for ch in s.lower() if ch.isalpha())
+    return "".join(filter(str.isalpha, s.lower()))
 
 
 def minutiae_substrings(prompt: str) -> list[set[str]]:
@@ -82,17 +82,21 @@ def minutiae_overlap(response: str, prompt_subs: list[set[str]]) -> np.ndarray:
     lengths 5 through 19 (15 dimensions). ``prompt_subs`` is the prompt's
     prepared state, ``minutiae_substrings(prompt)``: a fitted spec derives
     it once (``FeatureModelSpec.prompt_subs``) and every answer reuses it.
+
+    The prefixes of a common substring are common too, so each length
+    looks only at the start positions whose substring one character
+    shorter was common, and stops at the first length with none. A slice
+    cut short by the end of the response is in no set of ``prompt_subs``,
+    whose substrings all have their set's length.
     """
     r = normalize_text(response)
     out = np.zeros(len(MINUTIAE_LENGTHS), dtype=float)
+    starts = range(len(r) - MINUTIAE_LENGTHS[0] + 1)
     for i, (length, subs) in enumerate(zip(MINUTIAE_LENGTHS, prompt_subs)):
-        # A common substring's prefixes are common too: once a length has
-        # no overlap, no longer length has any.
-        if len(r) < length or not subs:
+        starts = [j for j in starts if r[j:j + length] in subs]
+        if not starts:
             break
-        out[i] = len({r[j:j + length] for j in range(len(r) - length + 1)} & subs)
-        if not out[i]:
-            break
+        out[i] = len({r[j:j + length] for j in starts})
     return out
 
 
@@ -622,13 +626,13 @@ def text_stats(s: str) -> np.ndarray:
             len(stripped),
             len(words),
             len(sentences),
-            float(np.mean([len(w) for w in words])),
+            sum(map(len, words)) / len(words),
             len(words) / len(sentences) if sentences else 0.0,
             len(set(lowered)) / len(words),
-            sum(ch in _PUNCT for ch in stripped),
-            sum(ch.isdigit() for ch in stripped),
-            sum(w in STOPWORDS for w in lowered) / len(words),
-            max(len(w) for w in words),
+            sum(map(_PUNCT.__contains__, stripped)),
+            sum(map(str.isdigit, stripped)),
+            sum(map(STOPWORDS.__contains__, lowered)) / len(words),
+            max(map(len, words)),
         ],
         dtype=float,
     )

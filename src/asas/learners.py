@@ -151,10 +151,18 @@ def adamw_step(
     theta <- theta - lr_t * (m_hat / (sqrt(v_hat) + eps) + wd * theta),
     with bias-corrected moment estimates (beta1=0.9, beta2=0.999), in the
     parameters' dtype. Returns new parameter arrays (``params`` is not
-    written) and ``state``, whose moments are updated in place. Overflow,
-    such as a learning rate too large for float32, is not an error here:
-    it reaches the next loss or gradient, which the train loop checks.
+    written) and ``state``, whose moments are updated in place; each
+    parameter's update is formed in two temporaries, in the order of the
+    expression above. Overflow, such as a learning rate too large for
+    float32, is not an error here: it reaches the next loss or gradient,
+    which the train loop checks. ValueError, before any moment is written,
+    if the parameters, gradients and moments differ in number.
     """
+    if not len(params) == len(grads) == len(state.m) == len(state.v):
+        raise ValueError(
+            f"adamw_step got {len(params)} parameters, {len(grads)} gradients, "
+            f"{len(state.m)} first and {len(state.v)} second moments"
+        )
     for g in grads:
         if not np.isfinite(g).all():
             raise NonFiniteGradient("gradient contains NaN or inf")
@@ -164,12 +172,23 @@ def adamw_step(
     new_params = []
     with np.errstate(over="ignore", invalid="ignore"):
         for p, g, m, v in zip(params, grads, state.m, state.v):
+            update = (1 - ADAM_BETA1) * g
+            denom = (1 - ADAM_BETA2) * g
             m *= ADAM_BETA1
-            m += (1 - ADAM_BETA1) * g
+            m += update
+            denom *= g
             v *= ADAM_BETA2
-            v += (1 - ADAM_BETA2) * g * g
-            update = m / m_corr / (np.sqrt(v / v_corr) + ADAM_EPS) + weight_decay * p
-            new_params.append(p - lr_t * update)
+            v += denom
+            # update = m / m_corr / (sqrt(v / v_corr) + eps) + wd * p, times lr_t
+            np.divide(m, m_corr, out=update)
+            np.divide(v, v_corr, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            update /= denom
+            np.multiply(weight_decay, p, out=denom)
+            update += denom
+            update *= lr_t
+            new_params.append(p - update)
     state.step = t
     return new_params, state
 
@@ -235,6 +254,16 @@ def _mlp_grads(
     return loss, [d_w1, d_b1, d_w2, d_b2]
 
 
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Consecutive slices of ``flat`` reshaped to ``shapes``, without copying."""
+    views, start = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return views
+
+
 def train_early_stop(
     model_init: MlpModel,
     train_x: np.ndarray,
@@ -247,7 +276,10 @@ def train_early_stop(
     """Train with seeded minibatches, keep the best-dev-QWK snapshot.
 
     The steps run in float32: ``train_x`` and the initial parameters are
-    cast once, and the gradients and AdamW state follow them. Dev QWK is
+    cast once, and the gradients and AdamW state follow them. The
+    parameters live in one flat vector, of which ``w1, b1, w2, b2`` are
+    reshaped views, so each step makes one AdamW update over the four
+    gradients concatenated in that order. Dev QWK is
     computed after every epoch from argmax predictions of the float64
     ``mlp_forward``, on the float32 weights converted exactly, so the
     returned model (float64 arrays holding float32 values) scores the
@@ -264,8 +296,9 @@ def train_early_stop(
     total_steps = config.epochs * steps_per_epoch
 
     train_x = np.asarray(train_x, dtype=np.float32)
-    params = [p.astype(np.float32) for p in model_init.params()]
-    state = AdamState.for_params(params)
+    shapes = [p.shape for p in model_init.params()]
+    flat = np.concatenate(model_init.params(), axis=None, dtype=np.float32)
+    state = AdamState.for_params([flat])
     best: TrainResult | None = None
     history: list[EpochStats] = []
     step = 0
@@ -274,14 +307,15 @@ def train_early_stop(
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            loss, grads = _mlp_grads(params, train_x[batch], train_y[batch])
+            loss, grads = _mlp_grads(_views(flat, shapes), train_x[batch], train_y[batch])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"non-finite loss at epoch {epoch}")
             loss_sum += loss * batch.size
             lr_t = linear_lr(step, total_steps, config.learning_rate)
-            params, state = adamw_step(params, grads, state, lr_t, WEIGHT_DECAY)
+            grad = np.concatenate(grads, axis=None)
+            (flat,), state = adamw_step([flat], [grad], state, lr_t, WEIGHT_DECAY)
             step += 1
-        model = model_init.with_params([p.astype(float) for p in params])
+        model = model_init.with_params([p.astype(float) for p in _views(flat, shapes)])
         dev_pred = np.argmax(mlp_forward(model, dev_x), axis=1)
         dev_qwk = qwk_fn(dev_y, dev_pred, k)
         history.append(EpochStats(epoch=epoch, train_loss=loss_sum / n, dev_qwk=dev_qwk))

@@ -11,8 +11,11 @@ bytes.
 """
 from __future__ import annotations
 
+import dataclasses
 import difflib
 import itertools
+import re
+import string
 from collections.abc import Iterator
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -24,12 +27,15 @@ from asas.errors import (
     DuplicateId,
     HeaderMismatch,
     MalformedRow,
+    NonFiniteLoss,
     NonIntegerScore,
     RowLengthMismatch,
     UnknownResponseId,
 )
-from asas.features import NgramTables, fuzzy_ratios
+from asas.features import STOPWORDS, TEXT_STATS_DIM, NgramTables, fuzzy_ratios
+from asas.learners import EpochStats, TrainResult, _mlp_grads, linear_lr, mlp_forward
 from asas.mathutil import as_float, logsumexp
+from asas.metrics import qwk
 from asas.serialize import FORMAT_VERSION
 
 
@@ -195,12 +201,13 @@ def mlp_forward_loops(w1, b1, w2, b2, X) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Bitwise references: verbatim copies of earlier, allocation-heavy versions of
-# the stacker fit, the AdamW step, the log-probability loader and the
-# artifact writer. The package's versions were restructured for speed
-# without changing any floating-point operation or its order, so they must
-# agree with these to the last bit (compared with ``tobytes()``, or byte
-# for byte as text), not merely to a tolerance.
+# Bitwise references: copies of earlier, allocation-heavy versions of the
+# stacker fit, the AdamW step and train loop, the log-probability loader,
+# the artifact writer and the per-character text passes. The package's
+# versions were restructured for speed without changing any floating-point
+# result (an operation, its order, or a sum of integers that is exact either
+# way), so they must agree with these to the last bit (compared with
+# ``tobytes()``, or byte for byte as text), not merely to a tolerance.
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -570,3 +577,78 @@ def parse_score_table_per_cell(data: bytes | str, id_col: str, score_col: str) -
         except ValueError:
             raise NonIntegerScore(f"row {row_num}: score {fields[i_score]!r}") from None
     return scores
+
+
+def normalize_text_per_char(s: str) -> str:
+    """The minutiae form by a generator over the lower-cased characters."""
+    return "".join(ch for ch in s.lower() if ch.isalpha())
+
+
+_SENTENCE_SPLIT = re.compile(r"[.!?]")
+_PUNCT = frozenset(string.punctuation)
+
+
+def text_stats_per_char(s: str) -> np.ndarray:
+    """The ten surface statistics by per-character generators and ``np.mean``."""
+    stripped = s.strip()
+    if not stripped:
+        return np.zeros(TEXT_STATS_DIM, dtype=float)
+    words = stripped.split()
+    sentences = [seg for seg in _SENTENCE_SPLIT.split(stripped) if seg.strip()]
+    lowered = [w.lower() for w in words]
+    return np.array(
+        [
+            len(stripped),
+            len(words),
+            len(sentences),
+            float(np.mean([len(w) for w in words])),
+            len(words) / len(sentences) if sentences else 0.0,
+            len(set(lowered)) / len(words),
+            sum(ch in _PUNCT for ch in stripped),
+            sum(ch.isdigit() for ch in stripped),
+            sum(w in STOPWORDS for w in lowered) / len(words),
+            max(len(w) for w in words),
+        ],
+        dtype=float,
+    )
+
+
+def train_early_stop_per_array(
+    model_init, train_x, train_y, dev_x, dev_y, config, qwk_fn=qwk
+) -> TrainResult:
+    """``train_early_stop`` stepping ``w1, b1, w2, b2`` as four float32
+    arrays, each updated by ``adamw_step_reference``."""
+    train_y = np.asarray(train_y)
+    dev_y = np.asarray(dev_y)
+    k = model_init.n_classes
+    n = train_x.shape[0]
+    rng = np.random.default_rng(config.seed)
+    steps_per_epoch = -(-n // config.batch_size)
+    total_steps = config.epochs * steps_per_epoch
+
+    train_x = np.asarray(train_x, dtype=np.float32)
+    params = [p.astype(np.float32) for p in model_init.params()]
+    moments = (0, [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
+    best = None
+    history = []
+    step = 0
+    for epoch in range(1, config.epochs + 1):
+        order = rng.permutation(n)
+        loss_sum = 0.0
+        for start in range(0, n, config.batch_size):
+            batch = order[start:start + config.batch_size]
+            loss, grads = _mlp_grads(params, train_x[batch], train_y[batch])
+            if not np.isfinite(loss):
+                raise NonFiniteLoss(f"non-finite loss at epoch {epoch}")
+            loss_sum += loss * batch.size
+            lr_t = linear_lr(step, total_steps, config.learning_rate)
+            with np.errstate(over="ignore", invalid="ignore"):
+                params, moments = adamw_step_reference(params, grads, moments, lr_t, 0.01)
+            step += 1
+        model = model_init.with_params([p.astype(float) for p in params])
+        dev_pred = np.argmax(mlp_forward(model, dev_x), axis=1)
+        dev_qwk = qwk_fn(dev_y, dev_pred, k)
+        history.append(EpochStats(epoch=epoch, train_loss=loss_sum / n, dev_qwk=dev_qwk))
+        if best is None or dev_qwk > best.best_dev_qwk:
+            best = TrainResult(model, [], epoch, dev_qwk, dev_pred)
+    return dataclasses.replace(best, history=history)

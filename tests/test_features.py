@@ -48,9 +48,11 @@ from oracles import (
     matching_blocks_total,
     minutiae_brute,
     near_match_count,
+    normalize_text_per_char,
     positive_peaks_per_column,
     ratio_oracle,
     similarity_ratio,
+    text_stats_per_char,
 )
 
 
@@ -63,6 +65,18 @@ class TestNormalizeText:
 
     def test_lowercases_and_keeps_order(self):
         assert normalize_text("A b C") == "abc"
+
+    @example("\u01c5ungla \u1f88 \u0130stanbul")  # titlecase letters; İ lowers to i + U+0307
+    @example("cafe\u0301 \u0345 \u05d0\u05b7")  # combining marks, alone and after letters
+    @example("\U0001d400\U00010400 \U0001f600 \U00020000")  # outside the BMP
+    @example("a\ud800b\udfff \udbff\udc00")  # lone and paired surrogate code points
+    @given(st.text(st.characters(codec=None, exclude_categories=())))
+    @settings(max_examples=300)
+    def test_equals_the_per_character_generator(self, s):
+        got = normalize_text(s)
+        assert got.encode("utf-8", "surrogatepass") == (
+            normalize_text_per_char(s).encode("utf-8", "surrogatepass")
+        )
 
 
 class TestMinutiaeOverlap:
@@ -86,6 +100,26 @@ class TestMinutiaeOverlap:
             r = "".join(rng.choice("abc") for _ in range(rng.randint(0, 12)))
             p = "".join(rng.choice("abc") for _ in range(rng.randint(0, 12)))
             assert minutiae_overlap(r, minutiae_substrings(p)).tolist() == minutiae_brute(r, p)
+
+    def test_matches_brute_force_up_to_length_19(self):
+        # Responses are pieces of the prompt joined by noise, in mixed case
+        # with spaces and digits, so common substrings reach every length.
+        rng = random.Random(19)
+        reached = set()
+        for _ in range(200):
+            p = "".join(rng.choice("ab") for _ in range(rng.randint(15, 60)))
+            pieces = []
+            for _ in range(rng.randint(1, 4)):
+                start = rng.randrange(len(p))
+                pieces.append(p[start:start + rng.randint(1, 30)])
+                pieces.append("".join(rng.choice("abAB 7") for _ in range(rng.randint(0, 3))))
+            r = "".join(pieces)
+            chunks = [p[i:i + 7] for i in range(0, len(p), 7)]
+            prompt = " ".join(c.upper() if i % 2 else c for i, c in enumerate(chunks))
+            got = minutiae_overlap(r, minutiae_substrings(prompt))
+            assert got.tobytes() == np.array(minutiae_brute(r, prompt), dtype=float).tobytes()
+            reached |= {length for length, count in zip(MINUTIAE_LENGTHS, got) if count}
+        assert reached == set(MINUTIAE_LENGTHS)
 
 
 class TestSelectKeyNgrams:
@@ -395,6 +429,19 @@ class TestTextStats:
 
     def test_stopword_list_is_versioned_at_150_words(self):
         assert len(STOPWORDS) == 150
+
+    @example("")
+    @example(" \t\n ")
+    @example("x\u00b2 + y\u00b3 = \u0663\u0664, 10\u00bd!")  # digits beyond 0-9, and ½ (not one)
+    @example("The cat and the dog... were there; it's all?! (yes)")
+    @example("?!. ..")  # no sentence and no letter
+    @example("a " * 40 + "supercalifragilistic.")
+    @given(st.lists(st.sampled_from(
+        list("abT .?!,;'-27\u00b2\u0663\t\n") + [" the ", " and ", " THE ", " was ", " osmosis "]
+    )).map("".join))
+    @settings(max_examples=300)
+    def test_equals_the_per_character_version(self, s):
+        assert text_stats(s).tobytes() == text_stats_per_char(s).tobytes()
 
 
 class TestStandardizer:

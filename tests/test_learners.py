@@ -43,6 +43,7 @@ from oracles import (
     logreg_objective_reference,
     mlp_forward_loops,
     one_hot_reference,
+    train_early_stop_per_array,
 )
 
 
@@ -206,6 +207,15 @@ class TestAdamW:
         state = AdamState.for_params(params)
         with pytest.raises(NonFiniteGradient):
             adamw_step(params, [np.array([np.nan, 0.0])], state, 0.1, 0.0)
+
+    @pytest.mark.parametrize("n_params, n_grads, n_moments", [(2, 1, 2), (1, 2, 1), (2, 2, 1)])
+    def test_count_mismatch_is_refused_before_any_moment_moves(self, n_params, n_grads, n_moments):
+        params = [np.full(2, 1.0 + i) for i in range(n_params)]
+        state = AdamState.for_params([np.zeros(2)] * n_moments)
+        with pytest.raises(ValueError, match="parameters"):
+            adamw_step(params, [np.ones(2)] * n_grads, state, 0.1, 0.0)
+        assert state.step == 0
+        assert all(not m.any() for m in [*state.m, *state.v])
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @given(
@@ -382,6 +392,36 @@ class TestTrainEarlyStop:
                 MlpModel.init(6, 4, 3, seed=0), X, y, X[:8], y[:8],
                 TrainConfig(learning_rate=1e308, batch_size=8, epochs=2, seed=0),
             )
+
+    @pytest.mark.parametrize("d, hidden, k, n, batch", [
+        (6, 4, 3, 48, 8),
+        (7, 5, 3, 50, 8),  # odd widths: views start off 16-byte boundaries
+        (13, 3, 2, 29, 4),
+        (9, 33, 5, 41, 7),
+        (275, 17, 4, 30, 32),  # one batch larger than the train set
+    ])
+    def test_flat_vector_steps_match_the_per_array_loop(self, d, hidden, k, n, batch):
+        rng = np.random.default_rng(d * hidden)
+        X = rng.normal(size=(n, d)) * 2.0
+        y = np.arange(n) % k
+        args = (MlpModel.init(d, hidden, k, seed=hidden), X, y, X[:11], y[:11],
+                TrainConfig(learning_rate=2e-2, batch_size=batch, epochs=4, seed=k))
+        got, want = train_early_stop(*args), train_early_stop_per_array(*args)
+        assert [w.tobytes() for w in got.model.params()] == [
+            w.tobytes() for w in want.model.params()
+        ]
+        assert got.history == want.history
+        assert got.best_epoch == want.best_epoch
+        assert got.dev_pred.tobytes() == want.dev_pred.tobytes()
+
+    def test_divergence_fails_where_the_per_array_loop_does(self):
+        X, y = _toy_problem(seed=7)
+        args = (MlpModel.init(6, 5, 3, seed=0), X, y, X[:8], y[:8],
+                TrainConfig(learning_rate=1e3, batch_size=7, epochs=6, seed=0))
+        with pytest.raises(NonFiniteLoss, match="epoch 3"):
+            train_early_stop_per_array(*args)
+        with pytest.raises(NonFiniteLoss, match="epoch 3"):
+            train_early_stop(*args)
 
     def test_float32_gradients_stay_float32(self):
         from asas.learners import _mlp_grads
