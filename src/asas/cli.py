@@ -21,7 +21,6 @@ from .corpus import (
     ColumnMap,
     build_corpus,
     corpus_stats,
-    data_lines,
     dump_logprobs,
     load_embeddings,
     load_logprobs,
@@ -65,7 +64,7 @@ from .learners import (
 )
 from .mathutil import log_softmax
 from .metrics import EvalReport
-from .serialize import Artifact, artifact_header, digest, write_atomic
+from .serialize import Artifact, artifact_header, data_lines, digest, write_atomic
 
 EXIT_VALIDATION = 2  # usage and validation errors
 EXIT_CODES = {AllTrialsFailed: 3, CoverageGap: 4}

@@ -10,11 +10,15 @@ are comparable.
 from __future__ import annotations
 
 import random
+from collections.abc import Callable, Iterable
 from dataclasses import astuple, dataclass
+from itertools import compress, count, repeat
+from operator import itemgetter, length_hint
 
 import numpy as np
 
 from .errors import (
+    AsasError,
     DuplicateId,
     EmptyInput,
     HeaderMismatch,
@@ -27,7 +31,7 @@ from .errors import (
 )
 from .mathutil import logsumexp
 from .metrics import accuracy, qwk
-from .serialize import data_lines
+from .serialize import data_rows, decode
 
 
 @dataclass(frozen=True)
@@ -59,14 +63,24 @@ class ColumnMap:
 DEFAULT_COLUMNS = ColumnMap()
 
 
-def _parse_score(cell: str, row_num: int) -> int | None:
+def _prompt_id(cell: str) -> int:
+    try:
+        value = int(cell)
+    except ValueError:
+        raise NonIntegerScore("prompt id is not an integer") from None
+    if value < 0:
+        raise MalformedRow(f"prompt id {value} is negative")
+    return value
+
+
+def _score(cell: str) -> int | None:
     cell = cell.strip()
     if cell == "":
         return None
     try:
         return int(cell)
     except ValueError:
-        raise NonIntegerScore(f"row {row_num}: score {cell!r} is not an integer") from None
+        raise NonIntegerScore(f"score {cell!r} is not an integer") from None
 
 
 def _refuse_repeats(header: list[str], *names: str) -> None:
@@ -74,6 +88,81 @@ def _refuse_repeats(header: list[str], *names: str) -> None:
     for name in names:
         if header.count(name) > 1:
             raise HeaderMismatch(f"repeated column in header: {name!r}")
+
+
+# The readers check a file column by column. Each check finds the first row
+# that fails it and lists that fault; ``_raise_first`` then raises the fault of
+# the lowest row, and on one row the one listed first. Checks are listed in
+# the order a row is checked, so this is the fault a row-by-row reader stops at.
+_Faults = list[tuple[int, AsasError]]  # (row index, its error), in check order
+
+
+def _raise_first(faults: _Faults) -> None:
+    if faults:
+        raise min(faults, key=itemgetter(0))[1]
+
+
+def _first(flags: Iterable) -> int | None:
+    """Index of the first true item of ``flags``, or None."""
+    return next(compress(count(), flags), None)
+
+
+def _first_in(items: list, wanted) -> int | None:
+    """Index of the first item of ``items`` in the container ``wanted``, or None."""
+    return _first(map(wanted.__contains__, items)) if wanted else None
+
+
+def _first_starting(items: list[str], prefix: str) -> int | None:
+    """Index of the first of ``items`` that starts with ``prefix``, or None;
+    no item may hold a newline."""
+    joined = "\n" + "\n".join(items)
+    at = joined.find("\n" + prefix)
+    return None if at < 0 else joined.count("\n", 0, at)
+
+
+def _first_repeat(items: list) -> int | None:
+    """Index of the first item of ``items`` equal to an earlier one, or None."""
+    if len(set(items)) == len(items):
+        return None
+    first = dict(zip(reversed(items), range(len(items) - 1, -1, -1)))  # item -> first index
+    return min(set(range(len(items))).difference(first.values()))
+
+
+def _cells(lines: list[str], delim: str, n_fields: int) -> tuple[list[str], int | None, int]:
+    """(the fields of ``lines`` in one flat list, row after row, up to the first
+    line that does not hold ``n_fields`` fields; that line's index, or None;
+    its field count). ``lines`` is emptied, so each line can be freed once cut."""
+    counts = list(map(str.count, lines, repeat(delim)))
+    i = None
+    if counts.count(n_fields - 1) != len(counts):
+        i = _first(map((n_fields - 1).__ne__, counts))
+        del lines[i:]
+    got = 0 if i is None else counts[i] + 1
+    if not lines:
+        return [], i, got
+    joined = delim.join(lines)
+    lines.clear()
+    return joined.split(delim), i, got
+
+
+def _values(
+    cells: list[str], convert: Callable[[str], object], numbers: list[int], faults: _Faults
+) -> dict[str, object]:
+    """Each distinct cell of ``cells`` mapped to ``convert(cell)``. The first
+    row whose cell ``convert`` refuses with an ``AsasError`` is listed in
+    ``faults``, its line number put before the message; a refused cell is
+    left out of the map."""
+    value_of, refused = {}, {}
+    for cell in set(cells):
+        try:
+            value_of[cell] = convert(cell)
+        except AsasError as exc:
+            refused[cell] = exc
+    i = _first_in(cells, refused)
+    if i is not None:
+        exc = refused[cells[i]]
+        faults.append((i, type(exc)(f"row {numbers[i]}: {exc}")))
+    return value_of
 
 
 def parse_dataset(
@@ -86,22 +175,22 @@ def parse_dataset(
 
     Missing score cells, and score columns missing from the header, map
     to None; a column of ``columns`` that the header names twice is
-    HeaderMismatch. Ids must be unique within a prompt. Every row is checked, in
-    file order: its field count, a non-negative integer prompt id, an id
-    that does not start with '#' (a writer would put it first on a line,
-    where it reads back as a comment), a new (prompt, id) pair and integer
-    score cells; a record is built only for a row whose prompt is in
-    ``prompts`` (every row when None). With a ``solution`` table, each
-    row's score1 comes from it, after the row's own score cells pass
-    their check, and a row of any prompt missing from it is
-    UnknownResponseId. A column holds few distinct prompt and score cells,
-    so each distinct cell is converted once.
+    HeaderMismatch. Ids must be unique within a prompt. Every row is checked,
+    and the first faulty row in file order is reported; a row is checked for
+    its field count, a non-negative integer prompt id, an id that does not
+    start with '#' (a writer would put it first on a line, where it reads
+    back as a comment), a new (prompt, id) pair and integer score cells, in
+    that order. A record is built only for a row whose prompt is in
+    ``prompts`` (every row when None). With a ``solution`` table, each row's
+    score1 comes from it, checked after the row's own score cells, and a row
+    of any prompt missing from it is UnknownResponseId. The file is checked
+    column by column, and each distinct prompt and score cell is converted
+    once.
     """
-    lines = iter(data_lines(data))
-    _, head = next(lines, (0, None))
-    if head is None:
+    numbers, lines = data_rows(data)
+    if not lines:
         raise MalformedRow("no header row found")
-    header = head.split("\t")
+    header = lines[0].split("\t")
     _refuse_repeats(header, *astuple(columns))
     try:
         i_id = header.index(columns.id)
@@ -111,51 +200,53 @@ def parse_dataset(
         raise HeaderMismatch(f"missing column in header: {exc}") from None
     scores = columns.score1, columns.score2
     i_score1, i_score2 = (header.index(col) if col in header else None for col in scores)
+    del numbers[0], lines[0]
 
-    n_fields = len(header)
-    responses: list[ScoredResponse] = []
-    seen: set[tuple[int, str]] = set()
-    prompt_ids: dict[str, int] = {}  # cell -> its value, for each cell that parsed
-    score_of: dict[str, int | None] = {}  # likewise for score cells
-    for row_num, line in lines:
-        fields = line.split("\t")
-        if len(fields) != n_fields:
-            raise MalformedRow(f"row {row_num}: expected {n_fields} fields, got {len(fields)}")
-        rid = fields[i_id].strip()
-        cell = fields[i_prompt]
-        prompt_id = prompt_ids.get(cell)
-        if prompt_id is None:
-            try:
-                prompt_id = int(cell)
-            except ValueError:
-                raise NonIntegerScore(f"row {row_num}: prompt id is not an integer") from None
-            if prompt_id < 0:
-                raise MalformedRow(f"row {row_num}: prompt id {prompt_id} is negative")
-            prompt_ids[cell] = prompt_id
-        if rid.startswith("#"):
-            raise MalformedRow(f"row {row_num}: id {rid!r} starts with '#', which marks a comment")
-        key = (prompt_id, rid)
-        if key in seen:
-            raise DuplicateId(f"row {row_num}: duplicate id {rid!r} in prompt {prompt_id}")
-        seen.add(key)
-        score1 = score2 = None
-        if i_score1 is not None:
-            cell = fields[i_score1]
-            if cell not in score_of:
-                score_of[cell] = _parse_score(cell, row_num)
-            score1 = score_of[cell]
-        if i_score2 is not None:
-            cell = fields[i_score2]
-            if cell not in score_of:
-                score_of[cell] = _parse_score(cell, row_num)
-            score2 = score_of[cell]
-        if solution is not None:
-            if rid not in solution:
-                raise UnknownResponseId(f"no score for response {rid!r}")
-            score1 = solution[rid]
-        if prompts is None or prompt_id in prompts:
-            responses.append(ScoredResponse(rid, prompt_id, fields[i_text], score1, score2))
-    return responses
+    n = len(header)
+    faults: _Faults = []
+    cells, i, got = _cells(lines, "\t", n)
+    if i is not None:
+        faults.append((i, MalformedRow(f"row {numbers[i]}: expected {n} fields, got {got}")))
+    rids = list(map(str.strip, cells[i_id::n]))
+    prompt_cells, texts = cells[i_prompt::n], cells[i_text::n]
+    score_cells = [None if at is None else cells[at::n] for at in (i_score1, i_score2)]
+    del cells
+    prompt_of = _values(prompt_cells, _prompt_id, numbers, faults)
+    i = _first_starting(rids, "#")  # a cell holds no newline
+    if i is not None:
+        faults.append((i, MalformedRow(
+            f"row {numbers[i]}: id {rids[i]!r} starts with '#', which marks a comment"
+        )))
+    # A (prompt, id) pair repeats only where its id does. A row whose prompt
+    # cell was refused pairs as (None, id): any repeat it makes is on or after
+    # that row, whose prompt fault comes first.
+    if _first_repeat(rids) is not None:
+        pids = list(map(prompt_of.get, prompt_cells))
+        i = _first_repeat(list(zip(pids, rids)))
+        if i is not None:
+            faults.append((i, DuplicateId(
+                f"row {numbers[i]}: duplicate id {rids[i]!r} in prompt {pids[i]}"
+            )))
+    score_of = [
+        None if col is None else _values(col, _score, numbers, faults) for col in score_cells
+    ]
+    if solution is not None:
+        i = _first_in(rids, set(rids).difference(solution))
+        if i is not None:
+            faults.append((i, UnknownResponseId(f"no score for response {rids[i]!r}")))
+    _raise_first(faults)
+
+    wanted = {cell for cell, pid in prompt_of.items() if prompts is None or pid in prompts}
+    keep = list(map(wanted.__contains__, prompt_cells))
+    rids, prompt_cells, texts = (list(compress(col, keep)) for col in (rids, prompt_cells, texts))
+    score1, score2 = (
+        repeat(None) if col is None else map(of.__getitem__, compress(col, keep))
+        for col, of in zip(score_cells, score_of)
+    )
+    if solution is not None:
+        score1 = map(solution.__getitem__, rids)
+    pids = map(prompt_of.__getitem__, prompt_cells)
+    return list(map(ScoredResponse, rids, pids, texts, score1, score2))
 
 
 def _line_start_id(rid: str) -> str:
@@ -334,7 +425,7 @@ def _table_header(data: bytes | str, *keys: str) -> tuple[str, dict[str, str], i
 
     Line 1 is '#' and tab-separated ``key=value`` fields holding every one of
     ``keys``; the last of them is the width, a positive integer."""
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    text = decode(data)
     first = text.partition("\n")[0].removesuffix("\r")
     fields = first[1:].split("\t") if first.startswith("#") else []
     header = dict(field.split("=", 1) for field in fields if "=" in field)
@@ -353,45 +444,37 @@ def _table_rows(text: str, width: int, known: set[str] | None) -> tuple[list[str
     given, is one of ``known``.
 
     The first faulty line in file order is reported; a number that is not
-    finite only once every line passes the other checks. Each line's width and
-    id are checked first, up to the first line that fails them; the cells of the
-    lines before it are then converted in one call, which accepts the cells
-    ``float`` accepts and gives the same values."""
-    rows: dict[str, int] = {}  # id -> its line number
-    cells: list[str] = []
-    fault = None
-    for row_num, line in data_lines(text):
-        fields = line.split("\t")
-        rid = fields[0]
-        if len(fields) != width + 1:
-            fault = RowLengthMismatch(
-                f"row {row_num}: expected {width} values, got {len(fields) - 1}"
-            )
-        elif rid in rows:
-            fault = DuplicateId(f"row {row_num}: duplicate response id {rid!r}")
-        elif known is not None and rid not in known:
-            fault = UnknownResponseId(f"row {row_num}: id {rid!r} not in corpus")
-        if fault is not None:
-            break
-        rows[rid] = row_num
-        cells += fields[1:]
+    finite only once every line passes the other checks. The cells after
+    the ids are converted by ``float`` in one pass, which stops at the first
+    cell it refuses."""
+    numbers, lines = data_rows(text)
+    faults: _Faults = []
+    cells, i, got = _cells(lines, "\t", width + 1)
+    if i is not None:
+        faults.append((i, RowLengthMismatch(
+            f"row {numbers[i]}: expected {width} values, got {got - 1}"
+        )))
+    ids = cells[::width + 1]
+    del cells[::width + 1]
+    i = _first_repeat(ids)
+    if i is not None:
+        faults.append((i, DuplicateId(f"row {numbers[i]}: duplicate response id {ids[i]!r}")))
+    if known is not None:
+        i = _first_in(ids, set(ids).difference(known))
+        if i is not None:
+            faults.append((i, UnknownResponseId(f"row {numbers[i]}: id {ids[i]!r} not in corpus")))
+    values = iter(cells)
     try:
-        mat = np.array(cells, dtype=float).reshape(len(rows), width)
+        mat = np.fromiter(map(float, values), float, len(cells)).reshape(len(ids), width)
     except ValueError:
-        # Only on this error path: find the first line holding a cell that failed.
-        for i, (rid, row_num) in enumerate(rows.items()):
-            try:
-                np.array(cells[i * width:(i + 1) * width], dtype=float)
-            except ValueError:
-                raise MalformedRow(f"row {row_num}: non-numeric value for id {rid!r}") from None
-        raise
-    if fault is not None:
-        raise fault
+        i = (len(cells) - length_hint(values) - 1) // width  # the refused cell's row
+        faults.append((i, MalformedRow(f"row {numbers[i]}: non-numeric value for id {ids[i]!r}")))
+    _raise_first(faults)
     finite = np.isfinite(mat)
     if not finite.all():
-        rid, row_num = list(rows.items())[np.argmin(finite.all(axis=1))]
-        raise MalformedRow(f"row {row_num}: non-finite value for id {rid!r}")
-    return list(rows), mat
+        i = int(np.argmin(finite.all(axis=1)))
+        raise MalformedRow(f"row {numbers[i]}: non-finite value for id {ids[i]!r}")
+    return ids, mat
 
 
 @dataclass(frozen=True)
@@ -481,17 +564,26 @@ def load_embeddings(data: bytes | str, corpus: PromptCorpus | None = None) -> Em
     return table
 
 
+def _solution_score(cell: str) -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise NonIntegerScore(f"score {cell!r}") from None
+
+
 def parse_score_table(data: bytes | str, id_col: str, score_col: str) -> dict[str, int]:
     """Read an id -> score table from a comma- or tab-separated file.
 
     Used to join withheld test labels (released as a separate solution
     file) onto the unlabeled test responses. Column names match without
-    case; a header naming either column twice is HeaderMismatch.
+    case; a header naming either column twice is HeaderMismatch. A row is
+    checked for its field count, a new id and an integer score, in that
+    order, and the first faulty row in file order is reported.
     """
-    lines = iter(data_lines(data))
-    _, head = next(lines, (0, None))
-    if head is None:
+    numbers, lines = data_rows(data)
+    if not lines:
         raise MalformedRow("no header row found")
+    head = lines[0]
     delim = "\t" if "\t" in head else ","
     header = [h.strip() for h in head.split(delim)]
     lowered = [h.lower() for h in header]
@@ -501,21 +593,18 @@ def parse_score_table(data: bytes | str, id_col: str, score_col: str) -> dict[st
         i_score = lowered.index(score_col.lower())
     except ValueError:
         raise HeaderMismatch(f"solution file lacks columns {id_col!r}/{score_col!r}") from None
-    scores: dict[str, int] = {}
-    values: dict[str, int] = {}  # cell -> its value, for each cell that parsed
-    for row_num, line in lines:
-        fields = line.split(delim)
-        if len(fields) != len(header):
-            raise MalformedRow(f"row {row_num}: expected {len(header)} fields")
-        rid = fields[i_id].strip()
-        if rid in scores:
-            raise DuplicateId(f"row {row_num}: duplicate id {rid!r}")
-        cell = fields[i_score]
-        score = values.get(cell)
-        if score is None:
-            try:
-                score = values[cell] = int(cell)
-            except ValueError:
-                raise NonIntegerScore(f"row {row_num}: score {cell!r}") from None
-        scores[rid] = score
-    return scores
+    del numbers[0], lines[0]
+
+    n = len(header)
+    faults: _Faults = []
+    cells, i, _ = _cells(lines, delim, n)
+    if i is not None:
+        faults.append((i, MalformedRow(f"row {numbers[i]}: expected {n} fields")))
+    rids, score_cells = list(map(str.strip, cells[i_id::n])), cells[i_score::n]
+    del cells
+    i = _first_repeat(rids)
+    if i is not None:
+        faults.append((i, DuplicateId(f"row {numbers[i]}: duplicate id {rids[i]!r}")))
+    score_of = _values(score_cells, _solution_score, numbers, faults)
+    _raise_first(faults)
+    return dict(zip(rids, map(score_of.__getitem__, score_cells)))

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, field
+from itertools import compress, count
 from pathlib import Path
 
 import numpy as np
@@ -172,14 +173,26 @@ def _split_lines(text: str) -> list[str]:
     return [line.removesuffix("\r") for line in lines] if "\r" in text else lines
 
 
-def data_lines(data: bytes | str) -> list[tuple[int, str]]:
-    """(line number, line) of each line that is neither blank nor a '#' comment.
-
-    Bytes are decoded as UTF-8 and lines end as ``_split_lines`` ends them;
-    numbers count every line from 1, comments and blank lines included."""
+def decode(data: bytes | str) -> str:
+    """The text of a tab-separated input: bytes decoded as UTF-8, less one
+    leading byte-order mark."""
     text = data.decode("utf-8") if isinstance(data, bytes) else data
-    lines = enumerate(_split_lines(text), 1)
-    return [(n, line) for n, line in lines if line and line[0] != "#"]
+    return text.removeprefix("\ufeff")
+
+
+def data_rows(data: bytes | str) -> tuple[list[int], list[str]]:
+    """The line numbers and the lines of ``data`` that are neither blank nor a '#' comment.
+
+    ``data`` is read by ``decode`` and its lines end as ``_split_lines`` ends
+    them; numbers count every line from 1, comments and blank lines included."""
+    lines = _split_lines(decode(data))
+    keep = [line != "" and line[0] != "#" for line in lines]
+    return list(compress(count(1), keep)), list(compress(lines, keep))
+
+
+def data_lines(data: bytes | str) -> list[tuple[int, str]]:
+    """(line number, line) of each line that ``data_rows`` keeps."""
+    return list(zip(*data_rows(data)))
 
 
 # A meta key starting with one of these would read back as a comment or a block.

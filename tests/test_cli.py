@@ -5,7 +5,10 @@ from collections import Counter
 import inspect
 import io
 import os
+import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -859,6 +862,92 @@ class TestPerPromptTextAndEmbeddings:
         for path in (out / "stats.tsv", out / "split" / "train.tsv", out / "ens" / "report_dev.tsv"):
             header = path.read_text().splitlines()[0]
             assert "inputs=" in header and "nope.txt" not in header
+
+
+class TestByteOrderMark:
+    """An input saved with a UTF-8 byte-order mark reads as without one; its
+    digest in an output header is still that of its bytes."""
+
+    def test_ingest(self, workspace, capsys):
+        data = workspace["dir"] / "bom.tsv"
+        data.write_bytes(b"\xef\xbb\xbf" + workspace["data"].read_bytes())
+        assert main(["ingest", "--data", str(workspace["data"])]) == 0
+        want = capsys.readouterr().out.splitlines()
+        assert main(["ingest", "--data", str(data)]) == 0
+        got = capsys.readouterr().out.splitlines()
+        assert got[1:] == want[1:]
+        assert f"{data}:{digest(data.read_bytes())}" in got[0]
+
+    def test_ensemble_member(self, workspace, capsys):
+        members = _member_files(workspace, n_members=2)
+        bom = workspace["dir"] / "member_bom.tsv"
+        bom.write_bytes(b"\xef\xbb\xbf" + Path(members[0]).read_bytes())
+        outs = {}
+        for name, first in (("plain", members[0]), ("bom", str(bom))):
+            outs[name] = workspace["dir"] / f"ens_{name}"
+            assert main([
+                "ensemble", "--data", str(workspace["data"]), "--test", str(workspace["test"]),
+                "--prompt", "1", "--seed", "7", "--members", first, members[1],
+                "--out", str(outs[name]),
+            ]) == 0
+        for file in ("ensemble.txt", "predictions.tsv", "report_dev.tsv", "report_test.tsv"):
+            assert _data_lines(outs["bom"] / file) == _data_lines(outs["plain"] / file), file
+        header = (outs["bom"] / "report_test.tsv").read_text().splitlines()[0]
+        assert f"{bom}:{digest(bom.read_bytes())}" in header
+
+
+def _answers(rng: random.Random, vocab: list[str], n: int, start: int) -> list[ScoredResponse]:
+    """``n`` answers of 25-55 words drawn with Zipf weights from ``vocab``; the
+    score (0-3) is how many of three key words an answer holds."""
+    keys, fillers = vocab[:3], vocab[3:]
+    weights = [1.0 / (rank + 2.7) for rank in range(len(fillers))]
+    out = []
+    for i in range(n):
+        score = i % 4
+        words = rng.choices(fillers, weights, k=rng.randint(25, 55) - score) + keys[:score]
+        rng.shuffle(words)
+        out.append(ScoredResponse(str(start + i), 1, " ".join(words) + ".", score, score))
+    return out
+
+
+class TestBlasThreads:
+    """The command runs at one BLAS thread whatever the environment asks for:
+    with two, OpenBLAS splits the projection's SVD and the products, and their
+    rounding, by thread, so the artifacts would depend on the core count."""
+
+    def test_outputs_are_byte_equal_at_one_and_two_threads(self, tmp_path):
+        rng = random.Random(5)
+        syllables = [c + v for c in "bcdfghklmnprstvw" for v in "aeiou"]
+        vocab = sorted({"".join(rng.choices(syllables, k=rng.randint(1, 4))) for _ in range(4000)})
+        rng.shuffle(vocab)
+        inputs = {
+            "train.tsv": serialize_dataset(_answers(rng, vocab, 260, 0)),  # 208 train answers
+            "test.tsv": serialize_dataset(_answers(rng, vocab, 40, 10_000)),
+        }
+        src = str(Path(asas.cli.__file__).parents[1])
+        outputs = {}
+        for threads in ("1", "2"):
+            run = tmp_path / f"threads_{threads}"
+            run.mkdir()
+            for name, data in inputs.items():
+                (run / name).write_bytes(data)
+            path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+            env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+            for argv in (
+                ["train-features", "--data", "train.tsv", "--prompt", "1", "--epochs", "2",
+                 "--out", "out"],
+                ["predict", "--data", "train.tsv", "--test", "test.tsv", "--prompt", "1",
+                 "--model", "out/model.txt", "--out", "out/test_predictions.tsv"],
+            ):
+                done = subprocess.run([sys.executable, "-m", "asas.cli", *argv], cwd=run, env=env,
+                                      capture_output=True, text=True)
+                assert done.returncode == 0, done.stderr
+            outputs[threads] = _files_under(run / "out")
+        assert sorted(outputs["1"]) == [
+            "history.tsv", "model.txt", "predictions.tsv", "report_dev.tsv", "test_predictions.tsv"
+        ]
+        assert outputs["1"] == outputs["2"]
 
 
 class TestInputFaults:

@@ -776,6 +776,211 @@ class TestReadersMatchPerCellReferences:
         assert got == want
 
 
+def _join_lines(rng: random.Random, lines: list[str], ending: str) -> str:
+    """``lines`` with '#' comments and blank lines put between them at random."""
+    out = []
+    for line in lines:
+        if rng.random() < 0.03:
+            out.append(rng.choice(["# note", "#\tx\ty", ""]))
+        out.append(line)
+    return ending.join(out) + ending
+
+
+# The checks of each reader, in the order it checks a row, each with the
+# faults that fail it.
+_DATASET_CHECKS = [
+    ["short row", "long row"], ["prompt not an integer", "negative prompt"],
+    ["id starting with #"], ["repeated id"], ["score1 not an integer"],
+    ["score2 not an integer"], ["no solution score"],
+]
+_SOLUTION_CHECKS = [["short row", "long row"], ["repeated id"], ["score not an integer"]]
+_TABLE_CHECKS = [
+    ["short row", "long row"], ["repeated id"], ["unknown id"], ["not a number"], ["not finite"],
+]
+_WORDS = "the water salt cell moves osmosis membrane because then it".split()
+
+
+def _placed_faults(data, n: int, checks: list[list[str]]) -> list[tuple[int, str]]:
+    """(row index, fault) of two or three faults of different ``checks``, at
+    rows drawn from 1..n-1. Of the first two in check order, the one checked
+    later goes to the earlier row; a third, checked last, may go to any row,
+    one of those two included."""
+    picked = sorted(data.draw(st.lists(
+        st.integers(0, len(checks) - 1), min_size=2, max_size=3, unique=True
+    ), label="checks"))
+    faults = [data.draw(st.sampled_from(checks[c]), label="fault") for c in picked]
+    rows = data.draw(st.lists(st.integers(1, n - 1), min_size=2, max_size=2, unique=True))
+    placed = list(zip(sorted(rows, reverse=True), faults))
+    if len(faults) == 3:
+        placed.append((data.draw(st.sampled_from(rows) | st.integers(1, n - 1)), faults[2]))
+    return placed
+
+
+class TestReadersMatchPerCellReferencesAtScale:
+    """Files of 1,000 and more rows with two or three faults of different
+    kinds: each reader raises the class and message of its per-cell
+    reference in ``oracles``, so the first faulty row wins, and on one row
+    the fault checked first. A fault checked later always sits on an
+    earlier row than one checked before it; faults may sit in prompts the
+    call does not select; '#' comments, blank lines and CRLF endings lie
+    between the rows."""
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_dataset(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        n = data.draw(st.integers(1000, 1500), label="rows")
+        prompts = data.draw(st.sampled_from([None, {1}, {2, 3}]), label="prompts")
+        with_solution = data.draw(st.booleans(), label="with solution")
+        checks = _DATASET_CHECKS if with_solution else _DATASET_CHECKS[:-1]
+        placed = _placed_faults(data, n, checks)
+        names = ["Id", "EssaySet", "Score1", "Score2", "EssayText"]
+        rng.shuffle(names)
+        outside = [p for p in (1, 2, 3, 4) if prompts is None or p not in prompts]
+        rows = []
+        for i in range(n):
+            rows.append({
+                "Id": str(100_000 + i), "EssaySet": rng.choice(["1", "2", "3", "4", " 2", "+3"]),
+                "Score1": rng.choice(["0", "1", "2", "3", "", " 2"]),
+                "Score2": rng.choice(["0", "1", "2", ""]),
+                "EssayText": " ".join(rng.choices(_WORDS, k=rng.randint(3, 12))),
+            })
+        solution = {row["Id"]: rng.randint(0, 3) for row in rows}
+        # A refused cell is drawn anew for each fault and put once more on a
+        # later row, so a column can hold two refused cells, whose order in a
+        # set changes with the hash seed.
+        refused = {  # fault -> (column, its refused cells, before a drawn number)
+            "prompt not an integer": ("EssaySet", ["x", "."]),
+            "negative prompt": ("EssaySet", ["-"]),
+            "score1 not an integer": ("Score1", ["1.0", "2.0"]),
+            "score2 not an integer": ("Score2", ["x", "1 "]),
+        }
+        widths = {}
+        for at, kind in placed:
+            row = rows[at]
+            row["EssaySet"] = str(rng.choice(outside))  # in a prompt the call may skip
+            if kind in refused:
+                name, starts = refused[kind]
+                for bad in (row, rows[rng.randrange(at, n)]):
+                    bad[name] = rng.choice(starts) + str(rng.randint(1, 99))
+            elif kind == "id starting with #":
+                row["Id"] = rng.choice(["#", " #"]) + row["Id"]
+            elif kind == "repeated id":
+                earlier = rows[rng.randrange(at)]
+                row["Id"], row["EssaySet"] = earlier["Id"], earlier["EssaySet"]
+            elif kind == "no solution score":
+                solution.pop(row["Id"], None)
+            else:
+                widths[at] = kind
+        lines = []
+        for i, row in enumerate(rows):
+            fields = [row[name] for name in names]
+            if widths.get(i) == "short row":
+                fields.pop()
+            elif widths.get(i) == "long row":
+                fields.append("extra")
+            lines.append("\t".join(fields))
+        ending = data.draw(st.sampled_from(["\n", "\r\n"]), label="ending")
+        body = _join_lines(rng, ["\t".join(names), *lines], ending).encode()
+        args = (DEFAULT_COLUMNS, prompts, solution if with_solution else None)
+        want = _outcome(parse_dataset_per_cell, body, *args)
+        assert isinstance(want, tuple) and issubclass(want[0], AsasError)
+        assert _outcome(parse_dataset, body, *args) == want
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_solution_table(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        n = data.draw(st.integers(1000, 1500), label="rows")
+        placed = _placed_faults(data, n, _SOLUTION_CHECKS)
+        delim = data.draw(st.sampled_from([",", "\t"]), label="delimiter")
+        names = ["id", "essay_score", "note"]
+        rng.shuffle(names)
+        rows = [
+            {"id": str(100_000 + i), "essay_score": rng.choice(["0", "1", "2", " 3", "+1"]),
+             "note": rng.choice(["", "a", "b c"])}
+            for i in range(n)
+        ]
+        widths = {}
+        for at, kind in placed:
+            if kind == "repeated id":
+                rows[at]["id"] = rows[rng.randrange(at)]["id"]
+            elif kind == "score not an integer":  # and another refused cell on a later row
+                for row in (rows[at], rows[rng.randrange(at, n)]):
+                    row["essay_score"] = rng.choice(["x", "2.0", ""]) + str(rng.randrange(99))
+            else:
+                widths[at] = kind
+        lines = []
+        for i, row in enumerate(rows):
+            fields = [row[name] for name in names]
+            if widths.get(i) == "short row":
+                fields.pop()
+            elif widths.get(i) == "long row":
+                fields.append("extra")
+            lines.append(delim.join(fields))
+        ending = data.draw(st.sampled_from(["\n", "\r\n"]), label="ending")
+        table = _join_lines(rng, [delim.join(names), *lines], ending).encode()
+        want = _outcome(parse_score_table_per_cell, table, "id", "essay_score")
+        assert isinstance(want, tuple) and issubclass(want[0], AsasError)
+        assert _outcome(parse_score_table, table, "id", "essay_score") == want
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_member_and_embedding_rows(self, data):
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        n = data.draw(st.integers(1000, 1500), label="rows")
+        width = data.draw(st.integers(1, 6), label="width")
+        placed = _placed_faults(data, n, _TABLE_CHECKS)
+        rows = [[f"r{i}", *(repr(rng.gauss(0.0, 30.0)) for _ in range(width))] for i in range(n)]
+        known = None
+        unknown = any(fault == "unknown id" for _, fault in placed)
+        if unknown or data.draw(st.booleans(), label="with known ids"):
+            known = {row[0] for row in rows}
+        for at, kind in sorted(placed, key=lambda fault: fault[1] in ("short row", "long row")):
+            row = rows[at]  # width faults last, once the row's cells are set
+            if kind == "short row":
+                row.pop()
+            elif kind == "long row":
+                row.append("0.5")
+            elif kind == "repeated id":
+                row[0] = rows[rng.randrange(at)][0]
+            elif kind == "unknown id":
+                row[0] = f"stranger{at}"
+            elif kind == "not a number":  # and another on a later row
+                for bad in (row, rows[rng.randrange(at, n)]):
+                    bad[rng.randint(1, width)] = rng.choice(["abc", "", "1.0.0", "0x10"])
+            else:
+                row[rng.randint(1, width)] = rng.choice(["nan", "-inf", "1e309"])
+        ending = data.draw(st.sampled_from(["\n", "\r\n"]), label="ending")
+        text = _join_lines(rng, [f"#dim={width}", *map("\t".join, rows)], ending)
+        want = _outcome(table_rows_per_cell, text, width, known)
+        assert isinstance(want, tuple) and issubclass(want[0], AsasError)
+        assert _outcome(asas.corpus._table_rows, text, width, known) == want
+
+    def test_the_same_files_without_faults_read_alike(self):
+        rng = random.Random(5)
+        rows = [
+            ScoredResponse(
+                str(100_000 + i), rng.randint(1, 4), " ".join(rng.choices(_WORDS, k=5)),
+                rng.choice([None, 0, 1, 2]), rng.choice([None, 0, 3]),
+            )
+            for i in range(1200)
+        ]
+        body = _join_lines(rng, serialize_dataset(rows).decode().splitlines(), "\r\n")
+        for prompts in (None, {1}, {2, 3}):
+            assert parse_dataset(body, DEFAULT_COLUMNS, prompts) == parse_dataset_per_cell(
+                body, DEFAULT_COLUMNS, prompts
+            )
+        table = _join_lines(rng, ["id,essay_score"] + [f"{r.id},{r.prompt_id}" for r in rows], "\n")
+        assert parse_score_table(table, "id", "essay_score") == parse_score_table_per_cell(
+            table, "id", "essay_score"
+        )
+        lines = [f"{r.id}\t1.5\t-2e3\t{i}" for i, r in enumerate(rows)]
+        text = _join_lines(rng, ["#dim=3", *lines], "\n")
+        got, want = asas.corpus._table_rows(text, 3, None), table_rows_per_cell(text, 3, None)
+        assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
+
+
 class TestCellLanguage:
     """Number cells read as ``float`` reads them and score cells as ``int``
     does, so a stricter or looser parser cannot slip in unnoticed."""
@@ -828,6 +1033,36 @@ class TestScoreTable:
 
     def test_case_insensitive_columns(self):
         assert parse_score_table("Id,Essay_Score\na,1\n", "id", "essay_score") == {"a": 1}
+
+
+_BOM = "\ufeff".encode()
+
+
+class TestByteOrderMark:
+    """Each reader skips one UTF-8 byte-order mark at the start of its input,
+    so a file saved with one reads as it does without."""
+
+    def test_dataset(self):
+        data = serialize_dataset(make_toy_responses(n=12))
+        assert parse_dataset(_BOM + data) == parse_dataset(data)
+        assert parse_dataset(_BOM.decode() + data.decode()) == parse_dataset(data)
+        # only one: a second mark is part of the first column's name
+        with pytest.raises(HeaderMismatch, match="^missing column in header: 'Id' is not"):
+            parse_dataset(_BOM + _BOM + data)
+
+    @pytest.mark.parametrize("delim", [",", "\t"])
+    def test_solution_table(self, delim):
+        table = f"id{delim}essay_score\na{delim}2\nb{delim}0\n".encode()
+        want = {"a": 2, "b": 0}
+        assert parse_score_table(_BOM + table, "id", "essay_score") == want
+        assert parse_score_table(table, "id", "essay_score") == want
+
+    @pytest.mark.parametrize("kind", ["member", "embedding"])
+    def test_member_and_embedding_files(self, kind):
+        data = (_FIRST_LINES[kind].format(2) + "\nr1\t0\t1\nr2\t-1.5\t0.25\n").encode()
+        want = _records(_LOADERS[kind](data))
+        assert _records(_LOADERS[kind](_BOM + data)) == want
+        assert _records(_LOADERS[kind](_BOM.decode() + data.decode())) == want
 
 
 @requires_dataset
