@@ -10,6 +10,7 @@ flags win.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from collections import Counter
@@ -385,20 +386,22 @@ def load_feature_model(path: str | Path) -> tuple[FeatureModelSpec, MlpModel]:
 def _model_for(data: bytes, corpus: PromptCorpus) -> tuple[FeatureModelSpec, MlpModel]:
     """The spec and MLP of model file ``data``; HeaderMismatch unless the MLP
     scores as many classes as ``corpus`` has."""
-    spec, mlp = FeatureModelSpec.from_artifact(Artifact.parse(data.decode(), "feature-model"))
+    spec, mlp = FeatureModelSpec.from_artifact(Artifact.parse(data, "feature-model"))
     if (k := mlp.n_classes) != corpus.num_classes:
         raise HeaderMismatch(f"model declares k={k} but corpus has {corpus.num_classes} classes")
     return spec, mlp
 
 
 def _train_once(corpus, matrix, lr, batch, epochs, seed, hidden):
+    """Train on ``matrix``'s rows, which are in train|dev|test order."""
     config = TrainConfig(learning_rate=lr, batch_size=batch, epochs=epochs, seed=seed)
     model = MlpModel.init(matrix.dim, hidden, corpus.num_classes, seed)
+    n_train, n_dev = len(corpus.train), len(corpus.dev)
     return train_early_stop(
         model,
-        matrix.rows_for([r.id for r in corpus.train]),
+        matrix.data[:n_train],
         corpus.labels(corpus.train),
-        matrix.rows_for([r.id for r in corpus.dev]),
+        matrix.data[n_train:n_train + n_dev],
         corpus.labels(corpus.dev),
         config,
     )
@@ -590,7 +593,9 @@ def _add_option(parser: argparse.ArgumentParser, name: str) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(prog="asas", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (func, help, names) in COMMANDS.items():

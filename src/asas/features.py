@@ -853,14 +853,6 @@ class FeatureMatrix:
     def dim(self) -> int:
         return self.data.shape[1]
 
-    def rows_for(self, ids: list[str]) -> np.ndarray:
-        index = {rid: i for i, rid in enumerate(self.ids)}
-        try:
-            sel = [index[rid] for rid in ids]
-        except KeyError as exc:
-            raise KeyError(f"id {exc.args[0]!r} not in feature matrix") from None
-        return self.data[sel]
-
 
 def fit_feature_model(
     corpus: PromptCorpus,

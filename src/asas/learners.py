@@ -11,7 +11,7 @@ compute in the dtype of their inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -61,10 +61,6 @@ class MlpModel:
 
     def params(self) -> list[np.ndarray]:
         return [self.w1, self.b1, self.w2, self.b2]
-
-    def with_params(self, params: list[np.ndarray]) -> "MlpModel":
-        w1, b1, w2, b2 = params
-        return MlpModel(w1=w1, b1=b1, w2=w2, b2=b2)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return dict(zip(MLP_ARRAYS, self.params()))
@@ -126,71 +122,50 @@ def bce_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
 class AdamState:
     """First/second-moment accumulators and the step counter."""
 
+    m: np.ndarray
+    v: np.ndarray
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
-
-    @classmethod
-    def for_params(cls, params: list[np.ndarray]) -> "AdamState":
-        return cls(
-            step=0,
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-        )
 
 
 def adamw_step(
-    params: list[np.ndarray],
-    grads: list[np.ndarray],
-    state: AdamState,
-    lr_t: float,
-    weight_decay: float,
-) -> tuple[list[np.ndarray], AdamState]:
-    """One decoupled-weight-decay Adam update.
+    p: np.ndarray, g: np.ndarray, state: AdamState, lr_t: float, weight_decay: float
+) -> None:
+    """One decoupled-weight-decay Adam update of ``p`` and ``state``, in place.
 
     theta <- theta - lr_t * (m_hat / (sqrt(v_hat) + eps) + wd * theta),
     with bias-corrected moment estimates (beta1=0.9, beta2=0.999), in the
-    parameters' dtype. Returns new parameter arrays (``params`` is not
-    written) and ``state``, whose moments are updated in place; each
-    parameter's update is formed in two temporaries, in the order of the
-    expression above. Overflow, such as a learning rate too large for
-    float32, is not an error here: it reaches the next loss or gradient,
-    which the train loop checks. ValueError, before any moment is written,
-    if the parameters, gradients and moments differ in number.
+    dtype of ``p``. The update is formed in two temporaries, in the order of
+    the expression above; ``g`` is not written. The update is elementwise,
+    so stepping arrays concatenated gives the bits of stepping each one.
+    NonFiniteGradient, before anything is written, if ``g`` holds a NaN or an
+    infinity. Overflow, such as a learning rate too large for float32, is
+    not an error here: it reaches the next loss or gradient, which the train
+    loop checks.
     """
-    if not len(params) == len(grads) == len(state.m) == len(state.v):
-        raise ValueError(
-            f"adamw_step got {len(params)} parameters, {len(grads)} gradients, "
-            f"{len(state.m)} first and {len(state.v)} second moments"
-        )
-    for g in grads:
-        if not np.isfinite(g).all():
-            raise NonFiniteGradient("gradient contains NaN or inf")
-    t = state.step + 1
+    if not np.isfinite(g).all():
+        raise NonFiniteGradient("gradient contains NaN or inf")
+    state.step += 1
+    m, v, t = state.m, state.v, state.step
     m_corr = 1 - ADAM_BETA1 ** t
     v_corr = 1 - ADAM_BETA2 ** t
-    new_params = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for p, g, m, v in zip(params, grads, state.m, state.v):
-            update = (1 - ADAM_BETA1) * g
-            denom = (1 - ADAM_BETA2) * g
-            m *= ADAM_BETA1
-            m += update
-            denom *= g
-            v *= ADAM_BETA2
-            v += denom
-            # update = m / m_corr / (sqrt(v / v_corr) + eps) + wd * p, times lr_t
-            np.divide(m, m_corr, out=update)
-            np.divide(v, v_corr, out=denom)
-            np.sqrt(denom, out=denom)
-            denom += ADAM_EPS
-            update /= denom
-            np.multiply(weight_decay, p, out=denom)
-            update += denom
-            update *= lr_t
-            new_params.append(p - update)
-    state.step = t
-    return new_params, state
+        update = (1 - ADAM_BETA1) * g
+        denom = (1 - ADAM_BETA2) * g
+        m *= ADAM_BETA1
+        m += update
+        denom *= g
+        v *= ADAM_BETA2
+        v += denom
+        # update = m / m_corr / (sqrt(v / v_corr) + eps) + wd * p, times lr_t
+        np.divide(m, m_corr, out=update)
+        np.divide(v, v_corr, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        update /= denom
+        np.multiply(weight_decay, p, out=denom)
+        update += denom
+        update *= lr_t
+        p -= update
 
 
 def linear_lr(step: int, total_steps: int, base_lr: float) -> float:
@@ -278,8 +253,8 @@ def train_early_stop(
     The steps run in float32: ``train_x`` and the initial parameters are
     cast once, and the gradients and AdamW state follow them. The
     parameters live in one flat vector, of which ``w1, b1, w2, b2`` are
-    reshaped views, so each step makes one AdamW update over the four
-    gradients concatenated in that order. Dev QWK is
+    reshaped views, so each step makes one AdamW update of the vector in
+    place, over the four gradients concatenated in that order. Dev QWK is
     computed after every epoch from argmax predictions of the float64
     ``mlp_forward``, on the float32 weights converted exactly, so the
     returned model (float64 arrays holding float32 values) scores the
@@ -296,26 +271,23 @@ def train_early_stop(
     total_steps = config.epochs * steps_per_epoch
 
     train_x = np.asarray(train_x, dtype=np.float32)
-    shapes = [p.shape for p in model_init.params()]
     flat = np.concatenate(model_init.params(), axis=None, dtype=np.float32)
-    state = AdamState.for_params([flat])
+    params = _views(flat, [p.shape for p in model_init.params()])
+    state = AdamState(m=np.zeros_like(flat), v=np.zeros_like(flat))
     best: TrainResult | None = None
     history: list[EpochStats] = []
-    step = 0
     for epoch in range(1, config.epochs + 1):
         order = rng.permutation(n)
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            loss, grads = _mlp_grads(_views(flat, shapes), train_x[batch], train_y[batch])
+            loss, grads = _mlp_grads(params, train_x[batch], train_y[batch])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"non-finite loss at epoch {epoch}")
             loss_sum += loss * batch.size
-            lr_t = linear_lr(step, total_steps, config.learning_rate)
-            grad = np.concatenate(grads, axis=None)
-            (flat,), state = adamw_step([flat], [grad], state, lr_t, WEIGHT_DECAY)
-            step += 1
-        model = model_init.with_params([p.astype(float) for p in _views(flat, shapes)])
+            lr_t = linear_lr(state.step, total_steps, config.learning_rate)
+            adamw_step(flat, np.concatenate(grads, axis=None), state, lr_t, WEIGHT_DECAY)
+        model = MlpModel(*(p.astype(float) for p in params))
         dev_pred = np.argmax(mlp_forward(model, dev_x), axis=1)
         dev_qwk = qwk_fn(dev_y, dev_pred, k)
         history.append(EpochStats(epoch=epoch, train_loss=loss_sum / n, dev_qwk=dev_qwk))

@@ -108,11 +108,12 @@ class Artifact:
         write_atomic({Path(path): self.dump(header)})
 
     @classmethod
-    def parse(cls, text: str, expect_kind: str | None = None) -> "Artifact":
-        """The artifact in ``text``; HeaderMismatch if it is not one, is
-        truncated, repeats a meta key or a table or matrix name, or is not of
-        kind ``expect_kind`` (when given). Lines end at each '\\n', as ``dump``
-        joins them, less one trailing '\\r'."""
+    def parse(cls, data: bytes | str, expect_kind: str | None = None) -> "Artifact":
+        """The artifact in ``data``, read by ``decode``; HeaderMismatch if it is
+        not one, is truncated, repeats a meta key or a table or matrix name, or
+        is not of kind ``expect_kind`` (when given). Lines end at each '\\n',
+        as ``dump`` joins them, less one trailing '\\r'."""
+        text = decode(data)
         lines = _split_lines(text)
         if lines[-1] == "":
             lines.pop()  # the final newline ends the last line
@@ -163,7 +164,7 @@ class Artifact:
 
     @classmethod
     def load(cls, path: str | Path, expect_kind: str | None = None) -> "Artifact":
-        return cls.parse(Path(path).read_bytes().decode("utf-8"), expect_kind)
+        return cls.parse(Path(path).read_bytes(), expect_kind)
 
 
 def _split_lines(text: str) -> list[str]:

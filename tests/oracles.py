@@ -33,7 +33,7 @@ from asas.errors import (
     UnknownResponseId,
 )
 from asas.features import STOPWORDS, TEXT_STATS_DIM, NgramTables, fuzzy_ratios
-from asas.learners import EpochStats, TrainResult, _mlp_grads, linear_lr, mlp_forward
+from asas.learners import EpochStats, MlpModel, TrainResult, _mlp_grads, linear_lr, mlp_forward
 from asas.mathutil import as_float, logsumexp
 from asas.metrics import qwk
 from asas.serialize import FORMAT_VERSION
@@ -645,7 +645,7 @@ def train_early_stop_per_array(
             with np.errstate(over="ignore", invalid="ignore"):
                 params, moments = adamw_step_reference(params, grads, moments, lr_t, 0.01)
             step += 1
-        model = model_init.with_params([p.astype(float) for p in params])
+        model = MlpModel(*(p.astype(float) for p in params))
         dev_pred = np.argmax(mlp_forward(model, dev_x), axis=1)
         dev_qwk = qwk_fn(dev_y, dev_pred, k)
         history.append(EpochStats(epoch=epoch, train_loss=loss_sum / n, dev_qwk=dev_qwk))

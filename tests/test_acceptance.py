@@ -284,15 +284,16 @@ def test_feature_model_end_to_end():
             pool, prompt_id=pid, dev_fraction=0.2, seed=prompt_seed(7, pid), test=test
         )
         builder = CachedFeatureBuilder(corpus, embeddings)
-        train_ids = [r.id for r in corpus.train]
-        dev_ids = [r.id for r in corpus.dev]
+        # the builder's rows are in train|dev|test order
+        n_train, n_dev = len(corpus.train), len(corpus.dev)
+        train, dev = slice(0, n_train), slice(n_train, n_train + n_dev)
 
         def objective(params):
             _, matrix = builder.build(int(params["tfidf_dim"]), float(params["cutoff"]))
             result = train_early_stop(
                 MlpModel.init(matrix.dim, 256, corpus.num_classes, seed=7),
-                matrix.rows_for(train_ids), corpus.labels(corpus.train),
-                matrix.rows_for(dev_ids), corpus.labels(corpus.dev),
+                matrix.data[train], corpus.labels(corpus.train),
+                matrix.data[dev], corpus.labels(corpus.dev),
                 TrainConfig(
                     learning_rate=float(params["learning_rate"]),
                     batch_size=int(params["batch_size"]),
@@ -307,8 +308,8 @@ def test_feature_model_end_to_end():
         _, matrix = builder.build(int(best["tfidf_dim"]), float(best["cutoff"]))
         result = train_early_stop(
             MlpModel.init(matrix.dim, 256, corpus.num_classes, seed=7),
-            matrix.rows_for(train_ids), corpus.labels(corpus.train),
-            matrix.rows_for(dev_ids), corpus.labels(corpus.dev),
+            matrix.data[train], corpus.labels(corpus.train),
+            matrix.data[dev], corpus.labels(corpus.dev),
             TrainConfig(
                 learning_rate=float(best["learning_rate"]),
                 batch_size=int(best["batch_size"]),
@@ -316,8 +317,7 @@ def test_feature_model_end_to_end():
                 seed=7,
             ),
         )
-        test_ids = [r.id for r in corpus.test]
-        pred = np.argmax(mlp_forward(result.model, matrix.rows_for(test_ids)), axis=1)
+        pred = np.argmax(mlp_forward(result.model, matrix.data[n_train + n_dev:]), axis=1)
         per_prompt[pid] = qwk(corpus.labels(corpus.test), pred, corpus.num_classes)
         print(f"prompt {pid}: test QWK {per_prompt[pid]:.3f}")
     mean_qwk = float(np.mean(list(per_prompt.values())))

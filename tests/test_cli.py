@@ -1,6 +1,7 @@
 """End-to-end command wiring: exit codes, artifacts, determinism."""
 from __future__ import annotations
 
+import argparse
 from collections import Counter
 import inspect
 import io
@@ -894,6 +895,19 @@ class TestByteOrderMark:
             assert _data_lines(outs["bom"] / file) == _data_lines(outs["plain"] / file), file
         header = (outs["bom"] / "report_test.tsv").read_text().splitlines()[0]
         assert f"{bom}:{digest(bom.read_bytes())}" in header
+
+    def test_predict_model(self, workspace):
+        base = ["--data", str(workspace["data"]), "--test", str(workspace["test"]), "--prompt", "1"]
+        fit = workspace["dir"] / "fit"
+        assert main(["train-features", *base, "--epochs", "2", "--out", str(fit)]) == 0
+        bom = workspace["dir"] / "model_bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + (fit / "model.txt").read_bytes())
+        outs = {}
+        for name, model in (("plain", fit / "model.txt"), ("bom", bom)):
+            outs[name] = workspace["dir"] / f"pred_{name}.tsv"
+            assert main(["predict", *base, "--model", str(model), "--out", str(outs[name])]) == 0
+        assert _data_lines(outs["bom"]) == _data_lines(outs["plain"])
+        assert f"{bom}:{digest(bom.read_bytes())}" in outs["bom"].read_text()
 
 
 def _answers(rng: random.Random, vocab: list[str], n: int, start: int) -> list[ScoredResponse]:
@@ -1791,9 +1805,8 @@ class TestModelFileFidelity:
         spec, mlp = load_feature_model(out_dir / "model.txt")
         pool = [r for r in parse_dataset(workspace["data"].read_bytes()) if r.prompt_id == 1]
         corpus = build_corpus(pool, prompt_id=1, dev_fraction=0.2, seed=prompt_seed(5, 1))
-        matrix = build_features(corpus, spec)
-        dev_ids = [r.id for r in corpus.dev]
-        pred = np.argmax(mlp_forward(mlp, matrix.rows_for(dev_ids)), axis=1)
+        matrix = build_features(corpus, spec)  # train|dev rows
+        pred = np.argmax(mlp_forward(mlp, matrix.data[len(corpus.train):]), axis=1)
         # the report row renders at 6 decimals; the model file itself is exact
         assert qwk(corpus.labels(corpus.dev), pred, corpus.num_classes) == pytest.approx(
             reported.qwk, abs=1e-6
@@ -1816,7 +1829,7 @@ class TestModelFileFidelity:
         spec, mlp = load_feature_model(out_dir / "model.txt")
         pool = [r for r in parse_dataset(workspace["data"].read_bytes()) if r.prompt_id == 1]
         corpus = build_corpus(pool, prompt_id=1, dev_fraction=0.2, seed=prompt_seed(5, 1))
-        dev_rows = build_features(corpus, spec).rows_for([r.id for r in corpus.dev])
+        dev_rows = build_features(corpus, spec).data[len(corpus.train):]  # train|dev rows
         pred = np.argmax(real(mlp, dev_rows), axis=1)
         report = evaluate_run(pred, corpus.labels(corpus.dev), corpus.num_classes, 1)
         header = (out_dir / "model.txt").read_text().split("\n", 1)[0]
@@ -2014,6 +2027,20 @@ class TestUsage:
             if default is not None:
                 shown = str(default).lower() if isinstance(default, bool) else default
                 assert f"(default: {shown})" in text, flag
+
+    def test_two_commands_build_one_parser(self, workspace, monkeypatch, capsys):
+        built, real_init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            real_init(parser, *args, **kwargs)
+            if parser.prog == "asas":
+                built.append(parser)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        assert main(["stats", "--data", str(workspace["data"])]) == 0
+        first = len(built)
+        assert main(["ingest", "--data", str(workspace["data"])]) == 0
+        assert len(built) == first <= 1
 
     def test_missing_required_prompt_exits_2(self, workspace, capsys):
         assert main([

@@ -532,14 +532,6 @@ class TestBuildFeatures:
         with pytest.raises(MissingEmbedding):
             build_features(toy_corpus, spec, embeddings=partial)
 
-    def test_rows_for_selects_by_id(self, toy_corpus):
-        spec, _ = fit_feature_model(toy_corpus, d_t=4, near_match_cutoff=0.8)
-        matrix = build_features(toy_corpus, spec)
-        dev_ids = [r.id for r in toy_corpus.dev]
-        rows = matrix.rows_for(dev_ids)
-        assert rows.shape == (len(dev_ids), matrix.dim)
-        assert np.array_equal(rows[0], matrix.data[matrix.ids.index(dev_ids[0])])
-
 
     @pytest.mark.filterwarnings("ignore:requested 300 eigenvectors")
     @pytest.mark.parametrize("d_t, cutoff", [(8, 0.8), (300, MIN_CUTOFF), (5, 1.0)])

@@ -162,24 +162,24 @@ class TestLabelCheckParity:
 
 class TestAdamW:
     def test_zero_gradient_zero_decay_is_noop(self):
-        params = [np.array([1.0, -2.0])]
-        state = AdamState.for_params(params)
-        new_params, _ = adamw_step(params, [np.zeros(2)], state, lr_t=0.1, weight_decay=0.0)
-        assert np.array_equal(new_params[0], params[0])
+        p = np.array([1.0, -2.0])
+        state = AdamState(m=np.zeros(2), v=np.zeros(2))
+        adamw_step(p, np.zeros(2), state, lr_t=0.1, weight_decay=0.0)
+        assert np.array_equal(p, [1.0, -2.0])
 
     def test_first_step_moves_by_lr_in_gradient_sign(self):
-        params = [np.array([0.0])]
-        state = AdamState.for_params(params)
-        new_params, _ = adamw_step(params, [np.array([3.7])], state, lr_t=0.01, weight_decay=0.0)
+        p = np.array([0.0])
+        state = AdamState(m=np.zeros(1), v=np.zeros(1))
+        adamw_step(p, np.array([3.7]), state, lr_t=0.01, weight_decay=0.0)
         # bias-corrected first step: m_hat = g, v_hat = g^2, update ~ lr * sign(g)
-        assert new_params[0][0] == pytest.approx(-0.01, rel=1e-6)
+        assert p[0] == pytest.approx(-0.01, rel=1e-6)
 
     def test_decay_alone_shrinks_multiplicatively(self):
-        params = [np.array([2.0])]
-        state = AdamState.for_params(params)
+        p = np.array([2.0])
+        state = AdamState(m=np.zeros(1), v=np.zeros(1))
         for _ in range(3):
-            params, state = adamw_step(params, [np.zeros(1)], state, lr_t=0.1, weight_decay=0.5)
-        assert params[0][0] == pytest.approx(2.0 * (1 - 0.1 * 0.5) ** 3)
+            adamw_step(p, np.zeros(1), state, lr_t=0.1, weight_decay=0.5)
+        assert p[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5) ** 3)
 
     def test_three_step_trace_matches_hand_stepped_adam(self):
         beta1, beta2, eps = 0.9, 0.999, 1e-8
@@ -196,26 +196,21 @@ class TestAdamW:
             v_hat = v / (1 - beta2 ** t)
             theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
 
-        params = [np.array([0.5, -0.5])]
-        state = AdamState.for_params(params)
+        p = np.array([0.5, -0.5])
+        state = AdamState(m=np.zeros(2), v=np.zeros(2))
         for g in grads:
-            params, state = adamw_step(params, [g], state, lr_t=lr, weight_decay=0.0)
-        assert np.allclose(params[0], theta, atol=1e-15)
+            adamw_step(p, g, state, lr_t=lr, weight_decay=0.0)
+        assert np.allclose(p, theta, atol=1e-15)
 
     def test_non_finite_gradient(self):
-        params = [np.zeros(2)]
-        state = AdamState.for_params(params)
+        p = np.ones(2)
+        state = AdamState(m=np.full(2, 0.5), v=np.full(2, 0.25), step=3)
         with pytest.raises(NonFiniteGradient):
-            adamw_step(params, [np.array([np.nan, 0.0])], state, 0.1, 0.0)
-
-    @pytest.mark.parametrize("n_params, n_grads, n_moments", [(2, 1, 2), (1, 2, 1), (2, 2, 1)])
-    def test_count_mismatch_is_refused_before_any_moment_moves(self, n_params, n_grads, n_moments):
-        params = [np.full(2, 1.0 + i) for i in range(n_params)]
-        state = AdamState.for_params([np.zeros(2)] * n_moments)
-        with pytest.raises(ValueError, match="parameters"):
-            adamw_step(params, [np.ones(2)] * n_grads, state, 0.1, 0.0)
-        assert state.step == 0
-        assert all(not m.any() for m in [*state.m, *state.v])
+            adamw_step(p, np.array([np.nan, 0.0]), state, 0.1, 0.0)
+        assert state.step == 3
+        assert [p.tolist(), state.m.tolist(), state.v.tolist()] == [
+            [1.0, 1.0], [0.5, 0.5], [0.25, 0.25]
+        ]
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     @given(
@@ -232,33 +227,33 @@ class TestAdamW:
     def test_bitwise_equal_to_reference_over_a_schedule(
         self, dtype, shapes, steps, base_lr, weight_decay, seed
     ):
+        """One step of the arrays concatenated is the reference's step of each array."""
         rng = np.random.default_rng(seed)
-        params = [rng.normal(size=shape).astype(dtype) for shape in shapes]
-        caller_copy = [p.copy() for p in params]
-        state = AdamState.for_params(params)
-        ref_params = params
-        ref_state = (0, [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
-        current = params
+        ref_params = [rng.normal(size=shape).astype(dtype) for shape in shapes]
+        zeros = [np.zeros_like(p) for p in ref_params]
+        ref_state = (0, zeros, zeros)
+        p = np.concatenate(ref_params, axis=None)
+        state = AdamState(m=np.zeros_like(p), v=np.zeros_like(p))
         for step in range(steps):
             # gradients spanning many magnitudes exercise the sqrt/eps rounding
             grads = [
                 (rng.normal(size=shape) * 10.0 ** rng.integers(-9, 4)).astype(dtype)
                 for shape in shapes
             ]
+            g = np.concatenate(grads, axis=None)
+            g_copy = g.copy()
             lr_t = linear_lr(step, steps, base_lr)
-            new, state = adamw_step(current, grads, state, lr_t, weight_decay)
+            adamw_step(p, g, state, lr_t, weight_decay)
             ref_params, ref_state = adamw_step_reference(
                 ref_params, grads, ref_state, lr_t, weight_decay
             )
-            assert [p.tobytes() for p in new] == [p.tobytes() for p in ref_params]
-            assert all(p is not q for p, q in zip(new, current))
-            current = new
-        assert [m.tobytes() for m in state.m] == [m.tobytes() for m in ref_state[1]]
-        assert [v.tobytes() for v in state.v] == [v.tobytes() for v in ref_state[2]]
-        assert {a.dtype for a in [*new, *state.m, *state.v]} == {np.dtype(dtype)}
+            assert p.tobytes() == np.concatenate(ref_params, axis=None).tobytes()
+            # p is written in place, g is not written
+            assert g.tobytes() == g_copy.tobytes()
+        assert state.m.tobytes() == np.concatenate(ref_state[1], axis=None).tobytes()
+        assert state.v.tobytes() == np.concatenate(ref_state[2], axis=None).tobytes()
+        assert {a.dtype for a in [p, state.m, state.v]} == {np.dtype(dtype)}
         assert state.step == steps
-        # the caller's arrays are never written
-        assert [p.tobytes() for p in params] == [p.tobytes() for p in caller_copy]
 
 
 class TestLinearLr:
@@ -447,7 +442,7 @@ class TestTrainEarlyStop:
             def loss_at(flat, index=index, base=base):
                 params = model.params()
                 params[index] = flat.reshape(base.shape)
-                return bce_loss_grad(mlp_forward(model.with_params(params), X), y)[0]
+                return bce_loss_grad(mlp_forward(MlpModel(*params), X), y)[0]
 
             numeric = central_difference(loss_at, base.flatten().copy()).reshape(base.shape)
             denom = np.abs(numeric) + 1e-10

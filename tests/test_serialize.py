@@ -107,6 +107,15 @@ class TestArtifact:
             f"a.tsv:{digest(b'first')},b.tsv:{digest(b'second')}"
         )
 
+    def test_a_byte_order_mark_reads_as_without_one(self, tmp_path):
+        art = Artifact(kind="ensemble", meta={"k": "v"}, arrays={"m": np.eye(2)})
+        text = art.dump(header=artifact_header(3))
+        path = tmp_path / "ensemble.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        for back in (Artifact.parse("\ufeff" + text), Artifact.load(path, "ensemble")):
+            assert (back.kind, back.meta) == ("ensemble", {"k": "v"})
+            assert back.arrays["m"].tobytes() == np.eye(2).tobytes()
+
     def test_rejects_foreign_files(self):
         with pytest.raises(HeaderMismatch):
             Artifact.parse("just a text file\n")
