@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .corpus import (
     ColumnMap,
@@ -71,10 +71,19 @@ EXIT_VALIDATION = 2  # usage and validation errors
 EXIT_CODES = {AllTrialsFailed: 3, CoverageGap: 4}
 
 
+class Check(NamedTuple):
+    holds: Callable[[object], bool]
+    says: str  # the message for a value that fails, formatted with its flag and value
+
+
+_POSITIVE = Check(lambda v: v > 0, "{flag} must be positive, got {value}")
+
+
 class Option(NamedTuple):
     type: type  # str, int, float, bool (a switch) or list (one or more words)
     default: object
     help: str
+    rule: tuple[Check, ...] = ()  # what its value must meet: from a flag, config or default
 
     def parse(self, text: str):
         """A config value: words for a list, true or false for a switch, else a literal."""
@@ -96,25 +105,41 @@ OPTIONS = {
     "solution_score_col": Option(str, "essay_score", "solution table score column"),
     "prompt": Option(int, None, "prompt id to process"),
     "all_prompts": Option(bool, False, "loop over all prompts"),
-    "dev_frac": Option(float, 0.2, "dev fraction"),
-    "seed": Option(int, 7, "base seed"),
+    "dev_frac": Option(float, 0.2, "dev fraction", (
+        Check(lambda v: 0 < v < 1, "{flag} must be in (0, 1), got {value}"),
+    )),
+    "seed": Option(int, 7, "base seed", (
+        Check(lambda v: v >= 0, "{flag} must be non-negative, got {value}"),
+    )),
     "out": Option(str, None, "output file or directory"),
     "embeddings": Option(str, None, "embedding table file"),
     "prompt_text": Option(str, None, "file holding the prompt/passage text"),
-    "id_col": Option(str, ColumnMap.id, "dataset id column"),
+    "id_col": Option(str, ColumnMap.id, "dataset id column", (
+        # it opens the header line of each dataset written
+        Check(lambda v: not v.startswith("#"),
+              "id_col must not start with '#' (a comment), got {value!r}"),
+    )),
     "prompt_col": Option(str, ColumnMap.prompt, "dataset prompt column"),
     "score1_col": Option(str, ColumnMap.score1, "dataset score1 column"),
     "score2_col": Option(str, ColumnMap.score2, "dataset score2 column"),
     "text_col": Option(str, ColumnMap.text, "dataset text column"),
-    "lr": Option(float, 1e-3, "learning rate"),
-    "batch": Option(int, 8, "batch size"),
-    "epochs": Option(int, 20, "training epochs"),
-    "hidden": Option(int, 256, "MLP hidden width"),
-    "tfidf_dim": Option(int, 200, "TF-IDF projection dimension"),
-    "cutoff": Option(float, 0.8, "near-match cutoff in [0.5, 1.0]"),
-    "trials": Option(int, 20, "hyperparameter trials"),
+    "lr": Option(float, 1e-3, "learning rate", (
+        _POSITIVE, Check(math.isfinite, "{flag} must be finite, got {value}"),
+    )),
+    "batch": Option(int, 8, "batch size", (_POSITIVE,)),
+    "epochs": Option(int, 20, "training epochs", (_POSITIVE,)),
+    "hidden": Option(int, 256, "MLP hidden width", (_POSITIVE,)),
+    "tfidf_dim": Option(int, 200, "TF-IDF projection dimension", (_POSITIVE,)),
+    "cutoff": Option(float, 0.8, "near-match cutoff in [0.5, 1.0]", (
+        Check(lambda v: MIN_CUTOFF <= v <= 1,
+              f"{{flag}} must be in [{MIN_CUTOFF}, 1.0], got {{value}}"),
+    )),
+    "trials": Option(int, 20, "hyperparameter trials", (_POSITIVE,)),
     "model": Option(str, None, "feature model file; {prompt} in it stands for the prompt id"),
-    "name": Option(str, "features", "model name for exported predictions"),
+    "name": Option(str, "features", "model name for exported predictions", (
+        Check(lambda v: not any(c in v for c in "\t\r\n"),
+              "{flag} must not hold a tab, CR or LF, got {value!r}"),
+    )),
     "members": Option(
         list, None, "member log-probability files; {prompt} in a path stands for the prompt id"
     ),
@@ -146,8 +171,16 @@ def load_config_file(path: str | Path) -> dict[str, object]:
     return cfg
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 class _Ctx:
-    """Every option resolved once (flag, else config file, else default) as an attribute."""
+    """Every option resolved once (flag, else config file, else default) as an attribute.
+
+    Before any file but the config file is read, every option's value must
+    meet its rule, whether the command reads that option or not, and the
+    command's required options must be set."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
@@ -155,7 +188,11 @@ class _Ctx:
         cfg = load_config_file(args.config) if args.config else {}
         for name, opt in OPTIONS.items():
             flag = getattr(args, name, None)
-            setattr(self, name, flag if flag is not None else cfg.get(name, opt.default))
+            value = flag if flag is not None else cfg.get(name, opt.default)
+            for holds, says in opt.rule:
+                if not holds(value):
+                    raise AsasError(says.format(flag=_flag(name), value=value))
+            setattr(self, name, value)
         # --prompt and --all-prompts set one scope, so a flag for either
         # replaces both config keys; both set in one place is an error.
         names = ("prompt", "all_prompts")
@@ -165,14 +202,17 @@ class _Ctx:
         if scope[0] is not None and scope[1]:
             raise AsasError(f"--prompt and --all-prompts are both set {source}; give one of them")
         self.prompt, self.all_prompts = scope[0], bool(scope[1])
-        if any(c in self.name for c in "\t\r\n"):
-            raise AsasError(f"--name must not hold a tab, CR or LF, got {self.name!r}")
-        if self.id_col.startswith("#"):  # it opens the header line of each dataset written
-            raise AsasError(f"id_col must not start with '#' (a comment), got {self.id_col!r}")
+        self.require(*COMMANDS[args.command][3].split())
         self.columns = ColumnMap(
             self.id_col, self.prompt_col, self.score1_col, self.score2_col, self.text_col
         )
         self.digests: dict[str, str] = {}  # path -> digest of each input read
+
+    def require(self, *names: str) -> None:
+        """Exit 2 naming the first of the options ``names`` that is unset."""
+        for name in names:
+            if getattr(self, name) in (None, []):
+                raise AsasError(f"{_flag(name)} is required")
 
     def read_input(self, path: str | Path) -> bytes:
         data = _existing(path).read_bytes()
@@ -199,7 +239,7 @@ def _check_utf8(args: argparse.Namespace) -> None:
                 try:
                     item.encode("utf-8")
                 except UnicodeEncodeError:
-                    flag = "a report path" if name == "reports" else "--" + name.replace("_", "-")
+                    flag = "a report path" if name == "reports" else _flag(name)
                     raise AsasError(f"{flag} is not valid UTF-8: {item!r}") from None
 
 
@@ -208,13 +248,6 @@ def _existing(path: str | Path) -> Path:
     if not p.is_file():
         raise AsasError(f"missing file: {p}")
     return p
-
-
-def _load_dataset(ctx: _Ctx, prompts: set[int] | None = None):
-    """--data, every row checked; records only for ``prompts`` (all when None)."""
-    if ctx.data is None:
-        raise AsasError("--data is required")
-    return ctx.parse_input(ctx.data, parse_dataset, ctx.columns, prompts)
 
 
 class _Run(NamedTuple):
@@ -242,16 +275,13 @@ def _runs(ctx: _Ctx, all_prompts: bool, *files: str, test: bool = True) -> list[
     stops the command before its first prompt's work; over several prompts
     every prompt's parsed files are held at once. Each header names the
     shared inputs and its own prompt's files; each output directory is
-    --out, or its prompt_<id> subdirectory with --all-prompts. --dev-frac is
-    checked first, then the scope: every row of --data, --test and
-    --solution is read and checked, but records are built only for
-    --prompt's rows."""
-    if not 0.0 < ctx.dev_frac < 1.0:
-        raise AsasError(f"--dev-frac must be in (0, 1), got {ctx.dev_frac}")
+    --out, or its prompt_<id> subdirectory with --all-prompts. The scope is
+    checked first: every row of --data, --test and --solution is read and
+    checked, but records are built only for --prompt's rows."""
     if not all_prompts and ctx.prompt is None:
         raise AsasError("--prompt is required (or pass --all-prompts)")
     prompts = None if all_prompts else {ctx.prompt}
-    responses = _load_dataset(ctx, prompts)
+    responses = ctx.parse_input(ctx.data, parse_dataset, ctx.columns, prompts)
     test_rows = []
     if test and ctx.test is not None:  # --solution first, so its faults are reported first
         solution = ctx.solution, parse_score_table, ctx.solution_id_col, ctx.solution_score_col
@@ -264,7 +294,7 @@ def _runs(ctx: _Ctx, all_prompts: bool, *files: str, test: bool = True) -> list[
         for path in [value] if isinstance(value, str) else value or []:
             if len(pids) > 1 and "{prompt}" not in path:
                 raise MissingPromptPlaceholder(
-                    f"--{name.replace('_', '-')} path {path} has no {{prompt}} placeholder, but"
+                    f"{_flag(name)} path {path} has no {{prompt}} placeholder, but"
                     f" --all-prompts covers {len(pids)} prompts; name each prompt's file,"
                     " e.g. run_{prompt}.tsv"
                 )
@@ -272,11 +302,7 @@ def _runs(ctx: _Ctx, all_prompts: bool, *files: str, test: bool = True) -> list[
                 _existing(expanded := path.replace("{prompt}", str(pid)))
                 paths[pid][name].append(expanded)
     # looked up here, so replacing this module's loaders (as a tracer does) applies
-    loaders = {
-        "embeddings": load_embeddings,
-        "model": _model_for,
-        "members": load_logprobs,
-    }
+    loaders = {"embeddings": load_embeddings, "model": _model_for, "members": load_logprobs}
     shared, runs = dict(ctx.digests), []
     out = None if ctx.out is None else Path(ctx.out)
     for pid in pids:
@@ -311,25 +337,6 @@ def _naming(pid: int):
         raise type(exc)(f"prompt {pid}: {exc}") from None
 
 
-def _check_training(ctx: _Ctx, *names: str) -> None:
-    """Exit 2 before any featurising when --seed is negative or a fixed
-    training value is not positive or not finite."""
-    if ctx.seed < 0:
-        raise AsasError(f"--seed must be non-negative, got {ctx.seed}")
-    for name in names:
-        value, flag = getattr(ctx, name), "--" + name.replace("_", "-")
-        if not value > 0:
-            raise AsasError(f"{flag} must be positive, got {value}")
-        if not math.isfinite(value):
-            raise AsasError(f"{flag} must be finite, got {value}")
-
-
-def _require_out(ctx: _Ctx) -> None:
-    """Exit 2 before any work when --out, which the command writes to, is unset."""
-    if ctx.out is None:
-        raise AsasError("--out is required")
-
-
 def _emit(ctx: _Ctx, table: str, body: str | None = None) -> None:
     """Print the header and ``table``; write them, or the header and ``body``, to --out.
     The header names every input the command read."""
@@ -352,7 +359,7 @@ def _report_tsv(*reports: EvalReport) -> str:
 
 
 def cmd_ingest(ctx: _Ctx) -> None:
-    responses = _load_dataset(ctx)
+    responses = ctx.parse_input(ctx.data, parse_dataset, ctx.columns)
     counts = Counter(r.prompt_id for r in responses)
     table = "prompt\tn\n" + "".join(f"{p}\t{n}\n" for p, n in sorted(counts.items()))
     body = serialize_dataset(responses, ctx.columns).decode() if ctx.out is not None else None
@@ -368,7 +375,6 @@ def cmd_stats(ctx: _Ctx) -> None:
 
 
 def cmd_split(ctx: _Ctx) -> None:
-    _require_out(ctx)
     files, done = {}, []
     for pid, corpus, _, header, out in _runs(ctx, ctx.all_prompts, test=False):
         with _naming(pid):
@@ -423,10 +429,6 @@ def _run_files(ctx: _Ctx, run: _Run, spec: FeatureModelSpec, matrix, result):
 
 
 def cmd_train_features(ctx: _Ctx) -> None:
-    _require_out(ctx)
-    _check_training(ctx, "lr", "batch", "epochs", "hidden", "tfidf_dim")
-    if not MIN_CUTOFF <= ctx.cutoff <= 1.0:
-        raise AsasError(f"--cutoff must be in [{MIN_CUTOFF}, 1.0], got {ctx.cutoff}")
     for run in _runs(ctx, ctx.all_prompts, "prompt_text", "embeddings"):
         pid, corpus, embeddings = run.prompt, run.corpus, run.parsed["embeddings"]
         with _naming(pid):
@@ -440,8 +442,6 @@ def cmd_train_features(ctx: _Ctx) -> None:
 
 
 def cmd_tune(ctx: _Ctx) -> None:
-    _require_out(ctx)
-    _check_training(ctx, "epochs", "hidden", "trials")
     space = feature_search_space()
     for run in _runs(ctx, ctx.all_prompts, "prompt_text", "embeddings"):
         with _naming(run.prompt):
@@ -477,10 +477,8 @@ def cmd_tune(ctx: _Ctx) -> None:
 
 
 def cmd_predict(ctx: _Ctx) -> None:
-    if ctx.model is None:
-        raise AsasError("--model is required")
     if ctx.all_prompts:
-        _require_out(ctx)
+        ctx.require("out")
     for run in _runs(ctx, ctx.all_prompts, "prompt_text", "embeddings", "model"):
         with _naming(run.prompt):
             spec, mlp = run.parsed["model"]
@@ -494,9 +492,6 @@ def cmd_predict(ctx: _Ctx) -> None:
 
 
 def cmd_ensemble(ctx: _Ctx) -> None:
-    _require_out(ctx)
-    if not ctx.members:
-        raise AsasError("--members is required")
     if ctx.m is not None and not 1 <= ctx.m <= len(ctx.members):
         raise AsasError(f"--m must be between 1 and {len(ctx.members)}")
     # every prompt is fitted and scored before the first file is written
@@ -558,25 +553,31 @@ _SPLIT = "data prompt all_prompts dev_frac seed out"
 _PER_PROMPT = _SPLIT + " test solution"
 _FEATURES = _PER_PROMPT + " embeddings prompt_text"
 
-# Each subcommand: (function, help, its options besides --config).
+# Each subcommand: (function, help, its options besides --config, the ones it requires).
 COMMANDS = {
-    "ingest": (cmd_ingest, "parse and validate a dataset", "data seed out" + _COLUMNS),
+    "ingest": (cmd_ingest, "parse and validate a dataset", "data seed out" + _COLUMNS, "data"),
     "stats": (
         cmd_stats, "per-prompt corpus statistics",
-        "data test solution prompt dev_frac seed out" + _COLUMNS,
+        "data test solution prompt dev_frac seed out" + _COLUMNS, "data",
     ),
-    "split": (cmd_split, "write the train/dev partition", _SPLIT),
+    "split": (cmd_split, "write the train/dev partition", _SPLIT, "out data"),
     "train-features": (
         cmd_train_features, "fit the feature model with fixed hyperparameters",
-        _FEATURES + " lr batch epochs hidden tfidf_dim cutoff",
+        _FEATURES + " lr batch epochs hidden tfidf_dim cutoff", "out data",
     ),
     "tune": (
         cmd_tune, "TPE search over lr/batch/tfidf-dim/cutoff, then train",
-        _FEATURES + " epochs hidden trials",
+        _FEATURES + " epochs hidden trials", "out data",
     ),
-    "predict": (cmd_predict, "export feature-model log-probabilities", _FEATURES + " model name"),
-    "ensemble": (cmd_ensemble, "stack member log-probabilities", _PER_PROMPT + " members m"),
-    "report": (cmd_report, "merge per-prompt reports and add the mean row", "seed out"),
+    "predict": (
+        cmd_predict, "export feature-model log-probabilities", _FEATURES + " model name",
+        "model data",
+    ),
+    "ensemble": (
+        cmd_ensemble, "stack member log-probabilities", _PER_PROMPT + " members m",
+        "out members data",
+    ),
+    "report": (cmd_report, "merge per-prompt reports and add the mean row", "seed out", ""),
 }
 
 
@@ -588,9 +589,7 @@ def _add_option(parser: argparse.ArgumentParser, name: str) -> None:
         shown = str(opt.default).lower() if opt.type is bool else opt.default
         help += f" (default: {shown})"
     kind = {bool: dict(action="store_true"), list: dict(nargs="+")}.get(opt.type)
-    parser.add_argument(
-        "--" + name.replace("_", "-"), default=None, help=help, **(kind or dict(type=opt.type))
-    )
+    parser.add_argument(_flag(name), default=None, help=help, **(kind or dict(type=opt.type)))
 
 
 @functools.cache
@@ -598,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every ``main`` call."""
     parser = argparse.ArgumentParser(prog="asas", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, help, names) in COMMANDS.items():
+    for command, (func, help, names, _) in COMMANDS.items():
         p = sub.add_parser(command, help=help)
         for name in ["config", *names.split()]:
             _add_option(p, name)

@@ -151,15 +151,9 @@ def select_key_ngrams(train: list[tuple[str, int]]) -> list[KeyNgram]:
             grams = {" ".join(toks[i:i + order]) for i in range(len(toks) - order + 1)}
             for gram in grams:
                 present_by_class.setdefault(gram, Counter())[score] += 1
-        ranked = sorted(
-            present_by_class,
-            key=lambda g: (-_chi_squared(present_by_class[g], class_totals, n_docs), g),
-        )
-        top = ranked[:NGRAMS_PER_ORDER]
-        selected.extend(
-            KeyNgram(text=g, order=order, score=_chi_squared(present_by_class[g], class_totals, n_docs))
-            for g in top
-        )
+        chi = {g: _chi_squared(c, class_totals, n_docs) for g, c in present_by_class.items()}
+        top = sorted(chi, key=lambda g: (-chi[g], g))[:NGRAMS_PER_ORDER]
+        selected.extend(KeyNgram(text=g, order=order, score=chi[g]) for g in top)
         padding = NGRAMS_PER_ORDER - len(top)
         selected.extend(KeyNgram(text=None, order=order, score=0.0) for _ in range(padding))
     return selected

@@ -5,6 +5,9 @@ import importlib.util
 import os
 from pathlib import Path
 
+# asas first: it pins BLAS to one thread, which holds only if set before numpy loads,
+# so the tests run numpy as the commands do.
+import asas  # noqa: F401
 import numpy as np
 import pytest
 

@@ -485,11 +485,17 @@ class TestTrainingOptions:
         assert "asas: --seed must be non-negative, got -1" in capsys.readouterr().err
         assert not built and not out.exists()
 
-    def test_split_accepts_a_negative_seed(self, workspace):
-        out = workspace["dir"] / "split_neg"
-        argv = ["split", "--data", str(workspace["data"]), "--prompt", "1", "--out", str(out)]
-        assert main([*argv, "--seed", "-3"]) == 0
-        assert (out / "dev.tsv").is_file()
+    @pytest.mark.parametrize(
+        "command", ["ingest", "stats", "split", "predict", "ensemble", "report"]
+    )
+    def test_a_negative_seed_exits_2_before_reading(self, tmp_path, monkeypatch, capsys, command):
+        # a prompt's split seed is --seed plus its id, and random.Random(-s) draws
+        # what random.Random(s) does: --seed -3 would split prompt 1 as --seed 1 does
+        monkeypatch.setattr(asas.cli._Ctx, "read_input", lambda *a: pytest.fail("read"))
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *_REQUIRED_SET[command], "--seed", "-3"]) == 2
+        assert capsys.readouterr().err == "asas: --seed must be non-negative, got -3\n"
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("frac", ["0", "1", "-0.5", "nan"])
     @pytest.mark.parametrize("command", ["stats", "split", "tune"])
@@ -1891,6 +1897,83 @@ class TestReport:
         err = capsys.readouterr().err
         assert f"asas: {second}: a second row for prompt 1 (first at {path}:2)" in err
         assert not out.exists()
+
+
+# Each command with every option it requires set (files that are never read).
+_REQUIRED_SET = {
+    "ingest": ["--data", "d.tsv"],
+    "stats": ["--data", "d.tsv"],
+    "split": ["--data", "d.tsv", "--prompt", "1", "--out", "o"],
+    "train-features": ["--data", "d.tsv", "--prompt", "1", "--out", "o"],
+    "tune": ["--data", "d.tsv", "--prompt", "1", "--out", "o"],
+    "predict": ["--data", "d.tsv", "--prompt", "1", "--model", "m.txt"],
+    "ensemble": ["--data", "d.tsv", "--prompt", "1", "--members", "m.tsv", "--out", "o"],
+    "report": ["r.tsv"],
+}
+
+# For every option with a rule: a value that breaks it, and the message.
+_BROKEN = {
+    "dev_frac": ("1", "--dev-frac must be in (0, 1), got 1.0"),
+    "seed": ("-3", "--seed must be non-negative, got -3"),
+    "id_col": ("#Id", "id_col must not start with '#' (a comment), got '#Id'"),
+    "lr": ("inf", "--lr must be finite, got inf"),
+    "batch": ("0", "--batch must be positive, got 0"),
+    "epochs": ("-1", "--epochs must be positive, got -1"),
+    "hidden": ("0", "--hidden must be positive, got 0"),
+    "tfidf_dim": ("0", "--tfidf-dim must be positive, got 0"),
+    "cutoff": ("0.3", "--cutoff must be in [0.5, 1.0], got 0.3"),
+    "trials": ("0", "--trials must be positive, got 0"),
+    "name": ("a\tb", "--name must not hold a tab, CR or LF, got 'a\\tb'"),
+}
+
+
+class TestOptionRules:
+    """Every option's rule and every command's required options are checked
+    before any input is read, whether the value comes from a flag or from
+    the config file, and whether the command reads that option or not."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_read(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(asas.cli, "parse_dataset", lambda *a, **kw: pytest.fail("parsed"))
+        monkeypatch.setattr(asas.cli._Ctx, "read_input", lambda *a: pytest.fail("read"))
+        monkeypatch.chdir(tmp_path)
+
+    def test_every_rule_has_a_broken_value(self):
+        assert set(_BROKEN) == {name for name, opt in OPTIONS.items() if opt.rule}
+
+    @pytest.mark.parametrize("name", sorted(_BROKEN))
+    def test_a_config_value_breaks_a_rule_as_the_flag_does(self, tmp_path, capsys, name):
+        value, says = _BROKEN[name]
+        reads = [c for c, entry in asas.cli.COMMANDS.items() if name in entry[2].split()]
+        skips = [c for c in asas.cli.COMMANDS if c not in reads]
+        conf = tmp_path / "broken.conf"
+        conf.write_text(f"{name} = {value}\n")
+        for command in [reads[0], *skips[:1]]:
+            assert main([command, "--config", str(conf), *_REQUIRED_SET[command]]) == 2
+            assert capsys.readouterr().err == f"asas: {says}\n", command
+        flag = "--" + name.replace("_", "-")
+        assert main([reads[0], *_REQUIRED_SET[reads[0]], flag, value]) == 2
+        assert capsys.readouterr().err == f"asas: {says}\n"
+        assert list(tmp_path.iterdir()) == [conf]
+
+    @pytest.mark.parametrize("command, flag", [
+        (command, flag)
+        for command, argv in _REQUIRED_SET.items()
+        for flag in argv if flag in ("--data", "--out", "--model", "--members")
+    ])
+    def test_a_required_option_left_out(self, tmp_path, capsys, command, flag):
+        argv = _REQUIRED_SET[command]
+        at = argv.index(flag)
+        assert main([command, *argv[:at], *argv[at + 2:]]) == 2
+        assert capsys.readouterr().err == f"asas: {flag} is required\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_an_empty_member_list_in_the_config_file_is_left_out(self, tmp_path, capsys):
+        conf = tmp_path / "members.conf"
+        conf.write_text("members =\n")
+        argv = ["--data", "d.tsv", "--prompt", "1", "--out", "o"]
+        assert main(["ensemble", "--config", str(conf), *argv]) == 2
+        assert capsys.readouterr().err == "asas: --members is required\n"
 
 
 class TestConfigFile:
