@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Generate a small synthetic workspace to exercise the full pipeline.
 
-Writes toydata/ with a two-prompt training file, a labeled test file,
-prompt text, three member log-probability files, a low-dimensional
-embedding table, and a config file, then prints a command sequence that
-runs every pipeline stage on it.
+Writes toydata/, or the directory given, with a two-prompt training
+file, a labeled test file, prompt text, three member log-probability
+files, a low-dimensional embedding table, and a config file, then prints
+a command sequence that runs every pipeline stage on it.
 """
 from __future__ import annotations
 
+import argparse
 import random
 import sys
 from pathlib import Path
@@ -66,7 +67,9 @@ def synth_responses(
 
 
 def main() -> int:
-    out = Path(sys.argv[1] if len(sys.argv) > 1 else "toydata")
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("out", nargs="?", default="toydata", help="workspace directory")
+    out = Path(parser.parse_args().out)
     out.mkdir(parents=True, exist_ok=True)
 
     pool = synth_responses(1, 80, 3, seed=0) + synth_responses(2, 70, 3, seed=1, start_id=5000)

@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, NamedTuple
 
+from . import features
 from .corpus import (
     ColumnMap,
     build_corpus,
@@ -30,6 +31,7 @@ from .corpus import (
     parse_score_table,
     prompt_seed,
     PromptCorpus,
+    ScoredResponse,
     serialize_dataset,
     StatsRow,
 )
@@ -45,6 +47,7 @@ from .errors import (
     AsasError,
     CoverageGap,
     DuplicateId,
+    EmptyInput,
     HeaderMismatch,
     MalformedRow,
     MissingPromptPlaceholder,
@@ -53,7 +56,7 @@ from .features import (
     MIN_CUTOFF,
     CachedFeatureBuilder,
     FeatureModelSpec,
-    build_features,
+    build_features,  # unused here; perfbench/spans.py wraps cli.build_features
     fit_feature_model,
 )
 from .hyperopt import feature_search_space, run_study, study_log
@@ -98,7 +101,7 @@ class Option(NamedTuple):
 # key is the name itself; options no command lists are config-only.
 OPTIONS = {
     "config": Option(str, None, "flat key = value config file"),
-    "data": Option(str, None, "training dataset TSV"),
+    "data": Option(str, None, "dataset TSV: the answers to train on, or that predict scores"),
     "test": Option(str, None, "test dataset TSV"),
     "solution": Option(str, None, "test solution table (id,score) to join by id"),
     "solution_id_col": Option(str, "id", "solution table id column"),
@@ -251,17 +254,19 @@ def _existing(path: str | Path) -> Path:
 
 
 class _Run(NamedTuple):
-    """One prompt's work: its corpus, its parsed per-prompt files, the header
-    of its outputs and the directory they go to."""
+    """One prompt's work: its corpus (None for a command that does not split),
+    its --data then --test rows in file order, its parsed per-prompt files, the
+    header of its outputs and the directory they go to."""
 
     prompt: int
-    corpus: PromptCorpus
+    corpus: PromptCorpus | None
+    rows: list[ScoredResponse]
     parsed: dict[str, object]
     header: str
     out: Path | None
 
 
-def _runs(ctx: _Ctx, all_prompts: bool, *files: str, test: bool = True) -> list[_Run]:
+def _runs(ctx: _Ctx, all_prompts: bool, *files: str) -> list[_Run]:
     """The run of --prompt, or of every prompt when ``all_prompts``.
 
     ``files`` names the options that hold one prompt's file(s); the value of
@@ -270,22 +275,28 @@ def _runs(ctx: _Ctx, all_prompts: bool, *files: str, test: bool = True) -> list[
     when the option is unset, a list for --members). Over several prompts
     each such path must contain {prompt}; that is checked before any
     per-prompt file is read or anything is written, as is that every
-    expanded path is a file. Every prompt's corpus is split and all its
-    files parsed before the runs are returned, so a bad file of any prompt
-    stops the command before its first prompt's work; over several prompts
-    every prompt's parsed files are held at once. Each header names the
-    shared inputs and its own prompt's files; each output directory is
-    --out, or its prompt_<id> subdirectory with --all-prompts. The scope is
-    checked first: every row of --data, --test and --solution is read and
-    checked, but records are built only for --prompt's rows."""
+    expanded path is a file. --test and --solution are read only by a
+    command that lists them. A command that lists --dev-frac splits each
+    prompt's --data rows into a corpus; any other only checks that the
+    prompt has rows and that no id is in both --data and --test. Every
+    prompt is checked and all its files parsed before the runs are
+    returned, so a bad file of any prompt stops the command before its
+    first prompt's work; over several prompts every prompt's parsed files
+    are held at once. Each header names the shared inputs and its own
+    prompt's files; each output directory is --out, or its prompt_<id>
+    subdirectory with --all-prompts. The scope is checked first: every row
+    of --data, --test and --solution is read and checked, but records are
+    built only for --prompt's rows."""
     if not all_prompts and ctx.prompt is None:
         raise AsasError("--prompt is required (or pass --all-prompts)")
+    listed = COMMANDS[ctx.args.command][2].split()
     prompts = None if all_prompts else {ctx.prompt}
     responses = ctx.parse_input(ctx.data, parse_dataset, ctx.columns, prompts)
     test_rows = []
-    if test and ctx.test is not None:  # --solution first, so its faults are reported first
+    if "test" in listed and ctx.test is not None:  # --solution first, so its faults come first
         solution = ctx.solution, parse_score_table, ctx.solution_id_col, ctx.solution_score_col
-        scores = None if ctx.solution is None else ctx.parse_input(*solution)
+        joined = "solution" in listed and ctx.solution is not None
+        scores = ctx.parse_input(*solution) if joined else None
         test_rows = ctx.parse_input(ctx.test, parse_dataset, ctx.columns, prompts, scores)
     pids = sorted({r.prompt_id for r in responses}) if all_prompts else [ctx.prompt]
     paths = {pid: {name: [] for name in files} for pid in pids}  # each prompt's own paths
@@ -308,22 +319,29 @@ def _runs(ctx: _Ctx, all_prompts: bool, *files: str, test: bool = True) -> list[
     for pid in pids:
         own = dict(paths[pid])
         text = [ctx.parse_input(p, bytes.decode, "utf-8") for p in own.pop("prompt_text", [])]
+        rows, corpus = [r for r in responses + test_rows if r.prompt_id == pid], None
         with _naming(pid):
-            corpus = build_corpus(
-                responses,
-                prompt_id=pid,
-                dev_fraction=ctx.dev_frac,
-                seed=prompt_seed(ctx.seed, pid),
-                test=test_rows,
-                prompt_text="".join(text),  # "" without --prompt-text
-            )
+            if "dev_frac" in listed:
+                corpus = build_corpus(
+                    responses,
+                    prompt_id=pid,
+                    dev_fraction=ctx.dev_frac,
+                    seed=prompt_seed(ctx.seed, pid),
+                    test=test_rows,
+                    prompt_text="".join(text),  # "" without --prompt-text
+                )
+            elif not rows:
+                raise EmptyInput("no responses")
+            elif len({r.id for r in rows}) < len(rows):
+                raise DuplicateId("--data and --test ids are not disjoint")
+        against = {"embeddings": rows, "model": pid, "members": corpus}
         parsed = {}
         for name, ps in own.items():
-            values = [ctx.parse_input(p, loaders[name], corpus) for p in ps]
+            values = [ctx.parse_input(p, loaders[name], against[name]) for p in ps]
             parsed[name] = values if OPTIONS[name].type is list else next(iter(values), None)
         digests = shared | {p: ctx.digests[p] for ps in paths[pid].values() for p in ps}
         own_out = out / f"prompt_{pid}" if out is not None and all_prompts else out
-        runs.append(_Run(pid, corpus, parsed, artifact_header(ctx.seed, digests), own_out))
+        runs.append(_Run(pid, corpus, rows, parsed, artifact_header(ctx.seed, digests), own_out))
     return runs
 
 
@@ -347,10 +365,9 @@ def _emit(ctx: _Ctx, table: str, body: str | None = None) -> None:
         write_atomic({Path(ctx.out): f"{header}\n{table if body is None else body}"})
 
 
-def _logprob_file(header: str, name: str, corpus, ids, logprobs) -> bytes:
-    """The ``logprobs`` row of each id as model ``name``'s member file."""
-    rows = {rid: logprobs[i] for i, rid in enumerate(ids)}
-    matrix = LogProbMatrix(name, corpus.prompt_id, corpus.num_classes, rows)
+def _logprob_file(header: str, name: str, pid: int, ids, logprobs) -> bytes:
+    """The ``logprobs`` row of each id as model ``name``'s member file for prompt ``pid``."""
+    matrix = LogProbMatrix(name, pid, logprobs.shape[1], dict(zip(ids, logprobs)))
     return dump_logprobs(matrix, extra_comment=header)
 
 
@@ -376,7 +393,7 @@ def cmd_stats(ctx: _Ctx) -> None:
 
 def cmd_split(ctx: _Ctx) -> None:
     files, done = {}, []
-    for pid, corpus, _, header, out in _runs(ctx, ctx.all_prompts, test=False):
+    for pid, corpus, _, _, header, out in _runs(ctx, ctx.all_prompts):
         with _naming(pid):
             for name, rows in (("train.tsv", corpus.train), ("dev.tsv", corpus.dev)):
                 files[out / name] = f"{header}\n".encode() + serialize_dataset(rows, ctx.columns)
@@ -389,12 +406,12 @@ def load_feature_model(path: str | Path) -> tuple[FeatureModelSpec, MlpModel]:
     return FeatureModelSpec.from_artifact(Artifact.load(path, "feature-model"))
 
 
-def _model_for(data: bytes, corpus: PromptCorpus) -> tuple[FeatureModelSpec, MlpModel]:
-    """The spec and MLP of model file ``data``; HeaderMismatch unless the MLP
-    scores as many classes as ``corpus`` has."""
+def _model_for(data: bytes, pid: int) -> tuple[FeatureModelSpec, MlpModel]:
+    """The spec and MLP of model file ``data``; HeaderMismatch unless it was
+    fitted on prompt ``pid``."""
     spec, mlp = FeatureModelSpec.from_artifact(Artifact.parse(data, "feature-model"))
-    if (k := mlp.n_classes) != corpus.num_classes:
-        raise HeaderMismatch(f"model declares k={k} but corpus has {corpus.num_classes} classes")
+    if spec.prompt_id != pid:
+        raise HeaderMismatch(f"model is for prompt {spec.prompt_id}, not prompt {pid}")
     return spec, mlp
 
 
@@ -417,14 +434,14 @@ def _run_files(ctx: _Ctx, run: _Run, spec: FeatureModelSpec, matrix, result):
     """The files of ``run``'s directory: a trained feature model, its training
     history, its dev report and, as ``predictions.tsv``, its log-probabilities
     on every row it was fitted on."""
-    pid, corpus, _, header, out = run
+    pid, corpus, _, _, header, out = run
     report = evaluate_run(result.dev_pred, corpus.labels(corpus.dev), corpus.num_classes, pid)
     logprobs = log_softmax(mlp_forward(result.model, matrix.data), axis=1)
     return {
         out / "model.txt": spec.to_artifact(result.model).dump(header),
         out / "history.tsv": f"{header}\n{result.history_tsv()}",
         out / "report_dev.tsv": f"{header}\n{_report_tsv(report)}",
-        out / "predictions.tsv": _logprob_file(header, ctx.name, corpus, matrix.ids, logprobs),
+        out / "predictions.tsv": _logprob_file(header, ctx.name, pid, matrix.ids, logprobs),
     }
 
 
@@ -482,9 +499,10 @@ def cmd_predict(ctx: _Ctx) -> None:
     for run in _runs(ctx, ctx.all_prompts, "prompt_text", "embeddings", "model"):
         with _naming(run.prompt):
             spec, mlp = run.parsed["model"]
-            matrix = build_features(run.corpus, spec, run.parsed["embeddings"])
+            # looked up in its module, so replacing it there (as a tracer does) applies
+            matrix = features.extract_features(run.rows, spec, run.parsed["embeddings"])
             logprobs = log_softmax(mlp_forward(mlp, matrix.data), axis=1)
-            text = _logprob_file(run.header, ctx.name, run.corpus, matrix.ids, logprobs)
+            text = _logprob_file(run.header, ctx.name, run.prompt, matrix.ids, logprobs)
             single = run.out or Path("predictions.tsv")
             path = run.out / "predictions.tsv" if ctx.all_prompts else single
             write_atomic({path: text})
@@ -496,7 +514,7 @@ def cmd_ensemble(ctx: _Ctx) -> None:
         raise AsasError(f"--m must be between 1 and {len(ctx.members)}")
     # every prompt is fitted and scored before the first file is written
     files, done = {}, []
-    for pid, corpus, parsed, header, out in _runs(ctx, ctx.all_prompts, "members"):
+    for pid, corpus, _, parsed, header, out in _runs(ctx, ctx.all_prompts, "members"):
         with _naming(pid):
             k = corpus.num_classes
             members = select_best_subset(parsed["members"], corpus, ctx.m)
@@ -508,7 +526,7 @@ def cmd_ensemble(ctx: _Ctx) -> None:
             if corpus.test:
                 test_ids = [r.id for r in corpus.test]
                 test_pred, logprobs = score_ensemble(spec, members, test_ids)
-                test = _logprob_file(header, "ensemble", corpus, test_ids, logprobs)
+                test = _logprob_file(header, "ensemble", pid, test_ids, logprobs)
                 files[out / "predictions.tsv"] = test
                 if all(r.score1 is not None for r in corpus.test):
                     report = evaluate_run(test_pred, corpus.labels(corpus.test), k, pid)
@@ -570,8 +588,8 @@ COMMANDS = {
         _FEATURES + " epochs hidden trials", "out data",
     ),
     "predict": (
-        cmd_predict, "export feature-model log-probabilities", _FEATURES + " model name",
-        "model data",
+        cmd_predict, "export feature-model log-probabilities",
+        "data prompt all_prompts seed out test embeddings prompt_text model name", "model data",
     ),
     "ensemble": (
         cmd_ensemble, "stack member log-probabilities", _PER_PROMPT + " members m",

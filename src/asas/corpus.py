@@ -549,16 +549,18 @@ class EmbeddingTable:
     rows: dict[str, np.ndarray]
 
 
-def load_embeddings(data: bytes | str, corpus: PromptCorpus | None = None) -> EmbeddingTable:
+def load_embeddings(
+    data: bytes | str, responses: list[ScoredResponse] | None = None
+) -> EmbeddingTable:
     """Load an embedding file: line 1 holds ``#dim=<int>``, data lines an id and dim values.
 
-    When a corpus is given, every one of its responses must have a row;
-    the first that has none, in train, dev, test order, is MissingEmbedding.
+    Every one of ``responses`` must have a row; the first in their order
+    that has none is MissingEmbedding.
     """
     text, _, dim = _table_header(data, "dim")
     ids, mat = _table_rows(text, dim, None)
     table = EmbeddingTable(dim, dict(zip(ids, mat)))
-    for r in [] if corpus is None else corpus.all_responses():
+    for r in responses or []:
         if r.id not in table.rows:
             raise MissingEmbedding(f"no embedding for response {r.id!r}")
     return table

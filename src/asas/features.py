@@ -653,9 +653,11 @@ class FeatureModelSpec:
     them. What scoring needs that depends only on the spec, the key n-grams'
     ``NgramTables`` and the prompt's ``minutiae_substrings``, is derived
     from the saved fields the first time the spec scores, reused by every
-    later ``extract_features`` call on it, and never saved.
+    later ``extract_features`` call on it, and never saved. ``prompt_id``
+    names the prompt it was fitted on, so it scores no other prompt's answers.
     """
 
+    prompt_id: int
     tfidf_vocab: Mapping[str, tuple[int, float]]
     tfidf_projection: np.ndarray
     key_ngrams: tuple[KeyNgram, ...]
@@ -740,6 +742,7 @@ class FeatureModelSpec:
             meta={
                 "cutoff": fmt_float(self.near_match_cutoff),
                 "embedding_dim": "none" if self.embedding_dim is None else str(self.embedding_dim),
+                "prompt": str(self.prompt_id),
                 "prompt_minutiae": self.prompt_minutiae,
             },
             tables={"vocab": vocab_rows, "key_ngrams": ngram_rows},
@@ -756,7 +759,7 @@ class FeatureModelSpec:
         """The spec and MLP of a ``feature-model`` artifact; HeaderMismatch if
         the MLP's input width is not the spec's feature count."""
         art.require(
-            meta=("cutoff", "embedding_dim", "prompt_minutiae"),
+            meta=("cutoff", "embedding_dim", "prompt", "prompt_minutiae"),
             tables=("vocab", "key_ngrams"),
             arrays=("projection", "std_mean", "std_sd"),
         )
@@ -769,6 +772,7 @@ class FeatureModelSpec:
         ]
         emb = art.meta["embedding_dim"]
         spec = cls(
+            prompt_id=int(art.meta["prompt"]),
             tfidf_vocab=vocab,
             tfidf_projection=art.arrays["projection"],
             key_ngrams=key_ngrams,
@@ -875,6 +879,7 @@ def extract_features(
     return FeatureMatrix(ids=[r.id for r in responses], data=apply_standardizer(raw, mean, sd))
 
 
+# No caller in src: kept because perfbench/spans.py wraps cli.build_features.
 def build_features(
     corpus: PromptCorpus,
     spec: FeatureModelSpec,
@@ -911,6 +916,7 @@ class CachedFeatureBuilder:
         d_t_max: int = 300,
         floor: float = MIN_CUTOFF,
     ):
+        self.prompt_id = corpus.prompt_id
         self.embedding_dim = embeddings.dim if embeddings is not None else None
         responses = corpus.all_responses()
         self.ids = [r.id for r in responses]
@@ -932,6 +938,7 @@ class CachedFeatureBuilder:
         raw = _assemble(self._blocks, projection, cutoff)
         mean, sd = fit_standardizer(raw[: self._n_train])
         spec = FeatureModelSpec(
+            prompt_id=self.prompt_id,
             tfidf_vocab=self.vocab,
             tfidf_projection=projection,
             key_ngrams=self.key_ngrams,

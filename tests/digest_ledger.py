@@ -4,8 +4,9 @@
     PYTHONPATH=src python tests/digest_ledger.py --record  # file it in tests/digests.json
 
 The run writes ``scripts/make_toy_data.py``'s workspace and runs
-``train-features``, ``predict``, ``tune --trials 3 --epochs 3``, ``ensemble``
-and ``report`` on it, in a temporary directory. Its entry is the sha256 of
+``train-features``, ``predict`` (on the training and test answers, then on
+the test answers alone), ``tune --trials 3 --epochs 3``, ``ensemble`` and
+``report`` on it, in a temporary directory. Its entry is the sha256 of
 every file the run leaves there. The key is a fingerprint of the platform's
 linear algebra: the bits of an SVD, an eigendecomposition and a matrix
 product of a fixed matrix, large enough for the blocked kernels. The BLAS
@@ -39,6 +40,8 @@ COMMANDS = [
     f"train-features --config toydata/asas.conf --prompt 1 {_FEATURES} --out fixed",
     f"predict --config toydata/asas.conf --prompt 1 {_FEATURES} --model fixed/model.txt"
     " --out fixed/test_predictions.tsv",
+    f"predict --data toydata/test.tsv --prompt 1 {_FEATURES} --model fixed/model.txt"
+    " --out fixed/fresh_predictions.tsv",
     f"tune --config toydata/asas.conf --prompt 1 --trials 3 --epochs 3 {_FEATURES} --out run",
     "ensemble --config toydata/asas.conf --prompt 1 --m 2 --members toydata/member_0.tsv"
     " toydata/member_1.tsv toydata/member_2.tsv run/predictions.tsv --out ens",

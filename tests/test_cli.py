@@ -649,6 +649,12 @@ def _data_lines(path) -> list[str]:
     return [ln for ln in path.read_text().splitlines() if not ln.startswith("#asas")]
 
 
+def _rows_by_id(path) -> tuple[str, dict[str, str]]:
+    """A log-probability file's first line and each row's text by its id, whatever their order."""
+    first, *rows = _data_lines(path)
+    return first, dict(row.split("\t", 1) for row in rows)
+
+
 class TestMemberFile:
     """train-features and tune write the member file that predict writes on their model."""
 
@@ -673,7 +679,7 @@ class TestMemberFile:
         ]) == 0
         saved = run / "predictions.tsv"
         assert saved.read_text().startswith("#model=fm\tprompt=1\tk=3\n#asas\t")
-        assert _data_lines(saved) == _data_lines(self._predict(workspace, run, "--name", "fm"))
+        assert _rows_by_id(saved) == _rows_by_id(self._predict(workspace, run, "--name", "fm"))
         ids = {r.id for r in workspace["pool"] if r.prompt_id == 1}
         ids |= {r.id for r in workspace["test_rows"]}
         assert set(load_logprobs(saved.read_bytes()).rows) == ids
@@ -695,7 +701,7 @@ class TestMemberFile:
         assert spec.d_t <= 4
         saved = run / "predictions.tsv"
         assert load_logprobs(saved.read_bytes()).model_name == "features"
-        assert _data_lines(saved) == _data_lines(self._predict(workspace, run))
+        assert _rows_by_id(saved) == _rows_by_id(self._predict(workspace, run))
 
 
 @pytest.fixture
@@ -748,8 +754,83 @@ class TestPredictPerPrompt:
         model = models / "prompt_1" / "model.txt"
         assert self._predict(data, model, out, "--prompt", "2") == 2
         err = capsys.readouterr().err
-        assert err == f"asas: {model}: model declares k=3 but corpus has 4 classes\n"
+        assert err == f"asas: {model}: model is for prompt 1, not prompt 2\n"
         assert not out.exists()
+
+
+@pytest.fixture
+def model_1(workspace):
+    """The workspace and a feature model trained on its prompt 1."""
+    out = workspace["dir"] / "model_1"
+    assert main([
+        "train-features", "--data", str(workspace["data"]), "--prompt", "1", "--seed", "3",
+        "--epochs", "1", "--tfidf-dim", "6", "--out", str(out),
+    ]) == 0
+    return workspace, out / "model.txt"
+
+
+class TestPredictScoresWhatItIsGiven:
+    """predict scores the prompt's --data rows in file order, then its --test
+    rows: it neither splits them nor reads a label."""
+
+    def _predict(self, model, out, *argv):
+        return main(["predict", "--model", str(model), *argv, "--out", str(out)])
+
+    @pytest.mark.parametrize("case", ["rows that lack a class", "one unlabelled row"])
+    def test_answers_passed_alone(self, model_1, case):
+        workspace, model = model_1
+        fresh = make_toy_responses(prompt_id=1, n=30, k=3, seed=5, start_id=7_000)
+        if case == "rows that lack a class":
+            rows = [r for r in fresh if r.score1 != 2][:20][::-1]  # not in id order
+        else:
+            rows = [ScoredResponse(id="7000", prompt_id=1, text=fresh[0].text)]
+        data, out = workspace["dir"] / "fresh.tsv", workspace["dir"] / "fresh_pred.tsv"
+        data.write_bytes(serialize_dataset(rows))
+        assert self._predict(model, out, "--data", str(data), "--prompt", "1") == 0
+        assert list(load_logprobs(out.read_bytes()).rows) == [r.id for r in rows]
+
+    def test_data_rows_then_test_rows_without_a_split(self, model_1, monkeypatch):
+        workspace, model = model_1
+        monkeypatch.setattr(asas.cli, "build_corpus", lambda *a, **kw: pytest.fail("split"))
+        out = workspace["dir"] / "in_order.tsv"
+        assert self._predict(
+            model, out, "--data", str(workspace["data"]), "--test", str(workspace["test"]),
+            "--prompt", "1",
+        ) == 0
+        want = [r.id for r in workspace["pool"] if r.prompt_id == 1]
+        want += [r.id for r in workspace["test_rows"]]
+        assert list(load_logprobs(out.read_bytes()).rows) == want
+
+    def test_no_split_or_label_option(self, model_1, capsys):
+        names = asas.cli.COMMANDS["predict"][2].split()
+        assert "dev_frac" not in names and "solution" not in names
+        workspace, model = model_1
+        for flag, value in (("--dev-frac", "0.2"), ("--solution", str(workspace["test"]))):
+            argv = ["--data", str(workspace["data"]), "--prompt", "1", flag, value]
+            assert self._predict(model, workspace["dir"] / "no.tsv", *argv) == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["an id in --data and --test", "no rows of the prompt"])
+    def test_exits_2_without_writing(self, model_1, capsys, case):
+        workspace, model = model_1
+        data, pid, says = workspace["data"], "3", "prompt 3: no responses"
+        if case == "an id in --data and --test":
+            data, pid = workspace["test"], "1"
+            says = "prompt 1: --data and --test ids are not disjoint"
+        out = workspace["dir"] / "refused.tsv"
+        argv = ["--data", str(data), "--test", str(workspace["test"]), "--prompt", pid]
+        assert self._predict(model, out, *argv) == 2
+        assert capsys.readouterr().err == f"asas: {says}\n"
+        assert not out.exists()
+
+    def test_another_prompts_model_of_the_same_class_count(self, model_1, capsys):
+        workspace, model = model_1
+        assert {r.score1 for r in workspace["pool"] if r.prompt_id == 2} == {0, 1, 2}
+        out = workspace["dir"] / "pred_2.tsv"
+        assert self._predict(model, out, "--data", str(workspace["data"]), "--prompt", "2") == 2
+        assert capsys.readouterr().err == f"asas: {model}: model is for prompt 1, not prompt 2\n"
+        assert not out.exists()
+        assert load_feature_model(model)[0].prompt_id == 1
 
 
 def _embedding_table(rows, seed: int) -> str:
@@ -1331,21 +1412,23 @@ class TestScopedInputChecks:
         }
 
     def _run(self, command, inputs, out, *scope):
-        extra = {
-            "ensemble": ["--members", *inputs["members"]],
+        extra = {  # predict takes no --solution: it reads no label
+            "ensemble": ["--members", *inputs["members"], "--solution", str(inputs["solution"])],
             "predict": ["--model", str(inputs["model"])],
         }[command]
         return main([
             command, "--data", str(inputs["data"]), "--test", str(inputs["test"]),
-            "--solution", str(inputs["solution"]), *scope, *extra, "--out", str(out),
+            *scope, *extra, "--out", str(out),
         ])
 
     @pytest.mark.parametrize("command", ["ensemble", "predict"])
     def test_clean_inputs_pass(self, inputs, command):
         assert self._run(command, inputs, inputs["dir"] / "clean", "--prompt", "1") == 0
 
-    @pytest.mark.parametrize("fault", ["data row", "test score", "solution id"])
-    @pytest.mark.parametrize("command", ["ensemble", "predict"])
+    @pytest.mark.parametrize("command, fault", [
+        *[("ensemble", fault) for fault in ("data row", "test score", "solution id")],
+        ("predict", "data row"), ("predict", "test score"),
+    ])
     def test_a_fault_in_another_prompt_still_exits_2(self, inputs, capsys, command, fault):
         data, test, solution = (inputs[name] for name in ("data", "test", "solution"))
         if fault == "data row":
@@ -1779,6 +1862,12 @@ class TestModelFileChecks:
         assert text.count("\nwater\t") == 1  # the one vocab row; n-gram rows start with an order
         names = "vocabulary term 'WATER' is not one lower-cased token"
         self._assert_rejected(toy_model, capsys, text.replace("\nwater\t", "\nWATER\t"), names)
+
+    def test_a_model_without_its_prompt(self, toy_model, capsys):
+        text = toy_model[2]
+        assert text.count("\nprompt\t1\n") == 1
+        names = "feature-model artifact has no key 'prompt'"
+        self._assert_rejected(toy_model, capsys, text.replace("\nprompt\t1\n", "\n"), names)
 
     def _assert_rejected(self, toy_model, capsys, text, names):
         root, data, _ = toy_model

@@ -2,10 +2,13 @@
 from __future__ import annotations
 
 import importlib.util
+import os
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
+import asas
 from asas.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,3 +40,14 @@ def test_readme_quickstart_runs(tmp_path, monkeypatch):
         assert main(argv[1:]) == 0, " ".join(argv)
     rows = (tmp_path / "toydata" / "table.tsv").read_text(encoding="utf-8").splitlines()
     assert any(row.split("\t")[0] == "mean" for row in rows)
+
+
+def test_toy_data_help_writes_nothing(tmp_path):
+    src = str(Path(asas.__file__).parents[1])
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "make_toy_data.py"), "--help"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: make_toy_data.py [-h] [out]")
+    assert list(tmp_path.iterdir()) == []
