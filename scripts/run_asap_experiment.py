@@ -9,13 +9,18 @@ Expects a data directory (default ./data, or $ASAS_DATA_DIR) holding:
     embeddings_<prompt>.tsv       precomputed sentence vectors (optional)
     prompt_<prompt>.txt           prompt/passage text (optional)
 
-Makes one `asas` call per stage over every prompt in train.tsv: `stats`;
-`tune --all-prompts`, the 20-trial search, which saves each prompt's best
-feature model and its member file under `<out>/prompt_<id>/`; with a test
-file, `ensemble --all-prompts` on those members (`<out>/ensemble/prompt_<id>/`);
-and `report` over every `report_test.tsv` written (the test labels are
-needed). When any embeddings or prompt-text file exists, each prompt needs
-its own: a missing one exits 2 naming it.
+Makes one `asas` call per stage over every prompt that train.tsv or the
+test file names: `stats`; `tune --all-prompts`, the 20-trial search, which
+saves each prompt's best feature model and its member file under
+`<out>/prompt_<id>/`; with a test file, `ensemble --all-prompts` on those
+members (`<out>/ensemble/prompt_<id>/`); and `report` over every
+`report_test.tsv` written (the test labels are needed). The solution table
+goes to `stats`, which checks that it scores every test answer, and to
+`ensemble`, which scores the test answers against it; `tune` reads no test
+label and is not given it. A prompt that only the test file names has no
+training answers, so `stats` refuses it before the search starts. When any
+embeddings or prompt-text file exists, each prompt needs its own: a missing
+one exits 2 naming it.
 """
 from __future__ import annotations
 
@@ -48,13 +53,14 @@ def main() -> int:
     out_root = Path(args.out)
 
     common = ["--data", str(train_path), "--seed", str(args.seed)]
+    labels = []  # the test scores: stats checks the join, ensemble scores against it
     test_path = find_one(root, ["public_leaderboard*.tsv"])
     if test_path is not None:
         common += ["--test", str(test_path)]
         solution_path = find_one(root, ["*solution*.csv", "*solution*.tsv"])
         if solution_path is not None:
-            common += ["--solution", str(solution_path)]
-    code = cli_main(["stats", *common])
+            labels = ["--solution", str(solution_path)]
+    code = cli_main(["stats", *common, *labels])
     if code != 0:
         return code
 
@@ -70,7 +76,7 @@ def main() -> int:
     ens_root = out_root / "ensemble"
     for stale in ens_root.glob("prompt_*/report_test.tsv"):
         stale.unlink()  # a previous run's report is not this one's
-    code = cli_main(["ensemble", *common, "--all-prompts", "--members",
+    code = cli_main(["ensemble", *common, *labels, "--all-prompts", "--members",
                      str(out_root / "prompt_{prompt}" / "predictions.tsv"), "--out", str(ens_root)])
     reports = sorted(map(str, ens_root.glob("prompt_*/report_test.tsv")))
     if code != 0 or not reports:

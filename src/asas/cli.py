@@ -267,7 +267,8 @@ class _Run(NamedTuple):
 
 
 def _runs(ctx: _Ctx, all_prompts: bool, *files: str) -> list[_Run]:
-    """The run of --prompt, or of every prompt when ``all_prompts``.
+    """The run of --prompt, or of every prompt when ``all_prompts``: every
+    prompt that a row of --data or --test (when the command reads it) names.
 
     ``files`` names the options that hold one prompt's file(s); the value of
     each, with {prompt} expanded to the id, is read once and parsed:
@@ -277,12 +278,12 @@ def _runs(ctx: _Ctx, all_prompts: bool, *files: str) -> list[_Run]:
     per-prompt file is read or anything is written, as is that every
     expanded path is a file. --test and --solution are read only by a
     command that lists them. A command that lists --dev-frac splits each
-    prompt's --data rows into a corpus; any other only checks that the
-    prompt has rows and that no id is in both --data and --test. Every
-    prompt is checked and all its files parsed before the runs are
-    returned, so a bad file of any prompt stops the command before its
-    first prompt's work; over several prompts every prompt's parsed files
-    are held at once. Each header names the shared inputs and its own
+    prompt's --data rows into a corpus, so it refuses a prompt that only
+    --test holds; any other only checks that the prompt has rows and that
+    no id is in both --data and --test. Every prompt is checked and all its
+    files parsed before the runs are returned, so a bad file of any prompt
+    stops the command before its first prompt's work; over several prompts
+    every prompt's parsed files are held at once. Each header names the shared inputs and its own
     prompt's files; each output directory is --out, or its prompt_<id>
     subdirectory with --all-prompts. The scope is checked first: every row
     of --data, --test and --solution is read and checked, but records are
@@ -298,7 +299,7 @@ def _runs(ctx: _Ctx, all_prompts: bool, *files: str) -> list[_Run]:
         joined = "solution" in listed and ctx.solution is not None
         scores = ctx.parse_input(*solution) if joined else None
         test_rows = ctx.parse_input(ctx.test, parse_dataset, ctx.columns, prompts, scores)
-    pids = sorted({r.prompt_id for r in responses}) if all_prompts else [ctx.prompt]
+    pids = sorted({r.prompt_id for r in responses + test_rows}) if all_prompts else [ctx.prompt]
     paths = {pid: {name: [] for name in files} for pid in pids}  # each prompt's own paths
     for name in files:
         value = getattr(ctx, name)
@@ -465,7 +466,7 @@ def cmd_tune(ctx: _Ctx) -> None:
             # fitted once at the widest settings the study can ask build() for
             builder = CachedFeatureBuilder(
                 run.corpus, run.parsed["embeddings"],
-                d_t_max=space.params["tfidf_dim"].hi, floor=space.params["cutoff"].lo,
+                d_t_max=space["tfidf_dim"].hi, floor=space["cutoff"].lo,
             )
             kept = None
 
@@ -568,8 +569,7 @@ def cmd_report(ctx: _Ctx) -> None:
 
 _COLUMNS = " id_col prompt_col score1_col score2_col text_col"
 _SPLIT = "data prompt all_prompts dev_frac seed out"
-_PER_PROMPT = _SPLIT + " test solution"
-_FEATURES = _PER_PROMPT + " embeddings prompt_text"
+_FEATURES = _SPLIT + " test embeddings prompt_text"
 
 # Each subcommand: (function, help, its options besides --config, the ones it requires).
 COMMANDS = {
@@ -592,7 +592,7 @@ COMMANDS = {
         "data prompt all_prompts seed out test embeddings prompt_text model name", "model data",
     ),
     "ensemble": (
-        cmd_ensemble, "stack member log-probabilities", _PER_PROMPT + " members m",
+        cmd_ensemble, "stack member log-probabilities", _SPLIT + " test solution members m",
         "out members data",
     ),
     "report": (cmd_report, "merge per-prompt reports and add the mean row", "seed out", ""),

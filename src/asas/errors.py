@@ -91,10 +91,6 @@ class TooFewRows(AsasError):
 
 
 # hyperparameter search
-class EmptySpace(AsasError):
-    """The search space declares no parameters."""
-
-
 class AllTrialsFailed(AsasError):
     """Every objective evaluation in a study failed."""
 

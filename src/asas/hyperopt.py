@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AllTrialsFailed, AsasError, EmptySpace, HeaderMismatch, MalformedRow
+from .errors import AllTrialsFailed, AsasError, HeaderMismatch, MalformedRow
 from .features import MIN_CUTOFF
 from .mathutil import logsumexp
 from .serialize import data_lines
@@ -65,25 +65,14 @@ class Uniform:
         return self.untransform(rng.uniform(*self.bounds_t()))
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    params: dict[str, Uniform]
-
-    def __post_init__(self):
-        if not self.params:
-            raise EmptySpace("search space has no parameters")
-
-
-def feature_search_space() -> SearchSpace:
+def feature_search_space() -> dict[str, Uniform]:
     """Batch size, learning rate (log scale), TF-IDF dimension and fuzzy cutoff."""
-    return SearchSpace(
-        params={
-            "batch_size": Uniform(6, 12, scale="int"),
-            "learning_rate": Uniform(5e-6, 1e-4, scale="log"),
-            "tfidf_dim": Uniform(100, 300, scale="int"),
-            "cutoff": Uniform(MIN_CUTOFF, 1.0),
-        }
-    )
+    return {
+        "batch_size": Uniform(6, 12, scale="int"),
+        "learning_rate": Uniform(5e-6, 1e-4, scale="log"),
+        "tfidf_dim": Uniform(100, 300, scale="int"),
+        "cutoff": Uniform(MIN_CUTOFF, 1.0),
+    }
 
 
 @dataclass(frozen=True)
@@ -129,13 +118,15 @@ class _Parzen:
         return float(min(max(draw, self.lo_t), self.hi_t))
 
 
-def sample_prior(space: SearchSpace, seed: int) -> dict[str, float | int]:
+def sample_prior(space: dict[str, Uniform], seed: int) -> dict[str, float | int]:
     """Draw each parameter independently from its prior."""
     rng = np.random.default_rng(seed)
-    return {name: dist.sample_prior(rng) for name, dist in space.params.items()}
+    return {name: dist.sample_prior(rng) for name, dist in space.items()}
 
 
-def suggest(space: SearchSpace, history: list[TrialRecord], seed: int) -> dict[str, float | int]:
+def suggest(
+    space: dict[str, Uniform], history: list[TrialRecord], seed: int
+) -> dict[str, float | int]:
     """Propose the next parameter vector.
 
     Prior sampling until 5 completed trials exist; afterwards the
@@ -151,7 +142,7 @@ def suggest(space: SearchSpace, history: list[TrialRecord], seed: int) -> dict[s
     good, rest = ranked[:n_good], ranked[n_good:]
 
     densities: dict[str, tuple[_Parzen, _Parzen]] = {}
-    for name, dist in space.params.items():
+    for name, dist in space.items():
         lo_t, hi_t = dist.bounds_t()
         good_t = np.array([dist.transform(t.params[name]) for t in good])
         rest_t = np.array([dist.transform(t.params[name]) for t in rest])
@@ -161,7 +152,7 @@ def suggest(space: SearchSpace, history: list[TrialRecord], seed: int) -> dict[s
     for _ in range(N_CANDIDATES):
         cand: dict[str, float | int] = {}
         score = 0.0
-        for name, dist in space.params.items():
+        for name, dist in space.items():
             l_density, g_density = densities[name]
             cand[name] = dist.untransform(l_density.sample(rng))
             x_t = dist.transform(cand[name])
@@ -173,7 +164,7 @@ def suggest(space: SearchSpace, history: list[TrialRecord], seed: int) -> dict[s
 
 
 def run_study(
-    space: SearchSpace,
+    space: dict[str, Uniform],
     objective_fn,
     n_trials: int,
     seed: int,
@@ -206,9 +197,9 @@ def run_study(
     return StudyResult(trials=trials, best=best)
 
 
-def study_log(space: SearchSpace, result: StudyResult) -> str:
+def study_log(space: dict[str, Uniform], result: StudyResult) -> str:
     """Render a study as a resumable TSV log."""
-    names = list(space.params)
+    names = list(space)
     lines = ["trial\t" + "\t".join(names) + "\tobjective\tstatus"]
     for t in result.trials:
         cells = [str(t.trial_index)]
@@ -219,7 +210,7 @@ def study_log(space: SearchSpace, result: StudyResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_study_log(text: str, space: SearchSpace) -> list[TrialRecord]:
+def read_study_log(text: str, space: dict[str, Uniform]) -> list[TrialRecord]:
     """Parse a study log back into trial records; a malformed row, such as a
     killed run's truncated last line, raises ``MalformedRow`` naming its line,
     and a log whose columns are not ``space``'s parameters ``HeaderMismatch``."""
@@ -228,8 +219,8 @@ def read_study_log(text: str, space: SearchSpace) -> list[TrialRecord]:
     if head is None:
         return []
     names = head.split("\t")[1:-2]
-    if names != list(space.params):
-        raise HeaderMismatch(f"log columns {names} do not match space {list(space.params)}")
+    if names != list(space):
+        raise HeaderMismatch(f"log columns {names} do not match space {list(space)}")
     trials = []
     for line_no, row in rows:
         cells = row.split("\t")
@@ -239,7 +230,7 @@ def read_study_log(text: str, space: SearchSpace) -> list[TrialRecord]:
             raise MalformedRow(f"line {line_no}: unknown trial status {cells[-1]!r}")
         try:
             params = {
-                name: int(cell) if space.params[name].scale == "int" else float(cell)
+                name: int(cell) if space[name].scale == "int" else float(cell)
                 for name, cell in zip(names, cells[1:-2])
             }
             trials.append(TrialRecord(int(cells[0]), params, float(cells[-2]), cells[-1]))

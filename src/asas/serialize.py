@@ -17,10 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__ as TOOL_VERSION
 from .errors import HeaderMismatch, MalformedRow
 
 FORMAT_VERSION = "asas-artifact v1"
-TOOL_VERSION = "0.1.0"
 
 
 def fmt_float(x: float) -> str:

@@ -27,7 +27,6 @@ from asas.features import (
     minutiae_substrings,
 )
 from asas.hyperopt import (
-    SearchSpace,
     Uniform,
     feature_search_space,
     run_study,
@@ -144,7 +143,7 @@ def test_gradient_checks_against_central_differences():
 
 def test_tpe_benchmark_beats_prior_sampling():
     start = time.monotonic()
-    space = SearchSpace(params={"x": Uniform(0.0, 1.0)})
+    space = {"x": Uniform(0.0, 1.0)}
 
     def objective(params):
         return -(params["x"] - 0.3) ** 2

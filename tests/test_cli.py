@@ -30,7 +30,7 @@ from asas.corpus import (
 )
 from asas.ensemble import EnsembleSpec
 from asas.errors import AsasError, NonFiniteLoss
-from asas.hyperopt import SearchSpace, Uniform
+from asas.hyperopt import Uniform
 from asas.mathutil import logsumexp
 from asas.metrics import EvalReport
 from asas.serialize import Artifact, artifact_header, digest
@@ -532,7 +532,7 @@ class TestTrainingOptions:
 
     def test_tune_fits_its_builder_to_the_search_space(self, workspace, built, monkeypatch):
         space = asas.cli.feature_search_space()
-        high = SearchSpace({**space.params, "cutoff": Uniform(0.7, 1.0)})
+        high = {**space, "cutoff": Uniform(0.7, 1.0)}
         monkeypatch.setattr(asas.cli, "feature_search_space", lambda: high)
         assert main([
             "tune", "--data", str(workspace["data"]), "--prompt", "1", "--trials", "1",
@@ -689,7 +689,7 @@ class TestMemberFile:
         # so narrow the dimension until every trial projects below the rank,
         # to widths where slicing a wider product rounds differently.
         space = asas.cli.feature_search_space()
-        narrow = SearchSpace({**space.params, "tfidf_dim": Uniform(2, 4, scale="int")})
+        narrow = {**space, "tfidf_dim": Uniform(2, 4, scale="int")}
         monkeypatch.setattr(asas.cli, "feature_search_space", lambda: narrow)
         run = workspace["dir"] / "tune_member"
         assert main([
@@ -831,6 +831,94 @@ class TestPredictScoresWhatItIsGiven:
         assert capsys.readouterr().err == f"asas: {model}: model is for prompt 1, not prompt 2\n"
         assert not out.exists()
         assert load_feature_model(model)[0].prompt_id == 1
+
+
+class TestEveryPromptTheInputsName:
+    """--all-prompts, and stats without --prompt, cover every prompt that a row
+    of --data or --test names: predict scores a prompt only --test holds, and a
+    command that splits refuses it before any work."""
+
+    def test_predict_scores_a_prompt_only_test_holds(self, mixed_k):
+        root, _, models = mixed_k
+        one, two = root / "one.tsv", root / "two_test.tsv"
+        one.write_bytes(serialize_dataset(make_toy_responses(prompt_id=1, n=20, k=3, seed=4)))
+        fresh = make_toy_responses(prompt_id=2, n=5, k=4, seed=5, start_id=8_000)
+        two.write_bytes(serialize_dataset(fresh))
+        argv = ["predict", "--data", str(one), "--test", str(two)]
+        out = root / "pout"
+        model = models / "prompt_{prompt}" / "model.txt"
+        assert main([*argv, "--all-prompts", "--model", str(model), "--out", str(out)]) == 0
+        got = out / "prompt_2" / "predictions.tsv"
+        assert list(load_logprobs(got.read_bytes()).rows) == [r.id for r in fresh]
+        single = root / "pred_2.tsv"
+        model = models / "prompt_2" / "model.txt"
+        assert main([*argv, "--prompt", "2", "--model", str(model), "--out", str(single)]) == 0
+        assert got.read_bytes() == single.read_bytes()
+
+    @pytest.mark.parametrize("command", ["stats", "train-features", "tune", "ensemble"])
+    def test_a_command_that_splits_refuses_it(self, workspace, monkeypatch, capsys, command):
+        for name in ("fit_feature_model", "CachedFeatureBuilder", "fit_ensemble", "corpus_stats"):
+            monkeypatch.setattr(asas.cli, name, lambda *a, **kw: pytest.fail("worked"))
+        d = workspace["dir"]
+        (d / "one.tsv").write_bytes(
+            serialize_dataset([r for r in workspace["pool"] if r.prompt_id == 1])
+        )
+        test = workspace["test_rows"] + make_toy_responses(
+            prompt_id=2, n=5, k=3, seed=3, start_id=9_500
+        )
+        (d / "both.tsv").write_bytes(serialize_dataset(test))
+        extra = {
+            "stats": [],  # every prompt without --prompt
+            "train-features": ["--all-prompts"],
+            "tune": ["--all-prompts"],
+            "ensemble": ["--all-prompts", "--members", *_per_prompt_members(workspace)],
+        }[command]
+        out = d / "refused"
+        assert main([
+            command, "--data", str(d / "one.tsv"), "--test", str(d / "both.tsv"),
+            *extra, "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr() == ("", "asas: prompt 2: no responses\n")
+        assert not out.exists()
+
+
+class TestOnlyScoringCommandsReadTheSolution:
+    """Only stats (which checks the join) and ensemble (which scores against it)
+    take --solution; train-features and tune read no test label."""
+
+    def test_which_commands_take_it(self):
+        takes = {c for c, entry in asas.cli.COMMANDS.items() if "solution" in entry[2].split()}
+        assert takes == {"stats", "ensemble"}
+
+    @pytest.mark.parametrize("command", ["train-features", "tune"])
+    def test_a_training_command_refuses_the_flag(self, workspace, capsys, command):
+        solution, out = workspace["dir"] / "solution.csv", workspace["dir"] / "refused"
+        solution.write_text(
+            "id,essay_score\n" + "".join(f"{r.id},{r.score1}\n" for r in workspace["test_rows"])
+        )
+        assert main([
+            command, "--data", str(workspace["data"]), "--test", str(workspace["test"]),
+            "--solution", str(solution), "--prompt", "1", "--out", str(out),
+        ]) == 2
+        assert "unrecognized arguments: --solution" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train-features", "tune"])
+    def test_a_training_command_ignores_the_config_key(self, workspace, command):
+        d = workspace["dir"]
+        keys = f"data = {workspace['data']}\ntest = {workspace['test']}\n"
+        (d / "plain.conf").write_text(keys)
+        (d / "labels.conf").write_text(keys + f"solution = {d / 'missing.csv'}\n")
+        own = {"train-features": ["--tfidf-dim", "6"], "tune": ["--trials", "1"]}[command]
+        outputs = []
+        for conf in ("plain.conf", "labels.conf"):
+            out = d / conf.replace(".", "_")
+            assert main([
+                command, "--config", str(d / conf), "--prompt", "1", "--epochs", "1", *own,
+                "--out", str(out),
+            ]) == 0
+            outputs.append(_files_under(out))
+        assert outputs[0] == outputs[1] and outputs[0]
 
 
 def _embedding_table(rows, seed: int) -> str:

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from asas.errors import AllTrialsFailed, EmptySpace, HeaderMismatch, MalformedRow, NonFiniteLoss
+from asas.errors import AllTrialsFailed, HeaderMismatch, MalformedRow, NonFiniteLoss
 from asas.hyperopt import (
     BANDWIDTH_FLOOR_FRACTION,
-    SearchSpace,
     StudyResult,
     TrialRecord,
     Uniform,
@@ -30,17 +29,15 @@ def _completed(index, params, objective):
 
 
 def _space_1d():
-    return SearchSpace(params={"x": Uniform(0.0, 1.0)})
+    return {"x": Uniform(0.0, 1.0)}
 
 
 def _mixed_space():
-    return SearchSpace(
-        params={
-            "batch_size": Uniform(6, 12, scale="int"),
-            "learning_rate": Uniform(5e-6, 1e-4, scale="log"),
-            "cutoff": Uniform(0.5, 1.0),
-        }
-    )
+    return {
+        "batch_size": Uniform(6, 12, scale="int"),
+        "learning_rate": Uniform(5e-6, 1e-4, scale="log"),
+        "cutoff": Uniform(0.5, 1.0),
+    }
 
 
 @st.composite
@@ -85,10 +82,6 @@ class TestDistributions:
 
 
 class TestSuggest:
-    def test_empty_space_rejected_at_construction(self):
-        with pytest.raises(EmptySpace):
-            SearchSpace(params={})
-
     def test_no_history_samples_the_prior(self):
         space = _mixed_space()
         assert suggest(space, [], seed=42) == sample_prior(space, seed=42)
@@ -225,11 +218,11 @@ class TestRunStudy:
 
     def test_feature_study_covers_all_four_parameters(self):
         space = feature_search_space()
-        assert set(space.params) == {"batch_size", "learning_rate", "tfidf_dim", "cutoff"}
-        assert (space.params["tfidf_dim"].lo, space.params["tfidf_dim"].hi) == (100, 300)
-        assert (space.params["cutoff"].lo, space.params["cutoff"].hi) == (0.5, 1.0)
-        assert (space.params["learning_rate"].lo, space.params["learning_rate"].hi) == (5e-6, 1e-4)
-        assert (space.params["batch_size"].lo, space.params["batch_size"].hi) == (6, 12)
+        assert set(space) == {"batch_size", "learning_rate", "tfidf_dim", "cutoff"}
+        assert (space["tfidf_dim"].lo, space["tfidf_dim"].hi) == (100, 300)
+        assert (space["cutoff"].lo, space["cutoff"].hi) == (0.5, 1.0)
+        assert (space["learning_rate"].lo, space["learning_rate"].hi) == (5e-6, 1e-4)
+        assert (space["batch_size"].lo, space["batch_size"].hi) == (6, 12)
         result = run_study(space, lambda p: p["cutoff"], 20, seed=2)
         assert len(result.trials) == 20
         for t in result.trials:
@@ -283,7 +276,7 @@ class TestStudyLog:
     ])
     def test_read_names_a_malformed_row(self, row, fault):
         space = feature_search_space()
-        columns = "\t".join(["trial", *space.params, "objective", "status"])
+        columns = "\t".join(["trial", *space, "objective", "status"])
         text = f"#asas\tversion=test\tseed=4\n{columns}\n{row}\n"
         with pytest.raises(MalformedRow, match=f"line 3: .*{fault}"):
             read_study_log(text, space)
@@ -332,14 +325,14 @@ class TestStudyLog:
         st.integers(0, 2**32 - 1),
     )
     def test_read_then_write_gives_the_same_text(self, params, fails, seed):
-        space = SearchSpace({f"p{i}": dist for i, dist in enumerate(params)})
+        space = {f"p{i}": dist for i, dist in enumerate(params)}
         assume(not all(fails))
         outcomes = iter(fails)
 
         def objective(p):
             if next(outcomes):
                 raise NonFiniteLoss("drawn to fail")
-            return sum(space.params[n].transform(v) for n, v in p.items())
+            return sum(space[n].transform(v) for n, v in p.items())
 
         text = study_log(space, run_study(space, objective, len(fails), seed))
         trials = read_study_log(text, space)

@@ -1,4 +1,4 @@
-"""Two properties of the commands' outputs, checked on the toy workspace.
+"""Four properties of the commands' outputs, checked on the toy workspace.
 
 (a) The model ``tune`` keeps is the one ``train-features`` fits at the kept
     trial's logged parameters: ``model.txt``, ``predictions.tsv``,
@@ -6,6 +6,12 @@
     ``--cutoff`` are given as the reprs ``study.tsv`` logs.
 (b) Prompt 2's rows in ``--data``, interleaved with prompt 1's, change none
     of prompt 1's ``train-features`` and ``predict`` outputs.
+(c) CRLF line endings, a UTF-8 byte-order mark, and '#' comment and blank
+    lines between the rows of ``--data`` and ``--test`` change none of the
+    ``train-features`` and ``predict`` outputs.
+(d) Values in a config file write the same ``train-features`` and
+    ``ensemble`` files as the same values given as flags, which override a
+    config file that holds other values.
 
 Files are compared line by line, except the ``#asas`` header line, which
 names the command's inputs. As in ``tests/digest_ledger.py``, the commands
@@ -30,7 +36,7 @@ from pathlib import Path
 
 import pytest
 
-from asas.cli import main
+from asas.cli import COMMANDS, main
 from asas.corpus import parse_dataset, serialize_dataset
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,6 +87,51 @@ def other_prompts_change_nothing() -> list[str]:
     return _differ("both", "one", (*RUN_FILES, "predict.tsv"))
 
 
+def line_endings_and_comments_change_nothing() -> list[str]:
+    for name in ("train", "test"):
+        head, *rows = Path(f"toydata/{name}.tsv").read_text().splitlines()
+        noisy = [head]
+        for i, row in enumerate(rows):
+            noisy += [row, f"# after row {i}" if i % 2 else ""]
+        text = "\ufeff" + "\r\n".join(noisy) + "\r\n"
+        Path(f"noisy_{name}.tsv").write_bytes(text.encode())
+    for out, data, test in (("plain", "toydata/train.tsv", "toydata/test.tsv"),
+                            ("noisy", "noisy_train.tsv", "noisy_test.tsv")):
+        given = f"--data {data} --test {test} --prompt 1 {FEATURES}"
+        _asas(f"train-features {given} --epochs 3 --out {out}")
+        _asas(f"predict {given} --model {out}/model.txt --out {out}/predict.tsv")
+    return _differ("noisy", "plain", (*RUN_FILES, "predict.tsv"))
+
+
+def config_equals_flags() -> list[str]:
+    values = {
+        "data": "toydata/train.tsv", "test": "toydata/test.tsv", "prompt": "1",
+        "dev_frac": "0.25", "seed": "11", "epochs": "3", "lr": "0.002", "batch": "6",
+        "hidden": "32", "tfidf_dim": "20", "cutoff": "0.9",
+        "prompt_text": "toydata/prompt_1.txt", "embeddings": "toydata/embeddings_1.tsv",
+        "members": "toydata/member_0.tsv toydata/member_1.tsv toydata/member_2.tsv", "m": "2",
+    }
+    Path("values.conf").write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    listed = {c: entry[2].split() for c, entry in COMMANDS.items()}
+    for command, out in (("train-features", "train"), ("ensemble", "ens")):
+        flags = " ".join(f"--{k.replace('_', '-')} {v}" for k, v in values.items()
+                         if k in listed[command])
+        _asas(f"{command} --config values.conf --out conf_{out}")
+        # over the workspace's config, whose dev_frac and seed differ
+        _asas(f"{command} --config toydata/asas.conf {flags} --out flag_{out}")
+    ens_files = ("ensemble.txt", "report_dev.tsv", "predictions.tsv", "report_test.tsv")
+    return [*_differ("conf_train", "flag_train", RUN_FILES),
+            *_differ("conf_ens", "flag_ens", ens_files)]
+
+
+PROPERTIES = {
+    "a": kept_trial_is_train_features,
+    "b": other_prompts_change_nothing,
+    "c": line_endings_and_comments_change_nothing,
+    "d": config_equals_flags,
+}
+
+
 def run() -> dict[str, list[str]]:
     """Each property's pairs of files that differ, on a fresh toy workspace."""
     spec = importlib.util.spec_from_file_location(
@@ -95,7 +146,13 @@ def run() -> dict[str, list[str]]:
         try:
             if toy.main() != 0:
                 raise SystemExit("make_toy_data.py failed")
-            return {"a": kept_trial_is_train_features(), "b": other_prompts_change_nothing()}
+            differ = {}
+            for key, prop in PROPERTIES.items():
+                try:
+                    differ[key] = prop()
+                except SystemExit as exc:  # a command failed: the property does not hold
+                    differ[key] = [str(exc)]
+            return differ
         finally:
             sys.stdout, sys.argv = stdout, argv
             os.chdir(ROOT)
@@ -119,6 +176,14 @@ def test_tune_keeps_what_train_features_fits_at_the_kept_params(differ):
 
 def test_another_prompts_rows_leave_a_prompts_outputs_equal(differ):
     assert differ["b"] == []
+
+
+def test_line_endings_and_comment_lines_leave_the_outputs_equal(differ):
+    assert differ["c"] == []
+
+
+def test_config_values_write_what_the_same_flags_write(differ):
+    assert differ["d"] == []
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import asas
 from asas.errors import HeaderMismatch
 from asas.mathutil import log_softmax, logsumexp, sigmoid
 from asas.serialize import (
@@ -106,6 +108,12 @@ class TestArtifact:
         assert header == f"#asas\tversion={TOOL_VERSION}\tseed=4\tinputs=" + (
             f"a.tsv:{digest(b'first')},b.tsv:{digest(b'second')}"
         )
+
+    def test_the_header_version_is_the_package_version(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        declared = re.search(r'^version = "([^"]+)"$', pyproject, re.MULTILINE).group(1)
+        assert TOOL_VERSION is asas.__version__
+        assert declared == TOOL_VERSION
 
     def test_a_byte_order_mark_reads_as_without_one(self, tmp_path):
         art = Artifact(kind="ensemble", meta={"k": "v"}, arrays={"m": np.eye(2)})
