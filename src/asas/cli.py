@@ -10,6 +10,7 @@ flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import sys
@@ -218,7 +219,11 @@ class _Ctx:
                 raise AsasError(f"{_flag(name)} is required")
 
     def read_input(self, path: str | Path) -> bytes:
-        data = _existing(path).read_bytes()
+        """The bytes of file ``path``; the outputs' header records their digest."""
+        p = Path(path)
+        if not p.is_file():
+            raise AsasError(f"missing file: {p}")
+        data = p.read_bytes()
         self.digests[str(path)] = digest(data)
         return data
 
@@ -246,13 +251,6 @@ def _check_utf8(args: argparse.Namespace) -> None:
                     raise AsasError(f"{flag} is not valid UTF-8: {item!r}") from None
 
 
-def _existing(path: str | Path) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise AsasError(f"missing file: {p}")
-    return p
-
-
 class _Run(NamedTuple):
     """One prompt's work: its corpus (None for a command that does not split),
     its --data then --test rows in file order, its parsed per-prompt files, the
@@ -266,32 +264,27 @@ class _Run(NamedTuple):
     out: Path | None
 
 
-def _runs(ctx: _Ctx, all_prompts: bool, *files: str) -> list[_Run]:
-    """The run of --prompt, or of every prompt when ``all_prompts``: every
-    prompt that a row of --data or --test (when the command reads it) names.
+def _runs(ctx: _Ctx) -> list[_Run]:
+    """The run of --prompt, or of every prompt that a row of --data or --test
+    names: with --all-prompts, or for stats, which lists no --all-prompts,
+    without --prompt.
 
-    ``files`` names the options that hold one prompt's file(s); the value of
-    each, with {prompt} expanded to the id, is read once and parsed:
-    --prompt-text into the corpus, any other into ``parsed[name]`` (None
-    when the option is unset, a list for --members). Over several prompts
-    each such path must contain {prompt}; that is checked before any
-    per-prompt file is read or anything is written, as is that every
-    expanded path is a file. --test and --solution are read only by a
-    command that lists them. A command that lists --dev-frac splits each
-    prompt's --data rows into a corpus, so it refuses a prompt that only
-    --test holds; any other only checks that the prompt has rows and that
-    no id is in both --data and --test. Every prompt is checked and all its
-    files parsed before the runs are returned, so a bad file of any prompt
-    stops the command before its first prompt's work; over several prompts
-    every prompt's parsed files are held at once. Each header names the shared inputs and its own
-    prompt's files; each output directory is --out, or its prompt_<id>
-    subdirectory with --all-prompts. The scope is checked first: every row
-    of --data, --test and --solution is read and checked, but records are
-    built only for --prompt's rows."""
-    if not all_prompts and ctx.prompt is None:
-        raise AsasError("--prompt is required (or pass --all-prompts)")
+    A command reads what it lists: --test, --solution, and the options that
+    name one prompt's file(s), --prompt-text, --embeddings, --model and
+    --members, whose paths must hold {prompt} over several prompts. Each
+    prompt is then taken in id order: its rows are checked (a command that
+    lists --dev-frac splits them into a corpus, so it refuses a prompt that
+    only --test holds), and only then its files are read and parsed into
+    ``parsed[name]`` (None when unset, a list for --members), the prompt text
+    into the corpus. So faults are reported prompt by prompt, all before any
+    prompt's work. Each header names the shared inputs and its own prompt's
+    files; each output directory is --out, or its prompt_<id> subdirectory
+    over every prompt."""
     listed = COMMANDS[ctx.args.command][2].split()
-    prompts = None if all_prompts else {ctx.prompt}
+    every = ctx.all_prompts if "all_prompts" in listed else ctx.prompt is None
+    if not every and ctx.prompt is None:
+        raise AsasError("--prompt is required (or pass --all-prompts)")
+    prompts = None if every else {ctx.prompt}
     responses = ctx.parse_input(ctx.data, parse_dataset, ctx.columns, prompts)
     test_rows = []
     if "test" in listed and ctx.test is not None:  # --solution first, so its faults come first
@@ -299,27 +292,24 @@ def _runs(ctx: _Ctx, all_prompts: bool, *files: str) -> list[_Run]:
         joined = "solution" in listed and ctx.solution is not None
         scores = ctx.parse_input(*solution) if joined else None
         test_rows = ctx.parse_input(ctx.test, parse_dataset, ctx.columns, prompts, scores)
-    pids = sorted({r.prompt_id for r in responses + test_rows}) if all_prompts else [ctx.prompt]
-    paths = {pid: {name: [] for name in files} for pid in pids}  # each prompt's own paths
-    for name in files:
+    pids = sorted({r.prompt_id for r in responses + test_rows}) if every else [ctx.prompt]
+    # looked up here, so replacing this module's loaders (as a tracer does) applies
+    loaders = {"prompt_text": bytes.decode, "embeddings": load_embeddings,
+               "model": _model_for, "members": load_logprobs}
+    files = {}  # each per-prompt option's paths
+    for name in (n for n in loaders if n in listed):
         value = getattr(ctx, name)
-        for path in [value] if isinstance(value, str) else value or []:
+        files[name] = [value] if isinstance(value, str) else value or []
+        for path in files[name]:
             if len(pids) > 1 and "{prompt}" not in path:
                 raise MissingPromptPlaceholder(
                     f"{_flag(name)} path {path} has no {{prompt}} placeholder, but"
                     f" --all-prompts covers {len(pids)} prompts; name each prompt's file,"
                     " e.g. run_{prompt}.tsv"
                 )
-            for pid in pids:
-                _existing(expanded := path.replace("{prompt}", str(pid)))
-                paths[pid][name].append(expanded)
-    # looked up here, so replacing this module's loaders (as a tracer does) applies
-    loaders = {"embeddings": load_embeddings, "model": _model_for, "members": load_logprobs}
     shared, runs = dict(ctx.digests), []
     out = None if ctx.out is None else Path(ctx.out)
     for pid in pids:
-        own = dict(paths[pid])
-        text = [ctx.parse_input(p, bytes.decode, "utf-8") for p in own.pop("prompt_text", [])]
         rows, corpus = [r for r in responses + test_rows if r.prompt_id == pid], None
         with _naming(pid):
             if "dev_frac" in listed:
@@ -329,19 +319,21 @@ def _runs(ctx: _Ctx, all_prompts: bool, *files: str) -> list[_Run]:
                     dev_fraction=ctx.dev_frac,
                     seed=prompt_seed(ctx.seed, pid),
                     test=test_rows,
-                    prompt_text="".join(text),  # "" without --prompt-text
                 )
             elif not rows:
                 raise EmptyInput("no responses")
             elif len({r.id for r in rows}) < len(rows):
                 raise DuplicateId("--data and --test ids are not disjoint")
-        against = {"embeddings": rows, "model": pid, "members": corpus}
+        own = {name: [p.replace("{prompt}", str(pid)) for p in ps] for name, ps in files.items()}
+        against = {"prompt_text": "utf-8", "embeddings": rows, "model": pid, "members": corpus}
         parsed = {}
         for name, ps in own.items():
             values = [ctx.parse_input(p, loaders[name], against[name]) for p in ps]
             parsed[name] = values if OPTIONS[name].type is list else next(iter(values), None)
-        digests = shared | {p: ctx.digests[p] for ps in paths[pid].values() for p in ps}
-        own_out = out / f"prompt_{pid}" if out is not None and all_prompts else out
+        if corpus is not None and parsed.get("prompt_text"):
+            corpus = dataclasses.replace(corpus, prompt_text=parsed["prompt_text"])
+        digests = shared | {p: ctx.digests[p] for ps in own.values() for p in ps}
+        own_out = out / f"prompt_{pid}" if out is not None and every else out
         runs.append(_Run(pid, corpus, rows, parsed, artifact_header(ctx.seed, digests), own_out))
     return runs
 
@@ -386,7 +378,7 @@ def cmd_ingest(ctx: _Ctx) -> None:
 
 def cmd_stats(ctx: _Ctx) -> None:
     table = StatsRow.TSV_HEADER + "\n"
-    for run in _runs(ctx, ctx.prompt is None):  # every prompt unless --prompt names one
+    for run in _runs(ctx):
         with _naming(run.prompt):
             table += corpus_stats(run.corpus).to_tsv_row() + "\n"
     _emit(ctx, table)
@@ -394,7 +386,7 @@ def cmd_stats(ctx: _Ctx) -> None:
 
 def cmd_split(ctx: _Ctx) -> None:
     files, done = {}, []
-    for pid, corpus, _, _, header, out in _runs(ctx, ctx.all_prompts):
+    for pid, corpus, _, _, header, out in _runs(ctx):
         with _naming(pid):
             for name, rows in (("train.tsv", corpus.train), ("dev.tsv", corpus.dev)):
                 files[out / name] = f"{header}\n".encode() + serialize_dataset(rows, ctx.columns)
@@ -447,7 +439,7 @@ def _run_files(ctx: _Ctx, run: _Run, spec: FeatureModelSpec, matrix, result):
 
 
 def cmd_train_features(ctx: _Ctx) -> None:
-    for run in _runs(ctx, ctx.all_prompts, "prompt_text", "embeddings"):
+    for run in _runs(ctx):
         pid, corpus, embeddings = run.prompt, run.corpus, run.parsed["embeddings"]
         with _naming(pid):
             spec, matrix = fit_feature_model(corpus, ctx.tfidf_dim, ctx.cutoff, embeddings)
@@ -461,7 +453,7 @@ def cmd_train_features(ctx: _Ctx) -> None:
 
 def cmd_tune(ctx: _Ctx) -> None:
     space = feature_search_space()
-    for run in _runs(ctx, ctx.all_prompts, "prompt_text", "embeddings"):
+    for run in _runs(ctx):
         with _naming(run.prompt):
             # fitted once at the widest settings the study can ask build() for
             builder = CachedFeatureBuilder(
@@ -497,7 +489,7 @@ def cmd_tune(ctx: _Ctx) -> None:
 def cmd_predict(ctx: _Ctx) -> None:
     if ctx.all_prompts:
         ctx.require("out")
-    for run in _runs(ctx, ctx.all_prompts, "prompt_text", "embeddings", "model"):
+    for run in _runs(ctx):
         with _naming(run.prompt):
             spec, mlp = run.parsed["model"]
             # looked up in its module, so replacing it there (as a tracer does) applies
@@ -515,7 +507,7 @@ def cmd_ensemble(ctx: _Ctx) -> None:
         raise AsasError(f"--m must be between 1 and {len(ctx.members)}")
     # every prompt is fitted and scored before the first file is written
     files, done = {}, []
-    for pid, corpus, _, parsed, header, out in _runs(ctx, ctx.all_prompts, "members"):
+    for pid, corpus, _, parsed, header, out in _runs(ctx):
         with _naming(pid):
             k = corpus.num_classes
             members = select_best_subset(parsed["members"], corpus, ctx.m)

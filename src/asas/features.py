@@ -27,7 +27,7 @@ import numpy as np
 
 from .corpus import EmbeddingTable, PromptCorpus, ScoredResponse
 from .errors import HeaderMismatch, InsufficientClasses, MissingEmbedding, RankDeficient
-from .learners import MlpModel
+from .learners import MLP_ARRAYS, MlpModel
 from .serialize import Artifact, fmt_float, require_finite, row_vector
 
 MINUTIAE_LENGTHS = range(5, 20)  # 15 substring lengths
@@ -757,11 +757,12 @@ class FeatureModelSpec:
     @classmethod
     def from_artifact(cls, art: Artifact) -> tuple["FeatureModelSpec", MlpModel]:
         """The spec and MLP of a ``feature-model`` artifact; HeaderMismatch if
-        the MLP's input width is not the spec's feature count."""
+        a key, table or matrix is missing, or if the MLP's input width is not
+        the spec's feature count."""
         art.require(
             meta=("cutoff", "embedding_dim", "prompt", "prompt_minutiae"),
             tables=("vocab", "key_ngrams"),
-            arrays=("projection", "std_mean", "std_sd"),
+            arrays=("projection", "std_mean", "std_sd", *MLP_ARRAYS),
         )
         vocab = {
             term: (idx, float(idf)) for idx, (term, idf) in enumerate(art.tables["vocab"])

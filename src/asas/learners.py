@@ -68,11 +68,7 @@ class MlpModel:
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "MlpModel":
         """The model in matrices ``MLP_ARRAYS`` (one-row biases); HeaderMismatch
-        if one is missing or their shapes disagree, MalformedRow if one holds
-        a NaN or an infinity."""
-        for name in MLP_ARRAYS:
-            if name not in arrays:
-                raise HeaderMismatch(f"model has no matrix {name!r}")
+        if their shapes disagree, MalformedRow if one holds a NaN or an infinity."""
         w1, w2 = arrays["mlp_w1"], arrays["mlp_w2"]
         b1, b2 = row_vector(arrays, "mlp_b1"), row_vector(arrays, "mlp_b2")
         for name, size, unit, before, width in (

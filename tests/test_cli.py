@@ -29,7 +29,8 @@ from asas.corpus import (
     serialize_dataset,
 )
 from asas.ensemble import EnsembleSpec
-from asas.errors import AsasError, NonFiniteLoss
+from asas.errors import AsasError, HeaderMismatch, NonFiniteLoss
+from asas.features import FeatureModelSpec
 from asas.hyperopt import Uniform
 from asas.mathutil import logsumexp
 from asas.metrics import EvalReport
@@ -833,6 +834,20 @@ class TestPredictScoresWhatItIsGiven:
         assert load_feature_model(model)[0].prompt_id == 1
 
 
+def _prompt_2_only_in_test(workspace) -> Path:
+    """The workspace directory, holding one.tsv, prompt 1's answers, and
+    both.tsv, the test answers and five of prompt 2."""
+    d = workspace["dir"]
+    (d / "one.tsv").write_bytes(
+        serialize_dataset([r for r in workspace["pool"] if r.prompt_id == 1])
+    )
+    test = workspace["test_rows"] + make_toy_responses(
+        prompt_id=2, n=5, k=3, seed=3, start_id=9_500
+    )
+    (d / "both.tsv").write_bytes(serialize_dataset(test))
+    return d
+
+
 class TestEveryPromptTheInputsName:
     """--all-prompts, and stats without --prompt, cover every prompt that a row
     of --data or --test names: predict scores a prompt only --test holds, and a
@@ -859,14 +874,7 @@ class TestEveryPromptTheInputsName:
     def test_a_command_that_splits_refuses_it(self, workspace, monkeypatch, capsys, command):
         for name in ("fit_feature_model", "CachedFeatureBuilder", "fit_ensemble", "corpus_stats"):
             monkeypatch.setattr(asas.cli, name, lambda *a, **kw: pytest.fail("worked"))
-        d = workspace["dir"]
-        (d / "one.tsv").write_bytes(
-            serialize_dataset([r for r in workspace["pool"] if r.prompt_id == 1])
-        )
-        test = workspace["test_rows"] + make_toy_responses(
-            prompt_id=2, n=5, k=3, seed=3, start_id=9_500
-        )
-        (d / "both.tsv").write_bytes(serialize_dataset(test))
+        d = _prompt_2_only_in_test(workspace)
         extra = {
             "stats": [],  # every prompt without --prompt
             "train-features": ["--all-prompts"],
@@ -879,6 +887,58 @@ class TestEveryPromptTheInputsName:
             *extra, "--out", str(out),
         ]) == 2
         assert capsys.readouterr() == ("", "asas: prompt 2: no responses\n")
+        assert not out.exists()
+
+
+class TestOnePassPerPrompt:
+    """Each prompt's rows are checked, and its split made, before any of its
+    files is read; so faults are reported prompt by prompt, in id order."""
+
+    @pytest.mark.parametrize("command", ["ensemble", "train-features", "tune"])
+    def test_a_prompt_without_answers_is_named_before_its_missing_files(
+        self, workspace, capsys, command
+    ):
+        d = _prompt_2_only_in_test(workspace)
+        members = _per_prompt_members(workspace)
+        (d / "prompt_1.txt").write_text(PROMPT_TEXT)
+        for i in range(2):
+            (d / f"m{i}_p2.tsv").unlink()  # prompt 1's files alone exist
+        files = {
+            "ensemble": ["--members", *members],
+            "train-features": ["--prompt-text", str(d / "prompt_{prompt}.txt")],
+            "tune": ["--prompt-text", str(d / "prompt_{prompt}.txt")],
+        }[command]
+        out = d / "refused"
+        assert main([
+            command, "--data", str(d / "one.tsv"), "--test", str(d / "both.tsv"),
+            "--all-prompts", *files, "--out", str(out),
+        ]) == 2
+        assert capsys.readouterr() == ("", "asas: prompt 2: no responses\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--members", "--prompt-text"])
+    def test_a_bad_file_of_prompt_1_comes_before_a_missing_file_of_prompt_2(
+        self, workspace, capsys, flag
+    ):
+        d, out = workspace["dir"], workspace["dir"] / "refused"
+        if flag == "--members":
+            paths = _per_prompt_members(workspace)
+            with open(d / "m0_p1.tsv", "a") as f:
+                f.write("bogus\t0.5\n")
+            command = "ensemble"
+        else:
+            paths = [str(d / "prompt_{prompt}.txt")]
+            (d / "prompt_1.txt").write_bytes(b"not utf-8: \xff\n")
+            (d / "prompt_2.txt").write_text(PROMPT_TEXT)
+            command = "tune"
+        bad, missing = (Path(paths[0].replace("{prompt}", str(pid))) for pid in (1, 2))
+        missing.unlink()
+        assert main([
+            command, "--data", str(workspace["data"]), "--test", str(workspace["test"]),
+            "--all-prompts", flag, *paths, "--out", str(out),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"asas: {bad}: ") and "missing file" not in err
         assert not out.exists()
 
 
@@ -1820,7 +1880,7 @@ class TestUnlabeledTestJoin:
         args = asas.cli.build_parser().parse_args(
             ["stats", "--data", str(workspace["data"]), "--test", str(unlabeled)]
         )
-        runs = asas.cli._runs(asas.cli._Ctx(args), True)
+        runs = asas.cli._runs(asas.cli._Ctx(args))
         loaded = [r for run in runs for r in run.corpus.test]
         assert [(r.id, r.text, r.score1, r.score2) for r in loaded] == [
             (r.id, r.text, None, None) for r in workspace["test_rows"]
@@ -1956,6 +2016,13 @@ class TestModelFileChecks:
         assert text.count("\nprompt\t1\n") == 1
         names = "feature-model artifact has no key 'prompt'"
         self._assert_rejected(toy_model, capsys, text.replace("\nprompt\t1\n", "\n"), names)
+
+    def test_a_model_without_its_output_bias(self, toy_model, capsys):
+        text = _replace_block(toy_model[2], "mlp_b2", "")
+        names = "feature-model artifact has no matrix 'mlp_b2'"
+        with pytest.raises(HeaderMismatch, match=names):
+            FeatureModelSpec.from_artifact(Artifact.parse(text, "feature-model"))
+        self._assert_rejected(toy_model, capsys, text, names)
 
     def _assert_rejected(self, toy_model, capsys, text, names):
         root, data, _ = toy_model

@@ -1,4 +1,4 @@
-"""Four properties of the commands' outputs, checked on the toy workspace.
+"""Six properties of the commands' outputs, checked on the toy workspace.
 
 (a) The model ``tune`` keeps is the one ``train-features`` fits at the kept
     trial's logged parameters: ``model.txt``, ``predictions.tsv``,
@@ -12,11 +12,19 @@
 (d) Values in a config file write the same ``train-features`` and
     ``ensemble`` files as the same values given as flags, which override a
     config file that holds other values.
+(e) ``--all-prompts`` with ``{prompt}`` paths writes for each prompt the
+    files that ``--prompt p`` writes on the expanded paths, headers
+    included: ``train-features``, ``predict`` and ``ensemble``, with prompt 2
+    given its own prompt text and member files.
+(f) ``predict`` with ``tune``'s ``model.txt`` and the same ``--data`` and
+    ``--test`` gives every row of ``tune``'s ``predictions.tsv``, each value
+    within 1e-9.
 
 Files are compared line by line, except the ``#asas`` header line, which
-names the command's inputs. As in ``tests/digest_ledger.py``, the commands
-run in a fresh interpreter, where ``asas`` pins one BLAS thread before
-numpy loads; run alone, this file prints the pairs of files that differ:
+names the command's inputs; (e) compares them byte for byte. As in
+``tests/digest_ledger.py``, the commands run in a fresh interpreter, where
+``asas`` pins one BLAS thread before numpy loads; run alone, this file
+prints the pairs of files that differ:
 
     PYTHONPATH=src python tests/test_properties_cli.py
 """
@@ -34,10 +42,14 @@ import tempfile
 from itertools import zip_longest
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from asas.cli import COMMANDS, main
-from asas.corpus import parse_dataset, serialize_dataset
+from asas.corpus import (
+    LogProbMatrix, dump_logprobs, load_logprobs, parse_dataset, serialize_dataset,
+)
+from asas.mathutil import log_softmax
 
 ROOT = Path(__file__).resolve().parents[1]
 RUN_FILES = ("model.txt", "predictions.tsv", "history.tsv", "report_dev.tsv")
@@ -124,11 +136,65 @@ def config_equals_flags() -> list[str]:
             *_differ("conf_ens", "flag_ens", ens_files)]
 
 
+def _same_files(a: str, b: str) -> list[str]:
+    """``a/name != b/name`` for each file of either directory that the other
+    lacks or holds other bytes of."""
+    names = sorted({p.name for d in (a, b) for p in Path(d).iterdir()})
+    return [f"{a}/{n} != {b}/{n}" for n in names
+            if not (Path(a, n).is_file() and Path(b, n).is_file())
+            or Path(a, n).read_bytes() != Path(b, n).read_bytes()]
+
+
+def all_prompts_is_each_prompt() -> list[str]:
+    rows = parse_dataset(Path("toydata/train.tsv").read_bytes())
+    rows += parse_dataset(Path("toydata/test.tsv").read_bytes())
+    Path("toydata/prompt_2.txt").write_text("Explain how a gradient drives diffusion.")
+    rng = np.random.default_rng(3)
+    for pid in (1, 2):
+        own = [r for r in rows if r.prompt_id == pid]
+        for i in range(2):
+            logits = rng.normal(size=(len(own), 3))
+            logits[np.arange(len(own)), [r.score1 for r in own]] += 1.0 + i
+            logprobs = dict(zip((r.id for r in own), log_softmax(logits, axis=1)))
+            member = LogProbMatrix(f"member{i}", pid, 3, logprobs)
+            Path(f"mem{i}_{pid}.tsv").write_bytes(dump_logprobs(member))
+    given = "--data toydata/train.tsv --test toydata/test.tsv"
+    commands = {  # {p} stands for the prompt's part of each per-prompt path
+        "tf": "train-features {given} --prompt-text toydata/prompt_{p}.txt --epochs 3",
+        "pred": "predict {given} --prompt-text toydata/prompt_{p}.txt"
+                " --model tf_all/prompt_{p}/model.txt",
+        "ens": "ensemble {given} --members mem0_{p}.tsv mem1_{p}.tsv",
+    }
+    differ = []
+    for name, command in commands.items():
+        _asas(command.format(given=given, p="{prompt}") + f" --all-prompts --out {name}_all")
+        for pid in (1, 2):
+            out = f"{name}_{pid}" + ("/predictions.tsv" if name == "pred" else "")
+            _asas(command.format(given=given, p=pid) + f" --prompt {pid} --out {out}")
+            differ += _same_files(f"{name}_all/prompt_{pid}", f"{name}_{pid}")
+    return differ
+
+
+def predict_gives_tunes_rows() -> list[str]:
+    _asas(f"tune --config toydata/asas.conf --prompt 1 --trials 2 --epochs 3 {FEATURES}"
+          " --out tuned")
+    _asas(f"predict --config toydata/asas.conf --prompt 1 {FEATURES} --model tuned/model.txt"
+          " --out predicted.tsv")
+    kept, again = (load_logprobs(Path(p).read_bytes()).rows
+                   for p in ("tuned/predictions.tsv", "predicted.tsv"))
+    if kept.keys() != again.keys():
+        return [f"ids differ: {sorted(kept.keys() ^ again.keys())}"]
+    return [f"row {rid} differs by {gap}" for rid in kept
+            if (gap := float(np.max(np.abs(kept[rid] - again[rid])))) > 1e-9]
+
+
 PROPERTIES = {
     "a": kept_trial_is_train_features,
     "b": other_prompts_change_nothing,
     "c": line_endings_and_comments_change_nothing,
     "d": config_equals_flags,
+    "e": all_prompts_is_each_prompt,
+    "f": predict_gives_tunes_rows,
 }
 
 
@@ -184,6 +250,14 @@ def test_line_endings_and_comment_lines_leave_the_outputs_equal(differ):
 
 def test_config_values_write_what_the_same_flags_write(differ):
     assert differ["d"] == []
+
+
+def test_all_prompts_writes_what_each_prompt_alone_writes(differ):
+    assert differ["e"] == []
+
+
+def test_predict_with_tunes_model_gives_tunes_rows(differ):
+    assert differ["f"] == []
 
 
 if __name__ == "__main__":
