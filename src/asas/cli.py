@@ -10,7 +10,6 @@ flags win.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import sys
@@ -69,7 +68,7 @@ from .learners import (
 )
 from .mathutil import log_softmax
 from .metrics import EvalReport
-from .serialize import Artifact, artifact_header, data_lines, digest, write_atomic
+from .serialize import Artifact, artifact_header, data_rows, digest, write_atomic
 
 EXIT_VALIDATION = 2  # usage and validation errors
 EXIT_CODES = {AllTrialsFailed: 3, CoverageGap: 4}
@@ -158,7 +157,7 @@ def load_config_file(path: str | Path) -> dict[str, object]:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise AsasError(f"{path}: {exc}") from None
-    for line_no, line in data_lines(text):
+    for line_no, line in zip(*data_rows(text)):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -275,11 +274,10 @@ def _runs(ctx: _Ctx) -> list[_Run]:
     prompt is then taken in id order: its rows are checked (a command that
     lists --dev-frac splits them into a corpus, so it refuses a prompt that
     only --test holds), and only then its files are read and parsed into
-    ``parsed[name]`` (None when unset, a list for --members), the prompt text
-    into the corpus. So faults are reported prompt by prompt, all before any
-    prompt's work. Each header names the shared inputs and its own prompt's
-    files; each output directory is --out, or its prompt_<id> subdirectory
-    over every prompt."""
+    ``parsed[name]`` (None when unset, a list for --members). So faults are
+    reported prompt by prompt, all before any prompt's work. Each header names
+    the shared inputs and its own prompt's files; each output directory is
+    --out, or its prompt_<id> subdirectory over every prompt."""
     listed = COMMANDS[ctx.args.command][2].split()
     every = ctx.all_prompts if "all_prompts" in listed else ctx.prompt is None
     if not every and ctx.prompt is None:
@@ -330,8 +328,6 @@ def _runs(ctx: _Ctx) -> list[_Run]:
         for name, ps in own.items():
             values = [ctx.parse_input(p, loaders[name], against[name]) for p in ps]
             parsed[name] = values if OPTIONS[name].type is list else next(iter(values), None)
-        if corpus is not None and parsed.get("prompt_text"):
-            corpus = dataclasses.replace(corpus, prompt_text=parsed["prompt_text"])
         digests = shared | {p: ctx.digests[p] for ps in own.values() for p in ps}
         own_out = out / f"prompt_{pid}" if out is not None and every else out
         runs.append(_Run(pid, corpus, rows, parsed, artifact_header(ctx.seed, digests), own_out))
@@ -440,9 +436,11 @@ def _run_files(ctx: _Ctx, run: _Run, spec: FeatureModelSpec, matrix, result):
 
 def cmd_train_features(ctx: _Ctx) -> None:
     for run in _runs(ctx):
-        pid, corpus, embeddings = run.prompt, run.corpus, run.parsed["embeddings"]
+        pid, corpus, parsed = run.prompt, run.corpus, run.parsed
         with _naming(pid):
-            spec, matrix = fit_feature_model(corpus, ctx.tfidf_dim, ctx.cutoff, embeddings)
+            spec, matrix = fit_feature_model(
+                corpus, ctx.tfidf_dim, ctx.cutoff, parsed["embeddings"], parsed["prompt_text"]
+            )
             result = _train_once(
                 corpus, matrix, lr=ctx.lr, batch=ctx.batch, epochs=ctx.epochs,
                 seed=ctx.seed, hidden=ctx.hidden,
@@ -457,17 +455,17 @@ def cmd_tune(ctx: _Ctx) -> None:
         with _naming(run.prompt):
             # fitted once at the widest settings the study can ask build() for
             builder = CachedFeatureBuilder(
-                run.corpus, run.parsed["embeddings"],
+                run.corpus, run.parsed["embeddings"], run.parsed["prompt_text"],
                 d_t_max=space["tfidf_dim"].hi, floor=space["cutoff"].lo,
             )
             kept = None
 
             def objective(params):
                 nonlocal kept
-                spec, matrix = builder.build(int(params["tfidf_dim"]), float(params["cutoff"]))
+                spec, matrix = builder.build(params["tfidf_dim"], params["cutoff"])
                 result = _train_once(
                     run.corpus, matrix,
-                    lr=float(params["learning_rate"]), batch=int(params["batch_size"]),
+                    lr=params["learning_rate"], batch=params["batch_size"],
                     epochs=ctx.epochs, seed=ctx.seed, hidden=ctx.hidden,
                 )
                 # Trials run in index order, so a strict > keeps the lowest-index
@@ -537,7 +535,7 @@ def cmd_ensemble(ctx: _Ctx) -> None:
 def cmd_report(ctx: _Ctx) -> None:
     reports, seen = [], {}
     for path in ctx.args.reports:
-        for line_no, line in data_lines(ctx.parse_input(path, bytes.decode, "utf-8")):
+        for line_no, line in zip(*data_rows(ctx.parse_input(path, bytes.decode, "utf-8"))):
             if not line.startswith("prompt\t"):
                 where = f"{path}:{line_no}"
                 try:

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .mathutil import logsumexp
 from .metrics import accuracy, qwk
-from .serialize import data_rows, decode
+from .serialize import data_rows, decode, fmt_float
 
 
 @dataclass(frozen=True)
@@ -328,7 +328,6 @@ class PromptCorpus:
     test: list[ScoredResponse]
     num_classes: int
     min_score: int
-    prompt_text: str = ""
 
     def labels(self, split: list[ScoredResponse]) -> np.ndarray:
         """Zero-based score1 labels for a split."""
@@ -344,7 +343,6 @@ def build_corpus(
     dev_fraction: float = 0.2,
     seed: int = 0,
     test: list[ScoredResponse] | None = None,
-    prompt_text: str = "",
 ) -> PromptCorpus:
     """Filter one prompt, split off dev, derive the label range."""
     pool = [r for r in responses if r.prompt_id == prompt_id]
@@ -373,7 +371,6 @@ def build_corpus(
         test=test,
         num_classes=num_classes,
         min_score=min_score,
-        prompt_text=prompt_text,
     )
 
 
@@ -537,7 +534,7 @@ def dump_logprobs(matrix: LogProbMatrix, extra_comment: str | None = None) -> by
     for rid, vec in matrix.rows.items():
         if len(vec) != matrix.k:
             raise RowLengthMismatch(f"row {rid!r}: expected {matrix.k} values, got {len(vec)}")
-        out.append(_line_start_id(rid) + "\t" + "\t".join(repr(float(v)) for v in vec))
+        out.append(_line_start_id(rid) + "\t" + "\t".join(map(fmt_float, vec)))
     return ("\n".join(out) + "\n").encode("utf-8")
 
 

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .learners import LogRegModel, logreg_fit, logreg_logprobs
 from .metrics import EvalReport, accuracy, criteria_flags, qwk, smd
-from .serialize import Artifact, require_finite, row_vector
+from .serialize import Artifact, fmt_float, require_finite, row_vector
 
 # L2 penalty on the head's weights; the biases are not penalised. Being
 # positive, it makes the fit strictly convex, so Newton converges in about
@@ -44,6 +44,8 @@ class EnsembleSpec:
     prompt_id: int
 
     def __post_init__(self) -> None:
+        if len(set(self.members)) != len(self.members):
+            raise HeaderMismatch(f"duplicate member names: {self.members}")
         weights, bias, k = self.head.weights, self.head.bias, self.k
         if weights.shape[0] != len(self.members) * k or bias.shape != (k,):
             raise HeaderMismatch(
@@ -64,7 +66,7 @@ class EnsembleSpec:
             meta={
                 "prompt": str(self.prompt_id),
                 "k": str(self.k),
-                "l2": repr(self.head.l2),
+                "l2": fmt_float(self.head.l2),
             },
             tables={"members": [[name] for name in self.members]},
             arrays={"head_weights": self.head.weights, "head_bias": self.head.bias},
@@ -107,11 +109,7 @@ def assemble(members: list[LogProbMatrix], ids: list[str]) -> np.ndarray:
     if gaps:
         i, j = min(gaps)  # the first gap in id order, then member order
         raise CoverageGap(f"member {members[j].model_name!r} has no row for id {ids[i]!r}")
-    data = np.empty((len(ids), len(members) * k), dtype=float)
-    if ids:  # an empty list does not broadcast into a (0, k) block
-        for j, rows in enumerate(blocks):
-            data[:, j * k:(j + 1) * k] = rows
-    return data
+    return np.hstack([np.array(rows, dtype=float).reshape(len(ids), k) for rows in blocks])
 
 
 def fit_ensemble(members: list[LogProbMatrix], dev_corpus: PromptCorpus) -> EnsembleSpec:

@@ -499,14 +499,14 @@ def fuzzy_ratios(texts: list[str], tables: NgramTables, floor: float) -> FuzzyRa
         win_tok = first_tok[win_text] + np.arange(win_text.size) - np.repeat(
             np.cumsum(n_win) - n_win, n_win
         )
-        trailing = 1 if order else 0  # the space after a window's last token
         chunk = max(1, _PAIR_CHUNK // (sel.size * max(1, used.size)))
         for lo in range(0, win_text.size, chunk):
             first = win_tok[lo:lo + chunk]
             start = char_at[first]
-            length = char_at[first + order] - start - trailing
+            # less the one space after the window's last token
+            length = char_at[first + order] - start - 1
             hist = cum_hist[first + order] - cum_hist[first]
-            hist[:, space] -= trailing
+            hist[:, space] -= 1
             inter = np.minimum(hist[:, None, used], sel_hist[None]).sum(axis=2)
             pw, pg = np.nonzero(_ratio(inter, length[:, None] + gram_len[sel]) >= floor)
             pending.append((win_text[lo + pw], start[pw], length[pw], sel[pg]))
@@ -800,13 +800,11 @@ def _embedding_block(
         raise MissingEmbedding(
             f"embedding table has dim {embeddings.dim}, spec expects {dim}"
         )
-    block = np.empty((len(responses), dim), dtype=float)
-    for i, r in enumerate(responses):
-        vec = embeddings.rows.get(r.id)
-        if vec is None:
-            raise MissingEmbedding(f"no embedding for response {r.id!r}")
-        block[i] = vec
-    return block
+    missing = next((r for r in responses if r.id not in embeddings.rows), None)
+    if missing is not None:
+        raise MissingEmbedding(f"no embedding for response {missing.id!r}")
+    rows = [embeddings.rows[r.id] for r in responses]
+    return np.array(rows, dtype=float).reshape(len(responses), dim)
 
 
 def _raw_blocks(
@@ -858,9 +856,13 @@ def fit_feature_model(
     d_t: int,
     near_match_cutoff: float,
     embeddings: EmbeddingTable | None = None,
+    prompt_text: str | None = None,
 ) -> tuple[FeatureModelSpec, FeatureMatrix]:
-    """Fit every extractor on the train split; the spec and the corpus's feature rows."""
-    builder = CachedFeatureBuilder(corpus, embeddings, d_t_max=d_t, floor=near_match_cutoff)
+    """Fit every extractor on the train split and ``prompt_text`` (none when
+    unset); the spec and the corpus's feature rows."""
+    builder = CachedFeatureBuilder(
+        corpus, embeddings, prompt_text, d_t_max=d_t, floor=near_match_cutoff
+    )
     return builder.build(d_t, near_match_cutoff)
 
 
@@ -893,10 +895,11 @@ def build_features(
 class CachedFeatureBuilder:
     """The one feature fitter: fit once at the widest settings, then narrow.
 
-    ``__init__`` fits on the train split and computes every block's rows
-    once, at the widest settings ``build`` will be asked for: the
-    eigen-projection at ``d_t_max`` columns and the fuzzy window ratios
-    that reach ``floor``; the TF-IDF rows are kept unprojected.
+    ``__init__`` fits on the train split and the prompt text (none when
+    unset) and computes every block's rows once, at the widest settings
+    ``build`` will be asked for: the eigen-projection at ``d_t_max``
+    columns and the fuzzy window ratios that reach ``floor``; the TF-IDF
+    rows are kept unprojected.
     ``build(d_t, cutoff)`` narrows from there: it slices the leading
     ``d_t`` eigenvectors (they are nested) into the spec's projection and
     projects the term rows with it, thresholds the ratios at ``cutoff``
@@ -914,6 +917,7 @@ class CachedFeatureBuilder:
         self,
         corpus: PromptCorpus,
         embeddings: EmbeddingTable | None = None,
+        prompt_text: str | None = None,
         d_t_max: int = 300,
         floor: float = MIN_CUTOFF,
     ):
@@ -927,7 +931,7 @@ class CachedFeatureBuilder:
         )
         self.vocab = MappingProxyType(vocab)
         self.key_ngrams = tuple(select_key_ngrams([(r.text, r.score1) for r in corpus.train]))
-        self.prompt_minutiae = normalize_text(corpus.prompt_text)
+        self.prompt_minutiae = normalize_text(prompt_text or "")
         ngrams = NgramTables.of([g.text for g in self.key_ngrams])
         prompt_subs = minutiae_substrings(self.prompt_minutiae)
         self._blocks = _raw_blocks(

@@ -17,7 +17,7 @@ import numpy as np
 from .errors import AllTrialsFailed, AsasError, HeaderMismatch, MalformedRow
 from .features import MIN_CUTOFF
 from .mathutil import logsumexp
-from .serialize import data_lines
+from .serialize import data_rows, fmt_float
 
 N_STARTUP = 5
 GAMMA = 0.25
@@ -204,7 +204,7 @@ def study_log(space: dict[str, Uniform], result: StudyResult) -> str:
     for t in result.trials:
         cells = [str(t.trial_index)]
         cells += [repr(t.params[n]) for n in names]
-        cells.append("nan" if math.isnan(t.objective) else repr(t.objective))
+        cells.append(fmt_float(t.objective))
         cells.append(t.status)
         lines.append("\t".join(cells))
     return "\n".join(lines) + "\n"
@@ -214,7 +214,7 @@ def read_study_log(text: str, space: dict[str, Uniform]) -> list[TrialRecord]:
     """Parse a study log back into trial records; a malformed row, such as a
     killed run's truncated last line, raises ``MalformedRow`` naming its line,
     and a log whose columns are not ``space``'s parameters ``HeaderMismatch``."""
-    rows = iter(data_lines(text))
+    rows = zip(*data_rows(text))
     _, head = next(rows, (0, None))
     if head is None:
         return []

@@ -104,7 +104,8 @@ class EvalReport:
     @classmethod
     def from_tsv_row(cls, row: str) -> "EvalReport":
         """The report a row of ``to_tsv_row`` renders; ValueError unless its
-        three statistics are finite and its ``n`` is not negative."""
+        prompt is ``mean`` or a non-negative id, its three statistics are
+        finite and its ``n`` is not negative."""
         prompt, qwk_s, smd_s, acc_s, n_s, flags_s = row.rstrip("\n").split("\t")
         flags = frozenset() if flags_s == "-" else frozenset(flags_s.split(","))
         report = cls(
@@ -118,6 +119,8 @@ class EvalReport:
         for name, value in (("qwk", report.qwk), ("smd", report.smd), ("acc", report.accuracy)):
             if not np.isfinite(value):
                 raise ValueError(f"{name} {value} is not finite")
+        if report.prompt_id < 0 and prompt != "mean":
+            raise ValueError(f"prompt {prompt} is negative")
         if report.n < 0:
             raise ValueError(f"n {report.n} is negative")
         return report

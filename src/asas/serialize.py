@@ -191,11 +191,6 @@ def data_rows(data: bytes | str) -> tuple[list[int], list[str]]:
     return list(compress(count(1), keep)), list(compress(lines, keep))
 
 
-def data_lines(data: bytes | str) -> list[tuple[int, str]]:
-    """(line number, line) of each line that ``data_rows`` keeps."""
-    return list(zip(*data_rows(data)))
-
-
 # A meta key starting with one of these would read back as a comment or a block.
 _NOT_META = ("#", "[strings ", "[matrix ")
 

@@ -42,7 +42,6 @@ def make_toy_corpus(
         dev_fraction=dev_fraction,
         seed=seed,
         test=test,
-        prompt_text=PROMPT_TEXT,
     )
 
 

@@ -2114,6 +2114,7 @@ class TestReport:
         "1\tnan\t0.01\t0.7\t50\t-",
         "1\t0.8\tinf\t0.7\t50\t-",
         "1\t0.8\t0.01\t0.7\t-3\t-",
+        "-3\t0.8\t0.01\t0.7\t50\t-",  # only the cell "mean" marks the mean row
     ])
     def test_malformed_row_exits_2_naming_file_and_line(self, tmp_path, capsys, row):
         path = tmp_path / "bad.tsv"

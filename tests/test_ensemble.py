@@ -131,6 +131,12 @@ class TestFitEnsemble:
         double_qwk = qwk(dev_gold, double_pred, 3)
         assert abs(single_qwk - double_qwk) <= 1e-9
 
+    def test_a_member_named_twice_is_refused(self, corpus):
+        # scoring looks members up by name, so it would stack the last one twice
+        members = [noisy_member("m", _ids(corpus), _gold(corpus), 3, seed=i) for i in range(2)]
+        with pytest.raises(HeaderMismatch, match=r"^duplicate member names: \['m', 'm'\]$"):
+            fit_ensemble(members, corpus)
+
     def test_uniform_members_predict_majority_class(self, corpus):
         uniform = LogProbMatrix(
             model_name="uniform", prompt_id=1, k=3,
@@ -350,6 +356,7 @@ class TestEnsembleSpecSerialization:
         ("nan weight", MalformedRow),
         ("meta k 7", HeaderMismatch),
         ("head one column short", HeaderMismatch),
+        ("member named twice", HeaderMismatch),
     ])
     def test_malformed_head_is_rejected_when_loaded(self, corpus, fault, error):
         members = [
@@ -361,6 +368,8 @@ class TestEnsembleSpecSerialization:
             weights[0, 0] = np.nan
         elif fault == "meta k 7":
             art.meta["k"] = "7"
+        elif fault == "member named twice":
+            art.tables["members"] = [["m0"], ["m0"]]
         else:
             weights = weights[:, :-1]
         art.arrays["head_weights"] = weights

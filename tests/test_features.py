@@ -42,7 +42,7 @@ from asas.features import (
 from asas.features import _TABLE_CELLS, _matching_totals, _ratio
 from asas.learners import MlpModel
 from asas.serialize import Artifact
-from conftest import make_toy_corpus, make_toy_responses
+from conftest import PROMPT_TEXT, make_toy_corpus, make_toy_responses
 from oracles import (
     exact_window_counts,
     matching_blocks_total,
@@ -481,7 +481,7 @@ def _corpus_with_rank(n: int, k: int = 3, seed: int = 0):
                 score1=i % k, score2=i % k,
             )
         )
-    return build_corpus(pool, prompt_id=1, dev_fraction=0.1, seed=seed, prompt_text="the water")
+    return build_corpus(pool, prompt_id=1, dev_fraction=0.1, seed=seed)
 
 
 class TestBuildFeatures:
@@ -492,13 +492,15 @@ class TestBuildFeatures:
             dim=364,
             rows={r.id: rng.normal(size=364) for r in corpus.all_responses()},
         )
-        spec, _ = fit_feature_model(corpus, d_t=100, near_match_cutoff=0.8, embeddings=table)
+        spec, _ = fit_feature_model(
+            corpus, d_t=100, near_match_cutoff=0.8, embeddings=table, prompt_text="the water"
+        )
         matrix = build_features(corpus, spec, table)
         assert matrix.dim == 579  # 364 + 100 + 15 + 90 + 10
 
     def test_dimension_without_embeddings(self):
         corpus = _corpus_with_rank(340)
-        spec, _ = fit_feature_model(corpus, d_t=300, near_match_cutoff=0.8)
+        spec, _ = fit_feature_model(corpus, d_t=300, near_match_cutoff=0.8, prompt_text="the water")
         matrix = build_features(corpus, spec)
         assert matrix.dim == 415  # 300 + 15 + 90 + 10
 
@@ -536,7 +538,9 @@ class TestBuildFeatures:
     @pytest.mark.filterwarnings("ignore:requested 300 eigenvectors")
     @pytest.mark.parametrize("d_t, cutoff", [(8, 0.8), (300, MIN_CUTOFF), (5, 1.0)])
     def test_fit_rows_equal_extraction_with_the_fitted_spec(self, toy_corpus, d_t, cutoff):
-        spec, matrix = fit_feature_model(toy_corpus, d_t=d_t, near_match_cutoff=cutoff)
+        spec, matrix = fit_feature_model(
+            toy_corpus, d_t=d_t, near_match_cutoff=cutoff, prompt_text=PROMPT_TEXT
+        )
         again = extract_features(toy_corpus.all_responses(), spec)
         assert matrix.ids == again.ids
         assert np.array_equal(matrix.data, again.data)
@@ -544,7 +548,9 @@ class TestBuildFeatures:
 
 class TestSpecSerialization:
     def test_round_trip_preserves_features_bit_exactly(self, toy_corpus):
-        spec, _ = fit_feature_model(toy_corpus, d_t=6, near_match_cutoff=0.77)
+        spec, _ = fit_feature_model(
+            toy_corpus, d_t=6, near_match_cutoff=0.77, prompt_text=PROMPT_TEXT
+        )
         again = _reloaded(spec)
         a = extract_features(toy_corpus.dev, spec)
         b = extract_features(toy_corpus.dev, again)
@@ -616,10 +622,12 @@ class TestSpecSerialization:
 
 class TestCachedFeatureBuilder:
     def test_matches_direct_fit(self, toy_corpus):
-        builder = CachedFeatureBuilder(toy_corpus, d_t_max=10)
+        builder = CachedFeatureBuilder(toy_corpus, prompt_text=PROMPT_TEXT, d_t_max=10)
         for d_t, cutoff in [(4, 0.8), (10, 0.6), (7, 1.0)]:
             cached_spec, cached_matrix = builder.build(d_t, cutoff)
-            direct_spec, _ = fit_feature_model(toy_corpus, d_t=d_t, near_match_cutoff=cutoff)
+            direct_spec, _ = fit_feature_model(
+                toy_corpus, d_t=d_t, near_match_cutoff=cutoff, prompt_text=PROMPT_TEXT
+            )
             direct_matrix = build_features(toy_corpus, direct_spec)
             assert np.array_equal(cached_spec.tfidf_projection, direct_spec.tfidf_projection)
             assert cached_spec.ngram_strings() == direct_spec.ngram_strings()
@@ -659,7 +667,7 @@ def _other_corpus():
         return ScoredResponse(r.id, r.prompt_id, text, r.score1, r.score2)
 
     pool = [swap(r) for r in make_toy_responses(prompt_id=2, n=80, seed=7)]
-    return build_corpus(pool, prompt_id=2, dev_fraction=0.25, seed=7, prompt_text=_OTHER_PROMPT)
+    return build_corpus(pool, prompt_id=2, dev_fraction=0.25, seed=7)
 
 
 def _mlp(spec: FeatureModelSpec) -> MlpModel:
@@ -695,8 +703,12 @@ def _assert_state_columns_recomputed(spec: FeatureModelSpec, r: ScoredResponse) 
 
 @pytest.fixture(scope="module")
 def two_specs():
-    spec_a, _ = fit_feature_model(make_toy_corpus(), d_t=8, near_match_cutoff=0.75)
-    spec_b, _ = fit_feature_model(_other_corpus(), d_t=6, near_match_cutoff=0.9)
+    spec_a, _ = fit_feature_model(
+        make_toy_corpus(), d_t=8, near_match_cutoff=0.75, prompt_text=PROMPT_TEXT
+    )
+    spec_b, _ = fit_feature_model(
+        _other_corpus(), d_t=6, near_match_cutoff=0.9, prompt_text=_OTHER_PROMPT
+    )
     return spec_a, spec_b
 
 
@@ -748,7 +760,7 @@ class TestScoringState:
             _assert_state_columns_recomputed(spec, r)
 
     def test_builder_spec_and_loaded_spec_score_alike(self, toy_corpus):
-        builder = CachedFeatureBuilder(toy_corpus, d_t_max=10)
+        builder = CachedFeatureBuilder(toy_corpus, prompt_text=PROMPT_TEXT, d_t_max=10)
         for d_t, cutoff in [(10, 0.8), (6, MIN_CUTOFF), (3, 1.0)]:
             built, _ = builder.build(d_t, cutoff)
             loaded = _reloaded(built)

@@ -197,7 +197,8 @@ class TestEvalReportTsv:
         ("1\t0.5\tinf\t0.5\t10\t-", "smd inf is not finite"),
         ("1\t0.5\t0.0\t-inf\t10\t-", "acc -inf is not finite"),
         ("mean\t0.5\t0.0\t0.5\t-3\t-", "n -3 is negative"),
-    ], ids=["qwk", "smd", "acc", "n"])
+        ("-3\t0.5\t0.0\t0.5\t10\t-", "prompt -3 is negative"),
+    ], ids=["qwk", "smd", "acc", "n", "prompt"])
     def test_a_row_no_run_writes_is_rejected(self, row, says):
         with pytest.raises(ValueError, match=says):
             EvalReport.from_tsv_row(row)
