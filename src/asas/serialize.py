@@ -1,11 +1,12 @@
-"""Versioned decimal text format for fitted models.
+"""Versioned text format for fitted models.
 
 Artifacts are plain UTF-8 text: a version line, optional '#' comments,
 ``key<TAB>value`` metadata, and named blocks of either float matrices
-(row-major, one row per line, repr() floats so values round-trip
-bit-exactly) or string tables (rows of tab-separated cells). Every
-artifact the pipeline writes starts with a header recording the tool
-version, the seed, and digests of the inputs it was derived from.
+(row-major, one row per line, each row the lowercase hex of its
+little-endian float64 bytes, so values round-trip bit-exactly) or string
+tables (rows of tab-separated cells). Every artifact the pipeline writes
+starts with a header recording the tool version, the seed, and digests
+of the inputs it was derived from.
 """
 from __future__ import annotations
 
@@ -20,7 +21,9 @@ import numpy as np
 from . import __version__ as TOOL_VERSION
 from .errors import HeaderMismatch, MalformedRow
 
-FORMAT_VERSION = "asas-artifact v1"
+FORMAT_VERSION = "asas-artifact v2"
+# The format before this one, with decimal-text floats; its files are not read.
+_OLDER_FORMAT = "asas-artifact v1"
 
 
 def fmt_float(x: float) -> str:
@@ -75,7 +78,8 @@ class Artifact:
     def dump(self, header: str | None = None) -> str:
         """The artifact as text; ValueError if ``parse`` would not read its kind,
         a meta key or value, a block name, a table row or a matrix back unchanged.
-        Every NaN is written as ``nan``."""
+        A matrix row is the lowercase hex of its values' little-endian float64
+        bytes, 16 characters a value, so every bit is kept, NaN payloads too."""
         _check(_ends_a_line(self.kind), "kind", self.kind)
         lines = []
         if header:
@@ -100,8 +104,8 @@ class Artifact:
             shape_ok = arr.ndim == 2 and (arr.shape[1] > 0 or arr.shape[0] == 0)
             _check(shape_ok, f"shape of matrix {name}", arr.shape)
             lines.append(f"[matrix {name} {arr.shape[0]} {arr.shape[1]}]")
-            # tolist() gives Python floats, whose repr is fmt_float's.
-            lines.extend("\t".join(map(repr, row.tolist())) for row in arr)
+            text, width = arr.astype("<f8").tobytes().hex(), 16 * arr.shape[1]
+            lines.extend(text[at:at + width] for at in range(0, len(text), width))
         return "\n".join(lines) + "\n"
 
     def save(self, path: str | Path, header: str | None = None) -> None:
@@ -119,6 +123,10 @@ class Artifact:
             lines.pop()  # the final newline ends the last line
         start = 0
         while start < len(lines) and not lines[start].startswith(f"#{FORMAT_VERSION} kind="):
+            if lines[start].startswith(f"#{_OLDER_FORMAT} kind="):
+                raise HeaderMismatch(
+                    f"file was written in the older {_OLDER_FORMAT} format and must be refit"
+                )
             if not lines[start].startswith("#"):
                 raise HeaderMismatch(f"not a {FORMAT_VERSION} file")
             start += 1
@@ -231,19 +239,33 @@ def _block_header(line: str, n_sizes: int) -> tuple:
 
 
 def _matrix(name: str, rows: list[str], n_cols: int) -> np.ndarray:
-    """The float matrix of a block's rows; each row's width is checked before
-    the declared width is allocated."""
+    """The float64 matrix of a block's rows, each exactly the text ``dump``
+    writes: lowercase hex of ``n_cols`` little-endian float64 values. Each
+    row's length is checked before anything is allocated."""
+    if rows and n_cols == 0:
+        raise HeaderMismatch(f"matrix {name} row 1 has no columns")
+    width = 16 * n_cols
     for j, row in enumerate(rows):
-        width = row.count("\t") + 1
-        if width != n_cols:
-            raise HeaderMismatch(f"matrix {name} row {j + 1} has {width} values, expected {n_cols}")
-    data = np.empty((len(rows), n_cols), dtype=float)
-    for j, row in enumerate(rows):
-        try:
-            data[j] = list(map(float, row.split("\t")))
-        except ValueError:
-            raise HeaderMismatch(f"matrix {name} row {j + 1} holds a non-number") from None
-    return data
+        if len(row) != width:
+            raise HeaderMismatch(
+                f"matrix {name} row {j + 1} has {len(row)} characters, expected {width}"
+            )
+    raw = _hex_bytes("".join(rows))
+    if raw is None:
+        # The rows are canonical hex exactly when their concatenation is.
+        j = next(j for j, row in enumerate(rows) if _hex_bytes(row) is None)
+        raise HeaderMismatch(f"matrix {name} row {j + 1} is not lowercase hex of float64 values")
+    return np.frombuffer(raw, "<f8").astype(float, copy=False).reshape(len(rows), n_cols)
+
+
+def _hex_bytes(text: str) -> bytearray | None:
+    """The bytes whose ``hex()`` is ``text``, or None if there are none:
+    ``bytes.fromhex`` also reads upper case and skips whitespace."""
+    try:
+        raw = bytearray.fromhex(text)
+    except ValueError:
+        return None
+    return raw if raw.hex() == text else None
 
 
 def row_vector(arrays: dict[str, np.ndarray], name: str) -> np.ndarray:

@@ -116,3 +116,21 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.write_sep("-", "acceptance criteria")
         for name, status in sorted(set(lines)):
             terminalreporter.write_line(f"ACCEPTANCE {name}: {status}")
+
+
+
+# Matrix blocks that are not what Artifact.dump writes, each with the start of
+# the HeaderMismatch that names its block and row: a row of the right length
+# holding spaces (bytes.fromhex would skip them and decode 7 bytes), an
+# upper-case row (bytes.fromhex reads it), a non-ASCII character, a row one
+# character short or long, and rows of zero columns.
+_ONE = "000000000000f03f"  # 1.0
+_NOT_HEX = "matrix x row 2 is not lowercase hex"
+BAD_HEX_BLOCKS = {
+    "spaced": (f"[matrix x 2 1]\n{_ONE}\n0000 0000 00f03f\n", _NOT_HEX),
+    "upper": (f"[matrix x 2 1]\n{_ONE}\n000000000000F03F\n", _NOT_HEX),
+    "non-ascii": (f"[matrix x 2 1]\n{_ONE}\n000000000000f03\u00e9\n", _NOT_HEX),
+    "short": (f"[matrix x 2 1]\n{_ONE}\n{_ONE[:-1]}\n", "matrix x row 2 has 15 characters"),
+    "long": (f"[matrix x 2 1]\n{_ONE}\n{_ONE}0\n", "matrix x row 2 has 17 characters"),
+    "no-columns": ("[matrix x 2 0]\n\n\n", "matrix x row 1 has no columns"),
+}

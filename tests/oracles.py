@@ -16,6 +16,7 @@ import difflib
 import itertools
 import re
 import string
+import struct
 from collections.abc import Iterator
 from decimal import Decimal, getcontext
 from fractions import Fraction
@@ -379,12 +380,13 @@ def load_logprobs_per_row(data: str, known: set[str] | None, k: int):
     return rows
 
 
-def _fmt_float_reference(x: float) -> str:
-    return repr(float(x))
+def _hex_float_reference(x: float) -> str:
+    return struct.pack("<d", float(x)).hex()
 
 
 def artifact_dump_reference(self, header: str | None = None) -> str:
-    """``Artifact.dump`` as first written: one ``fmt_float`` per NumPy element."""
+    """``Artifact.dump`` written element by element: each matrix value is the
+    hex of its own little-endian float64 bytes, and a row is their concatenation."""
     lines = []
     if header:
         lines.append(header)
@@ -398,7 +400,7 @@ def artifact_dump_reference(self, header: str | None = None) -> str:
     for name in sorted(self.arrays):
         arr = np.atleast_2d(self.arrays[name])
         lines.append(f"[matrix {name} {arr.shape[0]} {arr.shape[1]}]")
-        lines.extend("\t".join(_fmt_float_reference(x) for x in row) for row in arr)
+        lines.extend("".join(_hex_float_reference(x) for x in row) for row in arr)
     return "\n".join(lines) + "\n"
 
 

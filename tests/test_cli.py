@@ -8,6 +8,7 @@ import io
 import os
 import random
 import re
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -35,7 +36,7 @@ from asas.hyperopt import Uniform
 from asas.mathutil import logsumexp
 from asas.metrics import EvalReport
 from asas.serialize import Artifact, artifact_header, digest
-from conftest import make_toy_responses, noisy_member, PROMPT_TEXT
+from conftest import BAD_HEX_BLOCKS, make_toy_responses, noisy_member, PROMPT_TEXT
 
 
 @pytest.fixture
@@ -1940,7 +1941,10 @@ class TestModelFileChecks:
     """A malformed model.txt exits 2 with an error naming the block, never a traceback."""
 
     @pytest.mark.parametrize("block, names", [
-        ("[matrix x 2 1000000000000]\n1.0\n2.0\n", "matrix x row 1 has 1 values"),
+        (
+            "[matrix x 2 1000000000000]\n000000000000f03f\n0000000000000040\n",
+            "matrix x row 1 has 16 characters, expected 16000000000000",
+        ),
         ("[matrix x 2 -3]\n1.0\n2.0\n", "bad block header '[matrix x 2 -3]'"),
         ("[matrix x 2]\n1.0\n2.0\n", "bad block header '[matrix x 2]'"),
         ("[matrix projection 1 1]\n0.5\n", "repeated matrix 'projection'"),
@@ -1948,6 +1952,16 @@ class TestModelFileChecks:
     ], ids=["huge-width", "negative-width", "no-width", "repeated-matrix", "repeated-key"])
     def test_bad_block_header_or_width(self, toy_model, capsys, block, names):
         self._assert_rejected(toy_model, capsys, toy_model[2] + block, names)
+
+    @pytest.mark.parametrize("block, names", BAD_HEX_BLOCKS.values(), ids=BAD_HEX_BLOCKS.keys())
+    def test_a_matrix_row_not_as_dump_writes_it(self, toy_model, capsys, block, names):
+        self._assert_rejected(toy_model, capsys, toy_model[2] + block, names)
+
+    def test_an_older_format_model_says_to_refit(self, toy_model, capsys):
+        # The version line is read before any block, so only it needs to be v1.
+        text = toy_model[2].replace("#asas-artifact v2 kind=", "#asas-artifact v1 kind=")
+        names = "file was written in the older asas-artifact v1 format and must be refit"
+        self._assert_rejected(toy_model, capsys, text, names)
 
     def test_an_mlp_of_another_width_than_the_spec(self, toy_model, capsys):
         text = toy_model[2]
@@ -1962,26 +1976,28 @@ class TestModelFileChecks:
         self._assert_rejected(toy_model, capsys, text, "matrix mlp_b1 has 0 rows, expected 1")
 
     def test_bias_block_of_the_wrong_width(self, toy_model, capsys):
-        text = _replace_block(toy_model[2], "mlp_b1", "[matrix mlp_b1 1 1]\n0.5\n")
+        text = _replace_block(toy_model[2], "mlp_b1", "[matrix mlp_b1 1 1]\n000000000000e03f\n")
         self._assert_rejected(
             toy_model, capsys, text,
             f"matrix mlp_b1 has 1 values, but mlp_w1 has {OPTIONS['hidden'].default}",
         )
 
     @pytest.mark.parametrize("name, value", [
-        ("mlp_w2", "nan"),
-        ("mlp_b1", "inf"),
-        ("projection", "-inf"),
-        ("std_mean", "1e309"),
-        ("std_sd", "nan"),
-        ("vocab", "nan"),  # the first term's idf
+        ("mlp_w2", 0x7FF8000000000000),  # NaN
+        ("mlp_b1", 0x7FF0000000000000),  # inf
+        ("projection", 0xFFF0000000000000),  # -inf
+        ("std_mean", 0xFFF00000DEADBEEF),  # a negative signalling NaN with a payload
+        ("std_sd", 0xFFF8000000000000),  # -NaN
+        ("vocab", "nan"),  # the first term's idf, a decimal table cell
     ])
     def test_a_block_holding_nan_or_infinity(self, toy_model, capsys, name, value):
         lines = toy_model[2].splitlines(keepends=True)
         at = next(i for i, ln in enumerate(lines) if ln.split(" ")[1:2] == [name]) + 1
-        cells = lines[at].rstrip("\n").split("\t")
-        cells[1 if name == "vocab" else 0] = value
-        lines[at] = "\t".join(cells) + "\n"
+        if name == "vocab":
+            term, _ = lines[at].split("\t")
+            lines[at] = f"{term}\t{value}\n"
+        else:  # the row's first value, as the hex of its float64 bits
+            lines[at] = struct.pack("<Q", value).hex() + lines[at][16:]
         names = f"block {name} holds a value that is not a finite number"
         self._assert_rejected(toy_model, capsys, "".join(lines), names)
 

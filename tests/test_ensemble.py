@@ -1,6 +1,8 @@
 """Stacking: design assembly, head fitting, subset selection, evaluation."""
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -375,6 +377,30 @@ class TestEnsembleSpecSerialization:
         art.arrays["head_weights"] = weights
         with pytest.raises(error):
             EnsembleSpec.from_artifact(Artifact.parse(art.dump()))
+
+    def _text(self, corpus) -> str:
+        members = [
+            noisy_member(f"m{i}", _ids(corpus), _gold(corpus), 3, seed=i) for i in range(2)
+        ]
+        return fit_ensemble(members, corpus).to_artifact().dump()
+
+    @pytest.mark.parametrize("block", ["head_weights", "head_bias"])
+    @pytest.mark.parametrize("bits", [
+        0x7FF8000000000000, 0xFFF00000DEADBEEF, 0x7FF0000000000000, 0xFFF0000000000000,
+    ], ids=["nan", "negative-signalling-nan", "inf", "-inf"])
+    def test_a_non_finite_value_written_as_hex_is_refused(self, corpus, block, bits):
+        lines = self._text(corpus).splitlines(keepends=True)
+        at = next(i for i, ln in enumerate(lines) if ln.startswith(f"[matrix {block} ")) + 1
+        lines[at] = struct.pack("<Q", bits).hex() + lines[at][16:]
+        with pytest.raises(MalformedRow, match=f"block {block} holds a value that is not a finite"):
+            EnsembleSpec.from_artifact(Artifact.parse("".join(lines), "ensemble-spec"))
+
+    def test_an_older_format_file_says_to_refit(self, corpus):
+        # The version line is read before any block, so only it needs to be v1.
+        text = self._text(corpus).replace("#asas-artifact v2 kind=", "#asas-artifact v1 kind=")
+        names = "file was written in the older asas-artifact v1 format and must be refit"
+        with pytest.raises(HeaderMismatch, match=f"^{names}$"):
+            EnsembleSpec.from_artifact(Artifact.parse(text, "ensemble-spec"))
 
 
 def _member_predicting(name, corpus, wrong):

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -11,16 +12,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import asas
-from asas.errors import HeaderMismatch
+from asas.errors import HeaderMismatch, MalformedRow
 from asas.mathutil import log_softmax, logsumexp, sigmoid
 from asas.serialize import (
+    FORMAT_VERSION,
     TOOL_VERSION,
     Artifact,
     artifact_header,
     digest,
     fmt_float,
+    require_finite,
     write_atomic,
 )
+from conftest import BAD_HEX_BLOCKS
 from oracles import artifact_dump_reference, logsumexp_reference, sigmoid_masked_reference
 
 # Values whose text form is easy to get wrong: NaN, both infinities, both
@@ -44,8 +48,7 @@ _ROW = st.lists(_CELL, min_size=1, max_size=3).filter(lambda row: not row[-1].en
 
 
 def _matrices(min_cols: int):
-    """Float64 matrices of up to 3 x 3 values. Every float is drawn but NaNs other
-    than the one float("nan") reads back as, since each NaN is written as "nan"."""
+    """Float64 matrices of up to 3 x 3 values: any float but a NaN, or the default NaN."""
     return st.tuples(st.integers(0, 3), st.integers(min_cols, 3)).flatmap(
         lambda shape: st.lists(
             st.floats(allow_nan=False) | st.just(math.nan),
@@ -55,6 +58,15 @@ def _matrices(min_cols: int):
 
 
 _MATRIX = _matrices(min_cols=1)
+
+# Float64 bit patterns a text form could lose: quiet and signalling NaNs of
+# both signs with payloads, both infinities, -0.0, the smallest and largest
+# subnormals, and the largest finite float.
+_EDGE_BITS = [
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFF00000DEADBEEF,
+    0x7FF0000000000000, 0xFFF0000000000000, 0x8000000000000000,
+    0x0000000000000001, 0x800FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF,
+]
 # Names, keys, values and cells: plain; a form that ends a line early, splits a
 # cell, starts a comment or a block, or ends in '\r'; or any short text.
 _ODD = st.sampled_from(
@@ -148,18 +160,33 @@ class TestArtifact:
                 assert np.array_equal(data, np.atleast_2d(art.arrays[name]))
 
     def test_short_matrix_row_is_header_mismatch(self):
-        text = "#asas-artifact v1 kind=w\n[matrix m 2 3]\n1.0\t2.0\t3.0\n1.0\t2.0\n"
+        one = "000000000000f03f"  # 1.0
+        text = f"#asas-artifact v2 kind=w\n[matrix m 2 3]\n{one * 3}\n{one * 2}\n"
         with pytest.raises(HeaderMismatch, match="row 2"):
             Artifact.parse(text)
+
+    @pytest.mark.parametrize("block, names", BAD_HEX_BLOCKS.values(), ids=BAD_HEX_BLOCKS.keys())
+    def test_a_matrix_row_not_as_dump_writes_it_is_header_mismatch(self, block, names):
+        with pytest.raises(HeaderMismatch, match=f"^{names}"):
+            Artifact.parse(f"#{FORMAT_VERSION} kind=r\n" + block)
+
+    def test_an_older_format_file_says_to_refit(self):
+        text = "#asas-artifact v1 kind=feature-model\n[matrix m 1 2]\n1.0\t2.0\n"
+        with pytest.raises(HeaderMismatch) as caught:
+            Artifact.parse("#asas\tversion=0.1.0\tseed=3\n" + text, "feature-model")
+        assert str(caught.value) == (
+            "file was written in the older asas-artifact v1 format and must be refit"
+        )
 
     @pytest.mark.parametrize("body, names", [
         ("k\tv\nk\tw\n", "repeated key 'k'"),
         ("[strings t 1]\na\n[strings t 1]\nb\n", "repeated table 't'"),
-        ("[matrix m 1 1]\n1.0\n[matrix m 1 1]\n2.0\n", "repeated matrix 'm'"),
+        ("[matrix m 1 1]\n000000000000f03f\n[matrix m 1 1]\n0000000000000040\n",
+         "repeated matrix 'm'"),
     ])
     def test_a_repeated_key_or_block_is_header_mismatch(self, body, names):
         with pytest.raises(HeaderMismatch, match=f"^{names}$"):
-            Artifact.parse("#asas-artifact v1 kind=r\n" + body)
+            Artifact.parse("#asas-artifact v2 kind=r\n" + body)
 
     def test_a_table_and_a_matrix_may_share_a_name(self):
         art = Artifact(kind="r", tables={"x": [["a"]]}, arrays={"x": np.ones((1, 1))})
@@ -197,8 +224,28 @@ class TestArtifact:
         text = art.dump()
         assert text == artifact_dump_reference(art)
         back = Artifact.parse(text).arrays["m"]
-        want = np.array([[float(x) for x in row.split("\t")] for row in text.splitlines()[2:]])
+        want = np.array([
+            [x for (x,) in struct.iter_unpack("<d", bytes.fromhex(row))]
+            for row in text.splitlines()[2:]
+        ])
         assert back.tobytes() == want.tobytes()
+
+    @given(
+        st.lists(st.integers(0, 2**64 - 1) | st.sampled_from(_EDGE_BITS), min_size=1, max_size=12),
+        st.integers(1, 3),
+    )
+    @example(_EDGE_BITS, 1)
+    @settings(max_examples=200, deadline=None)
+    def test_any_float64_bits_dump_and_parse_bit_exactly(self, bits, n_rows):
+        arr = np.array(bits * n_rows, dtype=np.uint64).view(np.float64).reshape(n_rows, -1)
+        back = Artifact.parse(Artifact(kind="bits", arrays={"m": arr}).dump()).arrays["m"]
+        assert back.dtype == np.float64 and back.flags.writeable
+        assert back.tobytes() == arr.tobytes()
+        if np.isfinite(arr).all():
+            require_finite("m", back)
+        else:
+            with pytest.raises(MalformedRow, match="block m holds a value that is not a finite"):
+                require_finite("m", back)
 
     def test_kind_check_on_load(self, tmp_path):
         path = tmp_path / "art.txt"
