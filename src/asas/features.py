@@ -22,6 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,9 +38,11 @@ TEXT_STATS_DIM = 10
 # Lowest near-match cutoff: CachedFeatureBuilder keeps every ratio that
 # reaches it, so any cutoff a trial picks is a thresholding pass.
 MIN_CUTOFF = 0.5
-# Bound the fuzzy engine's work arrays: _PAIR_CHUNK the (window, n-gram,
-# character) cells of one histogram pass and the candidate pairs held for
-# matching, _TABLE_CELLS the run-length table cells of one matcher chunk.
+# Bound the fuzzy engine's work arrays: _PAIR_CHUNK the token histogram
+# counts of one bincount, four times the elements of each array of one
+# character-bound pass (window histograms, their level indicators and the
+# window x n-gram bounds) and the candidate pairs held for matching,
+# _TABLE_CELLS the run-length table cells of one matcher chunk.
 _PAIR_CHUNK = 1 << 16
 _TABLE_CELLS = 1 << 17
 
@@ -381,6 +384,41 @@ def _gram_tables(
     )
 
 
+def _level_indicators(hist: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``hist[r, u] >= levels[k]`` at row r, column ``k * U + u``, as float32 0s and 1s."""
+    return (hist[:, None, :] >= levels[:, None]).reshape(len(hist), -1).astype(np.float32)
+
+
+class _OrderBound(NamedTuple):
+    """The key n-grams of one token order, as the character bound reads them.
+
+    ``sel`` indexes the n-grams in ``NgramTables``, ``used`` holds the
+    character codes they contain and ``levels`` is 1..K, K the largest
+    count of one character in one of them. ``ind`` is their level
+    indicator matrix, ``(K * len(used), len(sel))``: row ``k * U + u`` is 1
+    where the n-gram holds code ``used[u]`` at least ``levels[k]`` times.
+    """
+
+    order: int
+    sel: np.ndarray
+    used: np.ndarray
+    levels: np.ndarray
+    ind: np.ndarray
+
+    def intersections(self, hist: np.ndarray) -> np.ndarray:
+        """Multiset intersection of each window's characters with each n-gram's.
+
+        ``hist`` holds one window's histogram over all character codes per
+        row. For non-negative integers min(a, b) = sum over k = 1..K of
+        [a >= k] * [b >= k] when b <= K, so the intersections are one
+        product of indicator matrices. Every term is 0 or 1 and every
+        partial sum at most the n-gram's length, so each float32 result is
+        the exact integer whatever the BLAS kernel, its blocking or FMA, as
+        long as n-grams are shorter than 2**24 characters.
+        """
+        return _level_indicators(hist[:, self.used], self.levels) @ self.ind
+
+
 @dataclass(frozen=True, eq=False)
 class NgramTables:
     """Key n-gram slots as the fuzzy engine reads them, built once per slot list.
@@ -393,10 +431,11 @@ class NgramTables:
     in the same order, then 2**32 - 1, which no character has. ``lengths``,
     ``codes`` (each n-gram's codes, padded) and ``masks`` come from
     ``_gram_tables``; ``low[g]`` selects the low |n-gram g| bits (at most
-    64) of an LCS bit vector. ``by_order`` holds, for each token order,
-    the n-grams of that order, the character codes they use and their
-    histograms over those codes. A table is read-only once built, so
-    calls may share it, also from several threads.
+    64) of an LCS bit vector. ``by_order`` holds one ``_OrderBound`` per
+    token order: the n-grams of that order, the character codes they use
+    and their level indicator matrix, from which one matrix product gives
+    the character bound of many windows. A table is read-only once built,
+    so calls may share it, also from several threads.
     """
 
     n_slots: int
@@ -407,7 +446,7 @@ class NgramTables:
     codes: np.ndarray
     masks: np.ndarray
     low: np.ndarray
-    by_order: list[tuple[int, np.ndarray, np.ndarray, np.ndarray]]
+    by_order: list[_OrderBound]
 
     @classmethod
     def of(cls, key_ngrams: list[str | None]) -> "NgramTables":
@@ -420,7 +459,10 @@ class NgramTables:
         for order in sorted(set(orders.tolist())):
             sel = np.flatnonzero(orders == order)
             used = np.flatnonzero(hist[sel].any(axis=0))
-            by_order.append((order, sel, used, hist[np.ix_(sel, used)]))
+            sel_hist = hist[np.ix_(sel, used)]
+            levels = np.arange(1, sel_hist.max(initial=0) + 1, dtype=np.int32)
+            ind = _level_indicators(sel_hist, levels).T
+            by_order.append(_OrderBound(order, sel, used, levels, ind))
         return cls(
             n_slots=len(key_ngrams),
             present=present,
@@ -446,14 +488,17 @@ def fuzzy_ratios(texts: list[str], tables: NgramTables, floor: float) -> FuzzyRa
     autojunk=False)`` finds (Ratcliff & Obershelp's gestalt matching). M is
     at most the longest common subsequence of the two strings, which is at
     most the multiset intersection of their characters (``quick_ratio``).
-    The intersection is computed for blocks of (window, n-gram) pairs at
-    once from per-token character histograms over the n-grams' alphabet,
-    prefix-summed along the texts. The pairs whose bound, in difflib's own
-    float expression, reaches ``floor`` wait in a buffer of at most
-    ``_PAIR_CHUNK`` pairs; ``_matching_totals`` then computes their LCS and
-    the exact M of those that pass, in chunks of at most ``_TABLE_CELLS``
-    table cells. Windows are seq1 and n-grams seq2, as in
-    ``window_ratios``, so every kept ratio is bit-identical to it.
+    The intersection is computed for a chunk of windows and all n-grams of
+    one order at once, as one exact float32 matrix product of level
+    indicators (``_OrderBound.intersections``), from per-token character
+    histograms over the n-grams' alphabet, prefix-summed along the texts.
+    A chunk's arrays hold at most a quarter of ``_PAIR_CHUNK`` elements
+    each. The pairs whose bound, in difflib's own float expression, reaches
+    ``floor`` wait in a buffer of at most ``_PAIR_CHUNK`` pairs;
+    ``_matching_totals`` then computes their LCS and the exact M of those
+    that pass, in chunks of at most ``_TABLE_CELLS`` table cells. Windows
+    are seq1 and n-grams seq2, as in ``window_ratios``, so every kept ratio
+    is bit-identical to it.
     """
     if not MIN_CUTOFF <= floor <= 1.0:
         raise ValueError(f"cutoff must be in [{MIN_CUTOFF}, 1.0], got {floor}")
@@ -473,9 +518,15 @@ def fuzzy_ratios(texts: list[str], tables: NgramTables, floor: float) -> FuzzyRa
     codes[tables.points[codes] != points] = other
     tok_span = np.array([len(tok) + 1 for tok in flat], dtype=np.intp)
     char_at = np.concatenate([[0], np.cumsum(tok_span)])
-    # cum_hist[i, c]: occurrences of code c in the first i tokens and their spaces.
+    # cum_hist[i, c]: occurrences of code c in the first i tokens and their
+    # spaces, counted in blocks of rows whose int64 counts fit _PAIR_CHUNK.
     cum_hist = np.zeros((len(flat) + 1, other + 1), dtype=np.int32)
-    np.add.at(cum_hist, (np.repeat(np.arange(1, len(flat) + 1), tok_span), codes), 1)
+    step = max(1, _PAIR_CHUNK // (other + 1))
+    for lo in range(0, len(flat), step):
+        block = cum_hist[lo + 1:lo + 1 + step]
+        cell = np.repeat(np.arange(len(block)) * (other + 1), tok_span[lo:lo + step])
+        cell += codes[char_at[lo]:char_at[lo + len(block)]]
+        block[:] = np.bincount(cell, minlength=block.size).reshape(block.shape)
     np.cumsum(cum_hist, axis=0, out=cum_hist)
     n_toks = np.array([len(ts) for ts in toks], dtype=np.intp)
     first_tok = np.cumsum(n_toks) - n_toks
@@ -493,13 +544,16 @@ def fuzzy_ratios(texts: list[str], tables: NgramTables, floor: float) -> FuzzyRa
         hit = ratio >= floor
         found.append((text[hit], tables.present[gram[hit]], ratio[hit]))
 
-    for order, sel, used, sel_hist in tables.by_order:
+    for bound in tables.by_order:
+        order, sel = bound.order, bound.sel
         n_win = np.maximum(n_toks - order + 1, 0)
         win_text = np.repeat(np.arange(len(texts)), n_win)
         win_tok = first_tok[win_text] + np.arange(win_text.size) - np.repeat(
             np.cumsum(n_win) - n_win, n_win
         )
-        chunk = max(1, _PAIR_CHUNK // (sel.size * max(1, used.size)))
+        # A quarter of _PAIR_CHUNK per array: the ratio step below holds about
+        # four 8-byte window x n-gram arrays at once.
+        chunk = max(1, _PAIR_CHUNK // (4 * max(other + 1, *bound.ind.shape)))
         for lo in range(0, win_text.size, chunk):
             first = win_tok[lo:lo + chunk]
             start = char_at[first]
@@ -507,7 +561,7 @@ def fuzzy_ratios(texts: list[str], tables: NgramTables, floor: float) -> FuzzyRa
             length = char_at[first + order] - start - 1
             hist = cum_hist[first + order] - cum_hist[first]
             hist[:, space] -= 1
-            inter = np.minimum(hist[:, None, used], sel_hist[None]).sum(axis=2)
+            inter = bound.intersections(hist)
             pw, pg = np.nonzero(_ratio(inter, length[:, None] + gram_len[sel]) >= floor)
             pending.append((win_text[lo + pw], start[pw], length[pw], sel[pg]))
             n_pending += pw.size

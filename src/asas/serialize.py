@@ -228,9 +228,10 @@ def _refuse_repeat(seen: dict, what: str, name: str) -> None:
 
 def _block_header(line: str, n_sizes: int) -> tuple:
     """(name, *sizes) of block header ``[kind name size...]``; HeaderMismatch
-    unless it holds a name and ``n_sizes`` non-negative integers."""
+    unless it holds a name and ``n_sizes`` non-negative integers of at most
+    18 digits, more than any file holds and fewer than int() refuses."""
     _, name, *sizes = line[1:].removesuffix("]").split(" ")  # the kind ends in a space
-    digits = all(size.isascii() and size.isdigit() for size in sizes)
+    digits = all(size.isascii() and size.isdigit() and len(size) <= 18 for size in sizes)
     if not (line.endswith("]") and name and len(sizes) == n_sizes and digits):
         raise HeaderMismatch(
             f"bad block header {line!r}: expected a name and {n_sizes} non-negative integer sizes"

@@ -322,6 +322,13 @@ def one_hot_reference(labels, k: int, dtype) -> np.ndarray:
     return out
 
 
+def quick_ratio_bound_reference(hist: np.ndarray, gram_hist: np.ndarray) -> np.ndarray:
+    """Multiset intersection of each window histogram (row of ``hist``) with
+    each n-gram histogram (row of ``gram_hist``): a 3-D broadcast of their
+    minima, summed over the characters."""
+    return np.minimum(hist[:, None, :], gram_hist[None]).sum(axis=2)
+
+
 def qwk_add_at_reference(a, b, k: int) -> float:
     """Quadratic weighted kappa of valid label vectors, counting with np.add.at."""
     av, bv = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)

@@ -1953,6 +1953,12 @@ class TestModelFileChecks:
     def test_bad_block_header_or_width(self, toy_model, capsys, block, names):
         self._assert_rejected(toy_model, capsys, toy_model[2] + block, names)
 
+    def test_a_block_size_of_more_digits_than_int_reads(self, toy_model, capsys):
+        header = "[matrix x 1 " + "9" * 5000 + "]"
+        names = f"bad block header {header!r}"
+        err = self._assert_rejected(toy_model, capsys, toy_model[2] + header + "\n00\n", names)
+        assert "set_int_max_str_digits" not in err
+
     @pytest.mark.parametrize("block, names", BAD_HEX_BLOCKS.values(), ids=BAD_HEX_BLOCKS.keys())
     def test_a_matrix_row_not_as_dump_writes_it(self, toy_model, capsys, block, names):
         self._assert_rejected(toy_model, capsys, toy_model[2] + block, names)
@@ -2048,8 +2054,10 @@ class TestModelFileChecks:
             "predict", "--model", str(bad), "--data", str(data), "--prompt", "1",
             "--out", str(out),
         ]) == 2
-        assert f"asas: {bad}: {names}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"asas: {bad}: {names}" in err
         assert not out.exists()
+        return err
 
 
 class TestModelFileFidelity:

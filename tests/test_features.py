@@ -50,6 +50,7 @@ from oracles import (
     near_match_count,
     normalize_text_per_char,
     positive_peaks_per_column,
+    quick_ratio_bound_reference,
     ratio_oracle,
     similarity_ratio,
     text_stats_per_char,
@@ -296,6 +297,53 @@ class TestMatcher:
     @settings(max_examples=40, deadline=None)
     def test_ngrams_over_64_and_127_characters(self, pairs):
         self._check(pairs)
+
+
+def _histograms(strings: list[str], tables: NgramTables) -> np.ndarray:
+    """Each string's character counts over ``tables``' codes, one row each;
+    the last column counts the characters no n-gram holds."""
+    width = len(tables.alphabet) + 1
+    hist = np.zeros((len(strings), width), dtype=np.int32)
+    for row, text in enumerate(strings):
+        for ch in text:
+            hist[row, tables.alphabet.get(ch, width - 1)] += 1
+    return hist
+
+
+# N-grams of few characters repeat them; windows also hold characters
+# outside every n-gram.
+_bound_tokens = st.text("ab\u00e9\U0001d11e", min_size=1, max_size=12)
+_bound_grams = st.lists(st.lists(_bound_tokens, min_size=1, max_size=3).map(" ".join),
+                        min_size=1, max_size=8)
+_bound_windows = st.lists(st.text("ab \u00e9\U0001d11exyz!", max_size=40), min_size=1, max_size=6)
+
+
+class TestCharacterBound:
+    @given(_bound_grams, _bound_windows)
+    @example(["a" * 300, _GRAM_200, "b"], ["a" * 400 + "x", _GRAM_200 + "aaaa", "", "xyz"])
+    @settings(max_examples=300, deadline=None)
+    def test_indicator_product_equals_the_broadcast_minimum(self, grams, windows):
+        tables = NgramTables.of(grams)
+        window_hist, gram_hist = _histograms(windows, tables), _histograms(grams, tables)
+        for bound in tables.by_order:
+            got = bound.intersections(window_hist)
+            want = quick_ratio_bound_reference(
+                window_hist[:, bound.used], gram_hist[np.ix_(bound.sel, bound.used)]
+            )
+            assert got.dtype == np.float32
+            assert got.tolist() == want.tolist()
+
+    @given(_texts, _grams)
+    @settings(max_examples=100, deadline=None)
+    def test_output_bytes_do_not_depend_on_the_chunk_size(self, texts, grams):
+        tables = NgramTables.of(grams)
+        outputs = []
+        for chunk in (1, 7, asas.features._PAIR_CHUNK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(asas.features, "_PAIR_CHUNK", chunk)
+                fr = fuzzy_ratios(texts, tables, MIN_CUTOFF)
+            outputs.append((fr.rows.tobytes(), fr.cols.tobytes(), fr.ratios.tobytes()))
+        assert outputs[0] == outputs[1] == outputs[2]
 
 
 def _mutated(rng: random.Random, s: str, n: int) -> str:

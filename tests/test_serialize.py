@@ -170,6 +170,12 @@ class TestArtifact:
         with pytest.raises(HeaderMismatch, match=f"^{names}"):
             Artifact.parse(f"#{FORMAT_VERSION} kind=r\n" + block)
 
+    def test_a_block_size_of_more_digits_than_int_reads_is_header_mismatch(self):
+        header = "[matrix x 1 " + "9" * 5000 + "]"
+        with pytest.raises(HeaderMismatch, match=r"^bad block header '\[matrix x 1 9999") as caught:
+            Artifact.parse(f"#asas-artifact v2 kind=r\n{header}\n00\n")
+        assert header in str(caught.value)
+
     def test_an_older_format_file_says_to_refit(self):
         text = "#asas-artifact v1 kind=feature-model\n[matrix m 1 2]\n1.0\t2.0\n"
         with pytest.raises(HeaderMismatch) as caught:
