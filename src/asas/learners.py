@@ -23,7 +23,7 @@ from .errors import (
     SingleClass,
     TooFewRows,
 )
-from .mathutil import as_float, log_softmax, logsumexp, sigmoid
+from .mathutil import as_float, log_softmax, logsumexp, sigmoid_from_exp
 from .metrics import as_labels, qwk
 from .serialize import require_finite, row_vector
 
@@ -100,6 +100,17 @@ def _one_hot(labels, k: int, dtype) -> np.ndarray:
     return np.eye(k, dtype=dtype)[as_labels(labels, k)]
 
 
+def _bce(logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
+    """``bce_loss_grad`` against ``targets``, one-hot rows in the logits' dtype."""
+    e = np.exp(-np.abs(logits))  # shared by the loss and the sigmoid
+    per_logit = np.maximum(logits, 0.0) - logits * targets + np.log1p(e)
+    grad = (sigmoid_from_exp(logits, e) - targets) / logits.size
+    # the bits of per_logit.mean(), without its overhead: mean divides the
+    # same sum in float64 and rounds back, which for float32 gives the
+    # correctly rounded quotient too
+    return float(per_logit.sum() / per_logit.size), grad
+
+
 def bce_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """Mean per-class sigmoid binary cross-entropy against one-hot targets,
     and its gradient with respect to the logits, in the logits' dtype.
@@ -108,10 +119,7 @@ def bce_loss_grad(logits: np.ndarray, labels) -> tuple[float, np.ndarray]:
     averaged over all N*k logits.
     """
     logits = np.atleast_2d(as_float(logits))
-    targets = _one_hot(labels, logits.shape[1], logits.dtype)
-    per_logit = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
-    grad = (sigmoid(logits) - targets) / logits.size
-    return float(per_logit.mean()), grad
+    return _bce(logits, _one_hot(labels, logits.shape[1], logits.dtype))
 
 
 @dataclass
@@ -131,8 +139,11 @@ def adamw_step(
     theta <- theta - lr_t * (m_hat / (sqrt(v_hat) + eps) + wd * theta),
     with bias-corrected moment estimates (beta1=0.9, beta2=0.999), in the
     dtype of ``p``. The update is formed in two temporaries, in the order of
-    the expression above; ``g`` is not written. The update is elementwise,
-    so stepping arrays concatenated gives the bits of stepping each one.
+    the expression above; ``g`` is not written. Once ``1 - beta1**t`` rounds
+    to exactly 1 in that dtype (t >= 165 in float32, t >= 356 in float64),
+    dividing ``m`` by it is exact, so that division is skipped and the bits
+    stay those of the full expression. The update is elementwise, so
+    stepping arrays concatenated gives the bits of stepping each one.
     NonFiniteGradient, before anything is written, if ``g`` holds a NaN or an
     infinity. Overflow, such as a learning rate too large for float32, is
     not an error here: it reaches the next loss or gradient, which the train
@@ -153,11 +164,14 @@ def adamw_step(
         v *= ADAM_BETA2
         v += denom
         # update = m / m_corr / (sqrt(v / v_corr) + eps) + wd * p, times lr_t
-        np.divide(m, m_corr, out=update)
         np.divide(v, v_corr, out=denom)
         np.sqrt(denom, out=denom)
         denom += ADAM_EPS
-        update /= denom
+        if p.dtype.type(m_corr) == 1:
+            np.divide(m, denom, out=update)
+        else:
+            np.divide(m, m_corr, out=update)
+            update /= denom
         np.multiply(weight_decay, p, out=denom)
         update += denom
         update *= lr_t
@@ -205,24 +219,28 @@ class TrainResult:
 
 
 def _mlp_grads(
-    params: list[np.ndarray], X: np.ndarray, labels
-) -> tuple[float, list[np.ndarray]]:
-    """Loss and gradients for parameters ``[w1, b1, w2, b2]``."""
+    params: list[np.ndarray], X: np.ndarray, targets: np.ndarray, grads: list[np.ndarray]
+) -> float:
+    """The loss for parameters ``[w1, b1, w2, b2]`` against one-hot
+    ``targets`` of their dtype; writes the gradients into ``grads``, arrays
+    of the parameters' shapes, in that order. Each gradient matrix product
+    and bias sum goes straight into its array, with no temporary to copy."""
     w1, b1, w2, b2 = params
+    d_w1, d_b1, d_w2, d_b2 = grads
     # Divergence shows up as a non-finite loss, which the train loop turns
     # into NonFiniteLoss; the intermediate overflow itself is not an error.
     with np.errstate(over="ignore", invalid="ignore"):
         z1 = X @ w1 + b1
         hidden = np.maximum(z1, 0.0)
         logits = hidden @ w2 + b2
-        loss, d_logits = bce_loss_grad(logits, labels)
-        d_w2 = hidden.T @ d_logits
-        d_b2 = d_logits.sum(axis=0)
-        d_hidden = d_logits @ w2.T
-        d_z1 = d_hidden * (z1 > 0.0)
-        d_w1 = X.T @ d_z1
-        d_b1 = d_z1.sum(axis=0)
-    return loss, [d_w1, d_b1, d_w2, d_b2]
+        loss, d_logits = _bce(logits, targets)
+        np.matmul(hidden.T, d_logits, out=d_w2)
+        d_logits.sum(axis=0, out=d_b2)
+        d_z1 = d_logits @ w2.T
+        d_z1 *= z1 > 0.0
+        np.matmul(X.T, d_z1, out=d_w1)
+        d_z1.sum(axis=0, out=d_b1)
+    return loss
 
 
 def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
@@ -246,14 +264,18 @@ def train_early_stop(
 ) -> TrainResult:
     """Train with seeded minibatches, keep the best-dev-QWK snapshot.
 
-    The steps run in float32: ``train_x`` and the initial parameters are
-    cast once, and the gradients and AdamW state follow them. The
-    parameters live in one flat vector, of which ``w1, b1, w2, b2`` are
-    reshaped views, so each step makes one AdamW update of the vector in
-    place, over the four gradients concatenated in that order. Dev QWK is
-    computed after every epoch from argmax predictions of the float64
-    ``mlp_forward``, on the float32 weights converted exactly, so the
-    returned model (float64 arrays holding float32 values) scores the
+    The train labels are checked, LabelOutOfRange before any step if one
+    is not a class of the model, and made float32 one-hot targets once;
+    each batch takes its rows of both. The steps run in float32:
+    ``train_x`` and the initial parameters are cast once, and the
+    gradients and AdamW state follow them. The parameters live in one flat
+    vector, of which ``w1, b1, w2, b2`` are reshaped views, and the
+    gradients in a second flat vector viewed the same way, which the
+    backward pass writes in place; so each step makes one AdamW update of
+    the parameter vector in place, over the gradient vector as it stands.
+    Dev QWK is computed after every epoch from argmax predictions of the
+    float64 ``mlp_forward``, on the float32 weights converted exactly, so
+    the returned model (float64 arrays holding float32 values) scores the
     same bits as the epoch that chose it, and the result keeps that
     epoch's dev predictions; on ties the earliest epoch wins. The linear
     schedule runs over the full step budget epochs * ceil(N / batch).
@@ -267,8 +289,11 @@ def train_early_stop(
     total_steps = config.epochs * steps_per_epoch
 
     train_x = np.asarray(train_x, dtype=np.float32)
+    targets = _one_hot(train_y, k, np.float32)
     flat = np.concatenate(model_init.params(), axis=None, dtype=np.float32)
-    params = _views(flat, [p.shape for p in model_init.params()])
+    gflat = np.empty_like(flat)
+    shapes = [p.shape for p in model_init.params()]
+    params, grads = _views(flat, shapes), _views(gflat, shapes)
     state = AdamState(m=np.zeros_like(flat), v=np.zeros_like(flat))
     best: TrainResult | None = None
     history: list[EpochStats] = []
@@ -277,12 +302,12 @@ def train_early_stop(
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            loss, grads = _mlp_grads(params, train_x[batch], train_y[batch])
+            loss = _mlp_grads(params, train_x[batch], targets[batch], grads)
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"non-finite loss at epoch {epoch}")
             loss_sum += loss * batch.size
             lr_t = linear_lr(state.step, total_steps, config.learning_rate)
-            adamw_step(flat, np.concatenate(grads, axis=None), state, lr_t, WEIGHT_DECAY)
+            adamw_step(flat, gflat, state, lr_t, WEIGHT_DECAY)
         model = MlpModel(*(p.astype(float) for p in params))
         dev_pred = np.argmax(mlp_forward(model, dev_x), axis=1)
         dev_qwk = qwk_fn(dev_y, dev_pred, k)

@@ -28,5 +28,10 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     """Stable logistic function, no overflow for any finite z; computed in
     ``z``'s floating dtype, or in float64 for integer and list input."""
     z = as_float(z)
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return sigmoid_from_exp(z, np.exp(-np.abs(z)))
+
+
+def sigmoid_from_exp(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """``sigmoid`` of the float array ``z``, given ``e = exp(-|z|)`` in its dtype."""
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)

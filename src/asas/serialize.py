@@ -93,11 +93,13 @@ class Artifact:
         for name in sorted(self.tables):
             rows = self.tables[name]
             _check(_block_name(name), "table name", name)
-            for row in rows:
-                cells_ok = not any("\t" in cell or "\n" in cell for cell in row)
-                _check(row and cells_ok and _ends_a_line(row[-1]), f"row of table {name}", row)
+            text = ["\t".join(row) for row in rows]
+            if not _rows_read_back(rows, "\n".join(text)):
+                for row in rows:  # name the first row that would not read back
+                    cells_ok = not any("\t" in cell or "\n" in cell for cell in row)
+                    _check(row and cells_ok and _ends_a_line(row[-1]), f"row of table {name}", row)
             lines.append(f"[strings {name} {len(rows)}]")
-            lines.extend("\t".join(row) for row in rows)
+            lines.extend(text)
         for name in sorted(self.arrays):
             arr = np.atleast_2d(np.asarray(self.arrays[name], dtype=float))
             _check(_block_name(name), "matrix name", name)
@@ -207,6 +209,21 @@ def _ends_a_line(text: str) -> bool:
     """Whether ``text`` reads back whole at the end of a line: it holds no
     newline, and no '\\r' that ``parse`` would take for part of a CRLF."""
     return "\n" not in text and not text.endswith("\r")
+
+
+def _rows_read_back(rows: list[list[str]], joined: str) -> bool:
+    """Whether each of ``rows`` reads back unchanged from ``joined``, its rows'
+    tab-joined cells joined by newlines, checked in a few passes over that one
+    text: no row is empty, no cell holds a tab or a newline (the text has one
+    tab fewer than cells in each row and one newline fewer than rows), and no
+    row ends in '\\r'."""
+    return (
+        all(rows)
+        and joined.count("\n") == max(len(rows) - 1, 0)
+        and joined.count("\t") == sum(map(len, rows)) - len(rows)
+        and "\r\n" not in joined
+        and not joined.endswith("\r")
+    )
 
 
 def _block_name(name: str) -> bool:

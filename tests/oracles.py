@@ -34,7 +34,14 @@ from asas.errors import (
     UnknownResponseId,
 )
 from asas.features import STOPWORDS, TEXT_STATS_DIM, NgramTables, fuzzy_ratios
-from asas.learners import EpochStats, MlpModel, TrainResult, _mlp_grads, linear_lr, mlp_forward
+from asas.learners import (
+    EpochStats,
+    MlpModel,
+    TrainResult,
+    bce_loss_grad,
+    linear_lr,
+    mlp_forward,
+)
 from asas.mathutil import as_float, logsumexp
 from asas.metrics import qwk
 from asas.serialize import FORMAT_VERSION
@@ -622,11 +629,32 @@ def text_stats_per_char(s: str) -> np.ndarray:
     )
 
 
+def mlp_grads_reference(
+    params: list[np.ndarray], X: np.ndarray, labels
+) -> tuple[float, list[np.ndarray]]:
+    """Loss and fresh gradient arrays for ``[w1, b1, w2, b2]``, with the
+    labels checked and made one-hot by ``bce_loss_grad`` on every call."""
+    w1, b1, w2, b2 = params
+    with np.errstate(over="ignore", invalid="ignore"):
+        z1 = X @ w1 + b1
+        hidden = np.maximum(z1, 0.0)
+        logits = hidden @ w2 + b2
+        loss, d_logits = bce_loss_grad(logits, labels)
+        d_w2 = hidden.T @ d_logits
+        d_b2 = d_logits.sum(axis=0)
+        d_hidden = d_logits @ w2.T
+        d_z1 = d_hidden * (z1 > 0.0)
+        d_w1 = X.T @ d_z1
+        d_b1 = d_z1.sum(axis=0)
+    return loss, [d_w1, d_b1, d_w2, d_b2]
+
+
 def train_early_stop_per_array(
     model_init, train_x, train_y, dev_x, dev_y, config, qwk_fn=qwk
 ) -> TrainResult:
     """``train_early_stop`` stepping ``w1, b1, w2, b2`` as four float32
-    arrays, each updated by ``adamw_step_reference``."""
+    arrays, each updated by ``adamw_step_reference`` from the gradients of
+    ``mlp_grads_reference``."""
     train_y = np.asarray(train_y)
     dev_y = np.asarray(dev_y)
     k = model_init.n_classes
@@ -646,7 +674,7 @@ def train_early_stop_per_array(
         loss_sum = 0.0
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            loss, grads = _mlp_grads(params, train_x[batch], train_y[batch])
+            loss, grads = mlp_grads_reference(params, train_x[batch], train_y[batch])
             if not np.isfinite(loss):
                 raise NonFiniteLoss(f"non-finite loss at epoch {epoch}")
             loss_sum += loss * batch.size

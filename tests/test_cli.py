@@ -549,11 +549,11 @@ class TestTune:
         # a numpy shape error is a bug, not a failed trial
         real_grads, batches = asas.learners._mlp_grads, []
 
-        def buggy_grads(params, X, labels):
+        def buggy_grads(params, X, targets, grads):
             batches.append(X.shape[0])
             if hits == "every trial" or X.shape[0] == 9:
                 params = [params[0][:-1], *params[1:]]
-            return real_grads(params, X, labels)
+            return real_grads(params, X, targets, grads)
 
         monkeypatch.setattr(asas.learners, "_mlp_grads", buggy_grads)
         out = workspace["dir"] / "tune_bug"

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from asas.errors import (
@@ -42,6 +42,7 @@ from oracles import (
     logreg_fit_reference,
     logreg_objective_reference,
     mlp_forward_loops,
+    mlp_grads_reference,
     one_hot_reference,
     train_early_stop_per_array,
 )
@@ -96,6 +97,18 @@ class TestBceLoss:
             assert bce_loss_grad(logits, labels)[0] == pytest.approx(
                 bce_decimal(logits, labels), abs=1e-12
             )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @given(n=st.integers(1, 64), k=st.integers(1, 6), scale=st.integers(-4, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_loss_is_the_mean_of_the_per_logit_terms_bit_for_bit(self, dtype, n, k, scale, seed):
+        rng = np.random.default_rng(seed)
+        logits = (rng.normal(size=(n, k)) * 10.0 ** scale).astype(dtype)
+        labels = rng.integers(0, k, size=n)
+        targets = one_hot_reference(labels, k, dtype)
+        per_logit = np.maximum(logits, 0.0) - logits * targets + np.log1p(np.exp(-np.abs(logits)))
+        assert bce_loss_grad(logits, labels)[0] == float(per_logit.mean())
 
     def test_no_overflow_for_large_logits(self):
         logits = np.array([[700.0, -700.0]])
@@ -218,11 +231,13 @@ class TestAdamW:
             st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
             min_size=1, max_size=4,
         ),
-        steps=st.integers(100, 140),
+        # 1 - beta1**t rounds to exactly 1 from t = 165 in float32, 356 in float64
+        steps=st.integers(100, 400),
         base_lr=st.floats(1e-5, 0.5),
         weight_decay=st.sampled_from([0.0, 1e-4, 0.01, 0.3]),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(shapes=[(3, 2), (5,)], steps=400, base_lr=0.01, weight_decay=0.01, seed=0)
     @settings(max_examples=25, deadline=None)
     def test_bitwise_equal_to_reference_over_a_schedule(
         self, dtype, shapes, steps, base_lr, weight_decay, seed
@@ -394,6 +409,7 @@ class TestTrainEarlyStop:
         (13, 3, 2, 29, 4),
         (9, 33, 5, 41, 7),
         (275, 17, 4, 30, 32),  # one batch larger than the train set
+        (8, 6, 3, 100, 2),  # 200 steps: AdamW's m divisor is exactly 1 from step 165
     ])
     def test_flat_vector_steps_match_the_per_array_loop(self, d, hidden, k, n, batch):
         rng = np.random.default_rng(d * hidden)
@@ -418,13 +434,48 @@ class TestTrainEarlyStop:
         with pytest.raises(NonFiniteLoss, match="epoch 3"):
             train_early_stop(*args)
 
+    def test_a_bad_train_label_fails_before_the_first_step(self, monkeypatch):
+        X, y = _toy_problem(seed=7)
+        y = y.copy()
+        y[-1] = 3  # not a class of the 3-class model, and not in the first batch
+        steps = []
+        real_step = learners.adamw_step
+        monkeypatch.setattr(
+            learners, "adamw_step", lambda *args: steps.append(1) or real_step(*args)
+        )
+        with pytest.raises(LabelOutOfRange):
+            train_early_stop(
+                MlpModel.init(6, 4, 3, seed=0), X, y, X[:8], y[:8],
+                TrainConfig(learning_rate=1e-3, batch_size=8, epochs=2, seed=0),
+            )
+        assert steps == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("d, hidden, k, n", [(5, 4, 3, 7), (7, 5, 3, 8), (275, 33, 4, 9)])
+    def test_gradients_written_into_views_match_fresh_products(self, dtype, d, hidden, k, n):
+        from asas.learners import _mlp_grads, _views
+
+        rng = np.random.default_rng(d)
+        params = [p.astype(dtype) for p in MlpModel.init(d, hidden, k, seed=hidden).params()]
+        X = rng.normal(size=(n, d)).astype(dtype)
+        y = np.arange(n) % k
+        # one leading element puts every view off its natural alignment
+        flat = np.full(1 + sum(p.size for p in params), np.nan, dtype=dtype)
+        grads = _views(flat[1:], [p.shape for p in params])
+        loss = _mlp_grads(params, X, learners._one_hot(y, k, dtype), grads)
+        want_loss, want = mlp_grads_reference(params, X, y)
+        assert loss == want_loss
+        assert [(g.dtype, g.tobytes()) for g in grads] == [(w.dtype, w.tobytes()) for w in want]
+
     def test_float32_gradients_stay_float32(self):
         from asas.learners import _mlp_grads
 
         rng = np.random.default_rng(4)
         params = [p.astype(np.float32) for p in MlpModel.init(5, 4, 3, seed=2).params()]
         X = rng.normal(size=(7, 5)).astype(np.float32)
-        loss, grads = _mlp_grads(params, X, rng.integers(0, 3, size=7))
+        targets = learners._one_hot(rng.integers(0, 3, size=7), 3, np.float32)
+        grads = [np.empty_like(p) for p in params]
+        loss = _mlp_grads(params, X, targets, grads)
         assert math.isfinite(loss)
         assert [g.dtype for g in grads] == [np.dtype(np.float32)] * 4
 
@@ -435,7 +486,8 @@ class TestTrainEarlyStop:
         model = MlpModel.init(4, 3, 2, seed=9)
         X = rng.normal(size=(6, 4))
         y = rng.integers(0, 2, size=6)
-        _, grads = _mlp_grads(model.params(), X, y)
+        grads = [np.empty_like(p) for p in model.params()]
+        _mlp_grads(model.params(), X, learners._one_hot(y, 2, float), grads)
         for index, name in enumerate(["w1", "b1", "w2", "b2"]):
             base = getattr(model, name)
 
