@@ -187,7 +187,7 @@ class _Ctx:
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
-        _check_utf8(args)
+        _check_strings(args)
         cfg = load_config_file(args.config) if args.config else {}
         for name, opt in OPTIONS.items():
             flag = getattr(args, name, None)
@@ -237,17 +237,20 @@ class _Ctx:
             raise kind(f"{path}: {exc}") from None
 
 
-def _check_utf8(args: argparse.Namespace) -> None:
-    """Exit 2, naming the flag, when a command-line string is not UTF-8: its
-    undecodable bytes arrive as lone surrogates, which no output can encode."""
+def _check_strings(args: argparse.Namespace) -> None:
+    """Exit 2, naming the flag, when a command-line string is not UTF-8 (its
+    undecodable bytes arrive as lone surrogates, which no output can encode)
+    or holds a line feed (the outputs' one-line header records each path)."""
     for name, value in vars(args).items():
         for item in value if isinstance(value, list) else [value]:
             if isinstance(item, str):
+                flag = "a report path" if name == "reports" else _flag(name)
                 try:
                     item.encode("utf-8")
                 except UnicodeEncodeError:
-                    flag = "a report path" if name == "reports" else _flag(name)
                     raise AsasError(f"{flag} is not valid UTF-8: {item!r}") from None
+                if "\n" in item:
+                    raise AsasError(f"{flag} holds a line feed: {item!r}")
 
 
 class _Run(NamedTuple):

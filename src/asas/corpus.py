@@ -525,9 +525,12 @@ def load_logprobs(data: bytes | str, corpus: PromptCorpus | None = None) -> LogP
 def dump_logprobs(matrix: LogProbMatrix, extra_comment: str | None = None) -> bytes:
     """Serialize a LogProbMatrix in the interchange format; every row must hold
     k values. ValueError on what load_logprobs would not read back unchanged:
-    an id that starts with '#', or a model name that holds a tab, LF or CR."""
+    an id that starts with '#', a model name that holds a tab, LF or CR, or an
+    ``extra_comment`` that is not one '#' line."""
     if any(c in matrix.model_name for c in "\t\n\r"):
         raise ValueError(f"model name {matrix.model_name!r} holds a tab, LF or CR")
+    if extra_comment and not (extra_comment.startswith("#") and "\n" not in extra_comment):
+        raise ValueError(f"comment {extra_comment!r} is not one '#' line")
     out = [f"#model={matrix.model_name}\tprompt={matrix.prompt_id}\tk={matrix.k}"]
     if extra_comment:
         out.append(extra_comment)

@@ -6,7 +6,8 @@ Artifacts are plain UTF-8 text: a version line, optional '#' comments,
 little-endian float64 bytes, so values round-trip bit-exactly) or string
 tables (rows of tab-separated cells). Every artifact the pipeline writes
 starts with a header recording the tool version, the seed, and digests
-of the inputs it was derived from.
+of the inputs it was derived from. Both ways, each block is checked in one
+pass over its rows, in file order, and an error names the first faulty row.
 """
 from __future__ import annotations
 
@@ -76,14 +77,15 @@ class Artifact:
     tables: dict[str, list[list[str]]] = field(default_factory=dict)
 
     def dump(self, header: str | None = None) -> str:
-        """The artifact as text; ValueError if ``parse`` would not read its kind,
-        a meta key or value, a block name, a table row or a matrix back unchanged.
-        A matrix row is the lowercase hex of its values' little-endian float64
-        bytes, 16 characters a value, so every bit is kept, NaN payloads too."""
+        """The artifact as text; ValueError if ``header`` is not one '#' line, or
+        if ``parse`` would not read its kind, a meta key or value, a block name,
+        a table row or a matrix back unchanged. Each table row is checked as it
+        is written, so the first row that fails is the one named. A matrix row
+        is the lowercase hex of its values' little-endian float64 bytes, 16
+        characters a value, so every bit is kept, NaN payloads too."""
+        _check(not header or header.startswith("#") and "\n" not in header, "header", header)
         _check(_ends_a_line(self.kind), "kind", self.kind)
-        lines = []
-        if header:
-            lines.append(header)
+        lines = [header] if header else []
         lines.append(f"#{FORMAT_VERSION} kind={self.kind}")
         for key in sorted(self.meta):
             key_ok = "\t" not in key and "\n" not in key and not key.startswith(_NOT_META)
@@ -93,13 +95,12 @@ class Artifact:
         for name in sorted(self.tables):
             rows = self.tables[name]
             _check(_block_name(name), "table name", name)
-            text = ["\t".join(row) for row in rows]
-            if not _rows_read_back(rows, "\n".join(text)):
-                for row in rows:  # name the first row that would not read back
-                    cells_ok = not any("\t" in cell or "\n" in cell for cell in row)
-                    _check(row and cells_ok and _ends_a_line(row[-1]), f"row of table {name}", row)
             lines.append(f"[strings {name} {len(rows)}]")
-            lines.extend(text)
+            for row in rows:
+                line = "\t".join(row)
+                ok = row and line.count("\t") == len(row) - 1 and _ends_a_line(line)
+                _check(ok, f"row of table {name}", row)
+                lines.append(line)
         for name in sorted(self.arrays):
             arr = np.atleast_2d(np.asarray(self.arrays[name], dtype=float))
             _check(_block_name(name), "matrix name", name)
@@ -211,21 +212,6 @@ def _ends_a_line(text: str) -> bool:
     return "\n" not in text and not text.endswith("\r")
 
 
-def _rows_read_back(rows: list[list[str]], joined: str) -> bool:
-    """Whether each of ``rows`` reads back unchanged from ``joined``, its rows'
-    tab-joined cells joined by newlines, checked in a few passes over that one
-    text: no row is empty, no cell holds a tab or a newline (the text has one
-    tab fewer than cells in each row and one newline fewer than rows), and no
-    row ends in '\\r'."""
-    return (
-        all(rows)
-        and joined.count("\n") == max(len(rows) - 1, 0)
-        and joined.count("\t") == sum(map(len, rows)) - len(rows)
-        and "\r\n" not in joined
-        and not joined.endswith("\r")
-    )
-
-
 def _block_name(name: str) -> bool:
     return name != "" and " " not in name and "\n" not in name
 
@@ -258,21 +244,20 @@ def _block_header(line: str, n_sizes: int) -> tuple:
 
 def _matrix(name: str, rows: list[str], n_cols: int) -> np.ndarray:
     """The float64 matrix of a block's rows, each exactly the text ``dump``
-    writes: lowercase hex of ``n_cols`` little-endian float64 values. Each
-    row's length is checked before anything is allocated."""
+    writes: lowercase hex of ``n_cols`` little-endian float64 values. Rows are
+    checked and decoded in file order, and the first faulty row is named."""
+    where = f"matrix {name} row"
     if rows and n_cols == 0:
-        raise HeaderMismatch(f"matrix {name} row 1 has no columns")
+        raise HeaderMismatch(f"{where} 1 has no columns")
     width = 16 * n_cols
-    for j, row in enumerate(rows):
+    raw = bytearray()
+    for j, row in enumerate(rows, 1):
         if len(row) != width:
-            raise HeaderMismatch(
-                f"matrix {name} row {j + 1} has {len(row)} characters, expected {width}"
-            )
-    raw = _hex_bytes("".join(rows))
-    if raw is None:
-        # The rows are canonical hex exactly when their concatenation is.
-        j = next(j for j, row in enumerate(rows) if _hex_bytes(row) is None)
-        raise HeaderMismatch(f"matrix {name} row {j + 1} is not lowercase hex of float64 values")
+            raise HeaderMismatch(f"{where} {j} has {len(row)} characters, expected {width}")
+        values = _hex_bytes(row)
+        if values is None:
+            raise HeaderMismatch(f"{where} {j} is not lowercase hex of float64 values")
+        raw += values
     return np.frombuffer(raw, "<f8").astype(float, copy=False).reshape(len(rows), n_cols)
 
 

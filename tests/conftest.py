@@ -123,7 +123,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 # the HeaderMismatch that names its block and row: a row of the right length
 # holding spaces (bytes.fromhex would skip them and decode 7 bytes), an
 # upper-case row (bytes.fromhex reads it), a non-ASCII character, a row one
-# character short or long, and rows of zero columns.
+# character short or long, rows of zero columns, and an upper-case row before
+# a short one (rows are checked in file order, so the first is named).
 _ONE = "000000000000f03f"  # 1.0
 _NOT_HEX = "matrix x row 2 is not lowercase hex"
 BAD_HEX_BLOCKS = {
@@ -133,4 +134,7 @@ BAD_HEX_BLOCKS = {
     "short": (f"[matrix x 2 1]\n{_ONE}\n{_ONE[:-1]}\n", "matrix x row 2 has 15 characters"),
     "long": (f"[matrix x 2 1]\n{_ONE}\n{_ONE}0\n", "matrix x row 2 has 17 characters"),
     "no-columns": ("[matrix x 2 0]\n\n\n", "matrix x row 1 has no columns"),
+    "upper-then-short": (
+        f"[matrix x 2 1]\n000000000000F03F\n{_ONE[:-1]}\n", "matrix x row 1 is not lowercase hex"
+    ),
 }

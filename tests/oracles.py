@@ -48,21 +48,23 @@ from asas.serialize import FORMAT_VERSION
 
 
 def qwk_exact(a: list[int], b: list[int], k: int) -> Fraction | float:
-    """Quadratic weighted kappa with full matrices in exact rationals."""
+    """Quadratic weighted kappa in exact rationals, from integer counts.
+
+    With c_ij the joint counts, r_i and c_j the two marginals and n pairs,
+    kappa = 1 - n*sum((i-j)^2 * c_ij) / sum((i-j)^2 * r_i * c_j): the
+    weights' 1/(k-1)^2 and the 1/n and 1/n^2 of the observed and expected
+    matrices cancel, so both sums are exact integers."""
     n = len(a)
     counts = [[0] * k for _ in range(k)]
     for x, y in zip(a, b):
         counts[x][y] += 1
-    observed = [[Fraction(counts[i][j], n) for j in range(k)] for i in range(k)]
-    row = [sum(observed[i]) for i in range(k)]
-    col = [sum(observed[i][j] for i in range(k)) for j in range(k)]
-    expected = [[row[i] * col[j] for j in range(k)] for i in range(k)]
-    weights = [[Fraction((i - j) ** 2, (k - 1) ** 2) for j in range(k)] for i in range(k)]
-    weighted_obs = sum(weights[i][j] * observed[i][j] for i in range(k) for j in range(k))
-    weighted_exp = sum(weights[i][j] * expected[i][j] for i in range(k) for j in range(k))
-    if weighted_exp == 0:
-        return Fraction(1) if weighted_obs == 0 else Fraction(0)
-    return 1 - weighted_obs / weighted_exp
+    row = [sum(counts[i]) for i in range(k)]
+    col = [sum(counts[i][j] for i in range(k)) for j in range(k)]
+    observed = n * sum((i - j) ** 2 * counts[i][j] for i in range(k) for j in range(k))
+    expected = sum((i - j) ** 2 * row[i] * col[j] for i in range(k) for j in range(k))
+    if expected == 0:
+        return Fraction(1) if observed == 0 else Fraction(0)
+    return 1 - Fraction(observed, expected)
 
 
 def iter_joint_histograms(k: int, n: int):

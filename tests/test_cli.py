@@ -1436,9 +1436,13 @@ class TestInputFaults:
         err = capsys.readouterr().err
         assert err == f"asas: {solution}: repeated column in header: 'essay_score'\n"
 
-    @pytest.mark.parametrize("name", ["a\tb", "a\r", "a\nb"])
+    @pytest.mark.parametrize("name, says", [
+        ("a\tb", "--name must not hold a tab, CR or LF, got 'a\\tb'"),
+        ("a\r", "--name must not hold a tab, CR or LF, got 'a\\r'"),
+        ("a\nb", "--name holds a line feed: 'a\\nb'"),  # as every command-line string
+    ], ids=["a\tb", "a\r", "a\nb"])
     def test_a_name_that_cannot_read_back_exits_2_before_reading(
-        self, workspace, toy_model, capsys, monkeypatch, name
+        self, workspace, toy_model, capsys, monkeypatch, name, says
     ):
         root, data, _ = toy_model
         monkeypatch.setattr(asas.cli, "parse_dataset", None)  # reading would raise TypeError
@@ -1447,7 +1451,7 @@ class TestInputFaults:
             "predict", "--data", str(data), "--model", str(root / "model" / "model.txt"),
             "--prompt", "1", "--name", name, "--out", str(out),
         ]) == 2
-        assert f"--name must not hold a tab, CR or LF, got {name!r}" in capsys.readouterr().err
+        assert says in capsys.readouterr().err
         assert not out.exists()
 
     def test_a_name_from_the_config_file_is_checked_too(self, workspace, capsys, monkeypatch):
@@ -1475,6 +1479,22 @@ class TestInputFaults:
         assert main([*argv, *data, "--out", str(out)]) == 2
         assert f"asas: {flag} is not valid UTF-8: " in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["train-features", "--prompt", "1", "--data", "tr\nain.tsv"], "--data"),
+        (["report", "tr\nain.tsv"], "a report path"),
+    ], ids=["train-features", "report"])
+    def test_a_string_that_holds_a_line_feed_exits_2_before_reading(
+        self, workspace, capsys, monkeypatch, argv, flag
+    ):
+        # Each output's one-line header records the input paths: a path holding
+        # an LF would make every output unreadable.
+        monkeypatch.chdir(workspace["dir"])
+        Path("tr\nain.tsv").write_bytes(workspace["data"].read_bytes())
+        monkeypatch.setattr(asas.cli, "parse_dataset", None)  # reading would raise TypeError
+        assert main([*argv, "--out", "lf"]) == 2
+        assert f"asas: {flag} holds a line feed: 'tr\\nain.tsv'" in capsys.readouterr().err
+        assert not Path("lf").exists()
 
     def test_an_existing_input_path_that_is_not_utf8(self, workspace, capsys):
         data = workspace["dir"] / "d\udcff.tsv"  # the file name holds byte 0xff

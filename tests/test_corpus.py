@@ -549,6 +549,11 @@ class TestLoadLogprobs:
         with pytest.raises(ValueError, match="holds a tab, LF or CR"):
             dump_logprobs(LogProbMatrix(name, 1, 2, {"r1": np.zeros(2)}))
 
+    @pytest.mark.parametrize("comment", ["#asas\tinputs=tr\nain.tsv:0", "asas"])
+    def test_dump_refuses_a_comment_that_is_not_one_hash_line(self, comment):
+        with pytest.raises(ValueError, match="is not one '#' line"):
+            dump_logprobs(LogProbMatrix("m", 1, 2, {"r1": np.zeros(2)}), comment)
+
     def test_dump_round_trip(self):
         data = "#model=m\tprompt=2\tk=3\nr1\t-0.1\t-3\t-4\nr2\t0\t0\t0\n"
         matrix = load_logprobs(data)

@@ -294,6 +294,16 @@ class TestArtifact:
         with pytest.raises(ValueError, match="would not read back unchanged"):
             art.dump()
 
+    @pytest.mark.parametrize("header", ["#asas\tinputs=tr\nain.tsv:0", "asas"])
+    def test_dump_refuses_a_header_that_is_not_one_hash_line(self, header):
+        with pytest.raises(ValueError, match=r"^header .* would not read back unchanged"):
+            Artifact(kind="r").dump(header)
+
+    def test_dump_names_the_first_table_row_that_would_not_read_back(self):
+        art = Artifact(kind="e", tables={"t": [["a"], ["b\r"], ["c\td"]]})
+        with pytest.raises(ValueError, match=r"^row of table t \['b\\r'\] would not"):
+            art.dump()
+
     @given(_ANY_ARTIFACT)
     @example(Artifact(kind="k", tables={"t": [["a", "b\r"]]}))
     @settings(max_examples=400, deadline=None, derandomize=True)
